@@ -176,6 +176,24 @@ def check_linear(first: dict, stream: np.ndarray, epsilon: float):
     return checks, error
 
 
+def read_mismatches(reads: list, entry: dict) -> int:
+    """Timed reads of one family's round (records as
+    ``system_batch.read_record`` writes them) whose answer differs from
+    the answers checked above: a re-asked default query from the run
+    report's answer of that kind, a point or batch read from
+    ``point_all``, the whole-universe answers of the same sketch."""
+    bad = 0
+    for kind, key, value in reads:
+        if kind == "answer":
+            ok = entry["answers"].get(key) == value
+        elif kind == "point":
+            ok = entry["point_all"][key] == value
+        else:
+            ok = [entry["point_all"][i] for i in key] == value
+        bad += not ok
+    return bad
+
+
 class PrefixCounts:
     """Exact count of an item within any prefix of a stream."""
 

@@ -49,72 +49,23 @@ from workloads import (
     SERVE,
 )
 
-#: Launches per run that only time set-up; each is scaled by a
-#: calibration taken the moment the system reports ready.
-SETUP_PROBES = 7
+#: Launches per run that only time set-up (see :func:`setup_times`).
+SETUP_PROBES = 9
 #: Rounds of fixed work in each pass of a traced batch run.
-TRACE_ROUNDS = {"paper-batch": 2, "linear-sharded": 4}
+TRACE_ROUNDS = {"paper-batch": 1, "linear-sharded": 4}
 #: Seconds a system process may take to reach READY or to finish.
 DEADLINE_S = 170.0
-
-E2E_UNITS = {
-    "setup_s": "s",
-    "ingest_items_per_s": "1/s",
-    "append_p50_ms": "ms",
-    "append_p99_ms": "ms",
-    "answers_per_s": "1/s",
-    "state_changes": "count",
-    "peak_words": "words",
-    "peak_rss_mb": "MB",
-}
+#: Root spans must account for at least this share of traced wall time.
+MIN_COVERAGE = 0.9
 
 FAMILIES = ("heavy-hitters", "pstable-fp", "entropy")
 OPS = ("append", "query", "query-batch")
-LAYER_UNITS = {
-    "api.run.self_s": "s",
-    "runtime.sharded.ingest.self_s": "s",
-    "hashing.bucket_many.route_s": "s",
-    "hashing.bucket_many.kernel_s": "s",
-    "baselines.process_chunk.self_s": "s",
-    **{f"core.process_chunk.self_s.{f}": "s" for f in FAMILIES},
-    "hashing.coins.scalar_draws_per_item": "draws/item",
-    "hashing.coins.block_draws_per_item": "draws/item",
-    **{
-        f"hashing.coins.{kind}_draws_per_item.{f}": "draws/item"
-        for kind in ("scalar", "block")
-        for f in FAMILIES
-    },
-    "state.scalar_path_share": "ratio",
-    "state.state_change_rate": "ratio",
-    "state.write_yield": "ratio",
-    "runtime.sharded.snapshot_cut_s": "s",
-    "runtime.sharded.merged_from_cut_s": "s",
-    "runtime.sharded.merge_s": "s",
-    "sketch.clone_s": "s",
-    "sketch.merge_s": "s",
-    "serve.engine.snapshot_leaves_cloned": "count",
-    "serve.engine.snapshot_leaves_reused": "count",
-    "serve.engine.snapshot_nodes_built": "count",
-    "serve.engine.snapshot_nodes_reused": "count",
-    "query.query_s": "s",
-    "query.query_many_s": "s",
-    "serve.engine.answer_cache_hit_ratio": "ratio",
-    "serve.engine.append.self_s": "s",
-    "serve.engine.query.self_s": "s",
-    "serve.engine.query_batch.self_s": "s",
-    **{f"serve.server.handle.self_s.{op}": "s" for op in OPS},
-    **{f"serve.wire_s.{op}": "s" for op in OPS},
-    "serve.wire.request_bytes_per_item": "bytes/item",
-    "point_p50_ms": "ms",
-    "point_p99_ms": "ms",
-    "batch_p50_ms": "ms",
-    "batch_p99_ms": "ms",
-    "answer_rel_error": "ratio",
-    "trace.overhead_share": "ratio",
-    "trace.root_coverage": "ratio",
-}
-#: Root spans must account for at least this share of traced wall time.
-MIN_COVERAGE = 0.9
+
+
+def declared() -> dict:
+    """``BENCHMARK.json`` of the checkout: the metric names and units."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        return json.load(f)
 
 
 class Ledger:
@@ -139,14 +90,19 @@ class Ledger:
 
 
 class Metrics:
-    """Metric name -> (value, unit, samples)."""
+    """Metric name -> (value, unit, samples), for the metrics that
+    ``spec`` (:func:`declared`) declares."""
 
-    def __init__(self) -> None:
+    def __init__(self, spec: dict) -> None:
+        self.units = {
+            metric["name"]: metric["unit"]
+            for section in ("end_to_end", "per_layer")
+            for metric in spec[section]
+        }
         self.values: dict[str, tuple[float, str, int]] = {}
 
     def put(self, name: str, value: float, samples: int = 1) -> None:
-        unit = E2E_UNITS.get(name) or LAYER_UNITS[name]
-        self.values[name] = (float(value), unit, int(samples))
+        self.values[name] = (float(value), self.units[name], int(samples))
 
     def json(self, names) -> dict:
         return {
@@ -155,10 +111,29 @@ class Metrics:
         }
 
 
-def latency(metrics: Metrics, prefix: str, samples_ms: list) -> None:
+#: Samples per block of a p99: ten samples lie beyond a block's p99.
+P99_BLOCK = 1000
+
+
+def block_p99(samples_ms: list, block: int = P99_BLOCK) -> float:
+    """Median over consecutive blocks of ``block`` samples (in the order
+    they were taken) of each block's p99; the p99 of all samples when
+    there are fewer.  A burst of interference from the shared machine
+    moves a minority of blocks, not the median, while a slower program
+    moves every block."""
+    blocks = [
+        samples_ms[low:low + block]
+        for low in range(0, len(samples_ms) - block + 1, block)
+    ] or [samples_ms]
+    return median([percentile(part, 99) for part in blocks])
+
+
+def latency(
+    metrics: Metrics, prefix: str, samples_ms: list, block: int = P99_BLOCK
+) -> None:
     metrics.put(f"{prefix}_p50_ms", median(samples_ms), len(samples_ms))
     metrics.put(
-        f"{prefix}_p99_ms", percentile(samples_ms, 99), len(samples_ms)
+        f"{prefix}_p99_ms", block_p99(samples_ms, block), len(samples_ms)
     )
 
 
@@ -188,8 +163,41 @@ def batch_inputs(workload: str, seed: int) -> dict:
     return arrays
 
 
+def system_cpu() -> int:
+    """The one CPU every system process is pinned to.
+
+    The calibration kernel only tells the speed of the CPU it runs on,
+    and on a shared machine the CPUs' speeds differ from moment to
+    moment, so the system runs where the kernel is timed: in the batch
+    system process itself, and for set-up by ``run.py`` hopping there.
+    On ``serve-mixed`` the client shares the server's CPU too: with one
+    connection in a closed loop only one of the two runs at a time, and
+    sharing spares each round trip two wake-ups across CPUs, whose cost
+    the kernel does not follow.
+    """
+    return max(os.sched_getaffinity(0))
+
+
+def setup_times(launch, cpu: int) -> list[float]:
+    """Scaled set-up seconds of :data:`SETUP_PROBES` launches.
+
+    ``launch()`` starts the system, waits until it is ready, stops it
+    and returns the seconds from start to ready.  Each time is scaled
+    by the mean of the calibrations (on CPU ``cpu``) just before and
+    just after its launch.
+    """
+    times = []
+    before = calibrate(cpu)
+    for _ in range(SETUP_PROBES):
+        seconds = launch()
+        after = calibrate(cpu)
+        times.append(seconds * REFERENCE_S / ((before + after) / 2.0))
+        before = after
+    return times
+
+
 def launch_batch(argv: list[str]) -> tuple[System, float]:
-    system = System(argv, DEADLINE_S)
+    system = System(argv, DEADLINE_S, cpu=system_cpu())
     line = system.readline()
     if not line.startswith("READY"):
         system.kill()
@@ -220,7 +228,11 @@ def check_batch(workload: str, passed: dict, stream, ledger: Ledger):
             passed["first"], stream, spec["epsilon"]
         )
         ledger.checked(found, rounds)
-    ledger.ops(len(passed["query_ms"]))
+    ledger.ops(
+        len(passed["query_ms"]),
+        sum(passed["read_mismatches"]),
+        "timed read answer differs from the checked answers",
+    )
     drifted = sum(d != passed["digests"][0] for d in passed["digests"])
     ledger.ops(0, drifted * families, "answers or audit differ from round 0")
     return error
@@ -247,7 +259,12 @@ def batch_e2e(workload: str, passed: dict, metrics: Metrics) -> None:
     items = spec["items"] * len(spec["families"])
     rates = [items / sum(run_s) for run_s in passed["run_s"]]
     metrics.put("ingest_items_per_s", median(rates), len(rates))
-    latency(metrics, "append", chunk_latencies(spec, passed))
+    # A run with fewer chunks than a p99 block takes one round per block:
+    # the median over rounds of each round's slowest chunk.
+    chunks = chunk_latencies(spec, passed)
+    per_round = -(-spec["items"] // spec["chunk"])
+    block = P99_BLOCK if len(chunks) >= P99_BLOCK else per_round
+    latency(metrics, "append", chunks, block)
     query_s = sum(passed["query_ms"]) / 1e3
     metrics.put(
         "answers_per_s",
@@ -274,13 +291,14 @@ def run_batch(args, metrics: Metrics, ledger: Ledger) -> dict:
     ]
     extra: dict = {}
     try:
-        setups = []
         if not args.trace:
-            for _ in range(SETUP_PROBES):
+
+            def launch() -> float:
                 system, setup = launch_batch(argv + ["--mode", "setup"])
-                kernel = calibrate()
                 system.finish()
-                setups.append(setup * REFERENCE_S / kernel)
+                return setup
+
+            setups = setup_times(launch, system_cpu())
         if args.trace:
             spans = spans_path(args.workload)
             if os.path.exists(spans):
@@ -309,12 +327,19 @@ def run_batch(args, metrics: Metrics, ledger: Ledger) -> dict:
         metrics.put("peak_rss_mb", system.peak_rss_mb)
         metrics.put("answer_rel_error", error)
         extra["rounds"] = passed["rounds"]
-        items = BATCH[args.workload]["items"] * len(
-            BATCH[args.workload]["families"]
-        )
+        spec = BATCH[args.workload]
+        items = spec["items"] * len(spec["families"])
         extra["raw_ingest_items_per_s"] = median(
             [items / sum(run_s) for run_s in passed["raw_run_s"]]
         )
+        # Each family's own scaled ingest rate, for the cross-check
+        # against the repo's throughput probes.
+        extra["family_items_per_s"] = {
+            family: median(
+                [spec["items"] / run_s[index] for run_s in passed["run_s"]]
+            )
+            for index, family in enumerate(spec["families"])
+        }
         return extra
     for name in ("untraced", "traced"):
         error = check_batch(args.workload, result[name], stream, ledger)
@@ -485,15 +510,9 @@ class Client:
         self.sock.close()
 
 
-def serve_cpus() -> tuple[int, int]:
-    """(client CPU, server CPU).  Pinned apart, the client can time the
-    calibration kernel on the server's CPU, whose speed is what the
-    round trips mostly measure; with one CPU both share it."""
-    cpus = sorted(os.sched_getaffinity(0))
-    return cpus[0], cpus[-1]
-
-
-def start_server(seed: int, traced: bool, spans: str = "", counts: str = ""):
+def start_server(seed: int, traced: bool, cpu: int, spans="", counts=""):
+    """Launch the server pinned to CPU ``cpu``; returns (system, port,
+    seconds from launch to listening)."""
     serve_args = [
         "--algorithm", SERVE["algorithm"],
         "--shards", str(SERVE["shards"]),
@@ -508,7 +527,7 @@ def start_server(seed: int, traced: bool, spans: str = "", counts: str = ""):
         ]
     else:
         argv = [sys.executable, "-m", "repro", "serve", *serve_args]
-    system = System(argv, DEADLINE_S, cpu=serve_cpus()[1])
+    system = System(argv, DEADLINE_S, cpu=cpu)
     line = system.readline()
     found = re.search(r" on [\d.]+:(\d+) ", line)
     if not found:
@@ -520,15 +539,15 @@ def start_server(seed: int, traced: bool, spans: str = "", counts: str = ""):
 def serve_pass(plan: Plan, seed: int, traced: bool, spans="", counts=""):
     """One server process driven through the whole plan; returns the
     round trips, the raw responses and the closing verbs' answers."""
-    client_cpu, server_cpu = serve_cpus()
+    cpu = system_cpu()
     home = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {client_cpu})
-    system, port, _ = start_server(seed, traced, spans, counts)
+    os.sched_setaffinity(0, {cpu})
+    system, port, _ = start_server(seed, traced, cpu, spans, counts)
     try:
         client = Client(port)
         timings, responses = [], []
         started = time.perf_counter()
-        meter = Segments(cpu=server_cpu)
+        meter = Segments()
         for op, line, _ in plan.requests:
             response, sent, received = client.call(line)
             timings.append((sent, received))
@@ -667,16 +686,18 @@ def op_samples(passed: dict) -> dict[str, list[float]]:
 def run_serve(args, metrics: Metrics, ledger: Ledger) -> dict:
     # A traced run serves the shortest plan twice (untraced, traced).
     plan = Plan(args.seed, 0 if args.trace else args.seconds)
-    setups = []
     if not args.trace:
-        for _ in range(SETUP_PROBES):
-            system, port, setup = start_server(args.seed, False)
-            setup *= REFERENCE_S / calibrate(serve_cpus()[1])
+        cpu = system_cpu()
+
+        def launch() -> float:
+            system, port, setup = start_server(args.seed, False, cpu)
             client = Client(port)
             client.ask({"op": "shutdown"})
             client.close()
             system.finish()
-            setups.append(setup)
+            return setup
+
+        setups = setup_times(launch, cpu)
     passed = serve_pass(plan, args.seed, False)
     reference = reference_run(plan, args.seed)
     error = check_serve(plan, passed, reference, ledger)
@@ -833,12 +854,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def gated_names(trace: int) -> list[str]:
-    """Metric names the last line carries, from ``BENCHMARK.json``."""
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
-        declared = json.load(f)
+def gated_names(spec: dict, trace: int) -> list[str]:
+    """Metric names the last line carries."""
     section = "per_layer" if trace else "end_to_end"
-    return [entry["name"] for entry in declared[section]]
+    return [entry["name"] for entry in spec[section]]
 
 
 def main(argv=None) -> int:
@@ -850,11 +869,12 @@ def main(argv=None) -> int:
         )
         return 2
     os.makedirs(OUT_DIR, exist_ok=True)
-    metrics = Metrics()
+    spec = declared()
+    metrics = Metrics(spec)
     ledger = Ledger()
     runner = run_serve if args.workload == "serve-mixed" else run_batch
     extra = runner(args, metrics, ledger)
-    names = gated_names(args.trace)
+    names = gated_names(spec, args.trace)
     provenance = stamp(args.seed)
     error_rate = ledger.failed / max(ledger.attempted, 1)
     print(f"workload {args.workload}  trace {args.trace}  {extra}")

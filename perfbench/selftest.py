@@ -2,13 +2,12 @@
 
 They check the checks (a corrupted answer must register as a failure
 and count toward ``error_rate``), the span arithmetic, the tracer on a
-small real run, the metric declarations against ``BENCHMARK.json``, and
-that the benchmark refuses to run without the program's sources.
+small real run, the bounds and workloads ``BENCHMARK.json`` declares,
+and that the benchmark refuses to run without the program's sources.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
@@ -127,6 +126,24 @@ class CheckTests(unittest.TestCase):
         )
         self.assertEqual(failed_ops(bad), 1)
 
+    def test_corrupted_timed_reads_fail(self) -> None:
+        entry = {
+            "answers": {"moment": 5.0},
+            "point_all": [3.0, 1.0, 4.0, 1.0],
+        }
+        reads = [
+            ["answer", "moment", 5.0],
+            ["point", 2, 4.0],
+            ["batch", [0, 3], [3.0, 1.0]],
+        ]
+        self.assertEqual(checks.read_mismatches(reads, entry), 0)
+        corrupted = [
+            ["answer", "moment", 5.5],
+            ["point", 2, 3.0],
+            ["batch", [0, 3], [3.0, 2.0]],
+        ]
+        self.assertEqual(checks.read_mismatches(corrupted, entry), 3)
+
     def test_streamed_points(self) -> None:
         prefix = checks.PrefixCounts(self.stream)
         items = [0, 0, 3, 299]
@@ -203,17 +220,8 @@ class TraceTests(unittest.TestCase):
 
 
 class DeclarationTests(unittest.TestCase):
-    def test_benchmark_json_matches_the_metrics_produced(self) -> None:
-        with open(os.path.join(ROOT, "BENCHMARK.json")) as source:
-            declared = json.load(source)
-        self.assertEqual(
-            {m["name"]: m["unit"] for m in declared["end_to_end"]},
-            run.E2E_UNITS,
-        )
-        self.assertEqual(
-            {m["name"]: m["unit"] for m in declared["per_layer"]},
-            run.LAYER_UNITS,
-        )
+    def test_benchmark_json_declarations(self) -> None:
+        declared = run.declared()
         for metric in declared["end_to_end"]:
             self.assertLessEqual(metric["bound"], 0.25)
         setup = declared["end_to_end"][0]
@@ -230,6 +238,16 @@ class DeclarationTests(unittest.TestCase):
         self.assertEqual(percentile(values, 50), 500)
         self.assertEqual(percentile(values, 99), 990)
         self.assertTrue(math.isclose(run.median([3, 1, 2]), 2))
+
+    def test_block_p99_ignores_a_burst_in_one_block(self) -> None:
+        steady = ([1.0] * 990 + [2.0] * 10) * 3
+        self.assertEqual(run.block_p99(steady), 1.0)
+        burst = list(steady)
+        burst[1000:1100] = [50.0] * 100
+        self.assertEqual(run.block_p99(burst), 1.0)
+        slower = [2 * v for v in steady]
+        self.assertEqual(run.block_p99(slower), 2.0)
+        self.assertEqual(run.block_p99([5.0, 1.0, 3.0]), 5.0)
 
 
 class RefusalTests(unittest.TestCase):

@@ -25,8 +25,10 @@ import time
 
 import numpy as np
 
+import checks
 from common import Segments
 from workloads import BATCH
+
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -106,12 +108,28 @@ class Workload:
         self.tracer = None
         self.meter: Segments | None = None  # started after set-up
 
+    def warm(self) -> None:
+        """One unmeasured run of every engine over the first chunk, plus
+        its read probe, so the first timed round does not pay the
+        first-call costs (lazy imports, cold caches) alone."""
+        from repro.query import MultiPointQuery, PointQuery
+
+        head = self.stream[:self.spec["chunk"]]
+        for engine in self.engines.values():
+            engine.run(head, chunk_size=self.spec["chunk"])
+            for query in engine.default_queries():
+                engine.query(query)
+            for points, items in self.reads[:1]:
+                engine.query(PointQuery(points[0]))
+                engine.query_many(MultiPointQuery(items))
+
     def round(self) -> dict:
         """Every engine once over the stream, then its read probe.
 
         Timings are scaled to the reference machine per segment of the
         :class:`Segments` meter; ``raw_run_s`` keeps the unscaled run
-        times."""
+        times.  The read probe's answers are kept (outside the timed
+        calls) for :func:`describe` to check."""
         from repro.query import MultiPointQuery, PointQuery
 
         chunk = self.spec["chunk"]
@@ -128,41 +146,63 @@ class Workload:
             meter.cut()
             out["run_s"].append(meter.scaled_s - scaled)
             out["raw_run_s"].append(meter.raw_s - raw)
-            out["families"][family] = (engine.merged, report)
             # Read probe: re-ask the default queries (paper families)
             # or the serving mix of point and batch reads (linear).
+            asked = []
             meter.begin()
-            for query in engine.default_queries():
+            defaults = engine.default_queries()
+            for query in defaults * self.spec["query_repeats"]:
                 began = time.perf_counter()
                 answer = engine.query(query)
                 meter.add("query_ms", (time.perf_counter() - began) * 1e3)
+                asked.append((query, answer))
                 # A map answer carries one answer per item, as a batch does.
                 values = getattr(answer, "values", None)
                 out["answers"] += 1 if values is None else max(len(values), 1)
+                meter.cut_if_due()
             for points, items in self.reads:
                 for item in points:
+                    query = PointQuery(item)
                     began = time.perf_counter()
-                    engine.query(PointQuery(item))
+                    answer = engine.query(query)
                     elapsed = (time.perf_counter() - began) * 1e3
                     meter.add("point_ms", elapsed)
                     meter.add("query_ms", elapsed)
+                    asked.append((query, answer))
                 batch = MultiPointQuery(items)
                 began = time.perf_counter()
-                engine.query_many(batch)
+                answer = engine.query_many(batch)
                 elapsed = (time.perf_counter() - began) * 1e3
                 meter.add("batch_ms", elapsed)
                 meter.add("query_ms", elapsed)
+                asked.append((batch, answer))
                 out["answers"] += len(points) + len(items)
+                meter.cut_if_due()
             meter.cut()
+            out["families"][family] = (engine.merged, report, asked)
         return out
 
 
-def describe(family_runs: dict, reads: list, universe: int) -> dict:
-    """Answers, audits and the reads' answers of one round, as JSON."""
+def read_record(query, answer) -> list:
+    """JSON form of one timed read: ``["point", item, value]``,
+    ``["batch", items, values]`` or ``["answer", kind, answer]``."""
     from repro.query import MultiPointQuery, PointQuery
 
-    described = {}
-    for family, (sketch, report) in family_runs.items():
+    if isinstance(query, MultiPointQuery):
+        return ["batch", list(query.items), [a.value for a in answer]]
+    if isinstance(query, PointQuery):
+        return ["point", query.item, answer.value]
+    return ["answer", str(query.kind), answer_json(answer)]
+
+
+def describe(family_runs: dict, reads: list, universe: int):
+    """Answers, audits and the reads' answers of one round, as JSON,
+    plus the number of the round's timed reads that fail
+    :func:`checks.read_mismatches`."""
+    from repro.query import MultiPointQuery, PointQuery
+
+    described, mismatches = {}, 0
+    for family, (sketch, report, asked) in family_runs.items():
         entry = {
             "items": report.items_processed,
             "audit": audit_json(report.audit),
@@ -185,8 +225,11 @@ def describe(family_runs: dict, reads: list, universe: int) -> dict:
             entry["batch_first"] = [
                 a.value for a in sketch.query_many(MultiPointQuery(items))
             ]
+        mismatches += checks.read_mismatches(
+            [read_record(q, a) for q, a in asked], entry
+        )
         described[family] = entry
-    return described
+    return described, mismatches
 
 
 def digest(described: dict) -> str:
@@ -198,38 +241,48 @@ def digest(described: dict) -> str:
 def run_pass(
     workload: Workload, *, until=None, rounds=None, cut_s=0.1, tracer=None
 ) -> dict:
-    """Rounds until the clock passes ``until`` (at least three) or
+    """Rounds until the clock passes ``until`` (at least two) or
     exactly ``rounds``, measured by a fresh :class:`Segments` meter that
     cuts segments every ``cut_s`` and, if given, traced by ``tracer``;
-    returns the pass summary.  ``wall_s`` excludes calibration time."""
+    returns the pass summary.
+
+    Each round is described and checked as soon as it ends, with the
+    tracer removed, so no round's sketches or answers outlive it (they
+    would swell the peak RSS by a number of rounds that depends on the
+    machine's speed).  ``wall_s`` excludes calibration and checking."""
     started = time.perf_counter()
     workload.meter = meter = Segments(cut_s)
-    if tracer is not None:
-        tracer.install()
     workload.tracer = tracer
-    results = []
+    results, digests, mismatches, first = [], [], [], None
+    checking_s = 0.0
     try:
         while True:
-            results.append(workload.round())
+            if tracer is not None:
+                tracer.install()
+            result = workload.round()
+            if tracer is not None:
+                tracer.uninstall()
+            began = time.perf_counter()
+            described, bad = describe(
+                result.pop("families"), workload.reads, workload.spec["n"]
+            )
+            digests.append(digest(described))
+            mismatches.append(bad)
+            if first is None:
+                first = described
+            checking_s += time.perf_counter() - began
+            results.append(result)
             done = len(results)
             if rounds is not None and done >= rounds:
                 break
-            if until is not None and done >= 3 and (
+            if until is not None and done >= 2 and (
                 time.perf_counter() >= until
             ):
                 break
     finally:
         if tracer is not None:
             tracer.uninstall()
-    wall = time.perf_counter() - started - meter.clock.spent_s
-    digests, first = [], None
-    for result in results:
-        described = describe(
-            result.pop("families"), workload.reads, workload.spec["n"]
-        )
-        digests.append(digest(described))
-        if first is None:
-            first = described
+    wall = time.perf_counter() - started - meter.clock.spent_s - checking_s
     return {
         "rounds": len(results),
         "wall_s": wall,
@@ -241,6 +294,7 @@ def run_pass(
             for key in ("chunk_ms", "point_ms", "batch_ms", "query_ms")
         },
         "digests": digests,
+        "read_mismatches": mismatches,
         "first": first,
     }
 
@@ -255,6 +309,7 @@ def main(argv=None) -> int:
         return 0
     result: dict = {}
     if args.mode == "timed":
+        workload.warm()
         until = time.perf_counter() + args.seconds
         result["timed"] = run_pass(workload, until=until)
     else:
