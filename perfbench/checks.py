@@ -13,9 +13,9 @@ where one holds at this scale on every seed:
   reporting rule);
 * the streaming moment and entropy estimators only promise their bound
   with constant probability, so they are checked against a sanity band
-  (moment within a constant factor, entropy within its possible range
-  widened by 1 bit)
-  and their accuracy is reported, not gated, as ``answer_rel_error``.
+  that holds on every seed (:data:`MOMENT_BANDS`, entropy within its
+  possible range widened by 1 bit) and their accuracy is reported, not
+  gated, as ``answer_rel_error``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Sanity bands of the randomized moment estimates (ratio to exact).
-MOMENT_BANDS = {"heavy-hitters": 16.0, "pstable-fp": 4.0}
+#: Sanity bands of the randomized moment estimates: (lowest, highest)
+#: ratio to exact.
+#:
+#: * pstable-fp (p = 1, 20 rows) reports the median of 20 Cauchy
+#:   coordinates; by the Cauchy draws alone it leaves ``[1/16, 16]`` with
+#:   probability about 3e-9, while ``[1/4, 4]`` would fail about once in
+#:   1500 seeds.  Over 200 seeds its ratios lay in [0.45, 2.7].
+#: * heavy-hitters' F2 (Algorithm 3) sums per-band medians over three
+#:   copies.  On a Zipf(1.2) stream one item holds about 70% of F2, and
+#:   when the copies put its estimate in different bands every band's
+#:   median drops it: seed 465633 gives exactly 0.  So only the upper
+#:   side is checked.
+MOMENT_BANDS = {"heavy-hitters": (0.0, 16.0), "pstable-fp": (1 / 16, 16.0)}
 #: Additive slack of the entropy range check: the streaming estimator's
 #: additive-error target in the repo's E6 benchmark.
 ENTROPY_SLACK_BITS = 1.0
@@ -98,12 +109,12 @@ def check_paper(first: dict, stream: np.ndarray, epsilon: float):
             )
         estimate = answers["entropy" if family == "entropy" else "moment"]
         if family in MOMENT_BANDS:
-            band = MOMENT_BANDS[family]
+            low, high = MOMENT_BANDS[family]
             ratio = estimate / exact[family]
             found.append(
                 Check(
-                    f"{family}: moment within x{band:g} of exact",
-                    1.0 / band <= ratio <= band,
+                    f"{family}: moment within [{low:g}, {high:g}] x exact",
+                    low <= ratio <= high,
                     f"ratio {ratio:.4f}",
                 )
             )

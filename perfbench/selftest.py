@@ -84,6 +84,28 @@ class CheckTests(unittest.TestCase):
             by_family, _ = checks.check_paper(first, self.stream, 0.5)
             self.assertEqual(failed_ops(by_family[family], 3), 3, family)
 
+    def test_moment_bands(self) -> None:
+        """A collapsed heavy-hitters F2 (the estimator's own failure
+        mode) passes; answers far outside either band fail."""
+        f2 = float((np.bincount(self.stream).astype(float) ** 2).sum())
+        m = float(len(self.stream))
+        cases = [
+            ("heavy-hitters", 0.0, 0),
+            ("heavy-hitters", 20 * f2, 1),
+            ("heavy-hitters", -1.0, 1),
+            ("heavy-hitters", math.nan, 1),
+            ("pstable-fp", 3 * m, 0),
+            ("pstable-fp", m / 20, 1),
+            ("pstable-fp", 20 * m, 1),
+        ]
+        for family, moment, failed in cases:
+            first = paper_round(self.stream)
+            first[family]["answers"]["moment"] = moment
+            by_family, _ = checks.check_paper(first, self.stream, 0.5)
+            self.assertEqual(
+                failed_ops(by_family[family]), failed, (family, moment)
+            )
+
     def test_broken_audit_fails(self) -> None:
         first = paper_round(self.stream)
         first["entropy"]["audit"]["state_changes"] = len(self.stream) + 1
