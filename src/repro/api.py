@@ -51,8 +51,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro import registry
 from repro.nvm import (
     NVMCostModel,
@@ -73,16 +71,12 @@ from repro.query import (
     QueryKind,
     UnsupportedQueryError,
 )
-from repro.runtime.parallel import (
-    DEFAULT_PIPELINE_DEPTH,
-    resolve_start_method,
-)
+from repro.runtime.parallel import resolve_start_method
 from repro.runtime.sharded import ShardedRunner
 from repro.state.algorithm import Sketch
 from repro.state.budget import BudgetReport, WriteBudget
 from repro.state.report import StateChangeReport
 from repro.state.tracker import TRACKING_MODES, BudgetBackend
-from repro.streams.chunked import ChunkedStream
 from repro.workloads import Workload
 
 #: Parameter-free query constructors, in presentation order (point
@@ -201,22 +195,14 @@ class Engine:
     partition:
         ``"hash"`` (default) or ``"round-robin"``; see
         :class:`~repro.runtime.sharded.ShardedRunner`.
-    batch_size:
-        Items buffered per shard before a ``process_many`` flush.
     executor:
         ``"serial"`` (default), ``"thread"`` (deferred thread pool
         over the live shards — no serialization round trip), or
-        ``"process"`` (the pipelined shared-memory pool when
-        ``pipeline_depth > 0``, the historical barrier pool at
-        ``pipeline_depth=0``).  Results are bit-identical; only the
-        wall-clock changes.
+        ``"process"`` (the pipelined shared-memory pool).  Results are
+        bit-identical; only the wall-clock changes.
     max_workers:
         Pool size cap (``None``: one worker per shard, capped by the
         CPUs the process may run on).
-    pipeline_depth:
-        Ring-buffer slots per shard for the pipelined process
-        executor — how far routing may run ahead of worker ingest
-        before back-pressure blocks; ``0`` selects the barrier pool.
     start_method:
         Explicit ``multiprocessing`` start-method override (``"fork"``
         / ``"forkserver"`` / ``"spawn"``); ``None`` applies the
@@ -240,11 +226,9 @@ class Engine:
         seed: int = 0,
         shards: int = 1,
         partition: str = "hash",
-        batch_size: int = 1024,
         executor: str = "serial",
         max_workers: int | None = None,
         coin_protocol: str | None = None,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         start_method: str | None = None,
     ) -> None:
         self.spec = registry.spec(sketch)
@@ -275,10 +259,6 @@ class Engine:
                 f"cannot use the process executor; use "
                 f"executor='serial' or executor='thread'"
             )
-        if pipeline_depth < 0:
-            raise ValueError(
-                f"pipeline_depth must be >= 0: {pipeline_depth}"
-            )
         if start_method is not None:
             resolve_start_method(start_method)  # validate eagerly
         if shards > 1 and not self.spec.mergeable:
@@ -293,11 +273,9 @@ class Engine:
         self.seed = seed
         self.shards = shards
         self.partition = partition
-        self.batch_size = batch_size
         self.executor = executor
         self.max_workers = max_workers
         self.coin_protocol = coin_protocol
-        self.pipeline_depth = pipeline_depth
         self.start_method = start_method
         self._merged: Sketch | None = None
 
@@ -350,7 +328,7 @@ class Engine:
         ``queries=None`` runs :meth:`default_queries`; pass an explicit
         (possibly empty) sequence to control exactly what is asked.
         The ingestion always goes through the sharded runtime — one
-        shard degenerates to plain batched ingestion — so audits are
+        shard degenerates to plain chunked ingestion — so audits are
         comparable across shard counts by construction.
 
         Accounting is pluggable per run: ``tracking`` selects the
@@ -368,20 +346,12 @@ class Engine:
         backend (implied) and the serial executor (listeners cannot
         cross a process pool), and is incompatible with a budget.
 
-        Ingestion is columnar whenever the stream allows it: named
-        workloads materialize as
-        :class:`~repro.streams.chunked.ChunkedStream` values and flow
-        chunk-wise through the vectorized router and
-        ``process_chunk`` kernels, bit-identical to the scalar path.
-        ``chunk_size`` re-chunks the stream (and wraps a plain
-        iterable into chunks); ``None`` keeps the stream's own
-        chunking — the scalar per-item path applies only to plain
-        iterables.  Note that wrapping a plain iterable materializes
-        it into one ``int64`` array first; for huge one-shot sources
-        prefer a :class:`~repro.streams.chunked.ChunkedStream` (e.g.
-        :func:`~repro.streams.traceio.trace_stream`), which stays
-        lazy, or omit ``chunk_size`` to keep the bounded-memory
-        scalar batching.
+        Ingestion is columnar: every stream flows chunk-wise through
+        the vectorized router and ``process_chunk`` kernels,
+        bit-identical to the scalar path.  ``chunk_size`` sets the
+        chunk length; ``None`` keeps a chunked stream's own chunking.
+        A plain iterable is pulled lazily, one chunk at a time, so a
+        generator is never materialized.
         """
         if (stream is None) == (workload is None):
             raise ValueError(
@@ -435,14 +405,6 @@ class Engine:
                 )
             workload_name = workload.describe()
             stream = workload.materialize()
-        if chunk_size is not None and not hasattr(stream, "chunks"):
-            # An explicit chunk size asks for columnar ingestion even
-            # from a plain iterable; ndarrays are chunked zero-copy.
-            stream = (
-                ChunkedStream(stream, chunk_size)
-                if isinstance(stream, np.ndarray)
-                else ChunkedStream.from_items(stream, chunk_size)
-            )
         runner = ShardedRunner.from_registry(
             self.sketch_name,
             self.shards,
@@ -451,7 +413,6 @@ class Engine:
             epsilon=self.epsilon,
             seed=self.seed,
             partition=self.partition,
-            batch_size=self.batch_size,
             executor=self.executor,
             max_workers=self.max_workers,
             tracking=tracking,
@@ -459,7 +420,6 @@ class Engine:
             budget_split=budget_split,
             chunk_size=chunk_size,
             coin_protocol=self.coin_protocol,
-            pipeline_depth=self.pipeline_depth,
             start_method=self.start_method,
         )
         if device is not None:
@@ -516,7 +476,6 @@ class Engine:
         budget: WriteBudget | int | None = None,
         budget_split: str = "even",
         chunk_size: int | None = None,
-        snapshot_mode: str = "incremental",
         answer_cache: int = 256,
     ):
         """A :class:`~repro.serve.LiveEngine` with this engine's config.
@@ -547,7 +506,6 @@ class Engine:
             budget=budget,
             budget_split=budget_split,
             chunk_size=chunk_size,
-            snapshot_mode=snapshot_mode,
             answer_cache=answer_cache,
             coin_protocol=self.coin_protocol,
         )

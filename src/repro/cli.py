@@ -36,7 +36,6 @@ from typing import Sequence
 from repro import registry, workloads
 from repro.api import Engine
 from repro.nvm import NVM_PRESETS
-from repro.runtime.parallel import DEFAULT_PIPELINE_DEPTH
 from repro.query import (
     AllEstimates,
     Distinct,
@@ -191,7 +190,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         partition=args.partition,
         executor=args.executor,
         coin_protocol=args.coin_protocol,
-        pipeline_depth=args.pipeline_depth,
         start_method=args.start_method,
     )
     workload = workloads.Workload(
@@ -300,7 +298,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             workload_params=_workload_params(args),
             chunk_size=args.chunk_size,
             coin_protocol=args.coin_protocol,
-            pipeline_depth=args.pipeline_depth,
         )
     except (ValueError, OSError) as error:
         # e.g. trace-replay without --trace, or an unreadable file.
@@ -333,7 +330,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tracking=args.tracking,
             budget=budget,
             coin_protocol=args.coin_protocol,
-            snapshot_mode=args.snapshot_mode,
             answer_cache=args.answer_cache,
         )
     except KeyError:
@@ -448,10 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(v1: sequential RNG; v2: indexed Philox coins)")
     run.add_argument("--executor", default="serial",
                      choices=["serial", "thread", "process"])
-    run.add_argument("--pipeline-depth", type=int,
-                     default=DEFAULT_PIPELINE_DEPTH, dest="pipeline_depth",
-                     help="ring-buffer slots per shard for the pipelined "
-                          "process executor (0: barrier pool)")
     run.add_argument("--start-method", default=None, dest="start_method",
                      choices=["fork", "forkserver", "spawn"],
                      help="multiprocessing start method (default: fork "
@@ -499,11 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["hash", "round-robin"])
     shard.add_argument("--executor", default="serial",
                        choices=["serial", "thread", "process"])
-    shard.add_argument("--pipeline-depth", type=int,
-                       default=DEFAULT_PIPELINE_DEPTH,
-                       dest="pipeline_depth",
-                       help="ring-buffer slots per shard for the "
-                            "pipelined process executor (0: barrier pool)")
     shard.add_argument("--workload", default="zipf",
                        help="registered workload scenario name")
     shard.add_argument("--trace",
@@ -554,12 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--coin-protocol", default=None,
                        choices=("v1", "v2"), dest="coin_protocol",
                        help="force the randomized families' coin protocol")
-    serve.add_argument("--snapshot-mode", default="incremental",
-                       choices=["incremental", "full"],
-                       dest="snapshot_mode",
-                       help="snapshot refresh strategy: memoized "
-                            "merge tree vs full rebuild (both are "
-                            "bit-identical)")
     serve.add_argument("--answer-cache", type=int, default=256,
                        dest="answer_cache",
                        help="snapshot-keyed answer cache capacity "

@@ -29,7 +29,6 @@ from typing import Sequence
 
 from repro import registry, workloads
 from repro.api import Engine
-from repro.runtime.parallel import DEFAULT_PIPELINE_DEPTH
 from repro.query import (
     Answer,
     Distinct,
@@ -126,7 +125,6 @@ def shard_scaling(
     workload_params: dict | None = None,
     chunk_size: int | None = None,
     coin_protocol: str | None = None,
-    pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
     start_method: str | None = None,
 ) -> list[ShardScalingRow]:
     """Compare shard counts against the single-instance baseline.
@@ -135,10 +133,10 @@ def shard_scaling(
     any scenario registered in :mod:`repro.workloads` — and the same
     sketch seed, so differences are attributable to the
     partition/merge pipeline alone.  ``executor="process"`` runs the
-    multi-shard rows on the pipelined shared-memory pool
-    (``pipeline_depth=0``: the barrier pool) and ``executor="thread"``
-    on a thread pool; results are bit-identical to serial by
-    construction, making this sweep a live equivalence audit.
+    multi-shard rows on the pipelined shared-memory pool and
+    ``executor="thread"`` on a thread pool; results are bit-identical
+    to serial by construction, making this sweep a live equivalence
+    audit.
     ``coin_protocol`` pins the randomized families' coin protocol for
     every row (including the baseline), so shard-scaling sweeps can
     compare v1 against v2 like ``repro run`` does.
@@ -165,7 +163,6 @@ def shard_scaling(
             partition=partition,
             executor=executor if num_shards > 1 else "serial",
             coin_protocol=coin_protocol,
-            pipeline_depth=pipeline_depth,
             start_method=start_method,
         )
 

@@ -119,9 +119,14 @@ class KWiseHash:
         Returns a ``uint64`` array with ``many(xs)[i] == self(xs[i])``
         exactly — same Horner recurrence, same full reduction — so the
         chunked kernels produce bit-identical buckets, signs, and
-        records to the scalar path.
+        records to the scalar path.  Negative items are first reduced
+        into ``[0, P)``: a bare ``int64 -> uint64`` cast would wrap
+        ``x`` to ``2^64 + x``, which is not congruent to ``x`` mod ``P``.
         """
-        x = np.asarray(xs).astype(np.uint64)
+        x = np.asarray(xs)
+        if x.dtype.kind == "i" and len(x) and x.min() < 0:
+            x = x % np.int64(MERSENNE_P)
+        x = x.astype(np.uint64)
         acc = np.zeros(len(x), dtype=np.uint64)
         for c in reversed(self._coeffs_u64):
             acc = _reduce_many(_mulmod_many(acc, x) + c)

@@ -1,12 +1,11 @@
 """Distributed-ingestion runtime built on the mergeable sketch protocol.
 
 * :mod:`repro.runtime.sharded` — :class:`ShardedRunner`: partition a
-  stream over ``K`` sketch shards, batch-ingest (serially, on a thread
-  pool via ``executor="thread"``, or on the pipelined shared-memory
-  process pool via ``executor="process"``), merge-reduce.
-* :mod:`repro.runtime.parallel` — the shard executors: the zero-copy
-  :class:`PipelinedShardPool`, the barrier pool
-  (:func:`run_shard_tasks`), and the shared sizing/start-method
+  stream over ``K`` sketch shards chunk by chunk, ingest (serially, on
+  a thread pool via ``executor="thread"``, or on the pipelined
+  shared-memory process pool via ``executor="process"``), merge-reduce.
+* :mod:`repro.runtime.parallel` — the process executor
+  (:class:`PipelinedShardPool`) and the shared sizing/start-method
   policy.  Worker failures carry shard context as
   :class:`ShardIngestError`.
 * :mod:`repro.runtime.checkpoint` — :class:`Checkpoint`: JSON
@@ -15,19 +14,16 @@
 
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.parallel import (
-    DEFAULT_PIPELINE_DEPTH,
     PipelinedShardPool,
     ShardIngestError,
     available_cpus,
     resolve_start_method,
     resolve_workers,
-    run_shard_tasks,
 )
 from repro.runtime.sharded import ShardedRunner, ShardedRunResult
 
 __all__ = [
     "Checkpoint",
-    "DEFAULT_PIPELINE_DEPTH",
     "PipelinedShardPool",
     "ShardIngestError",
     "ShardedRunner",
@@ -35,5 +31,4 @@ __all__ = [
     "available_cpus",
     "resolve_start_method",
     "resolve_workers",
-    "run_shard_tasks",
 ]

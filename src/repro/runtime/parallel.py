@@ -1,15 +1,15 @@
-"""Parallel execution of shard ingest work: pipelined shared-memory
-pool, barrier process pool, and the shared worker-sizing policy.
+"""Parallel execution of shard ingest work: the pipelined
+shared-memory pool and its worker-sizing policy.
 
-Three pieces live here:
+Two pieces live here:
 
 * :class:`PipelinedShardPool` — the zero-copy pipelined executor.  A
   persistent set of worker processes is fed through per-shard
   ``multiprocessing.shared_memory`` ring buffers: the router (the
   parent, inside :meth:`~repro.runtime.sharded.ShardedRunner.ingest`)
   writes partitioned ``int64`` chunks straight into a shard's shared
-  segment while the owning worker ingests earlier chunks concurrently
-  — pipeline overlap instead of the historical route-then-run barrier.
+  segment while the owning worker ingests earlier chunks concurrently,
+  so routing and ingest overlap instead of running back to back.
   Only tiny slot descriptors cross a queue; the chunk payloads are
   never pickled.  Workers ingest each slot *in place* (a numpy view of
   the shared segment — no copy on either side) and release the slot's
@@ -20,12 +20,7 @@ Three pieces live here:
   (the expensive half of the merge-reduce) while slower workers are
   still ingesting.
 
-* :func:`run_shard_tasks` — the historical barrier path (one pickled
-  payload per shard, ``pool.map``, results after a full barrier),
-  kept for ``pipeline_depth=0`` and as the bench baseline the overlap
-  is measured against.
-
-* The sizing/start-method policy shared by both:
+* The sizing/start-method policy (shared with the thread executor):
   :func:`available_cpus` respects cgroup quotas and CPU affinity
   (``os.process_cpu_count`` where available, ``sched_getaffinity``
   otherwise — plain ``os.cpu_count`` oversubscribes 1-CPU containers),
@@ -57,7 +52,7 @@ import threading
 import traceback
 from multiprocessing import shared_memory
 from queue import Empty
-from typing import Any, Iterator, Sequence, Union
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -65,21 +60,16 @@ from repro import registry
 from repro.state.budget import WriteBudgetExceededError
 from repro.streams.chunked import DEFAULT_CHUNK_SIZE
 
-#: One shard's work order: ``(shard_index, empty_state, items)``.
-#: Chunk-routed work ships the items as one ``int64`` ndarray (pickled
-#: as a contiguous buffer, not a list of Python ints); scalar-routed
-#: work keeps the historical ``list[int]``.
-ShardTask = tuple[int, dict[str, Any], Union["np.ndarray", list[int]]]
 #: One shard's result: ``(shard_index, ingested_state)``.
 ShardResult = tuple[int, dict[str, Any]]
 
 #: Start methods the override accepts, safest-first.
 START_METHODS = ("fork", "forkserver", "spawn")
 
-#: Default ring-buffer depth: slots per shard the router may run ahead
-#: of the worker.  4 keeps the worker fed across routing hiccups while
-#: bounding the shared segment at ``4 * slot_items * 8`` bytes/shard.
-DEFAULT_PIPELINE_DEPTH = 4
+#: Ring-buffer depth: slots per shard the router may run ahead of the
+#: worker.  4 keeps the worker fed across routing hiccups while bounding
+#: the shared segment at ``4 * slot_items * 8`` bytes/shard.
+PIPELINE_DEPTH = 4
 
 
 class ShardIngestError(RuntimeError):
@@ -242,61 +232,7 @@ def resolve_start_method(override: str | None = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Barrier path (pipeline_depth=0 and the bench baseline)
-# ----------------------------------------------------------------------
-def ingest_shard(task: ShardTask) -> ShardResult:
-    """Worker entry point: rebuild, ingest, snapshot one shard.
-
-    Ndarray payloads ingest through the columnar ``process_chunk``
-    fast path, list payloads through the scalar ``process_many`` loop;
-    the two are bit-identical on the same items, so the executor
-    contract is unchanged.  Module-level (picklable) so it works under
-    every start method.  Failures leave as :class:`ShardIngestError`
-    with the shard context attached.
-    """
-    index, state, items = task
-    sketch_cls = registry.sketch_class(state["algorithm"])
-    shard = sketch_cls.from_state(state)
-    try:
-        if isinstance(items, np.ndarray):
-            shard.process_chunk(items)
-        else:
-            shard.process_many(items)
-    except Exception as error:
-        raise wrap_shard_error(index, shard, error) from error
-    return index, shard.to_state()
-
-
-def run_shard_tasks(
-    tasks: Sequence[ShardTask],
-    max_workers: int | None = None,
-    start_method: str | None = None,
-) -> list[ShardResult]:
-    """Execute shard tasks on a barrier process pool; preserves order.
-
-    A single task (or an explicit ``max_workers=1``) short-circuits to
-    in-process execution — same code path as the workers run, without
-    pool start-up or pickling overhead.  Worker failures re-raise via
-    :func:`reraise_shard_error`: budget aborts keep their type, other
-    faults surface as :class:`ShardIngestError`.
-    """
-    if not tasks:
-        return []
-    workers = resolve_workers(len(tasks), max_workers)
-    try:
-        if len(tasks) == 1 or workers == 1:
-            return [ingest_shard(task) for task in tasks]
-        context = multiprocessing.get_context(
-            resolve_start_method(start_method)
-        )
-        with context.Pool(processes=workers) as pool:
-            return pool.map(ingest_shard, tasks)
-    except ShardIngestError as error:
-        reraise_shard_error(error)
-
-
-# ----------------------------------------------------------------------
-# Pipelined shared-memory pool (the default process executor)
+# Pipelined shared-memory pool (the process executor)
 # ----------------------------------------------------------------------
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach to a parent-owned segment without tracking it twice.
@@ -401,7 +337,8 @@ class PipelinedShardPool:
         the split bit-neutral).
     depth:
         Slots per shard ring — how far the router may run ahead of the
-        worker before back-pressure blocks it.
+        worker before back-pressure blocks it (tests shrink it to force
+        back-pressure).
     max_workers:
         Worker-count cap (``None``: one per shard, capped by
         :func:`available_cpus`).
@@ -415,7 +352,7 @@ class PipelinedShardPool:
         states: Sequence[tuple[int, dict[str, Any]]],
         *,
         slot_items: int = DEFAULT_CHUNK_SIZE,
-        depth: int = DEFAULT_PIPELINE_DEPTH,
+        depth: int = PIPELINE_DEPTH,
         max_workers: int | None = None,
         start_method: str | None = None,
     ) -> None:

@@ -2,9 +2,9 @@
 
 :class:`ShardedRunner` partitions one logical stream across ``K``
 independent sketch shards — each with its own
-:class:`~repro.state.tracker.StateTracker` — ingests through the
-batched :meth:`~repro.state.algorithm.Sketch.process_many` fast path,
-and reduces the shards with a binary merge tree.  Because the mergeable
+:class:`~repro.state.tracker.StateTracker` — ingests chunk-wise
+through :meth:`~repro.state.algorithm.Sketch.process_chunk`, and
+reduces the shards with a binary merge tree.  Because the mergeable
 families combine losslessly (linear sketches) or within their summable
 error bounds (Misra-Gries/SpaceSaving), the reduced sketch answers
 queries like a single instance that saw the whole stream, while the
@@ -37,36 +37,37 @@ argument picks the accounting backend for unbudgeted runs
 (``"aggregate"`` — the fast-path default — or ``"trace"`` for
 per-cell wear histograms).
 
-Ingestion is columnar when the stream is: a
-:class:`~repro.streams.chunked.ChunkedStream` (or bare ``int64``
-ndarray) is routed chunk-wise — one vectorized partition hash per
-chunk, boolean-mask splits, shard-side
+Ingestion is always columnar: every input is routed chunk-wise — one
+vectorized partition hash per chunk, boolean-mask splits, shard-side
 :meth:`~repro.state.algorithm.Sketch.process_chunk` — with shard
-assignment and results bit-identical to the per-item route.  An
-optional ``chunk_size`` re-chunks the stream at ingest time.
+assignment and results bit-identical to the per-item route
+(:meth:`ShardedRunner.shard_of`) and the scalar
+:meth:`~repro.state.algorithm.Sketch.process_many` loop.  A
+:class:`~repro.streams.chunked.ChunkedStream` or ``int64`` ndarray is
+sliced as is; any other iterable is pulled lazily, one ``int64`` chunk
+at a time, so generators stay bounded-memory.  An optional
+``chunk_size`` sets the chunk length.
 
 Three executors decide *where* the per-shard ingest runs:
 
 * ``"serial"`` — shards are ingested in-process as the stream is
-  routed (the historical behaviour).
-* ``"thread"`` — routed items are buffered per shard and ingested by
+  routed.
+* ``"thread"`` — routed chunks are buffered per shard and ingested by
   a thread pool over the live shard objects at the first observation.
   No serialization round trip at all (non-serializable families can
   use it), and the numpy-dominated ``process_chunk`` kernels release
   the GIL for much of their work — on free-threaded builds the
   overlap is full.
-* ``"process"`` — the default ``pipeline_depth > 0`` runs the
-  zero-copy pipelined pool (:class:`~repro.runtime.parallel.
-  PipelinedShardPool`): persistent workers are rebuilt once from each
-  shard's empty snapshot, the router writes partitioned ``int64``
-  chunks straight into per-shard shared-memory ring buffers *while*
-  workers ingest earlier chunks, and at end-of-stream the ingested
-  states stream back incrementally for restoration.
-  ``pipeline_depth=0`` keeps the historical barrier pool: routed
-  items are buffered per shard, shipped as one pickled payload each to
-  a ``pool.map``, and restored after a full barrier.  Either way the
-  results — merged payload, answers, and the full audit — are
-  bit-identical to serial mode; only the wall-clock changes.
+* ``"process"`` — the zero-copy pipelined pool
+  (:class:`~repro.runtime.parallel.PipelinedShardPool`): persistent
+  workers are rebuilt once from each shard's empty snapshot, the
+  router writes partitioned ``int64`` chunks straight into per-shard
+  shared-memory ring buffers *while* workers ingest earlier chunks,
+  and at end-of-stream the ingested states stream back incrementally
+  for restoration.
+
+The results — merged payload, answers, and the full audit — are
+bit-identical across executors; only the wall-clock changes.
 
 A worker failure aborts the run with its shard context
 (:class:`~repro.runtime.parallel.ShardIngestError`; ``policy="raise"``
@@ -77,24 +78,22 @@ partial results.
 
 from __future__ import annotations
 
-import copy
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
 from repro import registry
 from repro.hashing.prime_field import KWiseHash
 from repro.runtime.parallel import (
-    DEFAULT_PIPELINE_DEPTH,
     PipelinedShardPool,
     ShardIngestError,
     reraise_shard_error,
     resolve_start_method,
     resolve_workers,
-    run_shard_tasks,
     wrap_shard_error,
 )
 from repro.state.algorithm import NotMergeableError, Sketch
@@ -113,11 +112,41 @@ ShardFactory = Callable[[int], Sketch]
 
 _PARTITIONS = ("hash", "round-robin")
 _EXECUTORS = ("serial", "thread", "process")
-_SNAPSHOT_MODES = ("incremental", "full")
 
 #: One leaf of a snapshot cut: the shard's ingest-epoch key plus an
 #: immutable-by-convention private copy of the shard at that epoch.
 SnapshotCut = list[tuple[tuple, Sketch]]
+
+
+_Node = TypeVar("_Node")
+
+
+def _iter_chunks(items: Iterable[int], size: int) -> Iterator[np.ndarray]:
+    """Pull ``items`` lazily, one ``int64`` chunk of ``size`` at a time."""
+    iterator = iter(items)
+    while len(chunk := np.fromiter(islice(iterator, size), dtype=np.int64)):
+        yield chunk
+
+
+def _reduce_tree(
+    level: list[_Node],
+    combine: Callable[[int, int, _Node, _Node], _Node],
+) -> _Node:
+    """Binary merge-tree reduce: each round pairs neighbours through
+    ``combine(height, slot, left, right)`` and carries an odd last node
+    up unmerged.  MG/SpaceSaving merges are not associative, so this
+    shape is part of the bit-identity contract."""
+    height = 1
+    while len(level) > 1:
+        paired = [
+            combine(height, j // 2, level[j], level[j + 1])
+            for j in range(0, len(level) - 1, 2)
+        ]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+        height += 1
+    return level[0]
 
 
 def _load_skew(shard_items: tuple[int, ...] | list[int]) -> float:
@@ -192,26 +221,21 @@ class ShardedRunner:
         ``"hash"`` (default) or ``"round-robin"``; see module docs.
     seed:
         Seeds the partitioning hash (independent of the sketch seeds).
-    batch_size:
-        Items buffered per shard before a ``process_many`` flush
-        (serial executor only; the process executor ships each shard's
-        full buffer in one task).
     executor:
         ``"serial"`` (default) ingests in-process; ``"thread"``
         buffers routed work and ingests the live shards on a thread
         pool at the first observation (reports, merge, or
         :meth:`run`); ``"process"`` runs the pipelined shared-memory
-        pool (``pipeline_depth > 0``, workers ingest concurrently with
-        routing) or the historical barrier pool (``pipeline_depth=0``).
-        The process executor requires a serializable sketch; every
+        pool, whose workers ingest concurrently with routing.  The
+        process executor requires a serializable sketch; every
         executor is bit-identical to serial mode.
     max_workers:
         Pool size cap (``None``: one worker per shard, capped by the
         CPUs the process may run on).
-    pipeline_depth:
-        Ring-buffer slots per shard for the pipelined process
-        executor — how far routing may run ahead of ingest before
-        back-pressure blocks.  ``0`` selects the barrier pool.
+    chunk_size:
+        Items per routed chunk (``None``: a chunked stream's own
+        chunking, :data:`~repro.streams.chunked.DEFAULT_CHUNK_SIZE`
+        for plain iterables).
     start_method:
         Explicit ``multiprocessing`` start-method override
         (``"fork"``/``"forkserver"``/``"spawn"``); ``None`` applies
@@ -225,13 +249,10 @@ class ShardedRunner:
         num_shards: int,
         partition: str = "hash",
         seed: int = 0,
-        batch_size: int = 1024,
         executor: str = "serial",
         max_workers: int | None = None,
         chunk_size: int | None = None,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         start_method: str | None = None,
-        snapshot_mode: str = "incremental",
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"need at least one shard: {num_shards}")
@@ -243,30 +264,16 @@ class ShardedRunner:
             raise ValueError(
                 f"unknown executor {executor!r}; choose from {_EXECUTORS}"
             )
-        if snapshot_mode not in _SNAPSHOT_MODES:
-            raise ValueError(
-                f"unknown snapshot_mode {snapshot_mode!r}; choose from "
-                f"{_SNAPSHOT_MODES}"
-            )
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1: {batch_size}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
-        if pipeline_depth < 0:
-            raise ValueError(
-                f"pipeline_depth must be >= 0: {pipeline_depth}"
-            )
         if start_method is not None:
             resolve_start_method(start_method)  # validate eagerly
         self.num_shards = num_shards
         self.partition = partition
         self.executor = executor
         self.max_workers = max_workers
-        self.batch_size = batch_size
         self.chunk_size = chunk_size
-        self.pipeline_depth = pipeline_depth
         self.start_method = start_method
-        self.snapshot_mode = snapshot_mode
         self._shards: list[Sketch] = [factory(i) for i in range(num_shards)]
         trackers = {id(shard.tracker) for shard in self._shards}
         if len(trackers) != num_shards:
@@ -282,9 +289,8 @@ class ShardedRunner:
         # Route by item identity so all occurrences co-locate.
         self._route = KWiseHash(2, seed=seed + 0x5A5A)
         self._cursor = 0  # round-robin position
-        self._buffers: list[list[int]] = [[] for _ in range(num_shards)]
-        # Routed ndarray chunks awaiting the pool (process executor).
-        self._chunk_buffers: list[list[np.ndarray]] = [
+        # Routed chunks awaiting the thread pool (thread executor).
+        self._thread_parts: list[list[np.ndarray]] = [
             [] for _ in range(num_shards)
         ]
         self._shard_items = [0] * num_shards
@@ -311,7 +317,6 @@ class ShardedRunner:
             "leaves_reused": 0,
             "nodes_built": 0,
             "nodes_reused": 0,
-            "full_rebuilds": 0,
         }
 
     @classmethod
@@ -324,7 +329,6 @@ class ShardedRunner:
         epsilon: float = 0.5,
         seed: int = 0,
         partition: str = "hash",
-        batch_size: int = 1024,
         executor: str = "serial",
         max_workers: int | None = None,
         tracking: str = "aggregate",
@@ -332,9 +336,7 @@ class ShardedRunner:
         budget_split: str = "even",
         chunk_size: int | None = None,
         coin_protocol: str | None = None,
-        pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         start_method: str | None = None,
-        snapshot_mode: str = "incremental",
     ) -> "ShardedRunner":
         """Runner whose shards come from :mod:`repro.registry`.
 
@@ -370,13 +372,10 @@ class ShardedRunner:
             num_shards=num_shards,
             partition=partition,
             seed=seed,
-            batch_size=batch_size,
             executor=executor,
             max_workers=max_workers,
             chunk_size=chunk_size,
-            pipeline_depth=pipeline_depth,
             start_method=start_method,
-            snapshot_mode=snapshot_mode,
         )
 
     # ------------------------------------------------------------------
@@ -385,44 +384,37 @@ class ShardedRunner:
     def shard_of(self, item: int) -> int:
         """Shard index the next occurrence of ``item`` is routed to.
 
-        Pure query: under round-robin it peeks at the current cursor
-        without advancing it, so inspecting routing never perturbs
-        where :meth:`ingest` actually places items.
+        The per-item routing reference: :meth:`ingest` routes whole
+        chunks through the vectorized hash, and every routed item lands
+        exactly where this says.  Pure query: under round-robin it
+        peeks at the current cursor without advancing it, so inspecting
+        routing never perturbs where :meth:`ingest` actually places
+        items.
         """
         if self.partition == "hash":
             return self._route.bucket(item, self.num_shards)
         return self._cursor
 
-    def _next_shard(self, item: int) -> int:
-        """Routing used by :meth:`ingest`; advances the round-robin."""
-        shard = self.shard_of(item)
-        if self.partition == "round-robin":
-            self._cursor = (shard + 1) % self.num_shards
-        return shard
-
-    @property
-    def _pipelined(self) -> bool:
-        """Whether this runner streams work into the pipelined pool."""
-        return self.executor == "process" and self.pipeline_depth > 0
-
     def ingest(self, stream: Iterable[int]) -> int:
         """Route ``stream`` to the shards; returns items consumed.
 
-        Columnar sources — a :class:`~repro.streams.chunked.
-        ChunkedStream` or an ``np.ndarray`` — take the chunked fast
-        path: one vectorized partition hash over each chunk, a
-        boolean-mask split per shard, and shard-side ingest through
+        Every input takes the columnar path: one vectorized partition
+        hash over each chunk, a boolean-mask split per shard, and
+        shard-side ingest through
         :meth:`~repro.state.algorithm.Sketch.process_chunk`
-        (bit-identical to the scalar route).  Other iterables keep the
-        historical per-item path, batched at ``batch_size`` items.
+        (bit-identical to the scalar route).  A
+        :class:`~repro.streams.chunked.ChunkedStream` or an
+        ``np.ndarray`` is sliced into chunks; any other iterable is
+        pulled lazily, one ``int64`` chunk of ``chunk_size`` (default
+        :data:`~repro.streams.chunked.DEFAULT_CHUNK_SIZE`) items at a
+        time, so a generator is never materialized.
 
         Where the routed work goes depends on the executor: serial
-        ingests as it routes; the pipelined process executor writes
-        each routed part into the shard's shared-memory ring (workers
-        ingest concurrently — the overlap is the point); the thread
-        and barrier-process executors only buffer, and the buffered
-        work runs at the first observation (reports, merge, or
-        :meth:`run`).
+        ingests as it routes; the process executor writes each routed
+        part into the shard's shared-memory ring (workers ingest
+        concurrently — the overlap is the point); the thread executor
+        only buffers, and the buffered work runs at the first
+        observation (reports, merge, or :meth:`run`).
         """
         self._check_ingestable()
         chunks = getattr(stream, "chunks", None)
@@ -432,27 +424,9 @@ class ShardedRunner:
             return self._ingest_chunks(
                 ChunkedStream(stream).chunks(self.chunk_size)
             )
-        buffers = self._buffers
-        count = 0
-        if self.executor in ("thread", "process") and not self._pipelined:
-            shard_items = self._shard_items
-            for item in stream:
-                shard = self._next_shard(item)
-                buffers[shard].append(item)
-                shard_items[shard] += 1
-                count += 1
-            return count
-        threshold = self.batch_size
-        for item in stream:
-            shard = self._next_shard(item)
-            buffer = buffers[shard]
-            buffer.append(item)
-            count += 1
-            if len(buffer) >= threshold:
-                self._flush(shard)
-        for shard in range(self.num_shards):
-            self._flush(shard)
-        return count
+        return self._ingest_chunks(
+            _iter_chunks(stream, self.chunk_size or DEFAULT_CHUNK_SIZE)
+        )
 
     def _check_ingestable(self) -> None:
         self._check_not_failed()
@@ -515,60 +489,31 @@ class ShardedRunner:
         return count
 
     def _deliver_chunk(self, shard: int, part: np.ndarray) -> None:
-        if self._pipelined:
-            # Any scalar-buffered items precede this chunk in stream
-            # order; submit them first, then stream the chunk into the
-            # shard's shared-memory ring while its worker ingests.
-            self._flush(shard)
-            self._shard_items[shard] += len(part)
-            self._pool_submit(shard, part)
-        elif self.executor in ("thread", "process"):
-            # Deferred executors: freeze any scalar-buffered items (they
-            # precede this chunk in stream order) into the chunk queue.
-            pending = self._buffers[shard]
-            if pending:
-                self._chunk_buffers[shard].append(
-                    np.asarray(pending, dtype=np.int64)
-                )
-                pending.clear()
-            self._chunk_buffers[shard].append(part)
-            self._shard_items[shard] += len(part)
-        else:
+        if self.executor == "serial":
             self._shard_items[shard] += self._shards[shard].process_chunk(
                 part
             )
-
-    def _flush(self, shard: int) -> None:
-        buffer = self._buffers[shard]
-        if not buffer:
             return
-        if self._pipelined and not self._dispatched:
-            part = np.asarray(buffer, dtype=np.int64)
-            buffer.clear()
-            self._shard_items[shard] += len(part)
+        self._shard_items[shard] += len(part)
+        if self.executor == "thread":
+            self._thread_parts[shard].append(part)
+        else:
             self._pool_submit(shard, part)
-            return
-        self._shard_items[shard] += self._shards[shard].process_many(
-            buffer
-        )
-        buffer.clear()
 
     def _pool_submit(self, shard: int, part: np.ndarray) -> None:
         """Hand one routed part to the pipelined pool (started lazily).
 
         The pool launches at the first routed part — workers rebuild
-        from each shard's *empty* snapshot and then ingest everything,
-        exactly like the barrier path, but concurrently with routing.
-        Any failure (a worker fault surfacing through back-pressure, a
-        non-serializable shard at pool start) latches the runner as
-        failed before propagating.
+        from each shard's *empty* snapshot and then ingest everything
+        concurrently with routing.  Any failure (a worker fault
+        surfacing through back-pressure, a non-serializable shard at
+        pool start) latches the runner as failed before propagating.
         """
         try:
             if self._pipeline is None:
                 self._pipeline = PipelinedShardPool(
                     [(i, s.to_state()) for i, s in enumerate(self._shards)],
                     slot_items=self.chunk_size or DEFAULT_CHUNK_SIZE,
-                    depth=self.pipeline_depth,
                     max_workers=self.max_workers,
                     start_method=self.start_method,
                 )
@@ -577,37 +522,13 @@ class ShardedRunner:
             self._fail(error)
             raise
 
-    def _shard_payload(self, index: int):
-        """A shard's buffered work in stream order, or None when empty.
-
-        Chunk-routed shards ship one concatenated ``int64`` ndarray
-        (the pickle of an array, not a list of Python ints) that the
-        executor ingests via ``process_chunk``; purely scalar-routed
-        shards keep the historical ``list[int]`` payload and the
-        ``process_many`` path.
-        """
-        chunked = self._chunk_buffers[index]
-        scalar = self._buffers[index]
-        if chunked:
-            segments = list(chunked)
-            if scalar:  # trailing scalar items arrived after the chunks
-                segments.append(np.asarray(scalar, dtype=np.int64))
-            return (
-                segments[0]
-                if len(segments) == 1
-                else np.concatenate(segments)
-            )
-        return list(scalar) if scalar else None
-
     def _execute(self) -> None:
         """Run any deferred/pipelined shard work (at most once).
 
-        Pipelined process runs: signal end-of-stream and restore the
-        ingested states incrementally as workers report (a fast
-        worker's ``from_state`` restoration overlaps a slow worker's
-        tail).  Barrier process runs: each non-empty shard becomes one
-        ``(index, empty_state, payload)`` task for ``pool.map``.
-        Thread runs: a thread pool ingests the buffered payloads into
+        Process runs: signal end-of-stream and restore the ingested
+        states incrementally as workers report (a fast worker's
+        ``from_state`` restoration overlaps a slow worker's tail).
+        Thread runs: a thread pool ingests the buffered chunks into
         the *live* shard objects — no serialization round trip at all.
         Shards that received no items keep their local (empty)
         instances in every mode, matching serial bit for bit.  Any
@@ -619,40 +540,34 @@ class ShardedRunner:
         try:
             if self.executor == "thread":
                 self._execute_threads()
-            elif self._pipelined:
-                self._drain_pipeline()
             else:
-                self._execute_barrier()
+                self._drain_pipeline()
         except BaseException as error:
             self._fail(error)
             raise
-        self._buffers = [[] for _ in range(self.num_shards)]
-        self._chunk_buffers = [[] for _ in range(self.num_shards)]
+        self._thread_parts = [[] for _ in range(self.num_shards)]
 
     def _execute_threads(self) -> None:
-        """Ingest buffered payloads on a thread pool over live shards.
+        """Ingest buffered chunks on a thread pool over live shards.
 
-        The numpy-dominated ``process_chunk`` kernels release the GIL
-        for much of their work, so chunk-routed shards genuinely
-        overlap; scalar payloads serialize on the GIL but still get
-        the deferred-execution semantics.  Worker errors carry shard
-        context exactly like the process executors.
+        Each shard's routed parts are concatenated in stream order and
+        ingested in one ``process_chunk`` call; the numpy-dominated
+        kernels release the GIL for much of their work, so shards
+        genuinely overlap.  Worker errors carry shard context exactly
+        like the process executor.
         """
         payloads = [
-            (index, payload)
-            for index in range(self.num_shards)
-            if (payload := self._shard_payload(index)) is not None
+            (index, parts[0] if len(parts) == 1 else np.concatenate(parts))
+            for index, parts in enumerate(self._thread_parts)
+            if parts
         ]
         if not payloads:
             return
 
-        def ingest_live(index: int, payload) -> None:
+        def ingest_live(index: int, payload: np.ndarray) -> None:
             shard = self._shards[index]
             try:
-                if isinstance(payload, np.ndarray):
-                    shard.process_chunk(payload)
-                else:
-                    shard.process_many(payload)
+                shard.process_chunk(payload)
             except Exception as error:
                 raise wrap_shard_error(index, shard, error) from error
 
@@ -681,39 +596,9 @@ class ShardedRunner:
         finally:
             pool.close()
 
-    def _execute_barrier(self) -> None:
-        """Historical route-then-run pool (``pipeline_depth=0``)."""
-        tasks = []
-        for index in range(self.num_shards):
-            payload = self._shard_payload(index)
-            if payload is not None:
-                tasks.append(
-                    (index, self._shards[index].to_state(), payload)
-                )
-        for index, state in run_shard_tasks(
-            tasks, self.max_workers, start_method=self.start_method
-        ):
-            sketch_cls = registry.sketch_class(state["algorithm"])
-            self._shards[index] = sketch_cls.from_state(state)
-
     # ------------------------------------------------------------------
     # Reduce
     # ------------------------------------------------------------------
-    @staticmethod
-    def _copy_shard(shard: Sketch) -> Sketch:
-        """An exact private copy of a shard (payload, audit, RNG).
-
-        Serializable families round-trip through
-        ``to_state``/``from_state`` — the exactness contract the
-        checkpoint and process-executor tests already pin down, which
-        also drops any attached write listeners (a snapshot must not
-        replay wear callbacks).  Families without the state hooks are
-        deep-copied instead; both routes leave the original untouched.
-        """
-        if type(shard)._config_state is not Sketch._config_state:
-            return type(shard).from_state(shard.to_state())
-        return copy.deepcopy(shard)
-
     def _clear_snapshot_caches(self) -> None:
         """Drop every memoized leaf clone and merge-tree node."""
         self._leaf_cache = [None] * self.num_shards
@@ -767,17 +652,8 @@ class ShardedRunner:
                 "before merge()"
             )
         self._execute()
-        for shard in range(self.num_shards):
-            self._flush(shard)
         stats = self._snap_stats
         stats["cuts_taken"] += 1
-        if self.snapshot_mode == "full":
-            # Reference path: fresh serialization round trips, no
-            # caches — what the equivalence sweep compares against.
-            return [
-                (self._leaf_key(i, shard), self._copy_shard(shard))
-                for i, shard in enumerate(self._shards)
-            ]
         cut: SnapshotCut = []
         for i, shard in enumerate(self._shards):
             key = self._leaf_key(i, shard)
@@ -795,69 +671,42 @@ class ShardedRunner:
         """Reduce a :meth:`snapshot_cut` into a caller-owned merged
         sketch; safe to run outside the caller's ingest lock.
 
-        Incremental mode runs the memoized reduction: internal nodes
-        of the merge tree are cached keyed by the concatenation of
-        their leaves' epoch keys, so a cut where only ``k`` of ``S``
-        shards advanced re-merges only those leaves' root paths —
-        ``O(k log S)`` merges instead of ``S - 1``.  Cached nodes are
-        never mutated (a rebuild clones its left child before merging,
-        and :meth:`~repro.state.algorithm.Sketch.merge` only reads its
-        right operand), and an internal lock serializes concurrent
-        reductions over the shared cache.  The returned root is always
-        a private clone, so repeated snapshots never alias.
-
-        Full mode reduces the cut's fresh copies in place — the
-        historical code path, byte for byte.
+        Internal nodes of the merge tree are memoized keyed by the
+        concatenation of their leaves' epoch keys, so a cut where only
+        ``k`` of ``S`` shards advanced re-merges only those leaves' root
+        paths — ``O(k log S)`` merges instead of ``S - 1``.  Cached
+        nodes are never mutated (a rebuild clones its left child before
+        merging, and :meth:`~repro.state.algorithm.Sketch.merge` only
+        reads its right operand), and an internal lock serializes
+        concurrent reductions over the shared cache.  The returned root
+        is always a private clone, so repeated snapshots never alias.
         """
-        if self.snapshot_mode == "full":
-            self._snap_stats["full_rebuilds"] += 1
-            level = [sketch for _, sketch in cut]
-            while len(level) > 1:
-                merged_level = []
-                for i in range(0, len(level) - 1, 2):
-                    merged_level.append(level[i].merge(level[i + 1]))
-                if len(level) % 2:
-                    merged_level.append(level[-1])
-                level = merged_level
-            return level[0]
+        stats = self._snap_stats
+        cache = self._node_cache
+
+        def combine(height: int, slot: int, left, right):
+            keys = left[0] + right[0]
+            cached = cache.get((height, slot))
+            if cached is not None and cached[0] == keys:
+                stats["nodes_reused"] += 1
+                return cached
+            entry = (keys, left[1].clone().merge(right[1]))
+            cache[(height, slot)] = entry
+            stats["nodes_built"] += 1
+            return entry
+
         with self._merge_lock:
-            stats = self._snap_stats
-            entries = [((key,), sketch) for key, sketch in cut]
-            height = 1
-            while len(entries) > 1:
-                merged_level = []
-                for j in range(0, len(entries) - 1, 2):
-                    left_keys, left = entries[j]
-                    right_keys, right = entries[j + 1]
-                    keys = left_keys + right_keys
-                    slot = (height, j // 2)
-                    cached = self._node_cache.get(slot)
-                    if cached is not None and cached[0] == keys:
-                        stats["nodes_reused"] += 1
-                        merged_level.append(cached)
-                        continue
-                    node = left.clone().merge(right)
-                    entry = (keys, node)
-                    self._node_cache[slot] = entry
-                    stats["nodes_built"] += 1
-                    merged_level.append(entry)
-                if len(entries) % 2:
-                    # Promoted odd node: carried up unmerged, exactly
-                    # like the historical tree shape (MG/SpaceSaving
-                    # merges are not associative, so the shape is part
-                    # of the bit-identity contract).
-                    merged_level.append(entries[-1])
-                entries = merged_level
-                height += 1
-            return entries[0][1].clone()
+            root = _reduce_tree(
+                [((key,), sketch) for key, sketch in cut], combine
+            )
+            return root[1].clone()
 
     def snapshot_stats(self) -> dict[str, int]:
         """Counters of the incremental snapshot plane.
 
         ``cuts_taken`` snapshots so far; per cut, how many leaves were
-        freshly cloned vs reused from cache, how many merge-tree nodes
-        were rebuilt vs served memoized, and how many full (reference
-        mode) rebuilds ran.
+        freshly cloned vs reused from cache, and how many merge-tree
+        nodes were rebuilt vs served memoized.
         """
         return dict(self._snap_stats)
 
@@ -875,13 +724,10 @@ class ShardedRunner:
         and per-shard ingest are deterministic — to a fresh batch run
         over the same stream prefix.
 
-        The default ``snapshot_mode="incremental"`` serves the reduce
-        through the memoized merge tree (see :meth:`merged_from_cut`):
-        a snapshot where only ``k`` of ``S`` shards ingested since the
-        last one costs ``k`` leaf clones and ``O(k log S)`` merges.
-        ``snapshot_mode="full"`` keeps the historical rebuild-
-        everything path — the reference the equivalence tests sweep
-        the incremental plane against.
+        The reduce runs through the memoized merge tree (see
+        :meth:`merged_from_cut`): a snapshot where only ``k`` of ``S``
+        shards ingested since the last one costs ``k`` leaf clones and
+        ``O(k log S)`` merges.
 
         This is the primitive the live serving engine
         (:class:`repro.serve.LiveEngine`) answers queries through.
@@ -918,15 +764,10 @@ class ShardedRunner:
             self._premerge_budgets = tuple(
                 self._shard_budget(shard) for shard in self._shards
             )
-            level = list(self._shards)
-            while len(level) > 1:
-                merged_level = []
-                for i in range(0, len(level) - 1, 2):
-                    merged_level.append(level[i].merge(level[i + 1]))
-                if len(level) % 2:
-                    merged_level.append(level[-1])
-                level = merged_level
-            self._merged = level[0]
+            self._merged = _reduce_tree(
+                list(self._shards),
+                lambda height, slot, left, right: left.merge(right),
+            )
         return self._merged
 
     # ------------------------------------------------------------------

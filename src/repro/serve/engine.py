@@ -11,13 +11,13 @@ query never observes a half-applied append.
 
 **Snapshot cadence.**  Appends are split at exact multiples of
 ``snapshot_every``: whenever the global update index crosses a
-boundary, the engine captures a consistent shard *cut* under the
-ingest lock, then — after the lock is released — merges it into a
-fresh :class:`LiveSnapshot` and notifies every subscribed collector
-(:mod:`repro.serve.collectors`).  The merge rides the runner's
-memoized merge tree (``snapshot_mode="incremental"``), so a refresh
-with one dirty shard out of ``S`` re-merges only that shard's path to
-the root.  Because the cut points are
+boundary, the engine cuts, merges and publishes a fresh
+:class:`LiveSnapshot` under the ingest lock and notifies every
+subscribed collector (:mod:`repro.serve.collectors`).  The merge rides
+the runner's memoized merge tree, so a refresh with one dirty shard
+out of ``S`` re-clones one leaf and re-merges only that shard's path
+to the root — cheap next to the ingest work the lock already covers.
+Because the cut points are
 update-index-aligned — the same chunk-offset arithmetic the checkpoint
 machinery uses — the snapshot taken at index ``k`` is bit-identical to
 a fresh batch run over the first ``k`` updates, regardless of how the
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -199,27 +199,6 @@ class _AnswerCache:
             self._entries.clear()
 
 
-class _PendingCut:
-    """One snapshot build in flight.
-
-    ``cut`` (the runner's consistent shard cut) and ``index`` (the
-    update index it was taken at) are captured under the ingest lock;
-    the merge itself happens off-lock in
-    :meth:`LiveEngine._build_pending`, which stores the result in
-    ``snapshot`` and sets ``built`` so the enqueuing caller can wait
-    for *its own* cut regardless of which thread drained the queue.
-    """
-
-    __slots__ = ("cut", "index", "notify", "snapshot", "built")
-
-    def __init__(self, cut: list, index: int, notify: bool) -> None:
-        self.cut = cut
-        self.index = index
-        self.notify = notify
-        self.snapshot: LiveSnapshot | None = None
-        self.built = threading.Event()
-
-
 class LiveEngine:
     """Long-lived engine: interleaved appends and snapshot-consistent
     queries over a sharded sketch.
@@ -253,12 +232,6 @@ class LiveEngine:
         Columnar routing chunk size (``None``: the stream's own).
     coin_protocol:
         Coin protocol override for the randomized families.
-    snapshot_mode:
-        ``"incremental"`` (default) memoizes the runner's merge tree
-        across refreshes — only shards that ingested since the last
-        cut are re-cloned and re-merged; ``"full"`` rebuilds every
-        snapshot from scratch (the reference path).  Both produce
-        bit-identical snapshots.
     answer_cache:
         Capacity of the snapshot-keyed answer cache (entries); ``0``
         disables caching.  Safe at any size — answers are pure
@@ -282,7 +255,6 @@ class LiveEngine:
         budget_split: str = "even",
         chunk_size: int | None = None,
         coin_protocol: str | None = None,
-        snapshot_mode: str = "incremental",
         answer_cache: int = 256,
     ) -> None:
         self.spec = registry.spec(sketch)  # raises on unknown names
@@ -328,13 +300,11 @@ class LiveEngine:
             budget_split=budget_split,
             chunk_size=chunk_size,
             coin_protocol=coin_protocol,
-            snapshot_mode=snapshot_mode,
         )
         if answer_cache < 0:
             raise ValueError(
                 f"answer_cache must be >= 0: {answer_cache}"
             )
-        self.snapshot_mode = self._runner.snapshot_mode
         self._lock = threading.RLock()
         self._ingested = 0
         self._snapshot: LiveSnapshot | None = None
@@ -343,11 +313,6 @@ class LiveEngine:
         self._answer_cache = (
             _AnswerCache(answer_cache) if answer_cache else None
         )
-        # Off-lock refresh plane: cuts captured under the ingest lock
-        # queue here and are built/published under _publish_lock only
-        # (never under self._lock — see _build_pending).
-        self._publish_lock = threading.Lock()
-        self._pending: deque[_PendingCut] = deque()
         self._refresh_count = 0
         self._refresh_last_s = 0.0
         self._refresh_total_s = 0.0
@@ -420,11 +385,6 @@ class LiveEngine:
         the snapshot at exactly that update index and notifies the
         collectors, so the cut points — and therefore every collector
         series — are independent of how callers size their appends.
-
-        Only the *cut* (cheap per-shard epoch capture) happens under
-        the ingest lock; the merge itself runs after the lock is
-        released (:meth:`_build_pending`), so a concurrent ``append``
-        on another thread never stalls behind a snapshot merge.
         """
         chunks = getattr(items, "chunks", None)
         if chunks is not None:
@@ -451,11 +411,10 @@ class LiveEngine:
                     count += ingested
                     position += take
                     if self._ingested % self.snapshot_every == 0:
-                        self._enqueue_cut(notify=True)
+                        self._refresh(notify=True)
             self._append_calls += 1
             self._append_wait_s += acquired - entered
             self._append_held_s += time.perf_counter() - acquired
-        self._build_pending()
         return count
 
     def finish(self) -> LiveSnapshot:
@@ -466,79 +425,37 @@ class LiveEngine:
         The engine stays usable: further appends and queries continue
         from the same state.
         """
-        return self._refresh_now(notify=True)
+        with self._lock:
+            return self._refresh(notify=True)
 
     # ------------------------------------------------------------------
     # Snapshots + queries
     # ------------------------------------------------------------------
-    def _enqueue_cut(self, notify: bool) -> _PendingCut:
-        """Capture a cut at the current head and queue it for an
-        off-lock build.  The caller must hold the ingest lock — the
-        cut and the queue position are what make snapshot indices
-        monotone in queue order."""
-        entry = _PendingCut(
-            self._runner.snapshot_cut(), self._ingested, notify
-        )
-        self._pending.append(entry)
-        return entry
+    def _refresh(self, notify: bool) -> LiveSnapshot:
+        """Cut at the head, merge, and publish the new snapshot.
 
-    def _build_pending(self) -> None:
-        """Build and publish every queued cut, in cut order.
-
-        Must be called **without** the ingest lock: building takes
-        ``_publish_lock`` and then briefly ``self._lock`` to publish,
-        so draining under the ingest lock would deadlock against a
-        concurrent drainer (and would defeat the point — the merge is
-        the expensive part being moved off the append path).
-
-        Publication double-checks monotonicity (``update_index``):
-        whichever thread drains, the installed snapshot only moves
-        forward, and the enqueuer of a losing older cut still gets its
-        own snapshot through its :class:`_PendingCut`.  Collector
-        notification happens in queue order — identical to the legacy
-        in-lock ordering because cuts are enqueued under the ingest
-        lock.
+        The caller holds the ingest lock, so the cut, the installed
+        snapshot, and the collector notifications all follow stream
+        order.
         """
-        while self._pending:
-            with self._publish_lock:
-                try:
-                    entry = self._pending.popleft()
-                except IndexError:
-                    return
-                started = time.perf_counter()
-                merged = self._runner.merged_from_cut(entry.cut)
-                elapsed = time.perf_counter() - started
-                snapshot = LiveSnapshot(
-                    sketch=merged, update_index=entry.index
-                )
-                with self._lock:
-                    self._refresh_count += 1
-                    self._refresh_last_s = elapsed
-                    self._refresh_total_s += elapsed
-                    if elapsed > self._refresh_max_s:
-                        self._refresh_max_s = elapsed
-                    self._snapshots_taken += 1
-                    current = self._snapshot
-                    if (
-                        current is None
-                        or current.update_index <= entry.index
-                    ):
-                        self._snapshot = snapshot
-                        if self._answer_cache is not None:
-                            self._answer_cache.clear()
-                entry.snapshot = snapshot
-                entry.built.set()
-                if entry.notify:
-                    for collector in self._collectors:
-                        collector.on_snapshot(snapshot)
-
-    def _refresh_now(self, notify: bool = False) -> LiveSnapshot:
-        """Cut at the head, build off-lock, return *that* snapshot."""
-        with self._lock:
-            entry = self._enqueue_cut(notify)
-        self._build_pending()
-        entry.built.wait()
-        return entry.snapshot
+        started = time.perf_counter()
+        snapshot = LiveSnapshot(
+            sketch=self._runner.merged_snapshot(),
+            update_index=self._ingested,
+        )
+        elapsed = time.perf_counter() - started
+        self._refresh_count += 1
+        self._refresh_last_s = elapsed
+        self._refresh_total_s += elapsed
+        self._refresh_max_s = max(self._refresh_max_s, elapsed)
+        self._snapshots_taken += 1
+        self._snapshot = snapshot
+        if self._answer_cache is not None:
+            self._answer_cache.clear()
+        if notify:
+            for collector in self._collectors:
+                collector.on_snapshot(snapshot)
+        return snapshot
 
     def snapshot(self, refresh: bool = False) -> LiveSnapshot:
         """The newest consistent cut (``refresh=True``: cut at head).
@@ -551,16 +468,11 @@ class LiveEngine:
         """
         with self._lock:
             snapshot = self._snapshot
-            entry = None
             if snapshot is None or (
                 refresh and snapshot.update_index < self._ingested
             ):
-                entry = self._enqueue_cut(notify=False)
-        if entry is None:
+                snapshot = self._refresh(notify=False)
             return snapshot
-        self._build_pending()
-        entry.built.wait()
-        return entry.snapshot
 
     def _current_cut(
         self,
@@ -571,11 +483,9 @@ class LiveEngine:
         """The ``(snapshot, head)`` pair every read answers from.
 
         The ingest lock is held just long enough to capture a
-        consistent pair — or, when the staleness bound demands a
-        fresher cut, to capture the cut itself.  The merge and the
-        answering both happen outside the lock; a staleness-bounded
-        query answers from the snapshot built from *its* cut even if
-        a newer cut wins the publication race.
+        consistent pair — refreshing first when the staleness bound
+        demands a fresher cut.  The answering happens outside the
+        lock, against the immutable snapshot.
         """
         if max_staleness is not None and max_staleness < 0:
             raise ValueError(
@@ -584,18 +494,14 @@ class LiveEngine:
         with self._lock:
             snapshot = self._snapshot
             head = self._ingested
-            stale = (
+            if (
                 snapshot is None
                 or refresh
                 and snapshot.update_index < head
                 or max_staleness is not None
                 and head - snapshot.update_index > max_staleness
-            )
-            entry = self._enqueue_cut(notify=False) if stale else None
-        if entry is not None:
-            self._build_pending()
-            entry.built.wait()
-            snapshot = entry.snapshot
+            ):
+                snapshot = self._refresh(notify=False)
         return snapshot, head
 
     def _answer_cached(self, snapshot: LiveSnapshot, query: Query):
@@ -751,13 +657,12 @@ class LiveEngine:
 
         Engine-side: refresh timings (``refresh_last_ms`` /
         ``refresh_mean_ms`` / ``refresh_max_ms`` over
-        ``refresh_count`` merges) and append-path lock accounting
-        (``append_lock_wait_ms`` is total time appends spent waiting
-        to *enter* the ingest lock — the stall the off-lock refresh
-        plane exists to shrink; ``append_lock_held_ms`` is total time
-        spent inside it).  Runner-side (``snapshot_*``): the memoized
-        merge-tree counters — leaves cloned vs reused, internal nodes
-        built vs reused, and full rebuilds.
+        ``refresh_count`` cut-and-merge refreshes) and append-path lock
+        accounting (``append_lock_wait_ms`` is total time appends spent
+        waiting to *enter* the ingest lock; ``append_lock_held_ms`` is
+        total time spent inside it, cadence refreshes included).
+        Runner-side (``snapshot_*``): the memoized merge-tree counters
+        — leaves cloned vs reused and internal nodes built vs reused.
         """
         with self._lock:
             refresh_count = self._refresh_count
@@ -770,7 +675,6 @@ class LiveEngine:
                 "head": self._ingested,
                 "snapshot_index": self.snapshot_index,
                 "snapshots_taken": self._snapshots_taken,
-                "snapshot_mode": self.snapshot_mode,
                 "refresh_count": refresh_count,
                 "refresh_last_ms": self._refresh_last_s * 1000.0,
                 "refresh_mean_ms": mean_ms,

@@ -81,7 +81,6 @@ class LoadReport:
     snapshot_nodes_reused: int = 0
     snapshot_leaves_cloned: int = 0
     snapshot_leaves_reused: int = 0
-    snapshot_full_rebuilds: int = 0
 
     @property
     def items_per_s(self) -> float:
@@ -247,5 +246,4 @@ def generate_load(
         snapshot_nodes_reused=stats["snapshot_nodes_reused"],
         snapshot_leaves_cloned=stats["snapshot_leaves_cloned"],
         snapshot_leaves_reused=stats["snapshot_leaves_reused"],
-        snapshot_full_rebuilds=stats["snapshot_full_rebuilds"],
     )

@@ -7,11 +7,11 @@ one JSON object on one line.  The verbs:
 ========== ============================================= ==============
 verb       request fields                                response
 ========== ============================================= ==============
-append     ``items`` (list of ints)                      ``appended``, ``head``
+append     ``items`` (list of item ids)                  ``appended``, ``head``
 query      ``kind`` (query-kind name) + kind params      answer fields + ``snapshot_index``, ``updates_behind``
            (``item``, ``phi``, ``p``), optional
            ``refresh`` / ``max_staleness``
-query-batch ``items`` (list of ints), optional           ``answers`` (list of answer fields) + one shared
+query-batch ``items`` (list of item ids), optional       ``answers`` (list of answer fields) + one shared
            ``refresh`` / ``max_staleness``               ``snapshot_index``, ``head``, ``updates_behind``
 subscribe  ``kind`` (``state-changes`` or a query kind   ``id``
            + params)
@@ -21,6 +21,7 @@ stats      —                                             engine status fields
 shutdown   —                                             ``head``; the server stops
 ========== ============================================= ==============
 
+Item ids are non-negative ``int64`` integers, the trace reader's rule.
 Every response carries ``"ok": true``; failures answer
 ``{"ok": false, "error": "..."}`` on the same connection and the
 session keeps serving (a malformed request must not take the engine
@@ -42,6 +43,8 @@ import socket
 import socketserver
 import threading
 from typing import Any
+
+import numpy as np
 
 from repro.query import (
     AllEstimates,
@@ -70,14 +73,41 @@ class ProtocolError(ValueError):
     """A request the protocol cannot serve (bad verb, missing field)."""
 
 
+#: Largest item id: items are non-negative ``int64`` values.
+_MAX_ITEM = np.iinfo(np.int64).max
+
+
+def _item_array(request: dict[str, Any], verb: str) -> np.ndarray:
+    """The request's ``items`` as an ``int64`` array of item ids.
+
+    One ``np.asarray`` pass converts and type-checks the whole list:
+    numpy infers ``int64`` only when every entry is an integer that
+    fits, so floats, strings, nested lists and out-of-range integers
+    all land on another dtype or shape and are rejected in-band.
+    """
+    items = request.get("items")
+    try:
+        array = np.asarray(items) if isinstance(items, list) else None
+    except ValueError:  # ragged nested lists
+        array = None
+    if array is None or array.ndim != 1 or len(array) and (
+        array.dtype.kind != "i" or array.min() < 0
+    ):
+        raise ProtocolError(
+            f"{verb} needs an 'items' list of non-negative int64 "
+            f"integers"
+        )
+    return array.astype(np.int64, copy=False)
+
+
 def _build_query(request: dict[str, Any]) -> Query:
     """Typed query from a request's ``kind`` + parameter fields."""
     kind = request.get("kind")
     if kind == str(QueryKind.POINT):
         item = request.get("item")
-        if not isinstance(item, int):
+        if not isinstance(item, int) or not 0 <= item <= _MAX_ITEM:
             raise ProtocolError(
-                "point queries need an integer 'item' field"
+                "point queries need a non-negative int64 'item' field"
             )
         return PointQuery(item)
     if kind == str(QueryKind.ALL_ESTIMATES):
@@ -184,14 +214,7 @@ class LiveSession:
     # Verbs
     # ------------------------------------------------------------------
     def _op_append(self, request: dict) -> tuple[dict, bool]:
-        items = request.get("items")
-        if not isinstance(items, list) or not all(
-            isinstance(item, int) for item in items
-        ):
-            raise ProtocolError(
-                "append needs an 'items' list of integers"
-            )
-        appended = self.engine.append(items)
+        appended = self.engine.append(_item_array(request, "append"))
         return (
             {"ok": True, "appended": appended, "head": self.engine.head},
             True,
@@ -214,13 +237,7 @@ class LiveSession:
         return response, True
 
     def _op_query_batch(self, request: dict) -> tuple[dict, bool]:
-        items = request.get("items")
-        if not isinstance(items, list) or not all(
-            isinstance(item, int) for item in items
-        ):
-            raise ProtocolError(
-                "query-batch needs an 'items' list of integers"
-            )
+        items = _item_array(request, "query-batch")
         max_staleness = request.get("max_staleness")
         live = self.engine.query_batch(
             items,

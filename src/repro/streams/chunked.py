@@ -119,13 +119,6 @@ class ChunkedStream:
             self._factory = None
             self._array = as_chunk(source)
 
-    @classmethod
-    def from_items(
-        cls, items: Iterable[int], chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> "ChunkedStream":
-        """Array-backed stream from any iterable of ints."""
-        return cls(np.fromiter(items, dtype=np.int64), chunk_size)
-
     # ------------------------------------------------------------------
     # Columnar access
     # ------------------------------------------------------------------

@@ -239,6 +239,19 @@ class TestTable1:
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        ("command", "flag"),
+        [
+            ("run", "--pipeline-depth"),
+            ("shard", "--pipeline-depth"),
+            ("serve", "--snapshot-mode"),
+        ],
+    )
+    def test_removed_flags_are_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit):
+            main([command, flag, "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

@@ -3,8 +3,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hashing import (
@@ -68,6 +69,36 @@ class TestKWiseHash:
     def test_hash_is_pure(self, x):
         h = KWiseHash(3, seed=42)
         assert h(x) == h(x)
+
+    @given(
+        k=st.integers(min_value=1, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**32),
+        items=st.lists(
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @example(
+        k=2, seed=0,
+        items=[-(2**63), -5, -1, 0, 1, MERSENNE_P - 1, MERSENNE_P,
+               2**62, 2**63 - 1],
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_vectorized_hashes_equal_scalar_over_int64(self, k, seed, items):
+        """``many`` and its derived kernels equal the scalar hash on
+        every ``int64`` item — negatives and values >= 2^61 included."""
+        h = KWiseHash(k, seed=seed)
+        xs = np.asarray(items, dtype=np.int64)
+        assert h.many(xs).tolist() == [h(x) for x in items]
+        assert h.bucket_many(xs, 13).tolist() == [
+            h.bucket(x, 13) for x in items
+        ]
+        assert h.sign_many(xs).tolist() == [h.sign(x) for x in items]
+        # unit_many rounds uint64 -> float64 before dividing, so it may
+        # differ from the correctly rounded int / int by an ulp.
+        for got, x in zip(h.unit_many(xs).tolist(), items):
+            assert math.isclose(got, h.unit(x), rel_tol=1e-15, abs_tol=0)
 
 
 class TestHashToUnit:

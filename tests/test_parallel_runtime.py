@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import registry
 from repro.api import Engine
-from repro.runtime.parallel import ingest_shard, resolve_workers
+from repro.runtime.parallel import PipelinedShardPool, resolve_workers
 from repro.runtime.sharded import ShardedRunner
 from repro.state.algorithm import NotSerializableError
 from repro.streams import zipf_stream
@@ -132,10 +133,14 @@ class TestProcessExecutorBehaviour:
         assert Engine("heavy-hitters", executor="serial")
 
     def test_worker_entry_point_round_trips(self):
-        # The worker function itself, exercised in-process: it must
-        # return a state equal to what local ingestion produces.
+        # One shard through a real pool worker: it must return a state
+        # equal to what local scalar ingestion produces.
         shard = registry.create("count-min", n=64, m=256, seed=5)
-        index, state = ingest_shard((3, shard.to_state(), [1, 2, 2, 7]))
+        pool = PipelinedShardPool(
+            [(3, shard.to_state())], slot_items=64, max_workers=1
+        )
+        pool.submit(3, np.asarray([1, 2, 2, 7], dtype=np.int64))
+        [(index, state)] = list(pool.finish())
         local = registry.create("count-min", n=64, m=256, seed=5)
         local.process_many([1, 2, 2, 7])
         assert index == 3

@@ -1,9 +1,8 @@
 """The pipelined shared-memory executor and the parallel bug burn-down.
 
-Four executors now exist — serial, thread, barrier process
-(``pipeline_depth=0``), and pipelined process — and the contract is
-unchanged from PRs 3/5: executors change wall-clock time, never
-results.  These tests pin that down over chunked (columnar) streams,
+Three executors exist — serial, thread, and the pipelined process
+pool — and the contract is that executors change wall-clock time,
+never results.  These tests pin that down over chunked (columnar) streams,
 both coin protocols, mid-chunk budget cutover, and checkpoint
 round-trips, plus the failure contract (shard context on worker
 errors, no silently merged partial results, no leaked shared-memory
@@ -39,13 +38,8 @@ from repro.streams.chunked import ChunkedStream
 
 N, M = 512, 6000
 
-#: (executor, extra runner kwargs) for every non-serial mode.
-MODES = [
-    ("thread", {}),
-    ("process", {"pipeline_depth": 0}),
-    ("process", {"pipeline_depth": 3}),
-]
-MODE_IDS = ["thread", "barrier", "pipelined"]
+#: Every non-serial executor.
+EXECUTORS = ["thread", "process"]
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +75,14 @@ class TestChunkedGoldenEquivalence:
             ).run(ChunkedStream(arr))
 
         serial = run("serial")
-        for (executor, kw), mode in zip(MODES, MODE_IDS):
-            other = run(executor, **kw)
-            assert canonical(other.merged) == canonical(serial.merged), mode
-            assert other.shard_reports == serial.shard_reports, mode
-            assert other.shard_items == serial.shard_items, mode
-            assert other.budget_reports == serial.budget_reports, mode
+        for executor in EXECUTORS:
+            other = run(executor)
+            assert canonical(other.merged) == canonical(serial.merged), (
+                executor
+            )
+            assert other.shard_reports == serial.shard_reports, executor
+            assert other.shard_items == serial.shard_items, executor
+            assert other.budget_reports == serial.budget_reports, executor
 
     @pytest.mark.parametrize("protocol", ["v1", "v2"])
     @pytest.mark.parametrize("name", ["count-min-morris", "pstable-fp"])
@@ -99,28 +95,43 @@ class TestChunkedGoldenEquivalence:
             ).run(ChunkedStream(arr[:3000]))
 
         serial = run("serial")
-        for (executor, kw), mode in zip(MODES, MODE_IDS):
-            other = run(executor, **kw)
+        for executor in EXECUTORS:
+            other = run(executor)
             assert canonical(other.merged) == canonical(serial.merged), (
-                mode, protocol,
+                executor, protocol,
             )
 
     def test_tight_ring_backpressure_is_bit_neutral(self, arr):
         # depth=1 with a tiny slot: every submit wraps the ring and
         # blocks on the worker — maximum back-pressure, same bits.
-        pipelined = ShardedRunner.from_registry(
-            "count-min", 3, n=N, m=M, epsilon=0.5, seed=11,
-            executor="process", max_workers=2,
-            pipeline_depth=1, chunk_size=256,
-        ).run(ChunkedStream(arr))
-        serial = ShardedRunner.from_registry(
-            "count-min", 3, n=N, m=M, epsilon=0.5, seed=11,
-            chunk_size=256,
-        ).run(ChunkedStream(arr))
-        assert canonical(pipelined.merged) == canonical(serial.merged)
+        # The pool is fed directly, routed by the per-item reference.
+        def runner():
+            return ShardedRunner.from_registry(
+                "count-min", 3, n=N, m=M, epsilon=0.5, seed=11,
+                chunk_size=256,
+            )
+
+        serial = runner()
+        serial.ingest(ChunkedStream(arr))
+        empty = runner()
+        routes = np.asarray([empty.shard_of(int(item)) for item in arr])
+        pool = PipelinedShardPool(
+            [(i, shard.to_state()) for i, shard in enumerate(empty.shards)],
+            slot_items=64, depth=1, max_workers=2,
+        )
+        for low in range(0, len(arr), 256):
+            chunk, shard_of = arr[low:low + 256], routes[low:low + 256]
+            for index in range(3):
+                if (shard_of == index).any():
+                    pool.submit(index, chunk[shard_of == index])
+        states = dict(pool.finish())
+        assert sorted(states) == [0, 1, 2]
+        for index, shard in enumerate(serial.shards):
+            restored = type(shard).from_state(states[index])
+            assert canonical(restored) == canonical(shard)
 
     def test_multiple_ingest_calls_share_one_pipeline(self, arr):
-        runner = make_runner("count-min", "process", pipeline_depth=2)
+        runner = make_runner("count-min", "process")
         runner.ingest(arr[:2500])
         runner.ingest(arr[2500:])
         merged = runner.merge()
@@ -129,19 +140,19 @@ class TestChunkedGoldenEquivalence:
         assert canonical(merged) == canonical(serial.merge())
 
     def test_scalar_streams_flush_through_the_ring(self, arr):
-        # Plain iterables batch at batch_size and flush into the ring;
-        # the scalar → chunk conversion must stay bit-neutral.
-        def run(executor, **kw):
+        # Plain iterables are pulled in chunk_size pieces and routed
+        # into the ring; the scalar → chunk conversion is bit-neutral.
+        def run(executor):
             runner = ShardedRunner.from_registry(
                 "misra-gries", 3, n=N, m=M, epsilon=0.5, seed=2,
-                executor=executor, max_workers=2, batch_size=100, **kw,
+                executor=executor, max_workers=2, chunk_size=100,
             )
             runner.ingest(int(x) for x in arr[:2000])
             return runner.merge()
 
         serial = run("serial")
-        for (executor, kw), mode in zip(MODES, MODE_IDS):
-            assert canonical(run(executor, **kw)) == canonical(serial), mode
+        for executor in EXECUTORS:
+            assert canonical(run(executor)) == canonical(serial), executor
 
     def test_engine_answers_match_on_thread_and_pipelined(self, arr):
         def report(executor, **kw):
@@ -159,7 +170,7 @@ class TestChunkedGoldenEquivalence:
             assert other.audit == serial.audit
 
     def test_checkpoint_round_trip_from_pipelined_merge(self, arr):
-        merged = make_runner("kmv", "process", pipeline_depth=2).run(
+        merged = make_runner("kmv", "process").run(
             ChunkedStream(arr)
         ).merged
         restored = Checkpoint.loads(Checkpoint.dumps(merged))
@@ -170,38 +181,31 @@ class TestChunkedGoldenEquivalence:
 
 class TestBudgetCutover:
     @pytest.mark.parametrize("policy", ["freeze", "degrade"])
-    @pytest.mark.parametrize(
-        ("executor", "kw"), MODES, ids=MODE_IDS
-    )
-    def test_mid_chunk_cutover_matches_serial(
-        self, policy, executor, kw, arr
-    ):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_mid_chunk_cutover_matches_serial(self, policy, executor, arr):
         # A limit that trips partway through a 1024-item chunk: the
         # cutover index must be exact in every executor.
-        def run(mode_executor, **mode_kw):
+        def run(mode_executor):
             return ShardedRunner.from_registry(
                 "count-min", 3, n=N, m=M, epsilon=0.5, seed=4,
                 executor=mode_executor, max_workers=2,
                 budget=WriteBudget(701, policy), chunk_size=1024,
-                **mode_kw,
             ).run(ChunkedStream(arr))
 
         serial = run("serial")
-        other = run(executor, **kw)
+        other = run(executor)
         assert canonical(other.merged) == canonical(serial.merged)
         assert other.budget_reports == serial.budget_reports
         assert other.shard_reports == serial.shard_reports
 
-    @pytest.mark.parametrize(
-        ("executor", "kw"), MODES, ids=MODE_IDS
-    )
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_raise_policy_keeps_type_and_carries_shard_context(
-        self, executor, kw, arr
+        self, executor, arr
     ):
         runner = ShardedRunner.from_registry(
             "count-min", 3, n=N, m=M, epsilon=0.5, seed=4,
             executor=executor, max_workers=2,
-            budget=WriteBudget(90, "raise"), **kw,
+            budget=WriteBudget(90, "raise"),
         )
         with pytest.raises(WriteBudgetExceededError) as excinfo:
             runner.ingest(arr)
@@ -248,10 +252,7 @@ class TestFaultPaths:
         before = shm_segments()
         cls = registry.spec("count-min").cls
         monkeypatch.setattr(cls, "process_chunk", self._boom)
-        runner = make_runner(
-            "count-min", "process", pipeline_depth=2,
-            start_method="fork",
-        )
+        runner = make_runner("count-min", "process", start_method="fork")
         with pytest.raises(ShardIngestError) as excinfo:
             runner.ingest(arr)
             runner.merge()
@@ -268,8 +269,7 @@ class TestFaultPaths:
     def test_budget_abort_leaves_no_segments(self, arr):
         before = shm_segments()
         runner = make_runner(
-            "count-min", "process", pipeline_depth=2,
-            budget=WriteBudget(60, "raise"),
+            "count-min", "process", budget=WriteBudget(60, "raise")
         )
         with pytest.raises(WriteBudgetExceededError):
             runner.ingest(arr)
@@ -278,7 +278,7 @@ class TestFaultPaths:
 
     def test_successful_run_leaves_no_segments(self, arr):
         before = shm_segments()
-        make_runner("count-min", "process", pipeline_depth=2).run(
+        make_runner("count-min", "process").run(
             ChunkedStream(arr[:2000])
         )
         assert shm_segments() <= before
@@ -384,8 +384,7 @@ class TestStartMethodPolicy:
             pytest.skip(f"{method} unavailable")
         result = ShardedRunner.from_registry(
             "count-min", 2, n=N, m=M, epsilon=0.5, seed=6,
-            executor="process", max_workers=2, pipeline_depth=2,
-            start_method=method,
+            executor="process", max_workers=2, start_method=method,
         ).run(ChunkedStream(arr[:2000]))
         serial = ShardedRunner.from_registry(
             "count-min", 2, n=N, m=M, epsilon=0.5, seed=6,
@@ -405,12 +404,12 @@ class TestCliFlags:
         ]) == 0
         assert "count-min" in capsys.readouterr().out
 
-    def test_run_accepts_pipeline_depth(self, capsys):
+    def test_run_accepts_process_executor(self, capsys):
         from repro.cli import main
 
         assert main([
             "run", "--algorithm", "count-min", "--workload", "zipf",
             "--shards", "2", "--executor", "process",
-            "--pipeline-depth", "2", "--n", "64", "--m", "500",
+            "--n", "64", "--m", "500",
         ]) == 0
         assert "count-min" in capsys.readouterr().out

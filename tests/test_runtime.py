@@ -62,7 +62,7 @@ class TestShardedRunner:
     def test_small_batches_flush_incrementally(self):
         stream = zipf_stream(256, 1000, skew=1.1, seed=6)
         runner = ShardedRunner.from_registry(
-            "count-min", 2, n=256, m=1000, seed=6, batch_size=16
+            "count-min", 2, n=256, m=1000, seed=6, chunk_size=16
         )
         runner.ingest(iter(stream))  # works on a pure iterator
         assert sum(runner.shard_items) == len(stream)

@@ -200,6 +200,28 @@ class TestLiveSessionErrors:
         self.error(session, {"op": "append", "items": "nope"})
         assert ok(session, {"op": "append", "items": [1]})["head"] == 1
 
+    def test_items_outside_int64_ids_are_rejected(self):
+        """Item ids are non-negative int64 values on every verb that
+        carries them; anything else answers in-band and ingests
+        nothing."""
+        session = make_session()
+        for bad in ([-1], [2**63], [2**64], [1.5], [True], [[1], [2, 3]]):
+            for op in ("append", "query-batch"):
+                message = self.error(session, {"op": op, "items": bad})
+                assert "non-negative int64" in message, (op, bad)
+        for item in (-5, 2**64):
+            for op in ("query", "subscribe"):
+                message = self.error(
+                    session, {"op": op, "kind": "point", "item": item}
+                )
+                assert "non-negative int64" in message, (op, item)
+        assert session.engine.head == 0
+        assert ok(session, {"op": "append", "items": []})["appended"] == 0
+        top = 2**63 - 1
+        ok(session, {"op": "append", "items": [0, top]})
+        batch = ok(session, {"op": "query-batch", "items": [0, top]})
+        assert [a["value"] for a in batch["answers"]] == [1.0, 1.0]
+
 
 class TestSocketServer:
     def test_round_trip_on_ephemeral_port(self):
@@ -235,8 +257,18 @@ class TestSocketServer:
         thread.join(5.0)
         assert not thread.is_alive()
 
-    def test_bad_json_gets_error_line(self):
+    def test_bad_lines_get_error_lines(self):
+        """Bad JSON and appends of item ids outside non-negative int64
+        (-1, 2**64) each answer ``ok: false``, and the same connection
+        then serves a valid append."""
         engine = LiveEngine("count-min", n=N, seed=7)
+        bad_lines = {
+            b"this is not json\n": "bad JSON",
+            b'{"op": "append", "items": [-1]}\n': "non-negative int64",
+            b'{"op": "append", "items": [18446744073709551616]}\n': (
+                "non-negative int64"
+            ),
+        }
         with LiveServer(engine, port=0) as server:
             thread = threading.Thread(
                 target=server.serve_forever,
@@ -249,16 +281,21 @@ class TestSocketServer:
                 with socket.create_connection(
                     (host, port), timeout=5.0
                 ) as conn:
-                    conn.sendall(b"this is not json\n")
                     reader = conn.makefile("r", encoding="utf-8")
-                    response = json.loads(reader.readline())
-                    assert response["ok"] is False
-                    assert "bad JSON" in response["error"]
+                    for line, error in bad_lines.items():
+                        conn.sendall(line)
+                        response = json.loads(reader.readline())
+                        assert response["ok"] is False
+                        assert error in response["error"]
                     # Same connection keeps serving afterwards.
                     conn.sendall(
-                        json.dumps({"op": "stats"}).encode() + b"\n"
+                        json.dumps(
+                            {"op": "append", "items": [1, 2, 3]}
+                        ).encode() + b"\n"
                     )
-                    assert json.loads(reader.readline())["ok"]
+                    assert json.loads(reader.readline()) == {
+                        "ok": True, "appended": 3, "head": 3,
+                    }
             finally:
                 server.shutdown()
             thread.join(5.0)

@@ -1,11 +1,12 @@
 """The incremental snapshot plane: memoized merge tree, clone protocol,
-off-lock serving refresh.
+serving refresh.
 
 The non-negotiable contract under test: an **incremental** snapshot
 (memoized merge tree over ``Sketch.clone()`` leaf copies) is
-bit-identical — payload, answers, audit — to a **full** rebuild
-(serialization-round-trip copies, reduced from scratch) and to a
-**fresh batch run** over the same stream prefix.  Hypothesis sweeps
+bit-identical — payload, answers, audit — to the **reference
+rebuild** (:func:`reference_snapshot`: serialization-round-trip copies
+of every shard, reduced from scratch) and to a **fresh batch run**
+over the same stream prefix.  Hypothesis sweeps
 the equivalence over every mergeable family, both coin protocols for
 the randomized families, all tracker backends including budget
 freeze/degrade, and checkpoint-resumed runners.
@@ -44,31 +45,45 @@ RANDOMIZED = ("count-min-morris", "pstable-fp")
 streams = st.lists(st.integers(0, N - 1), max_size=40)
 
 
-def make_runner(name: str, *, snapshot_mode: str, **kwargs) -> ShardedRunner:
-    """A small sharded runner in the given snapshot mode."""
+def make_runner(name: str, **kwargs) -> ShardedRunner:
+    """A small sharded runner."""
     return ShardedRunner.from_registry(
-        name,
-        SHARDS,
-        n=N,
-        m=512,
-        epsilon=1.0,
-        seed=7,
-        snapshot_mode=snapshot_mode,
-        **kwargs,
+        name, SHARDS, n=N, m=512, epsilon=1.0, seed=7, **kwargs
     )
 
 
-def assert_snapshots_identical(runners: list[ShardedRunner]) -> None:
-    """Every runner's merged snapshot carries the identical state."""
-    states = [runner.merged_snapshot().to_state() for runner in runners]
-    for state in states[1:]:
-        assert state == states[0]
+def reference_snapshot(runner: ShardedRunner) -> Sketch:
+    """The test oracle for :meth:`ShardedRunner.merged_snapshot`: a
+    ``from_state(to_state())`` round trip of every shard, reduced from
+    scratch by a pairwise merge tree whose odd node is carried up
+    unmerged — no clones, no caches, no shared code with the runner's
+    snapshot plane."""
+    level = [
+        type(shard).from_state(shard.to_state()) for shard in runner.shards
+    ]
+    while len(level) > 1:
+        paired = [
+            level[i].merge(level[i + 1]) for i in range(0, len(level) - 1, 2)
+        ]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
+
+
+def assert_matches_reference(*runners: ShardedRunner) -> None:
+    """Every runner's memoized snapshot equals its own reference
+    rebuild, and all runners agree with each other."""
+    expected = reference_snapshot(runners[0]).to_state()
+    for runner in runners:
+        assert runner.merged_snapshot().to_state() == expected
+        assert reference_snapshot(runner).to_state() == expected
 
 
 # ----------------------------------------------------------------------
-# The equivalence sweep: incremental == full == fresh batch run
+# The equivalence sweep: incremental == reference == fresh batch run
 # ----------------------------------------------------------------------
-class TestIncrementalEqualsFull:
+class TestIncrementalEqualsReference:
     @pytest.mark.parametrize("name", MERGEABLE)
     @pytest.mark.parametrize("tracking", ["aggregate", "trace"])
     @given(first=streams, second=streams)
@@ -76,28 +91,20 @@ class TestIncrementalEqualsFull:
     def test_two_phase_identity(self, name, tracking, first, second):
         """Snapshot at two cut points; the memoized second snapshot
         (which reuses clean leaves and tree nodes) must match both the
-        full rebuild and a fresh runner that ingested the whole prefix
-        in one go."""
-        incremental = make_runner(
-            name, snapshot_mode="incremental", tracking=tracking
-        )
-        full = make_runner(name, snapshot_mode="full", tracking=tracking)
+        reference rebuild and a fresh runner that ingested the whole
+        prefix in one go."""
+        incremental = make_runner(name, tracking=tracking)
         incremental.ingest(first)
-        full.ingest(first)
-        assert_snapshots_identical([incremental, full])
+        assert_matches_reference(incremental)
         incremental.ingest(second)
-        full.ingest(second)
-        fresh = make_runner(
-            name, snapshot_mode="full", tracking=tracking
-        )
+        fresh = make_runner(name, tracking=tracking)
         fresh.ingest(first + second)
-        assert_snapshots_identical([incremental, full, fresh])
-        # The incremental plane actually memoized (first snapshot
-        # cloned every leaf; the equivalence must not come from
-        # silently falling back to full rebuilds).
+        assert_matches_reference(incremental, fresh)
+        # The incremental plane actually memoized: the first snapshot
+        # cloned every leaf, and the second reused what stayed clean.
         stats = incremental.snapshot_stats()
-        assert stats["full_rebuilds"] == 0
         assert stats["leaves_cloned"] >= SHARDS
+        assert stats["cuts_taken"] == 2
 
     @pytest.mark.parametrize("name", RANDOMIZED)
     @pytest.mark.parametrize("protocol", ["v1", "v2"])
@@ -106,18 +113,11 @@ class TestIncrementalEqualsFull:
     def test_coin_protocols(self, name, protocol, first, second):
         """The randomized families stay bit-identical (coin RNG
         position included) under both coin protocols."""
-        incremental = make_runner(
-            name, snapshot_mode="incremental", coin_protocol=protocol
-        )
-        full = make_runner(
-            name, snapshot_mode="full", coin_protocol=protocol
-        )
+        incremental = make_runner(name, coin_protocol=protocol)
         incremental.ingest(first)
-        full.ingest(first)
-        assert_snapshots_identical([incremental, full])
+        assert_matches_reference(incremental)
         incremental.ingest(second)
-        full.ingest(second)
-        assert_snapshots_identical([incremental, full])
+        assert_matches_reference(incremental)
 
     @pytest.mark.parametrize("policy", ["freeze", "degrade"])
     @given(first=streams, second=streams)
@@ -126,49 +126,32 @@ class TestIncrementalEqualsFull:
         """Budget trackers (including denial-streak state under
         freeze/degrade) survive the memoized path bit-for-bit."""
         budget = WriteBudget(10, policy)
-        incremental = make_runner(
-            "misra-gries", snapshot_mode="incremental", budget=budget
-        )
-        full = make_runner(
-            "misra-gries", snapshot_mode="full", budget=budget
-        )
+        incremental = make_runner("misra-gries", budget=budget)
         incremental.ingest(first)
-        full.ingest(first)
-        assert_snapshots_identical([incremental, full])
+        assert_matches_reference(incremental)
         incremental.ingest(second)
-        full.ingest(second)
-        assert_snapshots_identical([incremental, full])
+        assert_matches_reference(incremental)
 
     @given(first=streams, second=streams)
     @settings(max_examples=8, deadline=None)
     def test_checkpoint_resumed_runner(self, first, second):
         """Shards checkpointed mid-stream and restored into a new
-        runner snapshot identically to the uninterrupted one — in
-        both snapshot modes."""
-        original = make_runner("count-min", snapshot_mode="incremental")
+        runner snapshot identically to the uninterrupted one."""
+        original = make_runner("count-min")
         original.ingest(first)
         original.merged_snapshot()  # populate the caches mid-stream
         saved = [Checkpoint.dumps(shard) for shard in original.shards]
-        resumed = {
-            mode: ShardedRunner(
-                lambda i: Checkpoint.loads(saved[i]),
-                SHARDS,
-                seed=7,
-                snapshot_mode=mode,
-            )
-            for mode in ("incremental", "full")
-        }
-        original.ingest(second)
-        for runner in resumed.values():
-            runner.ingest(second)
-        assert_snapshots_identical(
-            [original, resumed["incremental"], resumed["full"]]
+        resumed = ShardedRunner(
+            lambda i: Checkpoint.loads(saved[i]), SHARDS, seed=7
         )
+        original.ingest(second)
+        resumed.ingest(second)
+        assert_matches_reference(original, resumed)
 
     def test_repeated_snapshots_are_independent(self):
         """Memoization must never alias: two snapshots of the same
         epoch are distinct objects with equal state."""
-        runner = make_runner("count-min", snapshot_mode="incremental")
+        runner = make_runner("count-min")
         runner.ingest(range(200))
         first = runner.merged_snapshot()
         second = runner.merged_snapshot()
@@ -209,7 +192,7 @@ class TestCloneProtocol:
         kwargs = {"tracking": tracking}
         if tracking == "budget":
             kwargs = {"budget": WriteBudget(10_000, "freeze")}
-        runner = make_runner(name, snapshot_mode="incremental", **kwargs)
+        runner = make_runner(name, **kwargs)
         runner.ingest(range(100))
         shard = runner.shards[0]
         changes_before = shard.report().state_changes
@@ -225,7 +208,7 @@ class TestCloneProtocol:
 # ----------------------------------------------------------------------
 class TestCacheInvalidation:
     def test_clean_shards_reuse_leaves_and_nodes(self):
-        runner = make_runner("count-min", snapshot_mode="incremental")
+        runner = make_runner("count-min")
         runner.ingest(range(400))
         runner.merged_snapshot()
         base = runner.snapshot_stats()
@@ -237,7 +220,7 @@ class TestCacheInvalidation:
         assert stats["nodes_built"] == base["nodes_built"]
 
     def test_dirty_shard_invalidates_its_root_path_only(self):
-        runner = make_runner("count-min", snapshot_mode="incremental")
+        runner = make_runner("count-min")
         runner.ingest(range(400))
         runner.merged_snapshot()
         base = runner.snapshot_stats()
@@ -254,13 +237,14 @@ class TestCacheInvalidation:
         assert stats["nodes_built"] - base["nodes_built"] == 2
         assert stats["nodes_reused"] - base["nodes_reused"] == 1
         # ... and the snapshot actually saw the update.
-        fresh = make_runner("count-min", snapshot_mode="full")
+        assert merged.to_state() == reference_snapshot(runner).to_state()
+        fresh = make_runner("count-min")
         fresh.ingest(range(400))
         fresh.shards[target].process(5)
-        assert merged.to_state() == fresh.merged_snapshot().to_state()
+        assert merged.to_state() == reference_snapshot(fresh).to_state()
 
     def test_merge_clears_caches_and_latches(self):
-        runner = make_runner("count-min", snapshot_mode="incremental")
+        runner = make_runner("count-min")
         runner.ingest(range(100))
         runner.merged_snapshot()
         assert runner._node_cache
@@ -271,7 +255,7 @@ class TestCacheInvalidation:
             runner.merged_snapshot()
 
     def test_failure_latch_clears_caches(self):
-        runner = make_runner("count-min", snapshot_mode="incremental")
+        runner = make_runner("count-min")
         runner.ingest(range(100))
         runner.merged_snapshot()
         assert runner._node_cache
@@ -284,22 +268,15 @@ class TestCacheInvalidation:
     def test_partial_writes_after_budget_raise_stay_identical(self):
         """A serial-mode budget raise does not latch the runner; the
         derived epoch keys pick up the partially-written shards, so
-        the memoized snapshot still matches a full rebuild."""
-        runners = []
-        for mode in ("incremental", "full"):
-            runner = make_runner(
-                "exact",
-                snapshot_mode=mode,
-                budget=WriteBudget(40, "raise"),
-            )
-            runner.ingest(np.arange(8, dtype=np.int64))
-            runner.merged_snapshot()
-            with pytest.raises(WriteBudgetExceededError):
-                # Columnar ingest: the raise happens mid-chunk inside
-                # a shard, leaving no stale routed buffers behind.
-                runner.ingest(np.arange(400, dtype=np.int64) % N)
-            runners.append(runner)
-        assert_snapshots_identical(runners)
+        the memoized snapshot still matches the reference rebuild."""
+        runner = make_runner("exact", budget=WriteBudget(40, "raise"))
+        runner.ingest(np.arange(8, dtype=np.int64))
+        runner.merged_snapshot()
+        with pytest.raises(WriteBudgetExceededError):
+            # The raise happens mid-chunk inside a shard, leaving no
+            # stale routed buffers behind.
+            runner.ingest(np.arange(400, dtype=np.int64) % N)
+        assert_matches_reference(runner)
 
 
 # ----------------------------------------------------------------------
@@ -339,14 +316,14 @@ class TestServingPlane:
         engine.finish()
         engine.snapshot(refresh=True)
         stats = engine.stats()
-        assert stats["snapshot_mode"] == "incremental"
         assert stats["refresh_count"] == stats["snapshots_taken"] > 0
         assert stats["refresh_mean_ms"] > 0.0
         assert stats["refresh_max_ms"] >= stats["refresh_last_ms"] >= 0.0
         assert stats["append_calls"] == 1
         assert stats["append_lock_held_ms"] > 0.0
         assert stats["snapshot_leaves_cloned"] >= 4
-        assert stats["snapshot_full_rebuilds"] == 0
+        assert "snapshot_mode" not in stats
+        assert "snapshot_full_rebuilds" not in stats
         # A head-aligned re-snapshot is served purely from the caches.
         before = engine.stats()
         engine.snapshot(refresh=True)
@@ -372,7 +349,6 @@ class TestServingPlane:
             "append_lock_wait_ms",
             "snapshot_nodes_built",
             "snapshot_nodes_reused",
-            "snapshot_mode",
         ):
             assert field in response
         assert response["refresh_count"] >= 2  # two cadence boundaries
@@ -392,18 +368,22 @@ class TestServingPlane:
         response, alive = session.handle({"op": "stats"})
         assert alive and response["ok"]
 
-    def test_full_mode_engine_matches_incremental(self):
+    def test_engine_snapshot_matches_reference_and_batch(self):
+        """The engine's published snapshots equal the reference rebuild
+        of its runner and a fresh batch run over the same prefix."""
         kwargs = dict(n=N, m=8192, shards=4, snapshot_every=512)
-        incremental = LiveEngine("misra-gries", **kwargs)
-        full = LiveEngine("misra-gries", snapshot_mode="full", **kwargs)
+        engine = LiveEngine("misra-gries", **kwargs)
         data = [i % N for i in range(3000)]
-        incremental.append(data)
-        full.append(data)
-        a = incremental.finish()
-        b = full.finish()
-        assert a.sketch.to_state() == b.sketch.to_state()
-        assert a.report == b.report
+        engine.append(data)
+        live = engine.finish()
+        reference = reference_snapshot(engine._runner)
+        assert live.sketch.to_state() == reference.to_state()
+        assert live.report == reference.report()
+        fresh = ShardedRunner.from_registry(
+            "misra-gries", 4, n=N, m=8192, seed=0
+        ).run(data)
+        assert live.sketch.to_state() == fresh.merged.to_state()
         assert (
-            incremental.query(PointQuery(3)).answer
-            == full.query(PointQuery(3)).answer
+            engine.query(PointQuery(3)).answer
+            == fresh.merged.query(PointQuery(3))
         )

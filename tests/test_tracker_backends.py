@@ -11,6 +11,7 @@ serialization round trip.
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,6 @@ from repro.query import (
     PointQuery,
     QueryKind,
 )
-from repro.runtime.parallel import ingest_shard
 from repro.runtime.sharded import ShardedRunner
 from repro.state import (
     AggregateBackend,
@@ -244,8 +244,8 @@ def test_backend_equivalence_sweep(name, stream, seed):
     """Aggregate, trace, and unlimited-budget backends agree exactly —
     on every aggregate audit field and every query answer — for every
     registered family, including across the process-executor
-    serialization round trip (``ingest_shard`` is the worker's exact
-    code path)."""
+    serialization round trip (the worker's ``from_state`` → chunk
+    ingest → ``to_state`` path)."""
     sketches = {}
     for mode in ("aggregate", "trace", "budget"):
         sketch = registry.create(
@@ -260,16 +260,18 @@ def test_backend_equivalence_sweep(name, stream, seed):
     answers = {mode: all_answers(s) for mode, s in sketches.items()}
     assert answers["aggregate"] == answers["trace"] == answers["budget"]
 
-    # Process-executor round trip: ship an *empty* snapshot plus the
-    # items through the worker entry point, exactly as the pool does.
+    # Process-executor round trip: rebuild from an *empty* snapshot,
+    # ingest the items as one chunk, snapshot again — the steps a pool
+    # worker takes, without the pool.
     if registry.spec(name).cls._config_state is not Sketch._config_state:
         for mode in ("aggregate", "trace", "budget"):
             empty = registry.create(
                 name, n=64, m=max(1, len(stream)), epsilon=0.5, seed=seed,
                 tracker=make_tracker(mode),
             )
-            _, state = ingest_shard((0, empty.to_state(), list(stream)))
-            worker = type(empty).from_state(state)
+            shard = type(empty).from_state(empty.to_state())
+            shard.process_chunk(np.asarray(stream, dtype=np.int64))
+            worker = type(empty).from_state(shard.to_state())
             assert type(worker.tracker) is type(sketches[mode].tracker)
             assert aggregate_fields(worker) == audits[mode]
             assert all_answers(worker) == answers[mode]
