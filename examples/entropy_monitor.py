@@ -19,7 +19,7 @@ WINDOW = 4000
 def attack_window(seed: int) -> list[int]:
     """A single destination absorbs 70% of the packets."""
     background = zipf_stream(N, WINDOW * 3 // 10, skew=1.3, seed=seed)
-    return [5] * (WINDOW * 7 // 10) + background
+    return [5] * (WINDOW * 7 // 10) + background.materialize()
 
 
 def measure(label: str, window: list[int], seed: int) -> float:

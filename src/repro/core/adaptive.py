@@ -18,7 +18,10 @@ logarithmic factor the paper's ``Õ`` already absorbs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.full_sample_and_hold import FullSampleAndHold
+from repro.core.sample_and_hold import ChunkSettle, SampleAndHold
 from repro.query import (
     AllEstimates,
     MapAnswer,
@@ -27,7 +30,7 @@ from repro.query import (
     QueryKind,
     ScalarAnswer,
 )
-from repro.state.algorithm import StreamAlgorithm
+from repro.state.algorithm import ChunkAudit, StreamAlgorithm
 from repro.state.tracker import StateTracker
 
 
@@ -73,6 +76,7 @@ class AdaptiveFullSampleAndHold(StreamAlgorithm):
         self.initial_m = initial_m
         self._seed = 0 if seed is None else seed
         self.coin_protocol = coin_protocol
+        self._chunk_kernel_enabled = coin_protocol == "v2"
         # Summed estimates compound any per-epoch upward bias, so the
         # conservative shallowest-level rule is the right default here.
         fsh_kwargs.setdefault("level_rule", "shallowest")
@@ -103,6 +107,26 @@ class AdaptiveFullSampleAndHold(StreamAlgorithm):
             self._start_epoch()
         self._epochs[-1]._update(item)
         self._epoch_budget -= 1
+
+    def _update_chunk(self, chunk: np.ndarray) -> None:
+        """Cut the chunk at epoch boundaries and settle each piece with
+        its epoch, all on one audit.  A new epoch is built exactly where
+        the scalar loop builds it — after the previous epoch's last
+        arrival settled — so its allocations and cell ids interleave
+        with the settles as they would there."""
+        n = len(chunk)
+        audit = ChunkAudit(n, self.tracker.needs_cell_ids)
+        start = 0
+        while start < n:
+            if self._epoch_budget == 0:
+                self._start_epoch()
+            stop = min(n, start + self._epoch_budget)
+            routes: list[tuple[SampleAndHold, np.ndarray]] = []
+            self._epochs[-1]._route_chunk(np.arange(start, stop), audit, routes)
+            ChunkSettle(chunk, routes, audit).run()
+            self._epoch_budget -= stop - start
+            start = stop
+        audit.commit(self.tracker, n)
 
     # ------------------------------------------------------------------
     # Queries

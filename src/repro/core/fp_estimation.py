@@ -32,10 +32,13 @@ import random
 import statistics
 from typing import Protocol
 
+import numpy as np
+
 from repro.core.full_sample_and_hold import FullSampleAndHold
+from repro.core.sample_and_hold import ChunkSettle, SampleAndHold
 from repro.hashing.subsample import NestedUniverseSampler
 from repro.query import Moment, MomentAnswer, QueryKind
-from repro.state.algorithm import StreamAlgorithm
+from repro.state.algorithm import ChunkAudit, StreamAlgorithm
 from repro.state.registers import TrackedDict
 from repro.state.tracker import StateTracker
 
@@ -132,6 +135,9 @@ class FpEstimator(StreamAlgorithm):
             repetitions += 1
         self.repetitions = repetitions
         self.backend_kind = backend
+        self._chunk_kernel_enabled = (
+            coin_protocol == "v2" and backend == "sample-hold"
+        )
 
         self._rng = random.Random(seed)
         # Definition 3.3's randomized boundary.
@@ -193,6 +199,32 @@ class FpEstimator(StreamAlgorithm):
             row = self._backends[r]
             for level_index in range(min(deepest, self.num_levels)):
                 row[level_index]._update(item)
+
+    def _update_chunk(self, chunk: np.ndarray) -> None:
+        """Route the chunk down the universe levels, then settle every
+        grid's instances in one pass over one shared audit.
+
+        Universe levels come from the scalar ``level_of``, once per
+        distinct item of the chunk, so a level boundary never moves by
+        the last-ulp difference a vectorized unit hash could make.
+        Routes are gathered in the scalar (repetition, level, grid
+        repetition, grid level) order.
+        """
+        audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
+        distinct, inverse = np.unique(chunk, return_inverse=True)
+        items = distinct.tolist()
+        routes: list[tuple[SampleAndHold, np.ndarray]] = []
+        for sampler, row in zip(self._samplers, self._backends):
+            deepest = np.array(
+                [sampler.level_of(item) for item in items], dtype=np.int64
+            )[inverse]
+            for level_index, backend in enumerate(row):
+                positions = np.flatnonzero(deepest > level_index)
+                if len(positions) == 0:
+                    break  # universe levels are nested
+                backend._route_chunk(positions, audit, routes)
+        ChunkSettle(chunk, routes, audit).run()
+        audit.commit(self.tracker, len(chunk))
 
     # ------------------------------------------------------------------
     # Level-set estimation (Algorithm 3 lines 8-14)

@@ -251,12 +251,18 @@ class PStableFpEstimator(StreamAlgorithm):
     def _absorb_block(
         self, chunk: np.ndarray, audit: ChunkAudit, offset: int
     ) -> None:
-        """One screening block of the chunk kernel.
+        """One screening block of the chunk kernel, settled in waves.
 
         The screen against block-start gaps is conservative: the climb
         condition ``(w >= gap) | (u * gap < w)`` is monotone decreasing
         in the level, and levels only rise mid-block, so an unflagged
-        position stays a no-op for every row under any later levels.
+        cell stays a no-op under any later levels.  The ``2 * rows``
+        (row, sign) counters are independent — each cell feeds exactly
+        one of them — so only flagged *cells* settle: sorted by
+        (counter, position), wave ``k`` steps the ``k``-th flagged cell
+        of every counter at once through the lane-wise
+        :func:`weighted_morris_step`, and each changed cell is charged
+        at its own position.
         """
         n = len(chunk)
         rows = self.num_rows
@@ -272,25 +278,49 @@ class PStableFpEstimator(StreamAlgorithm):
         variates = matrix[inverse]
         magnitudes = np.abs(variates)
         a = self.morris_a
-        gap_pos = np.power(1.0 + a, self._pos_levels.astype(np.float64))
-        gap_neg = np.power(1.0 + a, self._neg_levels.astype(np.float64))
-        gaps = np.where(variates >= 0.0, gap_pos[None, :], gap_neg[None, :])
-        flagged = (
-            (magnitudes >= gaps) | (uniforms * gaps < magnitudes)
-        ).any(axis=1)
-        for local in np.nonzero(flagged)[0].tolist():
-            new_pos, new_neg = self._step_levels(
-                variates[local], uniforms[local]
+        # Counter c < rows is row c's positive half, c >= rows row
+        # (c - rows)'s negative half.
+        levels = np.concatenate((self._pos_levels, self._neg_levels))
+        counters = np.where(
+            variates >= 0.0, np.arange(rows), np.arange(rows, 2 * rows)
+        )
+        gaps = np.power(1.0 + a, levels.astype(np.float64))[counters]
+        flagged = (magnitudes >= gaps) | (uniforms * gaps < magnitudes)
+        local, row = np.nonzero(flagged)  # position-major
+        if len(local) == 0:
+            return
+        # Stable sorts: by counter (positions stay ascending), then by
+        # each cell's rank among its counter's cells — its wave.
+        order = np.argsort(counters[local, row], kind="stable")
+        cells = counters[local[order], row[order]]
+        firsts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+        wave = np.arange(len(cells)) - np.repeat(
+            firsts, np.diff(np.r_[firsts, len(cells)])
+        )
+        order = order[np.argsort(wave, kind="stable")]
+        local, row = local[order], row[order]
+        cells = counters[local, row]
+        weights = magnitudes[local, row]
+        coins = uniforms[local, row]
+        positions = local + offset
+        bounds = np.r_[0, np.cumsum(np.bincount(wave))].tolist()
+        for low, high in zip(bounds, bounds[1:]):
+            counter = cells[low:high]
+            before = levels[counter]
+            after = weighted_morris_step(
+                a, before, weights[low:high], coins[low:high]
             )
-            position = offset + local
-            for prefix, levels, new in (
-                ("pstable.pos", self._pos_levels, new_pos),
-                ("pstable.neg", self._neg_levels, new_neg),
+            moved = np.flatnonzero(after != before)
+            if len(moved) == 0:
+                continue
+            levels[counter[moved]] = after[moved]
+            for c, position in zip(
+                counter[moved].tolist(), positions[low:high][moved].tolist()
             ):
-                changed = np.nonzero(new != levels)[0]
-                for i in changed.tolist():
-                    audit.write(f"{prefix}[{i}]", True, position)
-                levels[changed] = new[changed]
+                cell = f"pstable.pos[{c}]" if c < rows else f"pstable.neg[{c - rows}]"
+                audit.write(cell, True, position)
+        self._pos_levels = levels[:rows]
+        self._neg_levels = levels[rows:]
 
     # ------------------------------------------------------------------
     # Estimation

@@ -31,7 +31,11 @@ import statistics
 import numpy as np
 
 from repro.core.counters import MorrisCounter, SkipMorrisCounter
-from repro.core.sample_and_hold import SampleAndHold, SampleAndHoldParams
+from repro.core.sample_and_hold import (
+    ChunkSettle,
+    SampleAndHold,
+    SampleAndHoldParams,
+)
 from repro.hashing.coins import PhiloxCoins
 from repro.hashing.subsample import NestedStreamSampler
 from repro.query import (
@@ -222,81 +226,57 @@ class FullSampleAndHold(StreamAlgorithm):
                     self._length_counters[x].add()
 
     def _update_chunk(self, chunk: np.ndarray) -> None:
-        """Vectorized grid dispatch: split the chunk into per-level
-        substreams from the indexed level coins, screen each instance's
-        substream with its own chunk flags, then settle every flagged
-        event in exact scalar order (position, repetition, level) so
-        allocation/eviction interleaving — and thus peak words —
-        matches the scalar loop."""
-        n = len(chunk)
-        audit = ChunkAudit(n, self.tracker.needs_cell_ids)
+        audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
+        routes: list[tuple[SampleAndHold, np.ndarray]] = []
+        self._route_chunk(np.arange(len(chunk)), audit, routes)
+        ChunkSettle(chunk, routes, audit).run()
+        audit.commit(self.tracker, len(chunk))
+
+    def _route_chunk(
+        self,
+        positions: np.ndarray,
+        audit: ChunkAudit,
+        routes: list[tuple[SampleAndHold, np.ndarray]],
+    ) -> None:
+        """Route the arrivals at chunk ``positions`` (this grid's
+        substream) to its instances.
+
+        The indexed level coins split the substream into per-level
+        substreams up front; ``(instance, positions)`` pairs are
+        appended in the scalar loop's (repetition, level) order for
+        :class:`~repro.core.sample_and_hold.ChunkSettle`.  The substream
+        length counters (first copy only) absorb each level's arrivals
+        in bulk, mapping transition ordinals back to chunk positions;
+        they never allocate or free, so settling them ahead of the
+        instances cannot move ``peak_words``.
+        """
+        n = len(positions)
         t0 = self._t
         self._t = t0 + n
-        events: list[tuple[int, int, int, SampleAndHold, int, int, float]] = []
-        deepest_first = None
+        levels = self.num_levels
         for r, coins in enumerate(self._level_coins):
+            # The vectorized twin of _deepest_level: for u in (0, 1),
+            # 1 - exponent >= 1 already, and u == 0 survives everywhere.
             u = coins.uniform_block(t0, n)
             fraction, exponent = np.frexp(u)
-            deepest = (1 - exponent + (fraction == 0.5)).astype(np.int64)
             deepest = np.where(
-                u <= 0.0,
-                np.int64(self.num_levels),
-                np.clip(deepest, 1, self.num_levels),
+                u > 0.0,
+                np.minimum(1 - exponent + (fraction == 0.5), levels),
+                levels,
             )
-            if r == 0:
-                deepest_first = deepest
-            row = self._instances[r]
-            for x in range(self.num_levels):
-                positions = np.nonzero(deepest > x)[0]
-                if len(positions) == 0:
+            for x, instance in enumerate(self._instances[r]):
+                sub = positions[deepest > x]
+                if len(sub) == 0:
                     break  # levels are nested: deeper ones are empty too
-                instance = row[x]
-                sub = chunk[positions]
-                sub_t0 = instance._t
-                uniforms, flagged = instance._chunk_flags(sub)
-                instance._t = sub_t0 + len(sub)
-                for local in np.nonzero(flagged)[0].tolist():
-                    events.append(
-                        (
-                            int(positions[local]),
-                            r,
-                            x,
-                            instance,
-                            int(sub[local]),
-                            sub_t0 + local,
-                            float(uniforms[local]),
-                        )
-                    )
-        # Substream length counters (first copy only): batch-absorb each
-        # level's arrivals, mapping transition ordinals back to chunk
-        # positions.  No allocation churn, so ordering vs. the instance
-        # events below cannot affect peak words.
-        for x in range(self.num_levels):
-            positions = np.nonzero(deepest_first > x)[0]
-            if len(positions) == 0:
-                break
-            counter = self._length_counters[x]
-            for ordinal in counter.absorb(len(positions)):
-                audit.write(counter.cell_id, True, int(positions[ordinal - 1]))
-        # A position occurs at most once per (r, x) substream, so the
-        # (position, r, x) prefix is unique and the sort never compares
-        # the instance element.
-        events.sort()
-        for _position, _r, _x, instance, item, idx, u_sample in events:
-            instance._step_absorb(item, idx, u_sample, _position, audit)
-        audit.commit(self.tracker, n)
+                routes.append((instance, sub))
+                if r == 0:
+                    counter = self._length_counters[x]
+                    for ordinal in counter.absorb(len(sub)):
+                        audit.write(counter.cell_id, True, int(sub[ordinal - 1]))
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _median_estimate(self, item: int, level_index: int) -> float:
-        """Median over repetitions of the level's raw estimates."""
-        values = [
-            self._instances[r][level_index].estimate(item)
-            for r in range(self.repetitions)
-        ]
-        return float(statistics.median(values))
-
     def _answer_point(self, q: PointQuery) -> ScalarAnswer:
         """Rescaled frequency estimate for one item (0 if never held)."""
         return ScalarAnswer(
@@ -344,16 +324,26 @@ class FullSampleAndHold(StreamAlgorithm):
         rule = self.level_rule if level_rule is None else level_rule
         if rule not in ("max", "shallowest", "min-length"):
             raise ValueError(f"unknown level_rule: {rule!r}")
+        # Read the instances' held maps directly: a point query per
+        # (item, level) would pay one query dispatch each.
+        held = [[instance._held for instance in row] for row in self._instances]
         candidates: set[int] = set()
-        for row in self._instances:
-            for instance in row:
-                candidates.update(instance.estimates())
+        for row in held:
+            for counters in row:
+                candidates.update(counters)
 
         results: dict[int, float] = {}
         for item in candidates:
             per_level: list[tuple[int, float]] = []
             for x in range(1, self.num_levels + 1):
-                med = self._median_estimate(item, x - 1)
+                found = [row[x - 1].get(item) for row in held]
+                if not any(found):
+                    continue  # every copy reads 0, so the median is 0
+                med = float(
+                    statistics.median(
+                        0.0 if h is None else h.counter.estimate for h in found
+                    )
+                )
                 if med > 0:
                     per_level.append((x, med * 2.0 ** (x - 1)))
             if not per_level:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import statistics
 
+import numpy as np
+
 from repro.core.fp_estimation import FpEstimator
 from repro.query import (
     AllEstimates,
@@ -80,9 +82,13 @@ class HeavyHitters(StreamAlgorithm):
             tracker=self.tracker,
             **fp_kwargs,
         )
+        self._chunk_kernel_enabled = self._fp._chunk_kernel_enabled
 
     def _update(self, item: int) -> None:
         self._fp._update(item)
+
+    def _update_chunk(self, chunk: np.ndarray) -> None:
+        self._fp._update_chunk(chunk)
 
     # ------------------------------------------------------------------
     # Queries

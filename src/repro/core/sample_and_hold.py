@@ -29,6 +29,7 @@ calibrated so the asymptotic shapes are measurable at
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -335,7 +336,7 @@ class SampleAndHold(StreamAlgorithm):
     def _prune_counters(
         self,
         now: int,
-        audit: ChunkAudit | None = None,
+        settle: "ChunkSettle | None" = None,
         position: int = 0,
     ) -> None:
         """Halve each dyadic age group, keeping the largest estimates.
@@ -346,7 +347,14 @@ class SampleAndHold(StreamAlgorithm):
         heavy counters — the Section 1.4 counterexample's fix.  Under
         ``eviction="global"`` all counters are compared together
         (the classical rule; kept for the A2 ablation).
+
+        Inside a chunk kernel (``settle`` given) the deferred arrivals
+        of held items are absorbed up to ``position`` before any
+        estimate is read, and the evicted items' later arrivals go back
+        into the settle order.
         """
+        if settle is not None:
+            settle.flush(self, position)
         groups: dict[int, list[int]] = {}
         for item, held in self._held.items():
             if self.eviction == "global":
@@ -356,27 +364,23 @@ class SampleAndHold(StreamAlgorithm):
                 z = age.bit_length() - 1  # dyadic bucket floor(log2(age))
             groups.setdefault(z, []).append(item)
 
+        evicted: list[int] = []
         for members in groups.values():
             members.sort(key=lambda it: self._held[it].counter.estimate)
-            for item in members[: len(members) // 2]:
-                self._evict(item, audit, position)
+            evicted.extend(members[: len(members) // 2])
+        for item in evicted:
+            held = self._held.pop(item)
+            held.counter.release()
+            self.tracker.free(2)
+            if settle is None:
+                self.tracker.mark_dirty()
+            else:
+                settle.audit.mark(position)
+        if settle is not None:
+            settle.requeue(self, evicted, position)
         # Lemma 2.1: re-randomize the budget after each maintenance.
         self._budget = self._draw_budget()
         self._prunes += 1
-
-    def _evict(
-        self,
-        item: int,
-        audit: ChunkAudit | None = None,
-        position: int = 0,
-    ) -> None:
-        held = self._held.pop(item)
-        held.counter.release()
-        self.tracker.free(2)
-        if audit is None:
-            self.tracker.mark_dirty()
-        else:
-            audit.mark(position)
 
     def _draw_budget(self) -> int:
         """Algorithm 1 line 7/20: ``k ~ Uni([budget_low, budget_high])``."""
@@ -393,16 +397,18 @@ class SampleAndHold(StreamAlgorithm):
     # ------------------------------------------------------------------
     def _update_chunk(self, chunk: np.ndarray) -> None:
         audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
-        self._absorb_chunk(chunk, range(len(chunk)), audit)
+        ChunkSettle(chunk, [(self, np.arange(len(chunk)))], audit).run()
         audit.commit(self.tracker, len(chunk))
 
-    def _chunk_flags(
+    def _screen(
         self, items: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sampling coins and the conservative settle mask for ``items``
-        arriving at clock ``self._t``.
+    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """Screen ``items`` arriving at clock ``self._t`` and advance
+        the clock past them.
 
-        An arrival needs scalar settlement iff its item could touch
+        Returns the first arrival's coin index, the sampling coins, the
+        conservative settle mask, and the mask of arrivals whose item is
+        held now.  An arrival needs settling iff its item could touch
         state: it is already held or reservoir-resident, its sampling
         coin hits, or it equals an item whose coin hits in this chunk
         (that item may enter the reservoir and then be held on a later
@@ -410,40 +416,16 @@ class SampleAndHold(StreamAlgorithm):
         sampling coin misses and no lookup matches — so skipping it
         leaves state and audit exactly as the scalar loop would.
         """
-        uniforms = self._coins_sample.uniform_block(self._t, len(items))
-        hits = uniforms < self.params.sample_probability
-        watch = [np.asarray(items[hits], dtype=np.int64)]
-        if self._held:
-            watch.append(
-                np.fromiter(
-                    self._held.keys(), dtype=np.int64, count=len(self._held)
-                )
-            )
-        if self._reservoir_members:
-            watch.append(
-                np.fromiter(
-                    self._reservoir_members.keys(),
-                    dtype=np.int64,
-                    count=len(self._reservoir_members),
-                )
-            )
-        flagged = hits | np.isin(items, np.concatenate(watch))
-        return uniforms, flagged
-
-    def _absorb_chunk(self, items, positions, audit: ChunkAudit) -> None:
-        """Settle a chunk's flagged arrivals in stream order,
-        accounting into ``audit`` at the given positions."""
+        n = len(items)
         t0 = self._t
-        uniforms, flagged = self._chunk_flags(items)
-        self._t = t0 + len(items)
-        for i in np.nonzero(flagged)[0].tolist():
-            self._step_absorb(
-                int(items[i]),
-                t0 + i,
-                float(uniforms[i]),
-                positions[i],
-                audit,
-            )
+        self._t = t0 + n
+        uniforms = self._coins_sample.uniform_block(t0, n)
+        hits = uniforms < self.params.sample_probability
+        keys = items.tolist()
+        held = np.fromiter(map(self._held.__contains__, keys), bool, n)
+        watch = self._reservoir_members.keys() | items[hits].tolist()
+        flagged = held | np.fromiter(map(watch.__contains__, keys), bool, n)
+        return t0, uniforms, flagged, held
 
     def _step_absorb(
         self,
@@ -451,11 +433,12 @@ class SampleAndHold(StreamAlgorithm):
         idx: int,
         u_sample: float,
         position: int,
-        audit: ChunkAudit,
+        settle: "ChunkSettle",
     ) -> None:
         """The v2 arrival step with audit-side accounting: identical
         state transitions to :meth:`_step`, but writes land in the
         chunk audit and registers are stored untracked."""
+        audit = settle.audit
         held = self._held.get(item)
         if held is not None:
             for _ in held.counter.absorb(1):
@@ -469,7 +452,7 @@ class SampleAndHold(StreamAlgorithm):
             created_at = idx + 1
             self._held[item] = _HeldCounter(counter, created_at)
             if len(self._held) >= self._budget:
-                self._prune_counters(created_at, audit, position)
+                self._prune_counters(created_at, settle, position)
             return
         if u_sample < self.params.sample_probability:
             u = self._coins_slot.uniform(idx)
@@ -535,3 +518,165 @@ class SampleAndHold(StreamAlgorithm):
     def num_prunes(self) -> int:
         """Number of counter-maintenance rounds executed."""
         return self._prunes
+
+
+class ChunkSettle:
+    """One chunk of arrivals settled across a set of sample-and-hold
+    leaves that share a tracker and a :class:`ChunkAudit`.
+
+    Composite estimators (:class:`~repro.core.full_sample_and_hold.
+    FullSampleAndHold`'s level grid, the universe levels of
+    :class:`~repro.core.fp_estimation.FpEstimator`, the epochs of
+    :class:`~repro.core.adaptive.AdaptiveFullSampleAndHold`) route every
+    chunk position to the leaves whose substreams it reaches.
+    ``routes`` lists ``(leaf, positions)`` in the order the scalar loop
+    visits the leaves, with ascending chunk positions per leaf.  Because
+    the leaves share one audit, a position is dirty iff any leaf mutated
+    on it — the union of their dirty masks, exactly the scalar ``X_t``.
+
+    Each leaf screens its substream (:meth:`SampleAndHold._screen`).
+    A flagged arrival of an item the leaf held at screen time only
+    bumps that item's counter, so it is *deferred*: the deferred
+    arrivals of one item are absorbed with one ``counter.absorb(k)``
+    whose transition ordinals map back to chunk positions.  Every other
+    flagged arrival is an *event*, settled one by one in the scalar
+    order (position, leaf), which keeps the ``fresh_cell_id`` order and
+    the allocate/free interleaving, hence the per-cell histogram and
+    ``peak_words``.  A prune reads estimates, so it first absorbs its
+    leaf's deferred arrivals up to the prune's position; the later
+    deferred arrivals of the items it evicts go back into the event
+    order (they were flagged, so the screen stays conservative).
+
+    Arrivals live in numpy columns over all leaves — (position, leaf
+    ordinal, item, coin index, uniform) — with the deferred ones sorted
+    by (leaf, position) and ``_pending`` marking those not yet absorbed
+    or handed back.
+    """
+
+    __slots__ = (
+        "audit",
+        "_leaves",
+        "_ordinals",
+        "_events",
+        "_requeued",
+        "_deferred",
+        "_bounds",
+        "_pending",
+    )
+
+    def __init__(
+        self,
+        chunk: np.ndarray,
+        routes: list[tuple[SampleAndHold, np.ndarray]],
+        audit: ChunkAudit,
+    ) -> None:
+        self.audit = audit
+        self._leaves = [leaf for leaf, _ in routes]
+        self._ordinals = {leaf: o for o, leaf in enumerate(self._leaves)}
+        self._requeued: list[tuple] = []
+        columns: tuple[list, ...] = ([], [], [], [], [], [])
+        lengths = []
+        for leaf, positions in routes:
+            items = chunk[positions]
+            t0, uniforms, flagged, held = leaf._screen(items)
+            for column, values in zip(
+                columns,
+                (
+                    positions,
+                    items,
+                    np.arange(t0, t0 + len(items)),
+                    uniforms,
+                    flagged,
+                    held,
+                ),
+            ):
+                column.append(values)
+            lengths.append(len(items))
+        position, item, index, uniform, flagged, held = (
+            np.concatenate(column) for column in columns
+        )
+        ordinal = np.repeat(np.arange(len(routes)), lengths)
+        fields = (position, ordinal, item, index, uniform)
+        events = np.flatnonzero(flagged & ~held)
+        events = events[np.lexsort((ordinal[events], position[events]))]
+        self._events = [field[events].tolist() for field in fields]
+        deferred = np.flatnonzero(held)  # already in (leaf, position) order
+        self._deferred = [field[deferred] for field in fields]
+        self._bounds = np.searchsorted(
+            self._deferred[1], np.arange(len(routes) + 1)
+        ).tolist()
+        self._pending = np.ones(len(deferred), dtype=bool)
+
+    def run(self) -> None:
+        """Settle every event, then absorb the remaining deferrals."""
+        leaves = self._leaves
+        requeued = self._requeued
+        for event in zip(*self._events):
+            while requeued and requeued[0] < event:
+                position, ordinal, item, index, uniform = heapq.heappop(requeued)
+                leaves[ordinal]._step_absorb(item, index, uniform, position, self)
+            position, ordinal, item, index, uniform = event
+            leaves[ordinal]._step_absorb(item, index, uniform, position, self)
+        while requeued:
+            position, ordinal, item, index, uniform = heapq.heappop(requeued)
+            leaves[ordinal]._step_absorb(item, index, uniform, position, self)
+        self._absorb(np.flatnonzero(self._pending))
+
+    def flush(self, leaf: SampleAndHold, position: int) -> None:
+        """Absorb ``leaf``'s deferred arrivals before ``position``."""
+        ordinal = self._ordinals[leaf]
+        low = self._bounds[ordinal]
+        high = low + int(
+            np.searchsorted(
+                self._deferred[0][low:self._bounds[ordinal + 1]], position
+            )
+        )
+        self._absorb(np.flatnonzero(self._pending[low:high]) + low)
+
+    def requeue(
+        self, leaf: SampleAndHold, evicted: list[int], position: int
+    ) -> None:
+        """Hand the pending deferred arrivals of items ``leaf`` just
+        evicted back to the event order.  The prune flushed everything
+        before ``position``, so all of them come later."""
+        ordinal = self._ordinals[leaf]
+        low, high = self._bounds[ordinal], self._bounds[ordinal + 1]
+        if low == high or not evicted:
+            return
+        take = (
+            np.flatnonzero(
+                self._pending[low:high]
+                & np.isin(
+                    self._deferred[2][low:high],
+                    np.asarray(evicted, dtype=np.int64),
+                )
+            )
+            + low
+        )
+        self._pending[take] = False
+        for event in zip(*(field[take].tolist() for field in self._deferred)):
+            heapq.heappush(self._requeued, event)
+
+    def _absorb(self, take: np.ndarray) -> None:
+        """Absorb the deferred arrivals ``take`` (indices into the
+        deferred columns): one ``counter.absorb(k)`` per (leaf, item)."""
+        if len(take) == 0:
+            return
+        self._pending[take] = False
+        position, ordinal, item = (field[take] for field in self._deferred[:3])
+        order = np.lexsort((item, ordinal))  # stable: positions stay sorted
+        ordinal = ordinal[order]
+        item = item[order]
+        position = position[order].tolist()
+        starts = np.flatnonzero(
+            np.r_[True, (ordinal[1:] != ordinal[:-1]) | (item[1:] != item[:-1])]
+        )
+        bounds = starts.tolist() + [len(order)]
+        leaves = self._leaves
+        write = self.audit.write
+        for o, key, start, end in zip(
+            ordinal[starts].tolist(), item[starts].tolist(), bounds, bounds[1:]
+        ):
+            counter = leaves[o]._held[key].counter
+            for step in counter.absorb(end - start):
+                write(counter.cell_id, True, position[start + step - 1])

@@ -33,9 +33,13 @@ import numpy as np
 #: [0, 1) with the full double precision resolution.
 _SCALE = 2.0**-53
 
-#: Words fetched ahead on a cache miss; sequential consumers (the
-#: scalar v2 paths walk their indices in order) amortize one Philox
-#: construction over this many draws.
+#: Read-ahead on cache misses: the first miss fetches ``_FIRST_BLOCK``
+#: words and each further miss doubles that, up to ``_BLOCK``.
+#: Sequential consumers (the scalar v2 paths walk their indices in
+#: order) amortize one Philox construction over up to ``_BLOCK`` draws,
+#: while a stream touched at a few low indices -- a held Morris
+#: counter's level coins -- keeps a cache of ``_FIRST_BLOCK`` words.
+_FIRST_BLOCK = 16
 _BLOCK = 256
 
 _MASK64 = (1 << 64) - 1
@@ -68,7 +72,7 @@ class PhiloxCoins:
     ``(seed, label)`` alone and sees the same coins.
     """
 
-    __slots__ = ("seed", "label", "_key", "_cache_start", "_cache")
+    __slots__ = ("seed", "label", "_key", "_cache_start", "_cache", "_ahead")
 
     def __init__(self, seed: int | None, label: str) -> None:
         self.seed = 0 if seed is None else int(seed)
@@ -76,6 +80,7 @@ class PhiloxCoins:
         self._key = stream_key(self.seed, label)
         self._cache_start = 0
         self._cache: np.ndarray | None = None
+        self._ahead = _FIRST_BLOCK
 
     def _raw(self, start: int, count: int) -> np.ndarray:
         """Raw 64-bit output words at indices ``[start, start+count)``.
@@ -104,7 +109,10 @@ class PhiloxCoins:
         ):
             lo = start - self._cache_start
             return cache[lo : lo + count]
-        words = self._raw(start, max(count, _BLOCK))
+        ahead = self._ahead
+        if ahead < _BLOCK:
+            self._ahead = 2 * ahead
+        words = self._raw(start, max(count, ahead))
         self._cache = (words >> np.uint64(11)) * _SCALE
         self._cache_start = start
         return self._cache[:count]

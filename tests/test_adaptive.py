@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveFullSampleAndHold
+from repro.state.tracker import make_tracker
 from repro.streams import FrequencyVector, planted_heavy_hitter_stream, zipf_stream
 
 
@@ -73,3 +75,33 @@ class TestStateChanges:
         )
         algo.process_stream(stream)
         assert algo.state_changes < 0.8 * m
+
+
+class TestChunkKernel:
+    @pytest.mark.parametrize("use_morris", [True, False])
+    @pytest.mark.parametrize("mode", ["aggregate", "trace"])
+    @pytest.mark.parametrize("size", [1, 100, 777, 5000])
+    def test_chunks_across_epochs_match_scalar(self, size, mode, use_morris):
+        """Chunks that straddle epoch boundaries: each epoch settles its
+        piece and the next epoch is built where the scalar loop builds
+        it, so audits (cell ids included) and estimates match."""
+
+        def build():
+            return AdaptiveFullSampleAndHold(
+                n=128, p=2, epsilon=0.5, initial_m=64, seed=6,
+                repetitions=3, use_morris=use_morris,
+                tracker=make_tracker(mode),
+            )
+
+        stream = zipf_stream(128, 5000, skew=1.2, seed=6).materialize()
+        scalar = build()
+        scalar.process_many(stream)
+        chunked = build()
+        items = np.asarray(stream, dtype=np.int64)
+        for low in range(0, len(items), size):
+            chunked.process_chunk(items[low:low + size])
+        assert chunked.num_epochs == scalar.num_epochs == 7
+        assert chunked.report() == scalar.report()
+        assert list(chunked.estimates().items()) == list(
+            scalar.estimates().items()
+        )

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro import registry
 from repro.api import Engine
+from repro.core.sample_and_hold import SampleAndHold
 from repro.query import (
     AllEstimates,
     Distinct,
@@ -68,10 +69,12 @@ ITEMS = ARR.tolist()
 #: runs at ε=0.3.
 EPSILON = {"ams": 1.0}
 
-#: The five randomized families the v2 coin protocol vectorizes.
+#: The randomized families the v2 coin protocol vectorizes.
 RANDOMIZED = (
+    "adaptive-sample-and-hold",
     "count-min-morris",
     "entropy",
+    "heavy-hitters",
     "pstable-fp",
     "reservoir",
     "sample-and-hold",
@@ -252,6 +255,86 @@ class TestRandomizedFamiliesV2:
         )
 
 
+def sample_and_hold_leaves(sketch) -> list[SampleAndHold]:
+    """The SampleAndHold instances of a sample-and-hold (one grid) or
+    heavy-hitters (a grid per universe level and copy) sketch."""
+    grids = (
+        [sketch]
+        if hasattr(sketch, "_instances")
+        else [grid for row in sketch._fp._backends for grid in row]
+    )
+    return [leaf for grid in grids for row in grid._instances for leaf in row]
+
+
+PRUNE_N, PRUNE_M = 512, 20_000
+PRUNE_ARR = _zipf_draws(PRUNE_N, PRUNE_M, 1.1, 3)
+_PRUNE_REFERENCE: dict = {}
+
+
+def build_pruning(name: str, mode: str):
+    # At n=512 only epsilon=1.0 budgets (a few dozen held counters)
+    # are small enough for the held sets to fill up and prune.
+    return registry.create(
+        name, n=PRUNE_N, m=PRUNE_M, epsilon=1.0, seed=3,
+        tracker=make_tracker(mode),
+    )
+
+
+class TestSampleAndHoldPrunes:
+    """The shared settle of the sample-and-hold stack on a stream that
+    prunes: items held when a chunk is screened have their arrivals
+    absorbed in bulk, so a prune inside the chunk must first absorb
+    them up to its position and hand the evicted items' later arrivals
+    back to the scalar settle order."""
+
+    @pytest.mark.parametrize("mode", ["aggregate", "trace"])
+    @pytest.mark.parametrize("size", [1, 37, 4096, PRUNE_M])
+    @pytest.mark.parametrize("name", ["heavy-hitters", "sample-and-hold"])
+    def test_chunked_equals_scalar_through_prunes(
+        self, monkeypatch, name, size, mode
+    ):
+        key = (name, mode)
+        if key not in _PRUNE_REFERENCE:
+            scalar = build_pruning(name, mode)
+            scalar.process_many(PRUNE_ARR.tolist())
+            _PRUNE_REFERENCE[key] = fingerprint(scalar)
+
+        # A held counter was opened before the chunk iff its creation
+        # clock is at most the leaf's clock when the chunk was screened.
+        screened_at: dict[int, int] = {}
+        evicted_inside = 0
+        screen = SampleAndHold._screen
+        prune = SampleAndHold._prune_counters
+
+        def recording_screen(self, items):
+            screened_at[id(self)] = self._t
+            return screen(self, items)
+
+        def recording_prune(self, now, settle=None, position=0):
+            nonlocal evicted_inside
+            before = {
+                item: held.created_at for item, held in self._held.items()
+            }
+            prune(self, now, settle, position)
+            if settle is not None:
+                evicted_inside += sum(
+                    created <= screened_at[id(self)]
+                    for item, created in before.items()
+                    if item not in self._held
+                )
+
+        monkeypatch.setattr(SampleAndHold, "_screen", recording_screen)
+        monkeypatch.setattr(SampleAndHold, "_prune_counters", recording_prune)
+        sketch = build_pruning(name, mode)
+        for low in range(0, PRUNE_M, size):
+            sketch.process_chunk(PRUNE_ARR[low:low + size])
+
+        assert fingerprint(sketch) == _PRUNE_REFERENCE[key]
+        assert sum(leaf.num_prunes for leaf in sample_and_hold_leaves(sketch)) > 0
+        if size < PRUNE_M:  # nothing is held when the first chunk starts
+            assert evicted_inside > 0
+
+
 class TestBudgetChunkBoundaries:
     """Freeze/degrade/raise cut over at the exact update index."""
 
@@ -259,7 +342,8 @@ class TestBudgetChunkBoundaries:
     @pytest.mark.parametrize(
         "name",
         ["count-min", "kmv", "misra-gries",
-         "count-min-morris", "pstable-fp", "reservoir"],
+         "count-min-morris", "pstable-fp", "reservoir",
+         "sample-and-hold", "heavy-hitters", "adaptive-sample-and-hold"],
     )
     @pytest.mark.parametrize("limit", [0, 1, 103, 10_000])
     def test_policy_identical_to_scalar(self, name, policy, limit):

@@ -25,6 +25,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import registry
@@ -144,6 +145,43 @@ class TestGoldenFixtures:
         coins = PhiloxCoins(9, "golden")
         block = coins.uniform_block(123, 40)
         assert [coins.uniform(123 + i) for i in range(40)] == list(block)
+
+
+def _reference_uniforms(start: int, count: int) -> list[float]:
+    """One ``_raw`` block from a fresh stream: no read-ahead involved."""
+    words = PhiloxCoins(9, "golden")._raw(start, count)
+    return ((words >> np.uint64(11)) * 2.0**-53).tolist()
+
+
+class TestReadAhead:
+    """The read-ahead cache grows with its consumer; values never move."""
+
+    def test_sequential_reads_match_one_block(self):
+        coins = PhiloxCoins(9, "golden")
+        assert [coins.uniform(i) for i in range(1000)] == _reference_uniforms(
+            0, 1000
+        )
+
+    def test_scattered_reads_match_one_block(self):
+        rng = np.random.default_rng(5)
+        coins = PhiloxCoins(9, "golden")
+        reference = _reference_uniforms(0, 5000)
+        for _ in range(300):
+            start = int(rng.integers(0, 4900))
+            count = int(rng.integers(1, 100))
+            assert (
+                coins.uniform_block(start, count).tolist()
+                == reference[start:start + count]
+            )
+            index = int(rng.integers(0, 5000))
+            assert coins.uniform(index) == reference[index]
+
+    def test_a_few_low_indices_keep_a_small_cache(self):
+        # A held Morris counter reads its level coins 1, 2, 3, ...
+        coins = PhiloxCoins(9, "golden")
+        for level in range(1, 6):
+            coins.uniform(level)
+        assert len(coins._cache) <= 16
 
 
 class TestProtocolPlumbing:

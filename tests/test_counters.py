@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from repro.core.counters import (
     ExactCounter,
     MedianMorrisCounter,
     MorrisCounter,
+    weighted_morris_step,
 )
 from repro.state import StateTracker
 
@@ -144,6 +146,32 @@ class TestMorrisCounter:
             counter.add()
         assert counter.estimate <= 6 * n + 10
         assert counter.estimate >= n / 6 - 10
+
+
+class TestWeightedMorrisStep:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        length=st.integers(min_value=1, max_value=300),
+        a=st.sampled_from([0.001, 0.02, 0.125, 0.5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lanes_are_independent(self, seed, length, a):
+        """The p-stable waves feed vectors of varying length: every
+        lane must equal the same step taken alone, bit for bit."""
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(0, 400, length)
+        # Zero, sub-gap, and many-level weights, on a log scale.
+        weights = np.where(
+            rng.random(length) < 0.1, 0.0, 10.0 ** rng.uniform(-4, 4, length)
+        )
+        uniforms = rng.random(length)
+        stepped = weighted_morris_step(a, levels, weights, uniforms)
+        alone = [
+            int(weighted_morris_step(a, levels[i:i + 1], weights[i:i + 1],
+                                     uniforms[i:i + 1])[0])
+            for i in range(length)
+        ]
+        assert stepped.tolist() == alone
 
 
 class TestMedianMorrisCounter:
