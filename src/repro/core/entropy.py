@@ -40,7 +40,11 @@ import random
 import numpy as np
 
 from repro.core.counters import MorrisCounter, SkipMorrisCounter
-from repro.core.fp_pstable import PStableFpEstimator
+from repro.core.fp_pstable import (
+    PStableFpEstimator,
+    VariateTable,
+    absorb_chunk,
+)
 from repro.hashing.coins import PhiloxCoins
 from repro.query import Entropy, QueryKind, ScalarAnswer
 from repro.state.algorithm import ChunkAudit, StreamAlgorithm
@@ -183,6 +187,13 @@ class EntropyEstimator(StreamAlgorithm):
                 )
                 for i, node in enumerate(self.nodes)
             ]
+            # ... and so one table of regenerated columns, drawn once
+            # per item for every node order.
+            table = VariateTable(
+                base_seed, self._sketches[0].num_rows, self.nodes
+            )
+            for sketch in self._sketches:
+                sketch._table = table
         else:
             self._oracle = TrackedDict(self.tracker, "entropy-oracle")
         # A Morris counter supplies the stream length (G(1) = ln m and
@@ -209,12 +220,12 @@ class EntropyEstimator(StreamAlgorithm):
         self._length.add()
 
     def _update_chunk(self, chunk: np.ndarray) -> None:
-        # Node sketches share one audit: a chunk position is dirty iff
-        # any sketch (or the length counter) mutated on that arrival,
-        # exactly as the scalar loop would have ticked it.
+        # Node sketches settle as one set and share one audit: a chunk
+        # position is dirty iff any sketch (or the length counter)
+        # mutated on that arrival, exactly as the scalar loop would
+        # have ticked it.
         audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
-        for sketch in self._sketches:
-            sketch._absorb_chunk(chunk, audit)
+        absorb_chunk(self._sketches, chunk, audit)
         for ordinal in self._length.absorb(len(chunk)):
             audit.write(self._length.cell_id, True, ordinal - 1)
         audit.commit(self.tracker, len(chunk))

@@ -18,10 +18,14 @@ Two estimators over the ``k`` sketch coordinates are provided:
   estimate as the scale ``lambda`` (more robust when ``p`` is close
   to 1).
 
-The sketch matrix is never stored: entry ``D[i, j]`` is regenerated on
-demand from a seed (:class:`~repro.hashing.pstable.DerandomizedStable`),
-standing in for the ``O(log(1/eps)/log log(1/eps))``-wise independent
-generation of [JW19] (DESIGN.md substitution note).
+The sketch matrix is never stored: column ``D[:, j]`` is regenerated on
+demand from a per-item generator, ``numpy.random.default_rng`` seeded
+with ``hash((variate_seed, j))``, which draws the column's ``(theta,
+r)`` uniforms for the Chambers–Mallows–Stuck transform.  This stands in
+for the ``O(log(1/eps)/log log(1/eps))``-wise independent generation of
+[JW19] (DESIGN.md substitution note).  A :class:`VariateTable` keeps
+the regenerated columns of recently seen items, at every order ``p``
+its sketches use, so each item's uniforms are drawn once.
 
 Coin protocols: ``"v1"`` keeps per-row ``MorrisCounter`` objects fed by
 one sequential ``random.Random``.  ``"v2"`` (default) holds the levels
@@ -34,7 +38,9 @@ the level*: a screen computed against chunk-start levels is
 conservative, so the (increasingly rare, as gaps outgrow the variate
 magnitudes) flagged positions are settled row-vectorized while
 everything else is provably a no-op — bit-identical to the scalar v2
-loop by construction.
+loop by construction.  The kernel (:func:`absorb_chunk`) settles any
+set of sketches over one table at once — a single sketch, or the
+entropy estimator's node sketches — in one sequence of waves.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,6 +68,78 @@ from repro.state.algorithm import ChunkAudit, StreamAlgorithm
 from repro.state.tracker import StateTracker
 
 _HALF_PI = math.pi / 2.0
+
+
+class VariateTable:
+    """Regenerated columns ``D[:, item]`` of one ``(variate_seed,
+    rows)`` sketch matrix, at each of the orders ``p`` in ``orders``.
+
+    Item ``j``'s ``(theta, r)`` uniforms come from a
+    ``numpy.random.default_rng`` seeded with ``hash((variate_seed,
+    j))``; they do not depend on ``p``, so one draw serves every order
+    (common random numbers).  :meth:`slots` numbers items in first-seen
+    order, drawing the new ones' uniforms once and filling every
+    order's columns with one elementwise
+    :func:`~repro.hashing.pstable.cms_transform` call; the sketches
+    then gather ``columns(p)[slots]``.
+
+    The table is a cache: reads are free in the cost model and every
+    column regenerates identically, so it starts over (rather than
+    grow without bound) once it would hold more than :attr:`CAPACITY`
+    items.  Storage grows by doubling.  A table belongs to one
+    estimator: it is never shared across estimators or threads.
+    """
+
+    #: Items held before the table starts over.
+    CAPACITY = 8192
+
+    def __init__(
+        self, variate_seed: int, rows: int, orders: Iterable[float]
+    ) -> None:
+        self.variate_seed = variate_seed
+        self.rows = rows
+        self._slots: dict[int, int] = {}
+        self._columns = {p: np.empty((0, rows)) for p in orders}
+
+    def reset(self) -> None:
+        """Forget every item (storage is kept for reuse)."""
+        self._slots.clear()
+
+    def slots(self, items: list[int]) -> list[int]:
+        """Slots of the distinct ``items``, drawing the new ones."""
+        slots = self._slots
+        new = [item for item in items if item not in slots]
+        if new:
+            if len(slots) + len(new) > self.CAPACITY:
+                self.reset()
+                new = items
+            self._draw(new)
+        return [slots[item] for item in items]
+
+    def columns(self, p: float) -> np.ndarray:
+        """Order ``p``'s columns, one row per slot (rows past the
+        last slot are unused storage)."""
+        return self._columns[p]
+
+    def _draw(self, items: list[int]) -> None:
+        rows = self.rows
+        start = len(self._slots)
+        stop = start + len(items)
+        theta = np.empty((len(items), rows))
+        r = np.empty((len(items), rows))
+        for index, item in enumerate(items):
+            gen = np.random.default_rng(
+                hash((self.variate_seed, item)) & 0x7FFFFFFF
+            )
+            theta[index] = gen.uniform(-_HALF_PI, _HALF_PI, rows)
+            r[index] = gen.uniform(0.0, 1.0, rows)
+            self._slots[item] = start + index
+        for p, columns in self._columns.items():
+            if stop > len(columns):
+                grown = np.empty((max(stop, 2 * len(columns), 64), rows))
+                grown[:start] = columns[:start]
+                self._columns[p] = columns = grown
+            columns[start:stop] = cms_transform(p, theta, r)
 
 
 class PStableFpEstimator(StreamAlgorithm):
@@ -149,11 +228,10 @@ class PStableFpEstimator(StreamAlgorithm):
             self._updates = 0
             # Same space charge as the 2R tracked level registers of v1.
             self.tracker.allocate(2 * num_rows)
-        # Small cache of per-item variate columns: the matrix is
-        # regenerated from the seed, never stored, so the cache is a
-        # speed optimization only (reads are free in the cost model).
-        self._variate_cache: dict[int, np.ndarray] = {}
-        self._cache_capacity = 8192
+        # The matrix is regenerated from the seed, never stored; the
+        # table only caches recent columns (the entropy estimator hands
+        # its node sketches one shared table over all node orders).
+        self._table = VariateTable(self.variate_seed, num_rows, (p,))
 
     # ------------------------------------------------------------------
     # Sketch maintenance
@@ -165,18 +243,8 @@ class PStableFpEstimator(StreamAlgorithm):
         item)`` — not on ``p`` — so sketches sharing a variate seed see
         a common random matrix smoothly parameterized by ``p``.
         """
-        column = self._variate_cache.get(item)
-        if column is None:
-            gen = np.random.default_rng(
-                hash((self.variate_seed, item)) & 0x7FFFFFFF
-            )
-            theta = gen.uniform(-_HALF_PI, _HALF_PI, self.num_rows)
-            r = gen.uniform(0.0, 1.0, self.num_rows)
-            column = cms_transform(self.p, theta, r)
-            if len(self._variate_cache) >= self._cache_capacity:
-                self._variate_cache.clear()
-            self._variate_cache[item] = column
-        return column
+        (slot,) = self._table.slots([item])
+        return self._table.columns(self.p)[slot]
 
     def _step_levels(
         self, column: np.ndarray, uniforms: np.ndarray
@@ -184,15 +252,22 @@ class PStableFpEstimator(StreamAlgorithm):
         """Post-update (pos, neg) level arrays for one v2 arrival.
 
         One coin per row drives whichever half the signed variate hits
-        (the other half sees weight 0 and never reads its coin).
+        (the other half sees weight 0 and never reads its coin); both
+        halves step as the lanes of one :func:`weighted_morris_step`.
         """
-        pos_w = np.where(column >= 0.0, column, 0.0)
-        neg_w = np.where(column < 0.0, -column, 0.0)
-        a = self.morris_a
-        return (
-            weighted_morris_step(a, self._pos_levels, pos_w, uniforms),
-            weighted_morris_step(a, self._neg_levels, neg_w, uniforms),
+        rows = self.num_rows
+        new = weighted_morris_step(
+            self.morris_a,
+            np.concatenate((self._pos_levels, self._neg_levels)),
+            np.concatenate(
+                (
+                    np.where(column >= 0.0, column, 0.0),
+                    np.where(column < 0.0, -column, 0.0),
+                )
+            ),
+            np.concatenate((uniforms, uniforms)),
         )
+        return new[:rows], new[rows:]
 
     def _update(self, item: int) -> None:
         column = self._variates(item)
@@ -227,100 +302,8 @@ class PStableFpEstimator(StreamAlgorithm):
 
     def _update_chunk(self, chunk: np.ndarray) -> None:
         audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
-        self._absorb_chunk(chunk, audit)
+        absorb_chunk((self,), chunk, audit)
         audit.commit(self.tracker, len(chunk))
-
-    #: Screening-block length: the no-op screen freezes its gaps at
-    #: block start, so blocks bound how stale the gaps can get.  Levels
-    #: climb fastest early in a stream — a whole-stream chunk screened
-    #: once against level-0 gaps flags *every* position — while per-
-    #: block refreshes let the screen tighten as the levels rise.
-    _SCREEN_BLOCK = 1024
-
-    def _absorb_chunk(
-        self, chunk: np.ndarray, audit: ChunkAudit, offset: int = 0
-    ) -> None:
-        """Absorb a chunk's arrivals, accounting into ``audit`` at
-        positions ``offset + i`` (shared with the entropy kernel)."""
-        block = self._SCREEN_BLOCK
-        for start in range(0, len(chunk), block):
-            self._absorb_block(
-                chunk[start:start + block], audit, offset + start
-            )
-
-    def _absorb_block(
-        self, chunk: np.ndarray, audit: ChunkAudit, offset: int
-    ) -> None:
-        """One screening block of the chunk kernel, settled in waves.
-
-        The screen against block-start gaps is conservative: the climb
-        condition ``(w >= gap) | (u * gap < w)`` is monotone decreasing
-        in the level, and levels only rise mid-block, so an unflagged
-        cell stays a no-op under any later levels.  The ``2 * rows``
-        (row, sign) counters are independent — each cell feeds exactly
-        one of them — so only flagged *cells* settle: sorted by
-        (counter, position), wave ``k`` steps the ``k``-th flagged cell
-        of every counter at once through the lane-wise
-        :func:`weighted_morris_step`, and each changed cell is charged
-        at its own position.
-        """
-        n = len(chunk)
-        rows = self.num_rows
-        t0 = self._updates
-        self._updates = t0 + n
-        uniforms = self._coins.uniform_block(t0 * rows, n * rows).reshape(
-            n, rows
-        )
-        uniq, inverse = np.unique(chunk, return_inverse=True)
-        matrix = np.empty((len(uniq), rows))
-        for idx, item in enumerate(uniq.tolist()):
-            matrix[idx] = self._variates(int(item))
-        variates = matrix[inverse]
-        magnitudes = np.abs(variates)
-        a = self.morris_a
-        # Counter c < rows is row c's positive half, c >= rows row
-        # (c - rows)'s negative half.
-        levels = np.concatenate((self._pos_levels, self._neg_levels))
-        counters = np.where(
-            variates >= 0.0, np.arange(rows), np.arange(rows, 2 * rows)
-        )
-        gaps = np.power(1.0 + a, levels.astype(np.float64))[counters]
-        flagged = (magnitudes >= gaps) | (uniforms * gaps < magnitudes)
-        local, row = np.nonzero(flagged)  # position-major
-        if len(local) == 0:
-            return
-        # Stable sorts: by counter (positions stay ascending), then by
-        # each cell's rank among its counter's cells — its wave.
-        order = np.argsort(counters[local, row], kind="stable")
-        cells = counters[local[order], row[order]]
-        firsts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
-        wave = np.arange(len(cells)) - np.repeat(
-            firsts, np.diff(np.r_[firsts, len(cells)])
-        )
-        order = order[np.argsort(wave, kind="stable")]
-        local, row = local[order], row[order]
-        cells = counters[local, row]
-        weights = magnitudes[local, row]
-        coins = uniforms[local, row]
-        positions = local + offset
-        bounds = np.r_[0, np.cumsum(np.bincount(wave))].tolist()
-        for low, high in zip(bounds, bounds[1:]):
-            counter = cells[low:high]
-            before = levels[counter]
-            after = weighted_morris_step(
-                a, before, weights[low:high], coins[low:high]
-            )
-            moved = np.flatnonzero(after != before)
-            if len(moved) == 0:
-                continue
-            levels[counter[moved]] = after[moved]
-            for c, position in zip(
-                counter[moved].tolist(), positions[low:high][moved].tolist()
-            ):
-                cell = f"pstable.pos[{c}]" if c < rows else f"pstable.neg[{c - rows}]"
-                audit.write(cell, True, position)
-        self._pos_levels = levels[:rows]
-        self._neg_levels = levels[rows:]
 
     # ------------------------------------------------------------------
     # Estimation
@@ -481,3 +464,128 @@ class PStableFpEstimator(StreamAlgorithm):
             counter.load_level(level)
         for counter, level in zip(self._negative, payload["negative"]):
             counter.load_level(level)
+
+
+#: Screening-block length: the no-op screen freezes its gaps at block
+#: start, so blocks bound how stale the gaps can get.  Levels climb
+#: fastest early in a stream — a whole-stream chunk screened once
+#: against level-0 gaps flags *every* position — while per-block
+#: refreshes let the screen tighten as the levels rise.
+_SCREEN_BLOCK = 1024
+
+
+def absorb_chunk(
+    sketches: Sequence[PStableFpEstimator],
+    chunk: np.ndarray,
+    audit: ChunkAudit,
+) -> None:
+    """Absorb a chunk's arrivals into every sketch of ``sketches``.
+
+    The sketches must share one :class:`VariateTable` and one
+    ``morris_a`` (a lone sketch, or an entropy estimator's node
+    sketches); each consumes its own coins.  Writes are charged to
+    ``audit`` at their chunk positions, so a position is dirty iff any
+    sketch mutated on that arrival.
+    """
+    for start in range(0, len(chunk), _SCREEN_BLOCK):
+        _absorb_block(
+            sketches, chunk[start:start + _SCREEN_BLOCK], audit, start
+        )
+
+
+def _absorb_block(
+    sketches: Sequence[PStableFpEstimator],
+    chunk: np.ndarray,
+    audit: ChunkAudit,
+    offset: int,
+) -> None:
+    """One screening block of the chunk kernel, settled in waves.
+
+    The screen against block-start gaps is conservative: the climb
+    condition ``(w >= gap) | (u * gap < w)`` is monotone decreasing in
+    the level, and levels only rise mid-block, so an unflagged cell
+    stays a no-op under any later levels.  Each sketch has ``2 * rows``
+    (row, sign) counters, numbered ``sketch * 2 * rows + counter``
+    across the set; they are independent — each cell feeds exactly one
+    of them — so only flagged *cells* settle: sorted by (counter,
+    position), wave ``k`` steps the ``k``-th flagged cell of every
+    counter at once through the lane-wise :func:`weighted_morris_step`
+    (each counter sees the same steps in the same order as it would
+    alone), and each changed cell is charged at its own position.
+    """
+    first = sketches[0]
+    table, a, rows = first._table, first.morris_a, first.num_rows
+    width = 2 * rows
+    n = len(chunk)
+    uniq, inverse = np.unique(chunk, return_inverse=True)
+    slots = np.asarray(table.slots(uniq.tolist()), dtype=np.intp)[inverse]
+    uniforms = np.empty((len(sketches), n, rows))
+    variates = np.empty((len(sketches), n, rows))
+    for index, sketch in enumerate(sketches):
+        t0 = sketch._updates
+        sketch._updates = t0 + n
+        uniforms[index] = sketch._coins.uniform_block(
+            t0 * rows, n * rows
+        ).reshape(n, rows)
+        np.take(table.columns(sketch.p), slots, axis=0, out=variates[index])
+    magnitudes = np.abs(variates)
+    negative = variates < 0.0
+    # Counter c of sketch s is row c's positive half when c < rows and
+    # row (c - rows)'s negative half otherwise; its number is
+    # s * width + c.
+    levels = np.concatenate(
+        [
+            half
+            for sketch in sketches
+            for half in (sketch._pos_levels, sketch._neg_levels)
+        ]
+    )
+    gaps = np.power(1.0 + a, levels.astype(np.float64)).reshape(
+        len(sketches), 2, 1, rows
+    )
+    gaps = np.where(negative, gaps[:, 1], gaps[:, 0])
+    flagged = (magnitudes >= gaps) | (uniforms * gaps < magnitudes)
+    which, local, row = np.nonzero(flagged)  # sketch-, then position-major
+    if len(local) == 0:
+        return
+    cells = which * width + row + rows * negative[which, local, row]
+    # Stable sorts: by counter (positions stay ascending), then by
+    # each cell's rank among its counter's cells — its wave.
+    order = np.argsort(cells, kind="stable")
+    grouped = cells[order]
+    firsts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    wave = np.arange(len(cells)) - np.repeat(
+        firsts, np.diff(np.r_[firsts, len(cells)])
+    )
+    order = order[np.argsort(wave, kind="stable")]
+    which, local, row = which[order], local[order], row[order]
+    cells = cells[order]
+    weights = magnitudes[which, local, row]
+    coins = uniforms[which, local, row]
+    positions = local + offset
+    moved_cells, moved_positions = [], []
+    bounds = np.r_[0, np.cumsum(np.bincount(wave))].tolist()
+    for low, high in zip(bounds, bounds[1:]):
+        counter = cells[low:high]
+        before = levels[counter]
+        after = weighted_morris_step(
+            a, before, weights[low:high], coins[low:high]
+        )
+        moved = np.flatnonzero(after != before)
+        if len(moved) == 0:
+            continue
+        levels[counter[moved]] = after[moved]
+        moved_cells.append(counter[moved])
+        moved_positions.append(positions[low:high][moved])
+    if moved_cells:
+        audit.write_many(
+            np.concatenate(moved_positions),
+            np.concatenate(moved_cells) % width,
+            lambda c: (
+                f"pstable.pos[{c}]" if c < rows else f"pstable.neg[{c - rows}]"
+            ),
+        )
+    for index, sketch in enumerate(sketches):
+        base = index * width
+        sketch._pos_levels = levels[base:base + rows]
+        sketch._neg_levels = levels[base + rows:base + width]

@@ -18,6 +18,14 @@ can re-derive any single coin on demand.  Both see bit-identical
 values by construction, which is what the chunked ≡ scalar contract
 of the v2 kernels rests on.
 
+Streams own no generator: each thread keeps one ``Philox`` and every
+read re-points it at ``(key, block)`` by assigning its ``state`` —
+exactly the state a fresh ``Philox(key=, counter=)`` starts in, so
+the words are the same, without the per-read construction (and its
+discarded OS-entropy ``SeedSequence``).  Being thread-local, the
+generator is never shared by two threads; a forked worker inherits
+its parent's copy and re-points it like any other read.
+
 Uniforms use the standard 53-bit construction ``(word >> 11) * 2**-53``
 (the same mapping ``numpy.random.Generator.random`` applies), so every
 draw lies in ``[0, 1)``.
@@ -26,6 +34,7 @@ draw lies in ``[0, 1)``.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 
@@ -36,7 +45,7 @@ _SCALE = 2.0**-53
 #: Read-ahead on cache misses: the first miss fetches ``_FIRST_BLOCK``
 #: words and each further miss doubles that, up to ``_BLOCK``.
 #: Sequential consumers (the scalar v2 paths walk their indices in
-#: order) amortize one Philox construction over up to ``_BLOCK`` draws,
+#: order) re-point the generator once per up to ``_BLOCK`` draws,
 #: while a stream touched at a few low indices -- a held Morris
 #: counter's level coins -- keeps a cache of ``_FIRST_BLOCK`` words.
 _FIRST_BLOCK = 16
@@ -44,22 +53,32 @@ _BLOCK = 256
 
 _MASK64 = (1 << 64) - 1
 
+#: The rest of a fresh ``Philox``'s state: an empty output buffer, so
+#: the first read increments the counter and fills it.
+_EMPTY_BUFFER = (0, 0, 0, 0)
 
-def stream_key(seed: int, label: str) -> np.ndarray:
-    """The 128-bit Philox key of stream ``label`` under ``seed``.
+#: One re-pointed generator per thread (see the module docstring).
+_local = threading.local()
+
+
+def _generator() -> np.random.Philox:
+    """This thread's generator, built on its first read."""
+    generator = getattr(_local, "philox", None)
+    if generator is None:
+        generator = _local.philox = np.random.Philox(key=0)
+    return generator
+
+
+def stream_key(seed: int, label: str) -> tuple[int, int]:
+    """The 128-bit Philox key of stream ``label`` under ``seed``, as
+    its two 64-bit words.
 
     Word 0 is the seed; word 1 hashes the label, so distinct labels
     under one seed (and one label under distinct seeds) yield
     independent streams.
     """
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
-    return np.array(
-        [
-            np.uint64(int(seed) & _MASK64),
-            np.uint64(int.from_bytes(digest, "big")),
-        ],
-        dtype=np.uint64,
-    )
+    return (int(seed) & _MASK64, int.from_bytes(digest, "big"))
 
 
 class PhiloxCoins:
@@ -69,17 +88,18 @@ class PhiloxCoins:
     functions of the construction arguments — the instance carries a
     read-ahead cache but no behavioural state, so nothing here needs
     serializing: a restored sketch rebuilds its streams from
-    ``(seed, label)`` alone and sees the same coins.
+    ``(seed, label)`` alone and sees the same coins.  The cache is one
+    ``(start, uniforms)`` pair swapped in whole, so threads reading one
+    stream at once see the same values as a serial reader.
     """
 
-    __slots__ = ("seed", "label", "_key", "_cache_start", "_cache", "_ahead")
+    __slots__ = ("seed", "label", "_key", "_cache", "_ahead")
 
     def __init__(self, seed: int | None, label: str) -> None:
         self.seed = 0 if seed is None else int(seed)
         self.label = label
         self._key = stream_key(self.seed, label)
-        self._cache_start = 0
-        self._cache: np.ndarray | None = None
+        self._cache: tuple[int, np.ndarray] | None = None
         self._ahead = _FIRST_BLOCK
 
     def _raw(self, start: int, count: int) -> np.ndarray:
@@ -90,9 +110,16 @@ class PhiloxCoins:
         block ``start // 4``.
         """
         block, offset = divmod(int(start), 4)
-        bits = np.random.Philox(
-            key=self._key, counter=[block, 0, 0, 0]
-        ).random_raw(offset + count)
+        generator = _generator()
+        generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (block, 0, 0, 0), "key": self._key},
+            "buffer": _EMPTY_BUFFER,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        bits = generator.random_raw(offset + count)
         return bits[offset:] if offset else bits
 
     def uniform_block(self, start: int, count: int) -> np.ndarray:
@@ -102,20 +129,18 @@ class PhiloxCoins:
         read-only.
         """
         cache = self._cache
-        if (
-            cache is not None
-            and self._cache_start <= start
-            and start + count <= self._cache_start + len(cache)
-        ):
-            lo = start - self._cache_start
-            return cache[lo : lo + count]
+        if cache is not None:
+            cache_start, cached = cache
+            lo = start - cache_start
+            if 0 <= lo and lo + count <= len(cached):
+                return cached[lo : lo + count]
         ahead = self._ahead
         if ahead < _BLOCK:
             self._ahead = 2 * ahead
         words = self._raw(start, max(count, ahead))
-        self._cache = (words >> np.uint64(11)) * _SCALE
-        self._cache_start = start
-        return self._cache[:count]
+        uniforms = (words >> np.uint64(11)) * _SCALE
+        self._cache = (start, uniforms)
+        return uniforms[:count]
 
     def uniform(self, index: int) -> float:
         """The single uniform draw at ``index``."""

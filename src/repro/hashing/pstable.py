@@ -105,6 +105,29 @@ class DerandomizedStable:
         return sample_pstable(self.p, theta, r)
 
 
+#: Samples per :func:`cms_transform` call when evaluating the scale
+#: constants: the transform's temporaries stay this size instead of
+#: the whole sample's.
+_TRANSFORM_BLOCK = 1 << 16
+
+
+def _abs_stable_samples(p: float, num_samples: int, seed: int) -> np.ndarray:
+    """``|X|`` for ``num_samples`` fixed-seed draws ``X ~ D_p``.
+
+    The same values as ``np.abs(sample_pstable_array(p, num_samples,
+    default_rng(seed)))`` — the transform is elementwise — but written
+    block by block into the ``theta`` buffer, so the only full-size
+    arrays are the two uniform draws.
+    """
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-_HALF_PI, _HALF_PI, num_samples)
+    r = rng.uniform(0.0, 1.0, num_samples)
+    for low in range(0, num_samples, _TRANSFORM_BLOCK):
+        high = low + _TRANSFORM_BLOCK
+        theta[low:high] = cms_transform(p, theta[low:high], r[low:high])
+    return np.abs(theta, out=theta)
+
+
 @functools.lru_cache(maxsize=64)
 def stable_abs_median(p: float, num_samples: int = 400_000) -> float:
     """Median of ``|X|`` for ``X ~ D_p`` (the Indyk estimator's scale).
@@ -118,9 +141,8 @@ def stable_abs_median(p: float, num_samples: int = 400_000) -> float:
     if p == 2.0:
         # |N(0, sqrt(2))| median: sqrt(2) * Phi^{-1}(0.75).
         return math.sqrt(2.0) * 0.6744897501960817
-    rng = np.random.default_rng(0xC0FFEE)
-    draws = np.abs(sample_pstable_array(p, num_samples, rng))
-    return float(np.median(draws))
+    draws = _abs_stable_samples(p, num_samples, 0xC0FFEE)
+    return float(np.median(draws, overwrite_input=True))
 
 
 @functools.lru_cache(maxsize=64)
@@ -136,8 +158,6 @@ def stable_log_abs_mean(p: float, num_samples: int = 2_000_000) -> float:
     """
     if not 0.0 < p <= 2.0:
         raise ValueError(f"stability index p must be in (0, 2]: {p}")
-    rng = np.random.default_rng(0xABCDE)
-    theta = rng.uniform(-_HALF_PI, _HALF_PI, num_samples)
-    r = rng.uniform(0.0, 1.0, num_samples)
-    draws = np.abs(cms_transform(p, theta, r))
-    return float(np.mean(np.log(draws + 1e-300)))
+    draws = _abs_stable_samples(p, num_samples, 0xABCDE)
+    draws += 1e-300
+    return float(np.mean(np.log(draws, out=draws)))

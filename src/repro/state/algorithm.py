@@ -52,7 +52,7 @@ from __future__ import annotations
 import abc
 import copy
 import random
-from typing import Any, ClassVar, Iterable
+from typing import Any, Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -118,6 +118,30 @@ class ChunkAudit:
             cells = self.cells
             if cells is not None:
                 cells[cell_id] = cells.get(cell_id, 0) + 1
+
+    def write_many(
+        self,
+        positions: np.ndarray,
+        cells: np.ndarray,
+        label: Callable[[int], str],
+    ) -> None:
+        """One mutating write per entry: cell number ``cells[i]`` at
+        chunk position ``positions[i]``.
+
+        ``label`` turns a cell number into its cell id; it is called
+        once per distinct cell, and only when the backend needs cell
+        ids.
+        """
+        count = len(positions)
+        self.attempts += count
+        self.writes += count
+        self.dirty[positions] = True
+        histogram = self.cells
+        if histogram is not None:
+            numbers, counts = np.unique(cells, return_counts=True)
+            for number, times in zip(numbers.tolist(), counts.tolist()):
+                cell_id = label(number)
+                histogram[cell_id] = histogram.get(cell_id, 0) + times
 
     def mark(self, position: int) -> None:
         """Structural mutation (no single-cell identity) at ``position``."""

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro import registry
 from repro.api import Engine
+from repro.core import fp_pstable
 from repro.core.sample_and_hold import SampleAndHold
 from repro.query import (
     AllEstimates,
@@ -333,6 +334,67 @@ class TestSampleAndHoldPrunes:
         assert sum(leaf.num_prunes for leaf in sample_and_hold_leaves(sketch)) > 0
         if size < PRUNE_M:  # nothing is held when the first chunk starts
             assert evicted_inside > 0
+
+
+WAVE_N, WAVE_M = 512, 20_000
+WAVE_ARR = _zipf_draws(WAVE_N, WAVE_M, 1.1, 3)
+_WAVE_REFERENCE: dict = {}
+
+
+def build_waves(name: str, mode: str):
+    return registry.create(
+        name, n=WAVE_N, m=WAVE_M, epsilon=1.0, seed=3,
+        tracker=make_tracker(mode),
+    )
+
+
+def wave_fingerprint(sketch) -> tuple:
+    """:func:`fingerprint` plus the p-stable levels and update counts
+    (the entropy estimator itself has no serialization hooks)."""
+    nodes = getattr(sketch, "_sketches", [sketch])
+    return fingerprint(sketch) + (
+        [json.dumps(node._payload_state()) for node in nodes],
+    )
+
+
+class TestPStableWavesAtScale:
+    """The p-stable wave settle on a stream long enough for blocks to
+    settle several waves (the 240-item sweeps above rarely get past
+    one): entropy's node sketches settle as one set, pstable-fp alone,
+    and both match the scalar loop bit for bit at every chunk size."""
+
+    @pytest.mark.parametrize("mode", ["aggregate", "trace"])
+    @pytest.mark.parametrize("size", [1, 37, 1024, 4096, WAVE_M])
+    @pytest.mark.parametrize("name", ["entropy", "pstable-fp"])
+    def test_chunked_equals_scalar(self, monkeypatch, name, size, mode):
+        key = (name, mode)
+        if key not in _WAVE_REFERENCE:
+            scalar = build_waves(name, mode)
+            scalar.process_many(WAVE_ARR.tolist())
+            _WAVE_REFERENCE[key] = wave_fingerprint(scalar)
+
+        # Waves settled per screening block.
+        waves: list[int] = []
+        absorb_block = fp_pstable._absorb_block
+        step = fp_pstable.weighted_morris_step
+
+        def counting_block(*args):
+            waves.append(0)
+            absorb_block(*args)
+
+        def counting_step(*args):
+            waves[-1] += 1
+            return step(*args)
+
+        monkeypatch.setattr(fp_pstable, "_absorb_block", counting_block)
+        monkeypatch.setattr(fp_pstable, "weighted_morris_step", counting_step)
+        sketch = build_waves(name, mode)
+        for low in range(0, WAVE_M, size):
+            sketch.process_chunk(WAVE_ARR[low:low + size])
+
+        assert wave_fingerprint(sketch) == _WAVE_REFERENCE[key]
+        if size > 1:  # a one-item block settles at most one wave
+            assert max(waves) >= 2
 
 
 class TestBudgetChunkBoundaries:

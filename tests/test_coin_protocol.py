@@ -23,6 +23,9 @@ restore.
 
 import hashlib
 import json
+import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,8 @@ import pytest
 
 from repro import registry
 from repro.api import Engine
-from repro.hashing.coins import PhiloxCoins
+from repro.hashing import coins as coins_module
+from repro.hashing.coins import PhiloxCoins, stream_key
 from repro.query import (
     AllEstimates,
     Distinct,
@@ -181,7 +185,105 @@ class TestReadAhead:
         coins = PhiloxCoins(9, "golden")
         for level in range(1, 6):
             coins.uniform(level)
-        assert len(coins._cache) <= 16
+        assert len(coins._cache[1]) <= 16
+
+
+def _fresh_words(seed: int, label: str, start: int, count: int):
+    """Raw words at ``[start, start+count)`` from a freshly built Philox."""
+    block, offset = divmod(start, 4)
+    return np.random.Philox(
+        key=np.array(stream_key(seed, label), dtype=np.uint64),
+        counter=[block, 0, 0, 0],
+    ).random_raw(offset + count)[offset:]
+
+
+def _fresh_uniforms(seed: int, label: str, start: int, count: int):
+    words = _fresh_words(seed, label, start, count)
+    return ((words >> np.uint64(11)) * 2.0**-53).tolist()
+
+
+class TestOneGeneratorPerThread:
+    """Streams re-point one per-thread generator instead of building
+    one per read; the words are those of a freshly built Philox."""
+
+    @pytest.mark.parametrize(
+        "start",
+        [0, 1, 2, 3, 4, 7, 1001, 2**40 + 1, 2**40 + 2, 2**40 + 7, 2**50 + 3],
+    )
+    def test_raw_matches_a_freshly_built_philox(self, start):
+        assert PhiloxCoins(9, "golden")._raw(start, 11).tolist() == (
+            _fresh_words(9, "golden", start, 11).tolist()
+        )
+
+    def test_first_reads_build_one_generator_per_thread(self, monkeypatch):
+        built = Counter()
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built[threading.get_ident()] += 1
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(coins_module, "_local", threading.local())
+
+        def first_reads():
+            for i in range(1000):
+                PhiloxCoins(i, f"fresh.{i}").uniform(i % 9)
+
+        first_reads()
+        worker = threading.Thread(target=first_reads)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert sorted(built.values()) == [1, 1]
+
+    def test_concurrent_reads_match_a_serial_run(self):
+        """More threads than cores, switching often, draw scattered
+        blocks from their own streams and from one shared stream.  The
+        indices stay within a few read-aheads of each other, so reads
+        hit caches that other threads keep refilling."""
+        threads, reads = 6, 400
+        shared = PhiloxCoins(9, "shared")
+        own = [PhiloxCoins(9, f"own.{t}") for t in range(threads)]
+        plans = [
+            [
+                (bool(rng.integers(2)), int(rng.integers(0, 2048)),
+                 int(rng.integers(1, 64)))
+                for _ in range(reads)
+            ]
+            for rng in (np.random.default_rng(t) for t in range(threads))
+        ]
+        seen: list[list] = [[] for _ in range(threads)]
+
+        def draw(t: int) -> None:
+            for use_shared, start, count in plans[t]:
+                coins = shared if use_shared else own[t]
+                seen[t].append(coins.uniform_block(start, count).tolist())
+                seen[t].append(coins.uniform(start + count // 2))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=draw, args=(t,))
+                for t in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for t in range(threads):
+            expected = []
+            for use_shared, start, count in plans[t]:
+                label = "shared" if use_shared else f"own.{t}"
+                expected.append(_fresh_uniforms(9, label, start, count))
+                expected.append(
+                    _fresh_uniforms(9, label, start + count // 2, 1)[0]
+                )
+            assert seen[t] == expected
 
 
 class TestProtocolPlumbing:

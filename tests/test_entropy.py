@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.entropy import (
@@ -114,6 +115,28 @@ class TestPStableBackend:
         algo = EntropyEstimator(m=m, k=2, node_width=0.4, num_rows=30, seed=4)
         algo.process_stream(uniform_stream(n, m, seed=4))
         assert algo.state_changes < m
+
+
+class TestSharedVariates:
+    def test_node_sketches_draw_each_item_once(self, monkeypatch):
+        """The node sketches share one variate table, so a chunk draws
+        each distinct item's uniforms once (not once per node)."""
+        algo = EntropyEstimator(m=4096, epsilon=0.5, seed=6)
+        table = algo._sketches[0]._table
+        assert all(sketch._table is table for sketch in algo._sketches)
+        seeded = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed=None):
+            seeded.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        chunk = np.random.RandomState(6).zipf(1.3, 3000) % 700
+        algo.process_chunk(chunk)
+        distinct = set(chunk.tolist())
+        assert len(seeded) == len(distinct)
+        assert set(table._slots) == distinct
 
 
 class TestValidation:

@@ -1,8 +1,13 @@
 """Tests for the p-stable Morris-counter Fp estimator (Theorem 3.2)."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.core.fp_pstable import PStableFpEstimator
+from repro.core.entropy import EntropyEstimator
+from repro.core.fp_pstable import PStableFpEstimator, VariateTable
+from repro.hashing.pstable import cms_transform
 from repro.streams import FrequencyVector, uniform_stream, zipf_stream
 
 
@@ -94,6 +99,59 @@ class TestCoordinates:
     def test_variates_deterministic(self):
         algo = PStableFpEstimator(p=0.5, num_rows=9, seed=9)
         first = algo._variates(42).copy()
-        algo._variate_cache.clear()
+        algo._table.reset()
         second = algo._variates(42)
         assert first.tolist() == second.tolist()
+
+
+#: The entropy estimator's node orders (paper-batch geometry) plus a
+#: few orders of Theorem 3.2's range, Cauchy included.
+ORDERS = tuple(EntropyEstimator(m=65_536, epsilon=0.5).nodes) + (0.5, 1.0, 1.5)
+
+
+def reference_column(seed: int, item: int, rows: int, p: float) -> list:
+    """Column ``D[:, item]`` from its own generator and one transform."""
+    gen = np.random.default_rng(hash((seed, item)) & 0x7FFFFFFF)
+    theta = gen.uniform(-math.pi / 2.0, math.pi / 2.0, rows)
+    r = gen.uniform(0.0, 1.0, rows)
+    return cms_transform(p, theta, r).tolist()
+
+
+class TestVariateTable:
+    def test_columns_match_per_item_draws(self):
+        rows = 20
+        table = VariateTable(7, rows, ORDERS)
+        items = np.random.default_rng(1).choice(10**6, 1200, replace=False)
+        slots = []
+        # Uneven batches: storage grows by doubling in between.
+        for batch in np.split(items, [1, 9, 300, 1000]):
+            slots += table.slots(batch.tolist())
+        assert len(table._slots) == len(items)
+        for p in ORDERS:
+            columns = table.columns(p)
+            for item, slot in zip(items.tolist(), slots):
+                assert columns[slot].tolist() == reference_column(
+                    7, item, rows, p
+                )
+
+    def test_known_items_keep_their_slots(self):
+        table = VariateTable(3, 5, (0.5,))
+        first = table.slots([10, 11, 12])
+        assert table.slots([12, 10, 99]) == [first[2], first[0], 3]
+        assert len(table._slots) == 4
+
+    def test_starts_over_past_capacity_with_identical_columns(self):
+        rows = 4
+        table = VariateTable(5, rows, (0.5, 1.0))
+        for low in range(0, VariateTable.CAPACITY, 1024):
+            table.slots(list(range(low, low + 1024)))
+        assert len(table._slots) == VariateTable.CAPACITY
+        before = {p: table.columns(p)[:3].copy() for p in (0.5, 1.0)}
+        slots = table.slots([10**6, 0, 1, 2])  # one new item: full
+        assert sorted(table._slots) == [0, 1, 2, 10**6]
+        for p in (0.5, 1.0):
+            columns = table.columns(p)
+            assert columns[slots[1:]].tolist() == before[p].tolist()
+            assert columns[slots[0]].tolist() == reference_column(
+                5, 10**6, rows, p
+            )

@@ -11,6 +11,8 @@ from repro.hashing import (
     sample_pstable_array,
     stable_abs_median,
 )
+from repro.hashing import pstable
+from repro.hashing.pstable import cms_transform, stable_log_abs_mean
 
 
 class TestSamplePStable:
@@ -57,6 +59,30 @@ class TestStableAbsMedian:
     def test_monte_carlo_case_reproducible(self):
         assert stable_abs_median(0.5) == stable_abs_median(0.5)
         assert stable_abs_median(0.5) > 0
+
+
+class TestScaleConstantsInPlace:
+    """The constants transform block by block in place; the values
+    (and ``np.mean``'s pairwise sum) equal the one-shot formulas."""
+
+    #: Several whole transform blocks plus a partial one.
+    SAMPLES = 3 * pstable._TRANSFORM_BLOCK + 1234
+
+    @pytest.mark.parametrize("p", [0.5, 0.93, 1.0, 1.07, 1.5])
+    def test_log_abs_mean_equals_one_shot(self, p):
+        rng = np.random.default_rng(0xABCDE)
+        theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0, self.SAMPLES)
+        r = rng.uniform(0.0, 1.0, self.SAMPLES)
+        draws = np.abs(cms_transform(p, theta, r))
+        expected = float(np.mean(np.log(draws + 1e-300)))
+        assert stable_log_abs_mean(p, self.SAMPLES) == expected
+
+    @pytest.mark.parametrize("p", [0.5, 0.93, 1.07, 1.5])
+    def test_abs_median_equals_one_shot(self, p):
+        rng = np.random.default_rng(0xC0FFEE)
+        draws = np.abs(sample_pstable_array(p, self.SAMPLES, rng))
+        expected = float(np.median(draws))
+        assert stable_abs_median(p, self.SAMPLES) == expected
 
 
 class TestDerandomizedStable:
