@@ -1,12 +1,15 @@
 """Coin-protocol contract tests: golden fixtures and plumbing.
 
-Two things are frozen against committed JSON (``tests/data/golden_v1.json``):
+Three things are frozen against committed JSON (``tests/data/golden_v1.json``):
 
 * **v1 run fingerprints** for the five randomized families.  v1 draws
   its coins from a shared sequential ``random.Random``, so any change
   to construction order, draw order, or seeding silently corrupts
   every pre-v2 snapshot on restore.  These fingerprints pin the exact
   sequences.
+* **v2 run fingerprints** for all seven coin families (the composites
+  heavy-hitters and adaptive-sample-and-hold included), on the same
+  stream, seed and trace backend as the v1 section.
 * **Raw v2 Philox draws.**  Under v2 every coin is a pure function of
   ``(seed, stream label, index)``; the sampled values must never
   change, or v2 snapshots (which store no RNG state at all) break.
@@ -18,7 +21,9 @@ Regenerate — only after an *intentional* protocol change — with::
 
 The rest of the module covers the ``coin_protocol`` plumbing through
 the registry, the sharded runtime, the Engine, and legacy-snapshot
-restore.
+restore.  ``tests/data/v2_snapshots.json`` holds v2 snapshots written
+by an earlier version of the code; it is a compatibility artifact and is
+never regenerated.
 """
 
 import hashlib
@@ -49,6 +54,7 @@ from repro.state.tracker import make_tracker
 from repro.streams.generators import _zipf_draws
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_v1.json"
+SNAPSHOT_PATH = Path(__file__).parent / "data" / "v2_snapshots.json"
 
 N, M = 64, 240
 ARR = _zipf_draws(N, M, 1.1, 5)
@@ -63,6 +69,20 @@ FAMILIES = (
     "sample-and-hold",
 )
 
+#: Every family that draws coins, composites included.
+V2_FAMILIES = (
+    "adaptive-sample-and-hold",
+    "count-min-morris",
+    "entropy",
+    "heavy-hitters",
+    "pstable-fp",
+    "reservoir",
+    "sample-and-hold",
+)
+
+#: The coin families with serialization hooks.
+SERIALIZABLE = ("count-min-morris", "pstable-fp")
+
 _QUERY_FOR_KIND = {
     QueryKind.POINT: lambda: PointQuery(1),
     QueryKind.ALL_ESTIMATES: AllEstimates,
@@ -73,11 +93,11 @@ _QUERY_FOR_KIND = {
 }
 
 
-def _family_fingerprint(name: str) -> dict:
-    """JSON-stable observables of one v1 run on the pinned stream."""
+def _family_fingerprint(name: str, **coin) -> dict:
+    """JSON-stable observables of one run on the pinned stream."""
     sketch = registry.create(
         name, n=N, m=M, epsilon=0.3, seed=9,
-        tracker=make_tracker("trace"), coin_protocol="v1",
+        tracker=make_tracker("trace"), **coin,
     )
     sketch.process_many(ARR.tolist())
     report = sketch.report()
@@ -120,7 +140,11 @@ def _philox_samples() -> dict:
 def _compute_golden() -> dict:
     return {
         "philox": _philox_samples(),
-        "v1": {name: _family_fingerprint(name) for name in FAMILIES},
+        "v1": {
+            name: _family_fingerprint(name, coin_protocol="v1")
+            for name in FAMILIES
+        },
+        "v2": {name: _family_fingerprint(name) for name in V2_FAMILIES},
     }
 
 
@@ -140,7 +164,14 @@ def golden() -> dict:
 class TestGoldenFixtures:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_v1_sequences_are_frozen(self, golden, name):
-        assert _family_fingerprint(name) == golden["v1"][name]
+        assert (
+            _family_fingerprint(name, coin_protocol="v1")
+            == golden["v1"][name]
+        )
+
+    @pytest.mark.parametrize("name", V2_FAMILIES)
+    def test_v2_runs_are_frozen(self, golden, name):
+        assert _family_fingerprint(name) == golden["v2"][name]
 
     def test_philox_draws_are_frozen(self, golden):
         assert _philox_samples() == golden["philox"]
@@ -352,6 +383,20 @@ class TestLegacySnapshots:
         assert json.dumps(
             restored.to_state()["payload"], sort_keys=True
         ) == json.dumps(sketch.to_state()["payload"], sort_keys=True)
+
+    @pytest.mark.parametrize("name", SERIALIZABLE)
+    def test_committed_v2_snapshot_restores_and_resumes(self, name):
+        committed = json.loads(SNAPSHOT_PATH.read_text())[name]
+        sketch = registry.create(name, n=N, m=M, epsilon=0.3, seed=9)
+        sketch.process_many(ARR[:100].tolist())
+        # A snapshot written today is byte-identical to the committed one.
+        assert json.dumps(sketch.to_state()) == json.dumps(committed)
+        restored = type(sketch).from_state(committed)
+        restored.process_chunk(ARR[100:])
+        sketch.process_many(ARR[100:].tolist())
+        assert json.dumps(restored.to_state()) == json.dumps(
+            sketch.to_state()
+        )
 
     @pytest.mark.parametrize("name", ["count-min-morris", "pstable-fp"])
     def test_v2_snapshots_round_trip(self, name):
