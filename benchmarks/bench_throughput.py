@@ -16,9 +16,9 @@ including an unlimited ``BudgetBackend`` — reports the identical
 state-change audit while the aggregate path clears a >= 1.5x geometric-
 mean ingest speedup across the representative families.
 
-The randomized section times the coin-protocol-v2 vectorized kernels
-(index-addressable Philox coins + geometric skip-sampling) against the
-scalar per-coin loop for the randomized families, asserting the
+The randomized section times the vectorized kernels (index-addressable
+Philox coins + geometric skip-sampling) against the scalar per-coin
+loop for the randomized families, asserting the
 protocol's bit-identity contract and a >= 3x geometric-mean speedup;
 its ``BENCH_randomized_throughput.json`` trend file is committed to
 the repo so the trajectory is visible in-tree.
@@ -69,8 +69,8 @@ VECTORIZED_SKETCHES = ("count-min", "count-sketch", "kmv", "exact")
 #: depends on how often the tracked set churns under the workload.
 PREPASS_SKETCHES = ("misra-gries", "space-saving")
 
-#: The randomized families with coin-protocol-v2 vectorized kernels
-#: (index-addressable Philox coins + geometric skip-sampling).  The
+#: The randomized families with vectorized kernels (index-addressable
+#: Philox coins + geometric skip-sampling).  The
 #: >= 3x geomean gate applies across the set.  The sample-and-hold
 #: stack (sample-and-hold, heavy-hitters, adaptive-sample-and-hold)
 #: gains least: every admission and prune still settles one by one,
@@ -384,11 +384,9 @@ def run_randomized_throughput(
     chunk_size: int = 8192,
     sketches: tuple[str, ...] = RANDOMIZED_SKETCHES,
 ) -> dict:
-    """Coin-protocol-v2 chunked vs scalar ingest for the randomized
-    families.
+    """Chunked vs scalar ingest for the randomized families.
 
-    Both arms run under ``coin_protocol="v2"`` on the aggregate
-    backend: the scalar arm draws each coin one index at a time
+    Both arms run on the aggregate backend: the scalar arm draws each coin one index at a time
     through ``process_many``, the chunked arm runs the vectorized
     kernels (Philox block draws + geometric skip-sampling) through
     ``process_chunk``.  Alongside the timings the run cross-checks the
@@ -405,7 +403,7 @@ def run_randomized_throughput(
         for _ in range(repeats):
             scalar = registry.create(
                 name, n=n, m=m, epsilon=epsilon, seed=seed,
-                tracker=make_tracker("aggregate"), coin_protocol="v2",
+                tracker=make_tracker("aggregate"),
             )
             start = time.perf_counter()
             scalar.process_many(items)
@@ -415,7 +413,7 @@ def run_randomized_throughput(
 
             chunked = registry.create(
                 name, n=n, m=m, epsilon=epsilon, seed=seed,
-                tracker=make_tracker("aggregate"), coin_protocol="v2",
+                tracker=make_tracker("aggregate"),
             )
             start = time.perf_counter()
             for chunk in stream.chunks(chunk_size):

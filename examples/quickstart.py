@@ -92,26 +92,19 @@ def main() -> None:
     print(f"  identical audit at 64-item chunks: "
           f"{wide.audit.state_changes} state changes either way\n")
 
-    # --- coin protocol v2: vectorized randomized families ------------
-    # Under the default v2 protocol every coin is a pure function of
-    # (seed, stream label, update index), so the randomized families
-    # ingest chunks through vectorized kernels too — geometric
-    # skip-sampling climbs a Morris counter over a whole chunk in one
-    # step.  coin_protocol="v1" keeps the historical sequential-RNG
-    # path (and the scalar loop) for old snapshots.
-    import time
-
-    for proto in ("v1", "v2"):
-        t0 = time.perf_counter()
-        run = Engine("pstable-fp", n=N, m=M, epsilon=0.5, seed=7,
-                     coin_protocol=proto).run(
-            workload="zipf", chunk_size=1 << 14, queries=[],
-        )
-        elapsed = time.perf_counter() - t0
-        print(f"pstable-fp under coin protocol {proto}: "
-              f"{run.audit.state_changes} state changes, "
-              f"{elapsed:.2f}s ingest")
-    print("  (v2 vectorizes the coins; v1 replays the sequential RNG)\n")
+    # --- indexed coins: vectorized randomized families ---------------
+    # Every coin is a pure function of (seed, stream label, update
+    # index), so the randomized families ingest chunks through
+    # vectorized kernels too — geometric skip-sampling climbs a Morris
+    # counter over a whole chunk in one step — and no chunking can
+    # change a single coin.
+    pstable = Engine("pstable-fp", n=N, m=M, epsilon=0.5, seed=7)
+    big = pstable.run(workload="zipf", chunk_size=1 << 14)
+    small = pstable.run(workload="zipf", chunk_size=512)
+    assert big.audit == small.audit and big.answers == small.answers
+    print(f"pstable-fp on indexed coins: {big.audit.state_changes} "
+          f"state changes and the same F1 estimate at 16384- and "
+          f"512-item chunks\n")
 
     # --- enforced write budgets --------------------------------------
     # The lower-bound cost measure as a runtime contract: cap the

@@ -73,7 +73,7 @@ from repro.query import (
 )
 from repro.runtime.parallel import resolve_start_method
 from repro.runtime.sharded import ShardedRunner
-from repro.state.algorithm import Sketch
+from repro.state.algorithm import Sketch, check_coin_protocol
 from repro.state.budget import BudgetReport, WriteBudget
 from repro.state.report import StateChangeReport
 from repro.state.tracker import TRACKING_MODES, BudgetBackend
@@ -209,11 +209,11 @@ class Engine:
         thread-safety policy of
         :func:`~repro.runtime.parallel.resolve_start_method`.
     coin_protocol:
-        ``"v1"`` (sequential RNG) or ``"v2"`` (indexed Philox coins,
-        the randomized families' default) — forwarded to every shard's
-        factory.  ``None`` keeps each sketch's default; a non-``None``
-        value on a coin-free sketch raises at construction (see
-        :func:`repro.registry.create`).
+        Optional check of the coin protocol (see
+        :data:`~repro.state.algorithm.COIN_PROTOCOL`): ``"v2"``, the
+        only one, is accepted for sketches that draw coins; ``"v1"``
+        was retired and raises, as does any value on a coin-free
+        sketch.  ``None`` skips the check.
     """
 
     def __init__(
@@ -234,13 +234,13 @@ class Engine:
         self.spec = registry.spec(sketch)
         if shards < 1:
             raise ValueError(f"need at least one shard: {shards}")
-        if coin_protocol is not None and (
-            sketch not in registry.COIN_PROTOCOL_AWARE
-        ):
-            raise ValueError(
-                f"{sketch!r} has no coin protocol; coin_protocol= "
-                f"applies to {sorted(registry.COIN_PROTOCOL_AWARE)}"
-            )
+        if coin_protocol is not None:
+            if not self.spec.cls.draws_coins:
+                raise ValueError(
+                    f"{sketch!r} has no coin protocol; coin_protocol= "
+                    f"applies only to sketches that draw coins"
+                )
+            check_coin_protocol(coin_protocol, f"Engine({sketch!r})")
         if executor not in ("serial", "thread", "process"):
             raise ValueError(
                 f"unknown executor {executor!r}; "
@@ -275,7 +275,6 @@ class Engine:
         self.partition = partition
         self.executor = executor
         self.max_workers = max_workers
-        self.coin_protocol = coin_protocol
         self.start_method = start_method
         self._merged: Sketch | None = None
 
@@ -419,7 +418,6 @@ class Engine:
             budget=budget,
             budget_split=budget_split,
             chunk_size=chunk_size,
-            coin_protocol=self.coin_protocol,
             start_method=self.start_method,
         )
         if device is not None:
@@ -507,7 +505,6 @@ class Engine:
             budget_split=budget_split,
             chunk_size=chunk_size,
             answer_cache=answer_cache,
-            coin_protocol=self.coin_protocol,
         )
 
     # ------------------------------------------------------------------

@@ -15,26 +15,23 @@ behaviour stays ``Θ(m)``.  The paper's sample-and-hold approach is
 sublinear regardless of skew, which is exactly the separation A4
 demonstrates.
 
-Coin protocols: under ``"v1"`` every cell flips coins from one shared
-sequential ``random.Random`` (snapshot-resumable via the RNG state).
-Under ``"v2"`` (default) each cell owns an index-addressable
+Coins: each cell owns an index-addressable
 :class:`~repro.hashing.coins.PhiloxCoins` stream labelled by its cell
 id and counts arrivals down to a geometric threshold
 (:class:`~repro.core.counters.SkipMorrisCounter`), so the chunk kernel
 can group a chunk by bucket and absorb each cell's arrivals in
-``O(levels climbed)`` — bit-identical to the scalar v2 loop.  Merges
-draw from a dedicated ``cmm.merge`` stream with a serialized draw
-counter, keeping the executor round trip deterministic.
+``O(levels climbed)`` — bit-identical to the scalar loop.  Merges draw
+from a dedicated ``cmm.merge`` stream with a serialized draw counter,
+keeping the executor round trip deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 
-from repro.core.counters import MorrisCounter, SkipMorrisCounter
+from repro.core.counters import SkipMorrisCounter
 from repro.hashing.coins import PhiloxCoins
 from repro.hashing.prime_field import KWiseHash
 from repro.query import MultiPointQuery, PointQuery, QueryKind, ScalarAnswer
@@ -53,7 +50,7 @@ class CountMinMorris(StreamAlgorithm):
     name = "CountMin-Morris"
     mergeable = True
     supports = frozenset({QueryKind.POINT})
-    _coin_protocol_aware = True
+    draws_coins = True
 
     def __init__(
         self,
@@ -61,55 +58,30 @@ class CountMinMorris(StreamAlgorithm):
         depth: int,
         a: float = 0.125,
         seed: int | None = None,
-        coin_protocol: str = "v2",
         tracker: StateTracker | None = None,
     ) -> None:
         if width < 1 or depth < 1:
             raise ValueError(f"need width, depth >= 1: {width}x{depth}")
-        if coin_protocol not in ("v1", "v2"):
-            raise ValueError(
-                f"unknown coin protocol {coin_protocol!r}; "
-                f"choose 'v1' or 'v2'"
-            )
         super().__init__(tracker)
         self.width = width
         self.depth = depth
         self.a = a
         self.seed = 0 if seed is None else seed
-        self.coin_protocol = coin_protocol
-        self._chunk_kernel_enabled = coin_protocol == "v2"
         base = self.seed
-        if coin_protocol == "v1":
-            # Held on the instance so the serialization protocol
-            # snapshots and resumes the exact coin-flip sequence (see
-            # Sketch.to_state).
-            rng = self._rng = random.Random(base)
-            self._rows = [
-                [
-                    MorrisCounter(
-                        self.tracker, a=a, rng=rng, cell_id=f"cmm[{r}][{c}]"
-                    )
-                    for c in range(width)
-                ]
-                for r in range(depth)
+        self._rows = [
+            [
+                SkipMorrisCounter(
+                    self.tracker,
+                    a=a,
+                    coins=PhiloxCoins(base, f"cmm[{r}][{c}]"),
+                    cell_id=f"cmm[{r}][{c}]",
+                )
+                for c in range(width)
             ]
-            self._merge_coins = None
-            self._merge_draws = 0
-        else:
-            self._rows = [
-                [
-                    SkipMorrisCounter(
-                        self.tracker,
-                        a=a,
-                        coins=PhiloxCoins(base, f"cmm[{r}][{c}]"),
-                        cell_id=f"cmm[{r}][{c}]",
-                    )
-                    for c in range(width)
-                ]
-                for r in range(depth)
-            ]
-            self._merge_coins = PhiloxCoins(base, "cmm.merge")
-            self._merge_draws = 0
+            for r in range(depth)
+        ]
+        self._merge_coins = PhiloxCoins(base, "cmm.merge")
+        self._merge_draws = 0
         self._hashes = [KWiseHash(2, seed=base + 1000 * r) for r in range(depth)]
         self.tracker.allocate(sum(h.description_words for h in self._hashes))
 
@@ -120,20 +92,12 @@ class CountMinMorris(StreamAlgorithm):
         delta: float = 0.05,
         a: float = 0.125,
         seed: int | None = None,
-        coin_protocol: str = "v2",
         tracker: StateTracker | None = None,
     ) -> "CountMinMorris":
         """Same sizing rule as exact CountMin."""
         width = max(1, int(math.ceil(math.e / epsilon)))
         depth = max(1, int(math.ceil(math.log(1.0 / delta))))
-        return cls(
-            width,
-            depth,
-            a=a,
-            seed=seed,
-            coin_protocol=coin_protocol,
-            tracker=tracker,
-        )
+        return cls(width, depth, a=a, seed=seed, tracker=tracker)
 
     def _update(self, item: int) -> None:
         for row, h in zip(self._rows, self._hashes):
@@ -221,31 +185,17 @@ class CountMinMorris(StreamAlgorithm):
     # climb by the other cell's estimate), so the merged sketch stays an
     # unbiased per-cell estimate of the combined hashed-in mass.
     def _merge_same_type(self, other: "CountMinMorris") -> None:
-        if (
-            other.width,
-            other.depth,
-            other.a,
-            other.seed,
-            other.coin_protocol,
-        ) != (
+        if (other.width, other.depth, other.a, other.seed) != (
             self.width,
             self.depth,
             self.a,
             self.seed,
-            self.coin_protocol,
         ):
             raise ValueError(
                 f"incompatible CountMin-Morris sketches: "
-                f"{self.width}x{self.depth}/a={self.a}/seed={self.seed}"
-                f"/{self.coin_protocol} vs "
-                f"{other.width}x{other.depth}/a={other.a}"
-                f"/seed={other.seed}/{other.coin_protocol}"
+                f"{self.width}x{self.depth}/a={self.a}/seed={self.seed} vs "
+                f"{other.width}x{other.depth}/a={other.a}/seed={other.seed}"
             )
-        if self.coin_protocol == "v1":
-            for row, other_row in zip(self._rows, other._rows):
-                for cell, other_cell in zip(row, other_row):
-                    cell.merge_from(other_cell)
-            return
         for row, other_row in zip(self._rows, other._rows):
             for cell, other_cell in zip(row, other_row):
                 weight = other_cell.estimate
@@ -260,29 +210,19 @@ class CountMinMorris(StreamAlgorithm):
             "depth": self.depth,
             "a": self.a,
             "seed": self.seed,
-            "coin_protocol": self.coin_protocol,
         }
 
     def _payload_state(self) -> dict:
-        payload = {
-            "levels": [[cell.level for cell in row] for row in self._rows]
+        return {
+            "levels": [[cell.level for cell in row] for row in self._rows],
+            "since": [[cell.since for cell in row] for row in self._rows],
+            "merge_draws": self._merge_draws,
         }
-        if self.coin_protocol == "v2":
-            payload["since"] = [
-                [cell.since for cell in row] for row in self._rows
-            ]
-            payload["merge_draws"] = self._merge_draws
-        return payload
 
     def _load_payload(self, payload: dict) -> None:
-        if self.coin_protocol == "v2":
-            for row, levels, since in zip(
-                self._rows, payload["levels"], payload["since"]
-            ):
-                for cell, level, n_since in zip(row, levels, since):
-                    cell.restore(level, n_since)
-            self._merge_draws = int(payload.get("merge_draws", 0))
-            return
-        for row, levels in zip(self._rows, payload["levels"]):
-            for cell, level in zip(row, levels):
-                cell.load_level(level)
+        for row, levels, since in zip(
+            self._rows, payload["levels"], payload["since"]
+        ):
+            for cell, level, n_since in zip(row, levels, since):
+                cell.restore(level, n_since)
+        self._merge_draws = int(payload.get("merge_draws", 0))

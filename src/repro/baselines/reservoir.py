@@ -5,23 +5,17 @@ reservoir replacements after ``m`` updates is ``k * (H_m - H_k) =
 O(k log m)`` — sampling is the canonical *few-state-changes* primitive
 the paper builds on (Section 1.1, "Relationship with sampling").
 
-Two coin protocols drive the admission draw:
-
-* ``"v1"`` — the sequential ``random.Random`` path
-  (``randrange(seen+1)`` per update past the fill), forced whenever a
-  caller passes an explicit ``rng``.
-* ``"v2"`` (default) — index-addressable
-  :class:`~repro.hashing.coins.PhiloxCoins`: the arrival with
-  seen-count ``s >= k`` consumes the coin at index ``s`` and lands on
-  slot ``floor(u * (s+1))``.  Because every coin is a pure function of
-  its index, the chunk kernel fetches the whole block of coins a chunk
-  would consume in one call and replays only the ``j < k`` acceptances
-  scalar-style — bit-identical to the scalar v2 loop.
+The admission draw uses index-addressable
+:class:`~repro.hashing.coins.PhiloxCoins`: the arrival with seen-count
+``s >= k`` consumes the coin at index ``s`` and lands on slot
+``floor(u * (s+1))``, rejected when that is ``>= k``.  Because every
+coin is a pure function of its index, the chunk kernel fetches the
+whole block of coins a chunk would consume in one call and replays
+only the ``j < k`` acceptances scalar-style — bit-identical to the
+scalar loop.
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 
@@ -35,61 +29,34 @@ class ReservoirSampler(StreamAlgorithm):
     """Uniform ``k``-sample of the stream with tracked slots."""
 
     name = "Reservoir"
-    _coin_protocol_aware = True
+    draws_coins = True
 
     def __init__(
         self,
         k: int,
-        rng: random.Random | None = None,
         seed: int | None = None,
-        coin_protocol: str | None = None,
         tracker: StateTracker | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"reservoir size must be >= 1: {k}")
         super().__init__(tracker)
         self.k = k
-        if coin_protocol is None:
-            # An explicit rng is inherently sequential: it implies v1.
-            coin_protocol = "v1" if rng is not None else "v2"
-        if coin_protocol not in ("v1", "v2"):
-            raise ValueError(
-                f"unknown coin protocol {coin_protocol!r}; "
-                f"choose 'v1' or 'v2'"
-            )
-        if coin_protocol == "v2" and rng is not None:
-            raise ValueError(
-                "coin_protocol='v2' draws from indexed Philox streams; "
-                "an explicit rng= requires coin_protocol='v1'"
-            )
-        self.coin_protocol = coin_protocol
         self.seed = seed
-        if coin_protocol == "v1":
-            self._rng = rng if rng is not None else random.Random(seed)
-            self._coins = None
-        else:
-            self._coins = PhiloxCoins(seed, "reservoir")
-        self._chunk_kernel_enabled = coin_protocol == "v2"
+        self._coins = PhiloxCoins(seed, "reservoir")
         self._slots: TrackedArray[int | None] = TrackedArray(
             self.tracker, "reservoir", k, fill=None
         )
         self._seen = TrackedValue(self.tracker, "reservoir.seen", 0)
-
-    def _slot_for(self, seen: int) -> int:
-        """v2 admission: the coin at index ``seen`` picks a slot in
-        ``[0, seen]``; ``j >= k`` means rejection."""
-        u = self._coins.uniform(seen)
-        return min(int(u * (seen + 1)), seen)
 
     def _update(self, item: int) -> None:
         seen = self._seen.value
         if seen < self.k:
             self._slots[seen] = item
         else:
-            if self._coins is None:
-                j = self._rng.randrange(seen + 1)
-            else:
-                j = self._slot_for(seen)
+            # The coin at index ``seen`` picks a slot in [0, seen];
+            # j >= k means rejection.
+            u = self._coins.uniform(seen)
+            j = min(int(u * (seen + 1)), seen)
             if j < self.k:
                 self._slots[j] = item
         # The counter write makes Algorithm R Theta(m) state changes as

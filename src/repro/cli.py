@@ -189,7 +189,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         shards=args.shards,
         partition=args.partition,
         executor=args.executor,
-        coin_protocol=args.coin_protocol,
         start_method=args.start_method,
     )
     workload = workloads.Workload(
@@ -297,7 +296,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             executor=args.executor,
             workload_params=_workload_params(args),
             chunk_size=args.chunk_size,
-            coin_protocol=args.coin_protocol,
         )
     except (ValueError, OSError) as error:
         # e.g. trace-replay without --trace, or an unreadable file.
@@ -329,7 +327,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             snapshot_every=args.snapshot_every,
             tracking=args.tracking,
             budget=budget,
-            coin_protocol=args.coin_protocol,
             answer_cache=args.answer_cache,
         )
     except KeyError:
@@ -438,10 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace",
                      help="trace file for --workload trace-replay")
     run.add_argument("--shards", type=int, default=1)
-    run.add_argument("--coin-protocol", default=None,
-                     choices=("v1", "v2"), dest="coin_protocol",
-                     help="force the randomized families' coin protocol "
-                          "(v1: sequential RNG; v2: indexed Philox coins)")
     run.add_argument("--executor", default="serial",
                      choices=["serial", "thread", "process"])
     run.add_argument("--start-method", default=None, dest="start_method",
@@ -503,10 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--chunk-size", type=int, default=None,
                        help="items per columnar ingest chunk (default: "
                             "the stream's own chunking)")
-    shard.add_argument("--coin-protocol", default=None,
-                       choices=("v1", "v2"), dest="coin_protocol",
-                       help="force the randomized families' coin protocol "
-                            "(v1: sequential RNG; v2: indexed Philox coins)")
     shard.set_defaults(func=_cmd_shard)
 
     serve = sub.add_parser(
@@ -538,9 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--budget-policy", default="raise",
                        choices=list(BUDGET_POLICIES),
                        help="what happens past the budget")
-    serve.add_argument("--coin-protocol", default=None,
-                       choices=("v1", "v2"), dest="coin_protocol",
-                       help="force the randomized families' coin protocol")
     serve.add_argument("--answer-cache", type=int, default=256,
                        dest="answer_cache",
                        help="snapshot-keyed answer cache capacity "

@@ -50,6 +50,7 @@ class AdaptiveFullSampleAndHold(StreamAlgorithm):
 
     name = "AdaptiveFullSampleAndHold"
     supports = frozenset({QueryKind.POINT, QueryKind.ALL_ESTIMATES})
+    draws_coins = True
 
     def __init__(
         self,
@@ -58,29 +59,20 @@ class AdaptiveFullSampleAndHold(StreamAlgorithm):
         epsilon: float,
         initial_m: int = 1024,
         seed: int | None = None,
-        coin_protocol: str = "v2",
         tracker: StateTracker | None = None,
         **fsh_kwargs,
     ) -> None:
         if initial_m < 1:
             raise ValueError(f"initial_m must be >= 1: {initial_m}")
-        if coin_protocol not in ("v1", "v2"):
-            raise ValueError(
-                f"unknown coin protocol {coin_protocol!r}; "
-                f"choose 'v1' or 'v2'"
-            )
         super().__init__(tracker)
         self.n = n
         self.p = p
         self.epsilon = epsilon
         self.initial_m = initial_m
         self._seed = 0 if seed is None else seed
-        self.coin_protocol = coin_protocol
-        self._chunk_kernel_enabled = coin_protocol == "v2"
         # Summed estimates compound any per-epoch upward bias, so the
         # conservative shallowest-level rule is the right default here.
         fsh_kwargs.setdefault("level_rule", "shallowest")
-        fsh_kwargs.setdefault("coin_protocol", coin_protocol)
         self._fsh_kwargs = fsh_kwargs
         self._epochs: list[FullSampleAndHold] = []
         self._epoch_budget = 0  # updates remaining in the current epoch

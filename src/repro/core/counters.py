@@ -13,25 +13,27 @@ probability exponentially (the NY22 parameterization behind Thm 1.5).
 Four counter flavours share the :class:`ApproximateCounter` interface:
 
 * :class:`ExactCounter` — writes on every update (the baseline).
-* :class:`MorrisCounter` — unit and weighted increments, few writes;
-  coins come from a sequential ``random.Random`` (the v1 protocol).
-* :class:`SkipMorrisCounter` — the v2 protocol's unit counter: the
-  same distribution, but driven by index-addressable
+* :class:`MorrisCounter` — the textbook counter: unit and weighted
+  increments, few writes, coins from a caller-supplied sequential
+  ``random.Random``.  Experiment E8 studies it directly.
+* :class:`SkipMorrisCounter` — the unit counter every coin family
+  holds: the same distribution, but driven by index-addressable
   :class:`~repro.hashing.coins.PhiloxCoins` draws via geometric
   *skip-sampling* — instead of flipping one ``(1+a)^{-X}`` coin per
   arrival, it draws how many arrivals the current level survives
   (a geometric variate, by inversion from the coin at index ``X``)
   and counts down, so a chunk kernel can absorb ``k`` arrivals in
   ``O(levels climbed)`` work.
-* :class:`MedianMorrisCounter` — median of independent Morris copies.
+* :class:`MedianMorrisCounter` — median of independent textbook Morris
+  copies.
 
 All of them store their registers in tracked cells so state changes are
 audited by the enclosing algorithm's
 :class:`~repro.state.tracker.StateTracker`.
 
-:func:`weighted_morris_step` is the v2 protocol's weighted-increment
-kernel, shared verbatim by the scalar and the chunked p-stable paths so
-their levels agree bit for bit.
+:func:`weighted_morris_step` is the weighted-increment kernel on
+indexed coins, shared verbatim by the scalar and the chunked p-stable
+paths so their levels agree bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def weighted_morris_step(
     weights: np.ndarray,
     uniforms: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized v2 weighted Morris increment.
+    """Vectorized weighted Morris increment on indexed coins.
 
     For each position: weight ``w`` climbs ``d`` whole levels
     deterministically (the largest ``d`` with
@@ -70,7 +72,7 @@ def weighted_morris_step(
     function of ``(level, weight, uniform)``.  Zero-weight positions
     never change and consume no coin semantics.
 
-    Both the scalar v2 update and the chunk kernels call *this*
+    Both the scalar update and the chunk kernels call *this*
     function, so chunked ≡ scalar holds bit for bit by construction.
     """
     levels = np.asarray(levels, dtype=np.int64)
@@ -311,7 +313,7 @@ class MorrisCounter(ApproximateCounter):
 
 
 class SkipMorrisCounter(ApproximateCounter):
-    """Unit Morris counter on the v2 coin protocol (skip-sampling).
+    """Unit Morris counter on indexed coins (skip-sampling).
 
     The stored state is the level ``X`` (one tracked word) plus two
     untracked shadows: ``since``, the arrivals absorbed at the current
@@ -324,8 +326,9 @@ class SkipMorrisCounter(ApproximateCounter):
     recomputable and never serialized; checkpoints carry only
     ``(level, since)``.
 
-    Level 0 keeps v1's deterministic first step: the increment
-    probability is 1, so the threshold is 1 and no coin is spent.
+    Level 0 keeps the textbook counter's deterministic first step: the
+    increment probability is 1, so the threshold is 1 and no coin is
+    spent.
     """
 
     __slots__ = ("a", "cell_id", "_coins", "_level", "_since", "_threshold")

@@ -35,11 +35,10 @@ Backends:
 from __future__ import annotations
 
 import math
-import random
 
 import numpy as np
 
-from repro.core.counters import MorrisCounter, SkipMorrisCounter
+from repro.core.counters import SkipMorrisCounter
 from repro.core.fp_pstable import (
     PStableFpEstimator,
     VariateTable,
@@ -128,6 +127,7 @@ class EntropyEstimator(StreamAlgorithm):
 
     name = "EntropyEstimator"
     supports = frozenset({QueryKind.ENTROPY})
+    draws_coins = True
 
     def __init__(
         self,
@@ -139,7 +139,6 @@ class EntropyEstimator(StreamAlgorithm):
         num_rows: int | None = None,
         morris_a: float = 0.02,
         seed: int | None = None,
-        coin_protocol: str = "v2",
         tracker: StateTracker | None = None,
     ) -> None:
         if m < 2:
@@ -148,19 +147,11 @@ class EntropyEstimator(StreamAlgorithm):
             raise ValueError(f"epsilon must be in (0, 1]: {epsilon}")
         if backend not in ("pstable", "oracle"):
             raise ValueError(f"unknown backend: {backend!r}")
-        if coin_protocol not in ("v1", "v2"):
-            raise ValueError(
-                f"unknown coin protocol {coin_protocol!r}; "
-                f"choose 'v1' or 'v2'"
-            )
         super().__init__(tracker)
         self.m = m
         self.epsilon = epsilon
         self.backend_kind = backend
-        self.coin_protocol = coin_protocol
-        self._chunk_kernel_enabled = (
-            coin_protocol == "v2" and backend == "pstable"
-        )
+        self._chunk_kernel_enabled = backend == "pstable"
         log_m = math.log2(m)
         if k is None:
             k = max(2, int(math.ceil(math.log2(1.0 / epsilon) + math.log2(max(2.0, log_m)))))
@@ -182,7 +173,6 @@ class EntropyEstimator(StreamAlgorithm):
                     morris_a=morris_a,
                     seed=base_seed + 7919 * i,
                     variate_seed=base_seed,
-                    coin_protocol=coin_protocol,
                     tracker=self.tracker,
                 )
                 for i, node in enumerate(self.nodes)
@@ -197,19 +187,13 @@ class EntropyEstimator(StreamAlgorithm):
         else:
             self._oracle = TrackedDict(self.tracker, "entropy-oracle")
         # A Morris counter supplies the stream length (G(1) = ln m and
-        # the log2(m) offset) with few writes.  Under v2 it rides its
-        # own indexed coin stream so the chunk kernel can batch-absorb
-        # arrivals.
-        if coin_protocol == "v2":
-            self._length = SkipMorrisCounter(
-                self.tracker,
-                a=0.001,
-                coins=PhiloxCoins(seed, "entropy.len"),
-            )
-        else:
-            self._length = MorrisCounter(
-                self.tracker, a=0.001, rng=random.Random(seed)
-            )
+        # the log2(m) offset) with few writes.  It rides its own indexed
+        # coin stream so the chunk kernel can batch-absorb arrivals.
+        self._length = SkipMorrisCounter(
+            self.tracker,
+            a=0.001,
+            coins=PhiloxCoins(seed, "entropy.len"),
+        )
 
     def _update(self, item: int) -> None:
         if self._oracle is not None:

@@ -96,6 +96,7 @@ class FpEstimator(StreamAlgorithm):
 
     name = "FpEstimator"
     supports = frozenset({QueryKind.MOMENT})
+    draws_coins = True
 
     def __init__(
         self,
@@ -108,7 +109,6 @@ class FpEstimator(StreamAlgorithm):
         offset_scale: float = 1.0,
         num_levels: int | None = None,
         seed: int | None = None,
-        coin_protocol: str = "v2",
         tracker: StateTracker | None = None,
         inner_kwargs: dict | None = None,
     ) -> None:
@@ -120,13 +120,7 @@ class FpEstimator(StreamAlgorithm):
             raise ValueError(f"epsilon must be in (0, 1]: {epsilon}")
         if backend not in ("sample-hold", "oracle"):
             raise ValueError(f"unknown backend: {backend!r}")
-        if coin_protocol not in ("v1", "v2"):
-            raise ValueError(
-                f"unknown coin protocol {coin_protocol!r}; "
-                f"choose 'v1' or 'v2'"
-            )
         super().__init__(tracker)
-        self.coin_protocol = coin_protocol
         self.n = n
         self.m = m
         self.p = p
@@ -135,13 +129,11 @@ class FpEstimator(StreamAlgorithm):
             repetitions += 1
         self.repetitions = repetitions
         self.backend_kind = backend
-        self._chunk_kernel_enabled = (
-            coin_protocol == "v2" and backend == "sample-hold"
-        )
+        self._chunk_kernel_enabled = backend == "sample-hold"
 
-        self._rng = random.Random(seed)
+        rng = random.Random(seed)
         # Definition 3.3's randomized boundary.
-        self._lambda = self._rng.uniform(0.5, 1.0)
+        self._lambda = rng.uniform(0.5, 1.0)
         if num_levels is None:
             num_levels = max(1, int(math.ceil(math.log2(max(2, n)))) + 1)
         self.num_levels = num_levels
@@ -153,7 +145,7 @@ class FpEstimator(StreamAlgorithm):
 
         self._samplers = [
             NestedUniverseSampler(
-                num_levels, seed=self._rng.randrange(2**62)
+                num_levels, seed=rng.randrange(2**62)
             )
             for _ in range(repetitions)
         ]
@@ -182,8 +174,7 @@ class FpEstimator(StreamAlgorithm):
                             m=expected_m,
                             p=p,
                             epsilon=epsilon,
-                            seed=self._rng.randrange(2**62),
-                            coin_protocol=coin_protocol,
+                            seed=rng.randrange(2**62),
                             tracker=self.tracker,
                             **inner_kwargs,
                         )

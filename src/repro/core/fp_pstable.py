@@ -27,36 +27,29 @@ for the ``O(log(1/eps)/log log(1/eps))``-wise independent generation of
 the regenerated columns of recently seen items, at every order ``p``
 its sketches use, so each item's uniforms are drawn once.
 
-Coin protocols: ``"v1"`` keeps per-row ``MorrisCounter`` objects fed by
-one sequential ``random.Random``.  ``"v2"`` (default) holds the levels
-as ``int64`` arrays and drives every weighted climb from an indexed
-Philox stream — update ``t`` row ``i`` consumes the coin at flat index
-``t * num_rows + i`` — through the shared
-:func:`~repro.core.counters.weighted_morris_step` kernel.  The chunk
-kernel exploits that the climb condition is *monotone decreasing in
-the level*: a screen computed against chunk-start levels is
+Coins: the Morris levels live in ``int64`` arrays and every weighted
+climb draws from an indexed Philox stream — update ``t`` row ``i``
+consumes the coin at flat index ``t * num_rows + i`` — through the
+shared :func:`~repro.core.counters.weighted_morris_step` kernel.  The
+chunk kernel exploits that the climb condition is *monotone decreasing
+in the level*: a screen computed against chunk-start levels is
 conservative, so the (increasingly rare, as gaps outgrow the variate
 magnitudes) flagged positions are settled row-vectorized while
-everything else is provably a no-op — bit-identical to the scalar v2
-loop by construction.  The kernel (:func:`absorb_chunk`) settles any
-set of sketches over one table at once — a single sketch, or the
-entropy estimator's node sketches — in one sequence of waves.
+everything else is provably a no-op — bit-identical to the scalar loop
+by construction.  The kernel (:func:`absorb_chunk`) settles any set of
+sketches over one table at once — a single sketch, or the entropy
+estimator's node sketches — in one sequence of waves.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import statistics
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.counters import (
-    MorrisCounter,
-    climbed_level_v2,
-    weighted_morris_step,
-)
+from repro.core.counters import climbed_level_v2, weighted_morris_step
 from repro.hashing.coins import PhiloxCoins
 from repro.hashing.pstable import (
     cms_transform,
@@ -167,15 +160,12 @@ class PStableFpEstimator(StreamAlgorithm):
         sketches sharing a ``variate_seed`` evaluate *the same* random
         matrix at different ``p`` (common random numbers) — the entropy
         estimator relies on this to differentiate across ``p`` stably.
-    coin_protocol:
-        ``"v2"`` (default) for indexed Philox coins and the chunk
-        kernel; ``"v1"`` for the sequential-RNG legacy path.
     """
 
     name = "PStableFp"
     mergeable = True
     supports = frozenset({QueryKind.MOMENT})
-    _coin_protocol_aware = True
+    draws_coins = True
 
     def __init__(
         self,
@@ -185,18 +175,12 @@ class PStableFpEstimator(StreamAlgorithm):
         morris_a: float = 0.02,
         seed: int | None = None,
         variate_seed: int | None = None,
-        coin_protocol: str = "v2",
         tracker: StateTracker | None = None,
     ) -> None:
         if not 0.0 < p < 2.0:
             raise ValueError(f"p must be in (0, 2): {p}")
         if not 0 < epsilon <= 1:
             raise ValueError(f"epsilon must be in (0, 1]: {epsilon}")
-        if coin_protocol not in ("v1", "v2"):
-            raise ValueError(
-                f"unknown coin protocol {coin_protocol!r}; "
-                f"choose 'v1' or 'v2'"
-            )
         super().__init__(tracker)
         self.p = p
         self.epsilon = epsilon
@@ -206,28 +190,15 @@ class PStableFpEstimator(StreamAlgorithm):
         self.morris_a = morris_a
         self.seed = 0 if seed is None else seed
         self.variate_seed = self.seed if variate_seed is None else variate_seed
-        self.coin_protocol = coin_protocol
-        self._chunk_kernel_enabled = coin_protocol == "v2"
 
-        if coin_protocol == "v1":
-            self._rng = random.Random(self.seed)
-            self._positive = [
-                MorrisCounter(self.tracker, a=morris_a, rng=self._rng)
-                for _ in range(num_rows)
-            ]
-            self._negative = [
-                MorrisCounter(self.tracker, a=morris_a, rng=self._rng)
-                for _ in range(num_rows)
-            ]
-        else:
-            self._pos_levels = np.zeros(num_rows, dtype=np.int64)
-            self._neg_levels = np.zeros(num_rows, dtype=np.int64)
-            self._coins = PhiloxCoins(self.seed, "pstable.climb")
-            self._merge_coins = PhiloxCoins(self.seed, "pstable.merge")
-            self._merge_draws = 0
-            self._updates = 0
-            # Same space charge as the 2R tracked level registers of v1.
-            self.tracker.allocate(2 * num_rows)
+        self._pos_levels = np.zeros(num_rows, dtype=np.int64)
+        self._neg_levels = np.zeros(num_rows, dtype=np.int64)
+        self._coins = PhiloxCoins(self.seed, "pstable.climb")
+        self._merge_coins = PhiloxCoins(self.seed, "pstable.merge")
+        self._merge_draws = 0
+        self._updates = 0
+        # One word per level register: two per row.
+        self.tracker.allocate(2 * num_rows)
         # The matrix is regenerated from the seed, never stored; the
         # table only caches recent columns (the entropy estimator hands
         # its node sketches one shared table over all node orders).
@@ -249,7 +220,7 @@ class PStableFpEstimator(StreamAlgorithm):
     def _step_levels(
         self, column: np.ndarray, uniforms: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Post-update (pos, neg) level arrays for one v2 arrival.
+        """Post-update (pos, neg) level arrays for one arrival.
 
         One coin per row drives whichever half the signed variate hits
         (the other half sees weight 0 and never reads its coin); both
@@ -271,14 +242,6 @@ class PStableFpEstimator(StreamAlgorithm):
 
     def _update(self, item: int) -> None:
         column = self._variates(item)
-        if self.coin_protocol == "v1":
-            for row in range(self.num_rows):
-                value = column[row]
-                if value >= 0.0:
-                    self._positive[row].add(value)
-                else:
-                    self._negative[row].add(-value)
-            return
         t = self._updates
         self._updates = t + 1
         uniforms = self._coins.uniform_block(
@@ -308,22 +271,8 @@ class PStableFpEstimator(StreamAlgorithm):
     # ------------------------------------------------------------------
     # Estimation
     # ------------------------------------------------------------------
-    def _level_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current (pos, neg) levels, protocol-independent."""
-        if self.coin_protocol == "v2":
-            return self._pos_levels, self._neg_levels
-        return (
-            np.array([c.level for c in self._positive], dtype=np.int64),
-            np.array([c.level for c in self._negative], dtype=np.int64),
-        )
-
     def coordinates(self) -> list[float]:
         """Signed sketch coordinates ``s_i = <D^{(i)}, f>`` (approx)."""
-        if self.coin_protocol == "v1":
-            return [
-                self._positive[row].estimate - self._negative[row].estimate
-                for row in range(self.num_rows)
-            ]
         a = self.morris_a
         pos = (np.power(1.0 + a, self._pos_levels.astype(np.float64)) - 1.0) / a
         neg = (np.power(1.0 + a, self._neg_levels.astype(np.float64)) - 1.0) / a
@@ -394,27 +343,19 @@ class PStableFpEstimator(StreamAlgorithm):
             other.num_rows,
             other.morris_a,
             other.variate_seed,
-            other.coin_protocol,
         ) != (
             self.p,
             self.num_rows,
             self.morris_a,
             self.variate_seed,
-            self.coin_protocol,
         ):
             raise ValueError(
                 f"incompatible p-stable sketches: "
                 f"p={self.p}/rows={self.num_rows}/a={self.morris_a}"
-                f"/variates={self.variate_seed}/{self.coin_protocol} vs "
+                f"/variates={self.variate_seed} vs "
                 f"p={other.p}/rows={other.num_rows}/a={other.morris_a}"
-                f"/variates={other.variate_seed}/{other.coin_protocol}"
+                f"/variates={other.variate_seed}"
             )
-        if self.coin_protocol == "v1":
-            for mine, theirs in zip(self._positive, other._positive):
-                mine.merge_from(theirs)
-            for mine, theirs in zip(self._negative, other._negative):
-                mine.merge_from(theirs)
-            return
         a = self.morris_a
         for levels, other_levels in (
             (self._pos_levels, other._pos_levels),
@@ -439,31 +380,21 @@ class PStableFpEstimator(StreamAlgorithm):
             "morris_a": self.morris_a,
             "seed": self.seed,
             "variate_seed": self.variate_seed,
-            "coin_protocol": self.coin_protocol,
         }
 
     def _payload_state(self) -> dict:
-        pos, neg = self._level_arrays()
-        payload = {
-            "positive": [int(level) for level in pos],
-            "negative": [int(level) for level in neg],
+        return {
+            "positive": self._pos_levels.tolist(),
+            "negative": self._neg_levels.tolist(),
+            "updates": self._updates,
+            "merge_draws": self._merge_draws,
         }
-        if self.coin_protocol == "v2":
-            payload["updates"] = self._updates
-            payload["merge_draws"] = self._merge_draws
-        return payload
 
     def _load_payload(self, payload: dict) -> None:
-        if self.coin_protocol == "v2":
-            self._pos_levels = np.asarray(payload["positive"], dtype=np.int64)
-            self._neg_levels = np.asarray(payload["negative"], dtype=np.int64)
-            self._updates = int(payload.get("updates", 0))
-            self._merge_draws = int(payload.get("merge_draws", 0))
-            return
-        for counter, level in zip(self._positive, payload["positive"]):
-            counter.load_level(level)
-        for counter, level in zip(self._negative, payload["negative"]):
-            counter.load_level(level)
+        self._pos_levels = np.asarray(payload["positive"], dtype=np.int64)
+        self._neg_levels = np.asarray(payload["negative"], dtype=np.int64)
+        self._updates = int(payload.get("updates", 0))
+        self._merge_draws = int(payload.get("merge_draws", 0))
 
 
 #: Screening-block length: the no-op screen freezes its gaps at block

@@ -25,19 +25,17 @@ Implementation notes
 from __future__ import annotations
 
 import math
-import random
 import statistics
 
 import numpy as np
 
-from repro.core.counters import MorrisCounter, SkipMorrisCounter
+from repro.core.counters import SkipMorrisCounter
 from repro.core.sample_and_hold import (
     ChunkSettle,
     SampleAndHold,
     SampleAndHoldParams,
 )
 from repro.hashing.coins import PhiloxCoins
-from repro.hashing.subsample import NestedStreamSampler
 from repro.query import (
     AllEstimates,
     MapAnswer,
@@ -77,6 +75,7 @@ class FullSampleAndHold(StreamAlgorithm):
 
     name = "FullSampleAndHold"
     supports = frozenset({QueryKind.POINT, QueryKind.ALL_ESTIMATES})
+    draws_coins = True
 
     def __init__(
         self,
@@ -89,7 +88,6 @@ class FullSampleAndHold(StreamAlgorithm):
         level_rule: str = "max",
         seed: int | None = None,
         use_morris: bool = True,
-        coin_protocol: str = "v2",
         tracker: StateTracker | None = None,
         **param_overrides: float,
     ) -> None:
@@ -97,11 +95,6 @@ class FullSampleAndHold(StreamAlgorithm):
             raise ValueError(f"repetitions must be >= 1: {repetitions}")
         if level_rule not in ("max", "shallowest", "min-length"):
             raise ValueError(f"unknown level_rule: {level_rule!r}")
-        if coin_protocol not in ("v1", "v2"):
-            raise ValueError(
-                f"unknown coin protocol {coin_protocol!r}; "
-                f"choose 'v1' or 'v2'"
-            )
         super().__init__(tracker)
         self.n = n
         self.m = m
@@ -109,34 +102,22 @@ class FullSampleAndHold(StreamAlgorithm):
         self.epsilon = epsilon
         self.level_rule = level_rule
         self.seed = 0 if seed is None else seed
-        self.coin_protocol = coin_protocol
-        self._chunk_kernel_enabled = coin_protocol == "v2"
         if repetitions % 2 == 0:
             repetitions += 1
         self.repetitions = repetitions
         if num_levels is None:
             num_levels = min(24, max(1, int(math.ceil(math.log2(max(2, m)))) + 1))
         self.num_levels = num_levels
-        self._t = 0  # v2 arrival clock (level-coin index of the next arrival)
+        self._t = 0  # arrival clock (level-coin index of the next arrival)
 
-        if coin_protocol == "v1":
-            self._rng = random.Random(seed)
-            self._samplers = [
-                NestedStreamSampler(num_levels, random.Random(self._rng.randrange(2**62)))
-                for _ in range(repetitions)
-            ]
-            self._level_coins = None
-        else:
-            self._rng = None
-            self._samplers = None
-            # One indexed level-draw stream per repetition: arrival t's
-            # survival depth for copy r is a pure function of coin
-            # (r, t), which is what lets the chunk kernel split the
-            # chunk into per-level substreams up front.
-            self._level_coins = [
-                PhiloxCoins(self.seed, f"fsh.lvl[{r}]")
-                for r in range(repetitions)
-            ]
+        # One indexed level-draw stream per repetition: arrival t's
+        # survival depth for copy r is a pure function of coin (r, t),
+        # which is what lets the chunk kernel split the chunk into
+        # per-level substreams up front.
+        self._level_coins = [
+            PhiloxCoins(self.seed, f"fsh.lvl[{r}]")
+            for r in range(repetitions)
+        ]
         # Instance (r, x) processes the level-x substream of copy r.
         self._instances: list[list[SampleAndHold]] = []
         for r in range(repetitions):
@@ -146,50 +127,38 @@ class FullSampleAndHold(StreamAlgorithm):
                 params = SampleAndHoldParams.from_problem(
                     n=n, m=expected_m, p=p, epsilon=epsilon, **param_overrides
                 )
-                if coin_protocol == "v1":
-                    instance = SampleAndHold(
-                        params,
-                        rng=random.Random(self._rng.randrange(2**62)),
-                        use_morris=use_morris,
-                        tracker=self.tracker,
-                    )
-                else:
-                    instance = SampleAndHold(
+                row.append(
+                    SampleAndHold(
                         params,
                         seed=self.seed,
                         use_morris=use_morris,
-                        coin_protocol="v2",
                         stream_label=f"fsh[{r}][{x}]",
                         tracker=self.tracker,
                     )
-                row.append(instance)
+                )
             self._instances.append(row)
         # Morris counters tracking each level's substream length m_x
         # (line 4); the paper only needs a 2-approximation, so a coarse
         # growth parameter keeps these counters nearly write-free.
-        if coin_protocol == "v1":
-            self._length_counters = [
-                MorrisCounter(self.tracker, a=0.05, rng=self._rng)
-                for _ in range(num_levels)
-            ]
-        else:
-            self._length_counters = [
-                SkipMorrisCounter(
-                    self.tracker,
-                    a=0.05,
-                    coins=PhiloxCoins(self.seed, f"fsh.len[{x}]"),
-                )
-                for x in range(num_levels)
-            ]
+        self._length_counters = [
+            SkipMorrisCounter(
+                self.tracker,
+                a=0.05,
+                coins=PhiloxCoins(self.seed, f"fsh.len[{x}]"),
+            )
+            for x in range(num_levels)
+        ]
 
     # ------------------------------------------------------------------
     # Stream processing
     # ------------------------------------------------------------------
     def _deepest_level(self, u: float) -> int:
-        """Deepest surviving level for one v2 level coin.
+        """Deepest surviving level for one level coin ``u``.
 
-        Exact-arithmetic twin of ``NestedStreamSampler.draw_level``:
-        ``floor(1 - log2(u))`` equals ``1 - e`` for ``u = f * 2^e``
+        An update survives to level ``x`` with probability
+        ``p_x = min(1, 2^{1-x})``, i.e. iff ``u < 2^{1-x}``, so the
+        deepest level is ``floor(1 - log2(u))`` clamped to
+        ``[1, num_levels]``.  That equals ``1 - e`` for ``u = f * 2^e``
         with ``f in [0.5, 1)``, plus one exactly on powers of two —
         ``frexp`` keeps scalar and vectorized draws bit-identical
         where a log2 round-trip could disagree in the last ulp.
@@ -201,20 +170,10 @@ class FullSampleAndHold(StreamAlgorithm):
         return max(1, min(self.num_levels, deepest))
 
     def _update(self, item: int) -> None:
-        if self._level_coins is not None:
-            idx = self._t
-            self._t = idx + 1
-            for r, coins in enumerate(self._level_coins):
-                deepest = self._deepest_level(coins.uniform(idx))
-                row = self._instances[r]
-                for x in range(deepest):
-                    row[x]._update(item)
-                if r == 0:
-                    for x in range(deepest):
-                        self._length_counters[x].add()
-            return
-        for r, sampler in enumerate(self._samplers):
-            deepest = sampler.draw_level()
+        idx = self._t
+        self._t = idx + 1
+        for r, coins in enumerate(self._level_coins):
+            deepest = self._deepest_level(coins.uniform(idx))
             row = self._instances[r]
             for x in range(deepest):
                 row[x]._update(item)

@@ -52,6 +52,7 @@ class HeavyHitters(StreamAlgorithm):
             QueryKind.MOMENT,
         }
     )
+    draws_coins = True
 
     def __init__(
         self,
@@ -61,7 +62,6 @@ class HeavyHitters(StreamAlgorithm):
         epsilon: float,
         repetitions: int = 3,
         seed: int | None = None,
-        coin_protocol: str = "v2",
         tracker: StateTracker | None = None,
         **fp_kwargs,
     ) -> None:
@@ -70,7 +70,6 @@ class HeavyHitters(StreamAlgorithm):
         self.m = m
         self.p = p
         self.epsilon = epsilon
-        self.coin_protocol = coin_protocol
         self._fp = FpEstimator(
             n=n,
             m=m,
@@ -78,7 +77,6 @@ class HeavyHitters(StreamAlgorithm):
             epsilon=epsilon,
             repetitions=repetitions,
             seed=seed,
-            coin_protocol=coin_protocol,
             tracker=self.tracker,
             **fp_kwargs,
         )

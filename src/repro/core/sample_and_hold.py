@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,6 @@ import numpy as np
 from repro.core.counters import (
     ApproximateCounter,
     ExactCounter,
-    MorrisCounter,
     SkipMorrisCounter,
 )
 from repro.hashing.coins import PhiloxCoins
@@ -158,22 +156,16 @@ class SampleAndHold(StreamAlgorithm):
     ----------
     params:
         Resolved sizes/probabilities (see :class:`SampleAndHoldParams`).
-    rng:
-        Randomness for sampling, slot choice, and Morris coin flips;
-        passing one forces ``coin_protocol="v1"``.
     seed:
-        Seed for the coin streams (v2) or the default RNG (v1); runs
-        with equal seeds are reproducible.
-    coin_protocol:
-        ``"v2"`` (default) draws every coin from an index-addressable
+        Seed of the coin streams; runs with equal seeds are
+        reproducible.  Every coin is drawn from an index-addressable
         Philox stream — arrival ``t`` owns the sampling/slot coins at
         index ``t``, prune ``j`` owns budget coin ``j``, and the
         ``i``-th held counter rides its own geometric-skip stream — so
         the chunk kernel can screen a whole chunk against the sampling
         coins at once and settle only the interesting arrivals.
-        ``"v1"`` is the sequential-RNG legacy path.
     stream_label:
-        Namespace prefix of the v2 coin streams; composite algorithms
+        Namespace prefix of the coin streams; composite algorithms
         embedding many instances (full sample-and-hold) give each a
         distinct label so their streams stay independent.
     use_morris:
@@ -188,56 +180,29 @@ class SampleAndHold(StreamAlgorithm):
 
     name = "SampleAndHold"
     supports = frozenset({QueryKind.POINT, QueryKind.ALL_ESTIMATES})
+    draws_coins = True
 
     def __init__(
         self,
         params: SampleAndHoldParams,
-        rng: random.Random | None = None,
         use_morris: bool = True,
         eviction: str = "age-bucketed",
         seed: int | None = None,
-        coin_protocol: str | None = None,
         stream_label: str = "sh",
         tracker: StateTracker | None = None,
     ) -> None:
         if eviction not in ("age-bucketed", "global"):
             raise ValueError(f"unknown eviction policy: {eviction!r}")
-        if coin_protocol is None:
-            # An explicit rng is inherently sequential: it implies v1.
-            coin_protocol = "v1" if rng is not None else "v2"
-        if coin_protocol not in ("v1", "v2"):
-            raise ValueError(
-                f"unknown coin protocol {coin_protocol!r}; "
-                f"choose 'v1' or 'v2'"
-            )
-        if coin_protocol == "v2" and rng is not None:
-            raise ValueError(
-                "coin_protocol='v2' draws from indexed Philox streams; "
-                "an explicit rng= requires coin_protocol='v1'"
-            )
         super().__init__(tracker)
         self.params = params
         self.use_morris = use_morris
         self.eviction = eviction
         self.seed = 0 if seed is None else seed
-        self.coin_protocol = coin_protocol
         self.stream_label = stream_label
-        self._chunk_kernel_enabled = coin_protocol == "v2"
-        if coin_protocol == "v1":
-            self._rng = rng if rng is not None else random.Random(seed)
-            self._coins_sample = None
-            self._coins_slot = None
-            self._coins_budget = None
-        else:
-            self._rng = None
-            self._coins_sample = PhiloxCoins(
-                self.seed, f"{stream_label}.sample"
-            )
-            self._coins_slot = PhiloxCoins(self.seed, f"{stream_label}.slot")
-            self._coins_budget = PhiloxCoins(
-                self.seed, f"{stream_label}.budget"
-            )
-        self._t = 0  # v2 arrival clock (coin index of the next arrival)
+        self._coins_sample = PhiloxCoins(self.seed, f"{stream_label}.sample")
+        self._coins_slot = PhiloxCoins(self.seed, f"{stream_label}.slot")
+        self._coins_budget = PhiloxCoins(self.seed, f"{stream_label}.budget")
+        self._t = 0  # arrival clock (coin index of the next arrival)
         self._created = 0  # held counters ever opened (stream ordinals)
         self._budget_draws = 0
         self._budget = self._draw_budget()
@@ -256,11 +221,8 @@ class SampleAndHold(StreamAlgorithm):
     # Algorithm 1 main loop
     # ------------------------------------------------------------------
     def _update(self, item: int) -> None:
-        if self._coins_sample is not None:
-            idx = self._t
-            self._t = idx + 1
-            self._step(item, idx, self._coins_sample.uniform(idx))
-            return
+        idx = self._t
+        self._t = idx + 1
         held = self._held.get(item)
         if held is not None:
             # Line 10-11: update the (Morris) counter.
@@ -271,25 +233,7 @@ class SampleAndHold(StreamAlgorithm):
             self._create_counter(item)
             return
         # Lines 15-18: sample into the reservoir with probability rho.
-        if self._rng.random() < self.params.sample_probability:
-            slot = self._rng.randrange(self._budget)
-            evicted = self._reservoir[slot]
-            if evicted is not None and self._reservoir_members.get(evicted) == slot:
-                del self._reservoir_members[evicted]
-            self._reservoir[slot] = item
-            self._reservoir_members[item] = slot
-
-    def _step(self, item: int, idx: int, u_sample: float) -> None:
-        """One v2 arrival: the same branch structure as the v1 loop,
-        with every coin read from its indexed stream."""
-        held = self._held.get(item)
-        if held is not None:
-            held.counter.add()
-            return
-        if item in self._reservoir_members:
-            self._create_counter(item)
-            return
-        if u_sample < self.params.sample_probability:
+        if self._coins_sample.uniform(idx) < self.params.sample_probability:
             u = self._coins_slot.uniform(idx)
             slot = min(int(u * self._budget), self._budget - 1)
             evicted = self._reservoir[slot]
@@ -299,13 +243,9 @@ class SampleAndHold(StreamAlgorithm):
             self._reservoir_members[item] = slot
 
     def _new_counter(self) -> ApproximateCounter:
-        """A fresh held counter on the configured coin protocol."""
+        """A fresh held counter on its own coin stream."""
         if not self.use_morris:
             counter: ApproximateCounter = ExactCounter(self.tracker)
-        elif self._coins_sample is None:
-            counter = MorrisCounter(
-                self.tracker, a=self.params.counter_a, rng=self._rng
-            )
         else:
             counter = SkipMorrisCounter(
                 self.tracker,
@@ -323,9 +263,7 @@ class SampleAndHold(StreamAlgorithm):
         counter.add()  # the triggering occurrence counts
         # Two bookkeeping words: the held item id and its creation time.
         self.tracker.allocate(2)
-        created_at = (
-            self.tracker.timestep if self._coins_sample is None else self._t
-        )
+        created_at = self._t
         self._held[item] = _HeldCounter(counter, created_at)
         if len(self._held) >= self._budget:
             self._prune_counters(created_at)
@@ -385,15 +323,13 @@ class SampleAndHold(StreamAlgorithm):
     def _draw_budget(self) -> int:
         """Algorithm 1 line 7/20: ``k ~ Uni([budget_low, budget_high])``."""
         low, high = self.params.budget_low, self.params.budget_high
-        if self._coins_budget is None:
-            return self._rng.randint(low, high)
         u = self._coins_budget.uniform(self._budget_draws)
         self._budget_draws += 1
         span = high - low + 1
         return low + min(int(u * span), span - 1)
 
     # ------------------------------------------------------------------
-    # Chunk kernel (v2 only)
+    # Chunk kernel
     # ------------------------------------------------------------------
     def _update_chunk(self, chunk: np.ndarray) -> None:
         audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
@@ -435,9 +371,9 @@ class SampleAndHold(StreamAlgorithm):
         position: int,
         settle: "ChunkSettle",
     ) -> None:
-        """The v2 arrival step with audit-side accounting: identical
-        state transitions to :meth:`_step`, but writes land in the
-        chunk audit and registers are stored untracked."""
+        """One arrival with audit-side accounting: identical state
+        transitions to :meth:`_update`, but writes land in the chunk
+        audit and registers are stored untracked."""
         audit = settle.audit
         held = self._held.get(item)
         if held is not None:

@@ -14,7 +14,6 @@ algorithm's measured write trace on a simulated device.
 from __future__ import annotations
 
 import math
-import random
 import statistics
 from dataclasses import dataclass
 
@@ -54,7 +53,7 @@ def counter_ablation(
                 n=n, m=m, p=p, epsilon=epsilon
             )
             algo = SampleAndHold(
-                params, rng=random.Random(seed + 50 + t), use_morris=use_morris
+                params, seed=seed + 50 + t, use_morris=use_morris
             )
             algo.process_stream(stream)
             changes.append(algo.state_changes)
@@ -138,7 +137,7 @@ def eviction_ablation(
         for policy in policies:
             algo = SampleAndHold(
                 params,
-                rng=random.Random(seed + 100 + t),
+                seed=seed + 100 + t,
                 eviction=policy,
                 use_morris=False,
             )

@@ -124,7 +124,6 @@ def shard_scaling(
     executor: str = "serial",
     workload_params: dict | None = None,
     chunk_size: int | None = None,
-    coin_protocol: str | None = None,
     start_method: str | None = None,
 ) -> list[ShardScalingRow]:
     """Compare shard counts against the single-instance baseline.
@@ -137,9 +136,6 @@ def shard_scaling(
     ``executor="thread"`` on a thread pool; results are bit-identical
     to serial by construction, making this sweep a live equivalence
     audit.
-    ``coin_protocol`` pins the randomized families' coin protocol for
-    every row (including the baseline), so shard-scaling sweeps can
-    compare v1 against v2 like ``repro run`` does.
     """
     spec = workloads.scenario_spec(workload)
     params = dict(workload_params or {})
@@ -162,7 +158,6 @@ def shard_scaling(
             shards=num_shards,
             partition=partition,
             executor=executor if num_shards > 1 else "serial",
-            coin_protocol=coin_protocol,
             start_method=start_method,
         )
 

@@ -2,7 +2,7 @@
 
 * k-wise independent hash families over ``GF(2^61 - 1)``
   (:mod:`repro.hashing.prime_field`),
-* nested stream/universe subsampling (:mod:`repro.hashing.subsample`),
+* nested universe subsampling (:mod:`repro.hashing.subsample`),
 * p-stable variate generation and derandomization
   (:mod:`repro.hashing.pstable`).
 """
@@ -14,7 +14,7 @@ from repro.hashing.pstable import (
     sample_pstable_array,
     stable_abs_median,
 )
-from repro.hashing.subsample import NestedStreamSampler, NestedUniverseSampler
+from repro.hashing.subsample import NestedUniverseSampler
 
 __all__ = [
     "MERSENNE_P",
@@ -24,6 +24,5 @@ __all__ = [
     "sample_pstable",
     "sample_pstable_array",
     "stable_abs_median",
-    "NestedStreamSampler",
     "NestedUniverseSampler",
 ]

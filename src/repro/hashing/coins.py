@@ -1,12 +1,12 @@
-"""Index-addressable coin streams: the v2 coin protocol's RNG layer.
+"""Index-addressable coin streams: the RNG layer of every coin family.
 
-The v1 protocol draws coins from a sequential ``random.Random``: coin
-``t`` exists only after coins ``0..t-1`` were consumed, which forces
-the randomized families through the scalar per-update loop — a chunk
-kernel cannot replay draws out of order.  The v2 protocol replaces the
-sequential generator with a *counter-based* RNG: every draw has an
-index,
-and the draw at index ``i`` is a pure function of ``(seed, label, i)``.
+A sequential generator such as ``random.Random`` makes coin ``t`` exist
+only after coins ``0..t-1`` were consumed, which would force the
+randomized families through the scalar per-update loop — a chunk kernel
+cannot replay draws out of order.  The coin protocol (tagged ``"v2"``
+in snapshots; its sequential predecessor v1 was retired) uses a
+*counter-based* RNG instead: every draw has an index, and the draw at
+index ``i`` is a pure function of ``(seed, label, i)``.
 
 Concretely, a :class:`PhiloxCoins` stream is ``numpy.random.Philox``
 keyed by ``(seed, blake2b(label))``.  Philox is a counter-mode block
@@ -16,7 +16,7 @@ so a vectorized kernel can fetch the exact coins positions
 ``[t0, t0 + n)`` would have consumed, in one call, and a scalar path
 can re-derive any single coin on demand.  Both see bit-identical
 values by construction, which is what the chunked ≡ scalar contract
-of the v2 kernels rests on.
+of the chunk kernels rests on.
 
 Streams own no generator: each thread keeps one ``Philox`` and every
 read re-points it at ``(key, block)`` by assigning its ``state`` —
@@ -44,7 +44,7 @@ _SCALE = 2.0**-53
 
 #: Read-ahead on cache misses: the first miss fetches ``_FIRST_BLOCK``
 #: words and each further miss doubles that, up to ``_BLOCK``.
-#: Sequential consumers (the scalar v2 paths walk their indices in
+#: Sequential consumers (the scalar paths walk their indices in
 #: order) re-point the generator once per up to ``_BLOCK`` draws,
 #: while a stream touched at a few low indices -- a held Morris
 #: counter's level coins -- keeps a cache of ``_FIRST_BLOCK`` words.

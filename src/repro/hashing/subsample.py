@@ -1,13 +1,14 @@
-"""Subsampling primitives used by Algorithms 2 and 3.
+"""Universe subsampling, used by Algorithm 3.
 
 Two distinct subsampling modes appear in the paper:
 
 * **Stream subsampling** (Algorithm 2, ``FullSampleAndHold``): each
   stream *update* survives independently with probability
   ``p_x = min(1, 2^{1-x})``.  Levels are nested: an update surviving at
-  level ``x`` also survives at every level ``< x``.  Implemented by
-  drawing one uniform ``u`` per update and admitting it to all levels
-  with ``p_x >= u``.
+  level ``x`` also survives at every level ``< x``.  It needs one coin
+  per update, so it lives with its consumer:
+  :meth:`~repro.core.full_sample_and_hold.FullSampleAndHold._deepest_level`
+  maps each update's indexed coin to its deepest level.
 
 * **Universe subsampling** (Algorithm 3): each universe *element* is
   assigned a maximum survival level via a hash function, so that the
@@ -19,7 +20,6 @@ Two distinct subsampling modes appear in the paper:
 from __future__ import annotations
 
 import math
-import random
 
 from repro.hashing.prime_field import KWiseHash
 
@@ -75,31 +75,3 @@ class NestedUniverseSampler:
         """Survival probability ``p_l = min(1, 2^{1-l})`` of a level."""
         return min(1.0, 2.0 ** (1 - level))
 
-
-class NestedStreamSampler:
-    """Per-update nested sampling at rates ``p_x = min(1, 2^{1-x})``.
-
-    Each call to :meth:`draw_level` consumes one uniform variate and
-    returns the deepest level the update survives to; the update belongs
-    to every level up to and including that depth.  Unlike universe
-    subsampling this is independent across updates, matching Algorithm 2
-    (which subsamples positions of ``[m]``, not identities).
-    """
-
-    def __init__(self, num_levels: int, rng: random.Random) -> None:
-        if num_levels < 1:
-            raise ValueError(f"num_levels must be >= 1: {num_levels}")
-        self.num_levels = num_levels
-        self._rng = rng
-
-    def draw_level(self) -> int:
-        """Deepest surviving level for the next stream update."""
-        u = self._rng.random()
-        if u <= 0.0:
-            return self.num_levels
-        deepest = int(math.floor(1.0 - math.log2(u)))
-        return max(1, min(self.num_levels, deepest))
-
-    def rate(self, level: int) -> float:
-        """Survival probability of ``level``."""
-        return min(1.0, 2.0 ** (1 - level))

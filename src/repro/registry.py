@@ -122,21 +122,6 @@ def spec(name: str) -> SketchSpec:
         ) from None
 
 
-#: Algorithms whose factories understand the ``coin_protocol`` switch
-#: (the randomized families; everything else is coin-free).
-COIN_PROTOCOL_AWARE = frozenset(
-    {
-        "adaptive-sample-and-hold",
-        "count-min-morris",
-        "entropy",
-        "heavy-hitters",
-        "pstable-fp",
-        "reservoir",
-        "sample-and-hold",
-    }
-)
-
-
 def create(
     name: str,
     n: int = 4096,
@@ -144,36 +129,15 @@ def create(
     epsilon: float = 0.5,
     seed: int = 0,
     tracker: TrackerBackend | None = None,
-    coin_protocol: str | None = None,
 ) -> Sketch:
     """Build a fresh sketch by registry name with uniform sizing hints.
 
     ``tracker`` selects the accounting backend the sketch runs on (see
     :func:`repro.state.tracker.make_tracker`); ``None`` keeps each
     class's default — the full-trace ``StateTracker``.
-
-    ``coin_protocol`` forces ``"v1"`` (sequential RNG) or ``"v2"``
-    (indexed Philox coins, the default) on the randomized families;
-    ``None`` keeps each class's default.  Passing it for a coin-free
-    algorithm is an error rather than a silent no-op.
     """
-    if coin_protocol is None:
-        return spec(name).factory(
-            n=n, m=m, epsilon=epsilon, seed=seed, tracker=tracker
-        )
-    if name not in COIN_PROTOCOL_AWARE:
-        raise ValueError(
-            f"{name!r} has no coin protocol (it draws no stream-time "
-            f"randomness); coin_protocol= applies to "
-            f"{sorted(COIN_PROTOCOL_AWARE)}"
-        )
     return spec(name).factory(
-        n=n,
-        m=m,
-        epsilon=epsilon,
-        seed=seed,
-        tracker=tracker,
-        coin_protocol=coin_protocol,
+        n=n, m=m, epsilon=epsilon, seed=seed, tracker=tracker
     )
 
 
@@ -194,29 +158,26 @@ def sketch_class(state_name: str) -> type:
 register(
     "heavy-hitters",
     HeavyHitters,
-    lambda n, m, epsilon, seed, tracker=None, coin_protocol=None: HeavyHitters(
+    lambda n, m, epsilon, seed, tracker=None: HeavyHitters(
         n=n, m=m, p=2, epsilon=epsilon, seed=seed, tracker=tracker,
         inner_kwargs={"repetitions": 1},
-        **({} if coin_protocol is None else {"coin_protocol": coin_protocol}),
     ),
     "Lp heavy hitters with few state changes (Theorem 1.1)",
 )
 register(
     "sample-and-hold",
     FullSampleAndHold,
-    lambda n, m, epsilon, seed, tracker=None, coin_protocol=None: FullSampleAndHold(
+    lambda n, m, epsilon, seed, tracker=None: FullSampleAndHold(
         n=n, m=m, p=2, epsilon=epsilon, seed=seed, repetitions=1,
         tracker=tracker,
-        **({} if coin_protocol is None else {"coin_protocol": coin_protocol}),
     ),
     "Algorithm 2: level grid of SampleAndHold instances",
 )
 register(
     "adaptive-sample-and-hold",
     AdaptiveFullSampleAndHold,
-    lambda n, m, epsilon, seed, tracker=None, coin_protocol=None: AdaptiveFullSampleAndHold(
+    lambda n, m, epsilon, seed, tracker=None: AdaptiveFullSampleAndHold(
         n=n, p=2, epsilon=epsilon, seed=seed, tracker=tracker,
-        **({} if coin_protocol is None else {"coin_protocol": coin_protocol}),
     ),
     "Algorithm 2 with the doubling trick for unknown stream length",
 )
@@ -247,9 +208,8 @@ register(
 register(
     "count-min-morris",
     CountMinMorris,
-    lambda n, m, epsilon, seed, tracker=None, coin_protocol=None: CountMinMorris.for_accuracy(
+    lambda n, m, epsilon, seed, tracker=None: CountMinMorris.for_accuracy(
         epsilon, seed=seed, tracker=tracker,
-        **({} if coin_protocol is None else {"coin_protocol": coin_protocol}),
     ),
     "CountMin with Morris-counter cells (ablation A4)",
 )
@@ -286,28 +246,25 @@ register(
 register(
     "pstable-fp",
     PStableFpEstimator,
-    lambda n, m, epsilon, seed, tracker=None, coin_protocol=None: PStableFpEstimator(
+    lambda n, m, epsilon, seed, tracker=None: PStableFpEstimator(
         p=1.0, epsilon=max(0.2, epsilon), seed=seed, tracker=tracker,
-        **({} if coin_protocol is None else {"coin_protocol": coin_protocol}),
     ),
     "p-stable Fp sketch on Morris counters (Theorem 3.2)",
 )
 register(
     "entropy",
     EntropyEstimator,
-    lambda n, m, epsilon, seed, tracker=None, coin_protocol=None: EntropyEstimator(
+    lambda n, m, epsilon, seed, tracker=None: EntropyEstimator(
         m=max(2, m), epsilon=min(1.0, max(0.1, epsilon)), seed=seed,
         tracker=tracker,
-        **({} if coin_protocol is None else {"coin_protocol": coin_protocol}),
     ),
     "Shannon entropy via interpolated moments (Theorem 3.8)",
 )
 register(
     "reservoir",
     ReservoirSampler,
-    lambda n, m, epsilon, seed, tracker=None, coin_protocol=None: ReservoirSampler(
-        k=max(1, int(2 / epsilon)), seed=seed, tracker=tracker,
-        coin_protocol=coin_protocol,
+    lambda n, m, epsilon, seed, tracker=None: ReservoirSampler(
+        k=max(1, int(2 / epsilon)), seed=seed, tracker=tracker
     ),
     "uniform reservoir sample (Algorithm R)",
 )

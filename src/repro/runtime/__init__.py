@@ -9,7 +9,7 @@
   policy.  Worker failures carry shard context as
   :class:`ShardIngestError`.
 * :mod:`repro.runtime.checkpoint` — :class:`Checkpoint`: JSON
-  round-trips of sketch state (estimates + RNG position + audit).
+  round-trips of sketch state (estimates + coin positions + audit).
 """
 
 from repro.runtime.checkpoint import Checkpoint

@@ -8,10 +8,11 @@ reproducing estimates *and* the state-change report exactly, so a
 long-running ingest can stop, persist, and resume without losing its
 audit.
 
-Hash randomness is rebuilt from the stored seeds and matches the
-original; Morris coin-flip RNGs are restored to their exact snapshotted
-generator state (see ``Sketch.from_state``), so a resumed run flips the
-same coins the uninterrupted run would have.
+Hash functions and coin streams are rebuilt from the stored seeds and
+match the original.  A coin is a pure function of its seed, stream
+label and index, and the payload stores the indices reached (see
+``Sketch.from_state``), so a resumed run draws the same coins the
+uninterrupted run would have.
 
 Checkpoints are also *resumable mid-stream*: the snapshot records the
 stream offset (the number of updates already consumed, duplicated into
@@ -104,8 +105,8 @@ class Checkpoint:
         materializing it and continue through the columnar fast path
         (at ``chunk_size``, if given); plain iterables are skipped
         item by item.  The returned sketch — payload, audit, answers,
-        and coin-RNG position — is bit-identical to one that ingested
-        the whole stream uninterrupted.
+        and coin positions — is bit-identical to one that ingested the
+        whole stream uninterrupted.
         """
         sketch = Checkpoint.load(path)
         offset = sketch.items_processed

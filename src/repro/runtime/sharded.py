@@ -335,7 +335,6 @@ class ShardedRunner:
         budget: WriteBudget | int | None = None,
         budget_split: str = "even",
         chunk_size: int | None = None,
-        coin_protocol: str | None = None,
         start_method: str | None = None,
     ) -> "ShardedRunner":
         """Runner whose shards come from :mod:`repro.registry`.
@@ -347,10 +346,7 @@ class ShardedRunner:
         switches the shards to budget backends, with the global limit
         divided per ``budget_split`` (``"even"`` — shard limits sum to
         the global limit — or ``"replicate"`` — every shard gets the
-        full limit).  ``coin_protocol`` forces the randomized
-        families' coin protocol (see :func:`repro.registry.create`);
-        shards share the sketch ``seed``, so all shards run the same
-        protocol.
+        full limit).
         """
         budgets: tuple[WriteBudget | None, ...]
         if budget is not None:
@@ -367,7 +363,6 @@ class ShardedRunner:
                 epsilon=epsilon,
                 seed=seed,
                 tracker=make_tracker(tracking, budget=budgets[index]),
-                coin_protocol=coin_protocol,
             ),
             num_shards=num_shards,
             partition=partition,

@@ -22,7 +22,7 @@ update-index-aligned — the same chunk-offset arithmetic the checkpoint
 machinery uses — the snapshot taken at index ``k`` is bit-identical to
 a fresh batch run over the first ``k`` updates, regardless of how the
 appends were sized (``tests/test_live_engine.py`` asserts this for
-all 16 families under both coin protocols).
+all 16 families).
 
 **Staleness.**  Queries are answered from the newest snapshot and
 tagged with how far it trails the head: a :class:`LiveAnswer` carries
@@ -230,8 +230,6 @@ class LiveEngine:
         identical to a batch run's over the same updates.
     chunk_size:
         Columnar routing chunk size (``None``: the stream's own).
-    coin_protocol:
-        Coin protocol override for the randomized families.
     answer_cache:
         Capacity of the snapshot-keyed answer cache (entries); ``0``
         disables caching.  Safe at any size — answers are pure
@@ -254,7 +252,6 @@ class LiveEngine:
         budget: WriteBudget | int | None = None,
         budget_split: str = "even",
         chunk_size: int | None = None,
-        coin_protocol: str | None = None,
         answer_cache: int = 256,
     ) -> None:
         self.spec = registry.spec(sketch)  # raises on unknown names
@@ -299,7 +296,6 @@ class LiveEngine:
             budget=budget,
             budget_split=budget_split,
             chunk_size=chunk_size,
-            coin_protocol=coin_protocol,
         )
         if answer_cache < 0:
             raise ValueError(

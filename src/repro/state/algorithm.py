@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import abc
 import copy
-import random
 from typing import Any, Callable, ClassVar, Iterable
 
 import numpy as np
@@ -82,6 +81,21 @@ class NotMergeableError(TypeError):
 
 class NotSerializableError(TypeError):
     """Raised when a sketch does not implement the state hooks."""
+
+
+#: The coin protocol of every class that draws coins: indexed Philox
+#: streams (:mod:`repro.hashing.coins`).  Its predecessor v1, one
+#: sequential ``random.Random`` per sketch, was retired.
+COIN_PROTOCOL = "v2"
+
+
+def check_coin_protocol(protocol: object, source: str) -> None:
+    """Raise ``ValueError`` unless ``protocol`` is :data:`COIN_PROTOCOL`."""
+    if protocol != COIN_PROTOCOL:
+        raise ValueError(
+            f"{source}: coin protocol {protocol!r} is not available; "
+            f"{COIN_PROTOCOL!r} is the only one (v1 was retired)"
+        )
 
 
 class ChunkAudit:
@@ -179,16 +193,15 @@ class Sketch(abc.ABC):
     _query_handlers: ClassVar[dict[QueryKind, Any]] = {}
 
     #: Instance-level kernel gate.  Families whose ``_update_chunk``
-    #: only supports some configurations (the randomized families'
-    #: kernels need the v2 coin protocol) set this False on instances
-    #: that must take the scalar fallback.
+    #: only supports some configurations (the estimators' oracle
+    #: backends have no kernel) set this False on instances that must
+    #: take the scalar fallback.
     _chunk_kernel_enabled: bool = True
 
-    #: Classes taking a ``coin_protocol`` constructor argument set
-    #: this True; :meth:`from_state` then pins snapshots that predate
-    #: the flag to the v1 sequential-coin protocol they were ingested
-    #: under.
-    _coin_protocol_aware: ClassVar[bool] = False
+    #: Whether the class draws stream-time coins.  Coin classes draw
+    #: them from indexed Philox streams (:data:`COIN_PROTOCOL`) and tag
+    #: their snapshots with the protocol (see :meth:`to_state`).
+    draws_coins: ClassVar[bool] = False
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -548,25 +561,21 @@ class Sketch(abc.ABC):
         The snapshot contains the constructor configuration, the raw
         register payload, and the full tracker audit, so
         :meth:`from_state` reproduces both the estimates and the
-        state-change report exactly.  Sketches holding a coin-flip RNG
-        in ``self._rng`` (Morris-counter families) also snapshot its
-        exact generator state, so a restored sketch resumes the
-        *original* coin sequence — required for the process executor's
-        bit-identical guarantee, where a merge after restoration must
-        flip the same coins a serial run would have.
+        state-change report exactly.  Coin classes add the
+        ``"coin_protocol"`` tag to the config; their coins are pure
+        functions of the configured seeds, so no generator state needs
+        saving.
         """
-        state = {
+        config = self._config_state()
+        if self.draws_coins:
+            config["coin_protocol"] = COIN_PROTOCOL
+        return {
             "algorithm": type(self).__name__,
-            "config": self._config_state(),
+            "config": config,
             "payload": self._payload_state(),
             "items_processed": self._items_processed,
             "audit": self.tracker.to_state(),
         }
-        rng = getattr(self, "_rng", None)
-        if isinstance(rng, random.Random):
-            version, internal, gauss_next = rng.getstate()
-            state["rng"] = [version, list(internal), gauss_next]
-        return state
 
     @classmethod
     def from_state(
@@ -580,11 +589,11 @@ class Sketch(abc.ABC):
         embedded in a larger algorithm) the audit restore is skipped —
         the caller owns the accounting.
 
-        Randomness: hash functions are rebuilt from the stored seeds
-        and match the original exactly; a coin-flip RNG held in
-        ``self._rng`` (Morris counters) is restored to its snapshotted
-        generator state, so post-restore coin flips *resume* the
-        original sequence bit for bit.
+        Randomness: hash functions and coin streams are rebuilt from
+        the stored seeds, so post-restore coins *resume* the original
+        sequence bit for bit.  A coin class's snapshot must carry the
+        :data:`COIN_PROTOCOL` tag: an untagged one predates the tag and
+        ran on the retired v1 protocol, so it raises ``ValueError``.
 
         Accounting backends round-trip too: with ``tracker=None`` the
         restored sketch runs on the same backend the snapshot came
@@ -602,19 +611,13 @@ class Sketch(abc.ABC):
         if own_tracker is None and state.get("audit") is not None:
             own_tracker = tracker_from_state(state["audit"])
         config = dict(state["config"])
-        if cls._coin_protocol_aware and "coin_protocol" not in config:
-            # Snapshots from before the v2 coin protocol were ingested
-            # under sequential coins; restoring them as v2 would splice
-            # two incompatible coin sequences into one run.
-            config["coin_protocol"] = "v1"
+        if cls.draws_coins:
+            check_coin_protocol(
+                config.pop("coin_protocol", "v1"), f"{algorithm} snapshot"
+            )
         instance = cls(tracker=own_tracker, **config)
         instance._load_payload(state["payload"])
         instance._items_processed = int(state.get("items_processed", 0))
-        rng_state = state.get("rng")
-        rng = getattr(instance, "_rng", None)
-        if rng_state is not None and isinstance(rng, random.Random):
-            version, internal, gauss_next = rng_state
-            rng.setstate((version, tuple(internal), gauss_next))
         audit = state.get("audit")
         if audit is not None:
             if tracker is None:

@@ -189,12 +189,12 @@ class TestAMS:
 
 class TestReservoir:
     def test_sample_size(self):
-        algo = ReservoirSampler(k=32, rng=random.Random(16))
+        algo = ReservoirSampler(k=32, seed=16)
         algo.process_stream(uniform_stream(1000, 5000, seed=16))
         assert len(algo.sample) == 32
 
     def test_partial_fill(self):
-        algo = ReservoirSampler(k=100, rng=random.Random(17))
+        algo = ReservoirSampler(k=100, seed=17)
         algo.process_stream([1, 2, 3])
         assert sorted(algo.sample) == [1, 2, 3]
 
@@ -202,7 +202,7 @@ class TestReservoir:
         hits = 0
         trials = 400
         for t in range(trials):
-            algo = ReservoirSampler(k=1, rng=random.Random(t))
+            algo = ReservoirSampler(k=1, seed=t)
             algo.process_stream(list(range(10)))
             hits += algo.sample[0] == 0
         # P[keep first item] = 1/10.
@@ -211,7 +211,7 @@ class TestReservoir:
     def test_slot_changes_sublinear(self):
         """Slot replacements are O(k log m) even though the seen-counter
         makes total state changes Theta(m)."""
-        algo = ReservoirSampler(k=8, rng=random.Random(18))
+        algo = ReservoirSampler(k=8, seed=18)
         m = 20000
         algo.process_stream(uniform_stream(1000, m, seed=18))
         report = algo.report()

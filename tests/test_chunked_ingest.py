@@ -70,7 +70,7 @@ ITEMS = ARR.tolist()
 #: runs at ε=0.3.
 EPSILON = {"ams": 1.0}
 
-#: The randomized families the v2 coin protocol vectorizes.
+#: The randomized families: their kernels replay indexed coins.
 RANDOMIZED = (
     "adaptive-sample-and-hold",
     "count-min-morris",
@@ -82,10 +82,10 @@ RANDOMIZED = (
 )
 
 
-def build(name: str, mode: str, coin_protocol: str | None = None):
+def build(name: str, mode: str):
     return registry.create(
         name, n=N, m=M, epsilon=EPSILON.get(name, 0.3), seed=9,
-        tracker=make_tracker(mode), coin_protocol=coin_protocol,
+        tracker=make_tracker(mode),
     )
 
 
@@ -108,12 +108,10 @@ def fingerprint(sketch) -> tuple:
 _SCALAR_REFERENCE: dict = {}
 
 
-def scalar_reference(
-    name: str, mode: str, coin_protocol: str | None = None
-) -> tuple:
-    key = (name, mode, coin_protocol)
+def scalar_reference(name: str, mode: str) -> tuple:
+    key = (name, mode)
     if key not in _SCALAR_REFERENCE:
-        sketch = build(name, mode, coin_protocol)
+        sketch = build(name, mode)
         sketch.process_many(ITEMS)
         _SCALAR_REFERENCE[key] = fingerprint(sketch)
     return _SCALAR_REFERENCE[key]
@@ -204,10 +202,9 @@ class TestChunkScalarEquivalence:
 
 
 class TestRandomizedFamiliesV2:
-    """The tentpole contract: under the v2 coin protocol every coin is
-    a pure function of its global update index, so the vectorized
-    chunk kernels must reproduce the scalar v2 run bit for bit —
-    payloads, audits, per-cell wear, answers."""
+    """Every coin is a pure function of its global update index, so the
+    vectorized chunk kernels must reproduce the scalar run bit for bit
+    — payloads, audits, per-cell wear, answers."""
 
     @pytest.mark.parametrize("mode", ["aggregate", "trace"])
     @pytest.mark.parametrize("name", RANDOMIZED)
@@ -221,39 +218,9 @@ class TestRandomizedFamiliesV2:
                 max_size=12,
             )
         )
-        sketch = build(name, mode, coin_protocol="v2")
+        sketch = build(name, mode)
         ingest_chunked(sketch, sizes)
-        assert fingerprint(sketch) == scalar_reference(name, mode, "v2")
-
-    @pytest.mark.parametrize("name", RANDOMIZED)
-    def test_v2_is_the_default(self, name):
-        sketch = build(name, "aggregate")
-        assert sketch.coin_protocol == "v2"
-        sketch.process_many(ITEMS)
-        assert fingerprint(sketch) == scalar_reference(
-            name, "aggregate", "v2"
-        )
-
-    @pytest.mark.parametrize("name", RANDOMIZED)
-    def test_v1_draws_a_different_sequence(self, name):
-        # The protocols share no randomness source, so on a stream
-        # this size their write counts must diverge (equal counts
-        # would mean the v2 switch silently did nothing).
-        v1 = build(name, "trace", coin_protocol="v1")
-        v1.process_many(ITEMS)
-        v2 = build(name, "trace", coin_protocol="v2")
-        v2.process_many(ITEMS)
-        assert fingerprint(v1) != fingerprint(v2)
-
-    @pytest.mark.parametrize("name", RANDOMIZED)
-    def test_v1_has_no_chunk_kernel(self, name):
-        # v1 must keep its sequential draw order, so chunked ingest
-        # falls back to the scalar loop — and still matches it.
-        sketch = build(name, "aggregate", coin_protocol="v1")
-        ingest_chunked(sketch, [37])
-        assert fingerprint(sketch) == scalar_reference(
-            name, "aggregate", "v1"
-        )
+        assert fingerprint(sketch) == scalar_reference(name, mode)
 
 
 def sample_and_hold_leaves(sketch) -> list[SampleAndHold]:
@@ -679,8 +646,8 @@ class TestCheckpointResume:
          "pstable-fp"],
     )
     def test_resume_matches_uninterrupted_run(self, name, tmp_path):
-        # count-min-morris and pstable-fp exercise the v2 coin
-        # protocol's index-addressable resume through chunk kernels.
+        # count-min-morris and pstable-fp exercise the index-addressable
+        # coin resume through chunk kernels.
         stream = ChunkedStream(ARR, chunk_size=64)
         uninterrupted = build(name, "aggregate")
         uninterrupted.process_stream(stream)

@@ -197,36 +197,13 @@ class TestShard:
         with pytest.raises(SystemExit):
             main(["shard", "--sketch", "quantum"])
 
-    def test_coin_protocol_flag_changes_randomized_sweep(self, capsys):
-        flags = [
-            "shard", "--sketch", "count-min-morris", "--shards", "1,2",
-            "--n", "256", "--m", "2048", "--epsilon", "0.3", "--seed", "3",
-        ]
-        assert main(flags + ["--coin-protocol", "v1"]) == 0
-        v1_table = capsys.readouterr().out
-        assert main(flags + ["--coin-protocol", "v2"]) == 0
-        v2_table = capsys.readouterr().out
-        assert "count-min-morris" in v1_table
-        # Different coin protocols draw different coins, so the
-        # state-change columns must not be byte-identical.
-        assert v1_table != v2_table
-
-    def test_coin_protocol_on_coin_free_sketch_exits_cleanly(self):
-        # Pinning a protocol on a deterministic family is a config
-        # error (same contract as `repro run`), not a traceback.
-        with pytest.raises(SystemExit, match="no coin protocol"):
-            main([
-                "shard", "--sketch", "count-min", "--shards", "1,2",
-                "--n", "128", "--m", "1024", "--epsilon", "0.3",
-                "--coin-protocol", "v2",
-            ])
-
-    def test_coin_protocol_rejects_unknown_value(self):
-        with pytest.raises(SystemExit):
-            main([
-                "shard", "--sketch", "count-min-morris",
-                "--coin-protocol", "v9",
-            ])
+    @pytest.mark.parametrize("command", ["run", "shard", "serve"])
+    def test_there_is_no_coin_protocol_flag(self, command, capsys):
+        # One coin protocol is left, so there is nothing to choose.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--coin-protocol", "v2"])
+        assert exit_info.value.code == 2  # argparse: unknown argument
+        assert "--coin-protocol" in capsys.readouterr().err
 
 
 class TestTable1:

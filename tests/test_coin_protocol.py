@@ -1,32 +1,29 @@
-"""Coin-protocol contract tests: golden fixtures and plumbing.
+"""Coin-protocol contract tests: golden fixtures, snapshots, one path.
 
-Three things are frozen against committed JSON (``tests/data/golden_v1.json``):
+Every coin family draws its coins from indexed Philox streams (the
+protocol snapshots tag ``"v2"``; the sequential-RNG protocol v1 was
+retired).  Two things are frozen against committed JSON
+(``tests/data/golden_coins.json``):
 
-* **v1 run fingerprints** for the five randomized families.  v1 draws
-  its coins from a shared sequential ``random.Random``, so any change
-  to construction order, draw order, or seeding silently corrupts
-  every pre-v2 snapshot on restore.  These fingerprints pin the exact
-  sequences.
-* **v2 run fingerprints** for all seven coin families (the composites
-  heavy-hitters and adaptive-sample-and-hold included), on the same
-  stream, seed and trace backend as the v1 section.
-* **Raw v2 Philox draws.**  Under v2 every coin is a pure function of
+* **Run fingerprints** for all seven coin families (the composites
+  heavy-hitters and adaptive-sample-and-hold included).
+* **Raw Philox draws.**  Every coin is a pure function of
   ``(seed, stream label, index)``; the sampled values must never
-  change, or v2 snapshots (which store no RNG state at all) break.
+  change, or snapshots (which store no RNG state at all) break.
 
 Regenerate — only after an *intentional* protocol change — with::
 
     PYTHONPATH=src python -c \
         "import tests.test_coin_protocol as t; t.regenerate()"
 
-The rest of the module covers the ``coin_protocol`` plumbing through
-the registry, the sharded runtime, the Engine, and legacy-snapshot
-restore.  ``tests/data/v2_snapshots.json`` holds v2 snapshots written
-by an earlier version of the code; it is a compatibility artifact and is
-never regenerated.
+``tests/data/v2_snapshots.json`` holds snapshots written by the code
+before v1 was retired; it is a compatibility artifact and is never
+regenerated.  The rest of the module covers snapshot tagging, the
+retirement errors, and the absence of any second coin path.
 """
 
 import hashlib
+import inspect
 import json
 import sys
 import threading
@@ -38,6 +35,9 @@ import pytest
 
 from repro import registry
 from repro.api import Engine
+from repro.baselines import ReservoirSampler
+from repro.core import SampleAndHold
+from repro.experiments.sharding import shard_scaling
 from repro.hashing import coins as coins_module
 from repro.hashing.coins import PhiloxCoins, stream_key
 from repro.query import (
@@ -49,28 +49,21 @@ from repro.query import (
     PointQuery,
     QueryKind,
 )
+from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.sharded import ShardedRunner
+from repro.serve.engine import LiveEngine
+from repro.state.algorithm import COIN_PROTOCOL
 from repro.state.tracker import make_tracker
 from repro.streams.generators import _zipf_draws
 
-GOLDEN_PATH = Path(__file__).parent / "data" / "golden_v1.json"
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_coins.json"
 SNAPSHOT_PATH = Path(__file__).parent / "data" / "v2_snapshots.json"
 
 N, M = 64, 240
 ARR = _zipf_draws(N, M, 1.1, 5)
 
-#: The five randomized families (the coin-protocol-aware composites —
-#: heavy-hitters, adaptive — ride on these).
-FAMILIES = (
-    "count-min-morris",
-    "entropy",
-    "pstable-fp",
-    "reservoir",
-    "sample-and-hold",
-)
-
 #: Every family that draws coins, composites included.
-V2_FAMILIES = (
+COIN_FAMILIES = (
     "adaptive-sample-and-hold",
     "count-min-morris",
     "entropy",
@@ -93,11 +86,10 @@ _QUERY_FOR_KIND = {
 }
 
 
-def _family_fingerprint(name: str, **coin) -> dict:
+def _family_fingerprint(name: str) -> dict:
     """JSON-stable observables of one run on the pinned stream."""
     sketch = registry.create(
-        name, n=N, m=M, epsilon=0.3, seed=9,
-        tracker=make_tracker("trace"), **coin,
+        name, n=N, m=M, epsilon=0.3, seed=9, tracker=make_tracker("trace")
     )
     sketch.process_many(ARR.tolist())
     report = sketch.report()
@@ -126,7 +118,7 @@ def _family_fingerprint(name: str, **coin) -> dict:
 
 
 def _philox_samples() -> dict:
-    """Raw v2 coin draws: pure functions of (seed, label, index)."""
+    """Raw coin draws: pure functions of (seed, label, index)."""
     coins = PhiloxCoins(9, "golden")
     other = PhiloxCoins(9, "golden.other")
     return {
@@ -140,11 +132,7 @@ def _philox_samples() -> dict:
 def _compute_golden() -> dict:
     return {
         "philox": _philox_samples(),
-        "v1": {
-            name: _family_fingerprint(name, coin_protocol="v1")
-            for name in FAMILIES
-        },
-        "v2": {name: _family_fingerprint(name) for name in V2_FAMILIES},
+        "v2": {name: _family_fingerprint(name) for name in COIN_FAMILIES},
     }
 
 
@@ -162,14 +150,7 @@ def golden() -> dict:
 
 
 class TestGoldenFixtures:
-    @pytest.mark.parametrize("name", FAMILIES)
-    def test_v1_sequences_are_frozen(self, golden, name):
-        assert (
-            _family_fingerprint(name, coin_protocol="v1")
-            == golden["v1"][name]
-        )
-
-    @pytest.mark.parametrize("name", V2_FAMILIES)
+    @pytest.mark.parametrize("name", COIN_FAMILIES)
     def test_v2_runs_are_frozen(self, golden, name):
         assert _family_fingerprint(name) == golden["v2"][name]
 
@@ -318,71 +299,88 @@ class TestOneGeneratorPerThread:
 
 
 class TestProtocolPlumbing:
-    def test_registry_rejects_coin_free_families(self):
-        with pytest.raises(ValueError, match="no coin protocol"):
-            registry.create("count-min", coin_protocol="v2")
+    """One coin path: nothing forwards a protocol any more."""
 
-    def test_registry_aware_set_matches_class_capability(self):
-        for name in registry.COIN_PROTOCOL_AWARE:
-            sketch = registry.create(
-                name, n=N, m=M, epsilon=0.5, seed=1, coin_protocol="v1"
-            )
-            assert sketch.coin_protocol == "v1"
+    def test_one_declaration_names_the_coin_families(self):
+        drawing = {
+            name for name in registry.names()
+            if registry.spec(name).cls.draws_coins
+        }
+        assert drawing == set(COIN_FAMILIES)
+
+    @pytest.mark.parametrize(
+        "callable_",
+        [
+            registry.create,
+            ShardedRunner.from_registry,
+            LiveEngine,
+            shard_scaling,
+            *(registry.spec(name).cls for name in COIN_FAMILIES),
+        ],
+        ids=lambda callable_: callable_.__qualname__,
+    )
+    def test_nothing_takes_a_coin_protocol(self, callable_):
+        assert "coin_protocol" not in inspect.signature(callable_).parameters
+
+    @pytest.mark.parametrize("cls", [SampleAndHold, ReservoirSampler])
+    def test_no_caller_supplied_rng(self, cls):
+        assert "rng" not in inspect.signature(cls).parameters
+
+    @pytest.mark.parametrize("name", ["heavy-hitters", "pstable-fp", "entropy"])
+    def test_engine_accepts_v2(self, name):
+        def run(**coin):
+            engine = Engine(name, n=N, m=M, epsilon=0.5, seed=4, **coin)
+            report = engine.run(ARR.copy())
+            return report.audit, repr(report.answers)
+
+        assert run(coin_protocol="v2") == run()
+
+    @pytest.mark.parametrize("name", COIN_FAMILIES)
+    def test_engine_rejects_v1(self, name):
+        with pytest.raises(ValueError, match="v1 was retired"):
+            Engine(name, coin_protocol="v1")
 
     def test_engine_rejects_coin_free_families(self):
         with pytest.raises(ValueError, match="no coin protocol"):
             Engine("count-min", coin_protocol="v2")
 
-    def test_engine_forwards_protocol_to_shards(self):
-        def run(proto):
-            engine = Engine(
-                "pstable-fp", n=N, m=M, epsilon=0.5, seed=4,
-                shards=2, coin_protocol=proto,
-            )
-            report = engine.run(ARR.copy(), queries=[Moment()])
-            return report.audit, repr(report.answers)
-
-        assert run("v1") != run("v2")
-        assert run("v2") == run("v2")  # deterministic end to end
-
-    def test_sharded_runner_forwards_protocol(self):
-        runner = ShardedRunner.from_registry(
-            "pstable-fp", 2, n=N, m=M, seed=3, coin_protocol="v1"
-        )
-        assert all(s.coin_protocol == "v1" for s in runner.shards)
-
-    def test_composites_forward_protocol(self):
-        for name in ("heavy-hitters", "adaptive-sample-and-hold"):
-            sketch = registry.create(
-                name, n=N, m=M, epsilon=0.8, seed=2, coin_protocol="v1"
-            )
-            assert sketch.coin_protocol == "v1"
-
 
 class TestLegacySnapshots:
-    # reservoir is coin-protocol aware but has no serialization
-    # hooks, so only the two serializable families restore snapshots.
-    @pytest.mark.parametrize("name", ["count-min-morris", "pstable-fp"])
-    def test_pre_v2_snapshots_restore_as_v1(self, name):
-        # Snapshots written before the protocol switch carry no
-        # "coin_protocol" config key; splicing their sequential-RNG
-        # history onto v2 coins would corrupt the run, so restore
-        # must pin them to v1.
-        sketch = registry.create(
-            name, n=N, m=M, epsilon=0.3, seed=9, coin_protocol="v1"
-        )
+    """The snapshot tag and the retirement of untagged / v1 snapshots."""
+
+    @pytest.mark.parametrize("name", SERIALIZABLE)
+    def test_snapshots_carry_the_tag(self, name):
+        sketch = registry.create(name, n=N, m=M, epsilon=0.3, seed=9)
+        assert sketch.to_state()["config"]["coin_protocol"] == COIN_PROTOCOL
+
+    def test_coin_free_snapshots_carry_no_tag(self):
+        sketch = registry.create("count-min", n=N, m=M, seed=9)
+        assert "coin_protocol" not in sketch.to_state()["config"]
+
+    @pytest.mark.parametrize("tag", [None, "v1"])
+    @pytest.mark.parametrize("name", SERIALIZABLE)
+    def test_untagged_and_v1_snapshots_raise(self, name, tag):
+        # A snapshot without the tag predates it, so it ran on v1.
+        sketch = registry.create(name, n=N, m=M, epsilon=0.3, seed=9)
         sketch.process_many(ARR[:100].tolist())
-        state = sketch.to_state()
-        assert state["config"]["coin_protocol"] == "v1"
-        legacy = json.loads(json.dumps(state))
-        del legacy["config"]["coin_protocol"]
-        restored = type(sketch).from_state(legacy)
-        assert restored.coin_protocol == "v1"
-        restored.process_many(ARR[100:].tolist())
-        sketch.process_many(ARR[100:].tolist())
-        assert json.dumps(
-            restored.to_state()["payload"], sort_keys=True
-        ) == json.dumps(sketch.to_state()["payload"], sort_keys=True)
+        legacy = json.loads(json.dumps(sketch.to_state()))
+        if tag is None:
+            del legacy["config"]["coin_protocol"]
+        else:
+            legacy["config"]["coin_protocol"] = tag
+        with pytest.raises(ValueError, match="v1 was retired"):
+            type(sketch).from_state(legacy)
+
+    def test_untagged_checkpoint_raises_on_load(self, tmp_path):
+        sketch = registry.create("pstable-fp", n=N, m=M, seed=9)
+        sketch.process_many(ARR[:100].tolist())
+        path = tmp_path / "legacy.json"
+        Checkpoint.save(path, sketch)
+        state = json.loads(path.read_text())
+        del state["config"]["coin_protocol"]
+        path.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="v1 was retired"):
+            Checkpoint.load(path)
 
     @pytest.mark.parametrize("name", SERIALIZABLE)
     def test_committed_v2_snapshot_restores_and_resumes(self, name):
@@ -400,14 +398,11 @@ class TestLegacySnapshots:
 
     @pytest.mark.parametrize("name", ["count-min-morris", "pstable-fp"])
     def test_v2_snapshots_round_trip(self, name):
-        sketch = registry.create(
-            name, n=N, m=M, epsilon=0.3, seed=9, coin_protocol="v2"
-        )
+        sketch = registry.create(name, n=N, m=M, epsilon=0.3, seed=9)
         sketch.process_many(ARR[:100].tolist())
         restored = type(sketch).from_state(
             json.loads(json.dumps(sketch.to_state()))
         )
-        assert restored.coin_protocol == "v2"
         restored.process_many(ARR[100:].tolist())
         sketch.process_many(ARR[100:].tolist())
         assert json.dumps(

@@ -1,5 +1,7 @@
 """Tests for Algorithm 2 (FullSampleAndHold)."""
 
+import math
+
 import pytest
 
 from repro.core import FullSampleAndHold
@@ -80,6 +82,40 @@ class TestLevels:
             algo.level_length(0)
         with pytest.raises(ValueError):
             algo.level_length(algo.num_levels + 1)
+
+
+class TestLevelDraw:
+    """The level coin -> deepest surviving level map: an update reaches
+    level ``x`` with probability ``min(1, 2^{1-x})``."""
+
+    @staticmethod
+    def draws(num_levels: int, count: int) -> list[int]:
+        grid = FullSampleAndHold(
+            n=64, m=256, p=2, epsilon=1.0, repetitions=1,
+            num_levels=num_levels, seed=1,
+        )
+        coins = grid._level_coins[0].uniform_block(0, count).tolist()
+        return [grid._deepest_level(u) for u in coins]
+
+    def test_levels_in_range(self):
+        assert all(1 <= level <= 9 for level in self.draws(9, 1000))
+
+    def test_geometric_distribution(self):
+        draws = self.draws(20, 40000)
+        for level in (2, 3, 4):
+            reached = sum(draw >= level for draw in draws)
+            expected = 40000 * 2.0 ** (1 - level)
+            assert abs(reached - expected) < 5 * math.sqrt(expected)
+
+    def test_powers_of_two_are_exact(self):
+        # floor(1 - log2(u)) on the boundaries, where a log2 round
+        # trip could be one ulp off.
+        grid = FullSampleAndHold(
+            n=64, m=256, p=2, epsilon=1.0, repetitions=1, num_levels=20
+        )
+        for k in range(25):
+            assert grid._deepest_level(2.0**-k) == min(20, 1 + k)
+        assert grid._deepest_level(0.0) == 20
 
 
 class TestStateChanges:

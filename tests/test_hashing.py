@@ -1,7 +1,6 @@
-"""Tests for k-wise hashing and nested subsampling."""
+"""Tests for k-wise hashing and nested universe subsampling."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from repro.hashing import (
     MERSENNE_P,
     KWiseHash,
-    NestedStreamSampler,
     NestedUniverseSampler,
     hash_to_unit,
 )
@@ -158,20 +156,3 @@ class TestNestedUniverseSampler:
         with pytest.raises(ValueError):
             NestedUniverseSampler(num_levels=0)
 
-
-class TestNestedStreamSampler:
-    def test_levels_in_range(self):
-        sampler = NestedStreamSampler(num_levels=9, rng=random.Random(0))
-        for _ in range(1000):
-            assert 1 <= sampler.draw_level() <= 9
-
-    def test_geometric_distribution(self):
-        sampler = NestedStreamSampler(num_levels=20, rng=random.Random(1))
-        draws = [sampler.draw_level() for _ in range(40000)]
-        at_least_3 = sum(level >= 3 for level in draws)
-        expected = 40000 * 0.25
-        assert abs(at_least_3 - expected) < 5 * math.sqrt(expected)
-
-    def test_invalid_num_levels_raises(self):
-        with pytest.raises(ValueError):
-            NestedStreamSampler(num_levels=0, rng=random.Random(0))

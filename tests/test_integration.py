@@ -1,8 +1,6 @@
 """Cross-module integration tests: one pass, many answers; NVM wiring;
 determinism; the full pipeline a downstream user would run."""
 
-import random
-
 import pytest
 
 from repro import (
@@ -92,7 +90,7 @@ class TestDeterminism:
         params = SampleAndHoldParams.from_problem(n=n, m=m, p=2, epsilon=0.5)
         runs = []
         for _ in range(2):
-            algo = SampleAndHold(params, rng=random.Random(42))
+            algo = SampleAndHold(params, seed=42)
             algo.process_stream(stream)
             runs.append((algo.estimates(), algo.state_changes))
         assert runs[0] == runs[1]

@@ -2,9 +2,8 @@
 
 The load-bearing contract: a :class:`~repro.serve.LiveEngine` snapshot
 taken mid-stream answers **bit-identically** to a fresh batch run over
-the same stream prefix — for every registered family, under both coin
-protocols where the family has one, across accounting backends and
-enforced budgets.  Everything else (cadence alignment, staleness
+the same stream prefix — for every registered family, across
+accounting backends and enforced budgets.  Everything else (cadence alignment, staleness
 metadata, collector series) builds on that cut-point exactness.
 """
 
@@ -37,12 +36,6 @@ from repro.streams import zipf_stream
 
 N, M = 512, 1536
 CADENCE = 1024  # the mid-stream cut every consistency test compares at
-
-
-def _protocols(name: str) -> tuple[str | None, ...]:
-    if name in registry.COIN_PROTOCOL_AWARE:
-        return ("v1", "v2")
-    return (None,)
 
 
 def _probe_queries(sketch: Sketch) -> list:
@@ -91,7 +84,6 @@ def batch_prefix(
     cut: int,
     *,
     shards: int = 1,
-    coin_protocol: str | None = None,
     tracking: str = "aggregate",
     budget=None,
 ) -> Sketch:
@@ -105,7 +97,6 @@ def batch_prefix(
         seed=9,
         tracking=tracking,
         budget=budget,
-        coin_protocol=coin_protocol,
     )
     runner.ingest(stream[:cut])
     return runner.merge()
@@ -115,55 +106,47 @@ class TestSnapshotVsBatchConsistency:
     """Satellite 3: mid-stream snapshots == fresh batch runs, exactly."""
 
     @pytest.mark.parametrize("name", registry.names())
-    def test_all_families_both_protocols(self, name):
+    def test_all_families(self, name):
         stream = zipf_stream(N, M, skew=1.1, seed=21)
-        for protocol in _protocols(name):
-            live = LiveEngine(
-                name,
-                n=N,
-                m=M,
-                epsilon=0.4,
-                seed=9,
-                snapshot_every=CADENCE,
-                coin_protocol=protocol,
-            )
-            # Odd-sized appends: cadence boundaries must not care.
-            live.append(stream[:700])
-            live.append(stream[700:CADENCE + 301])
-            snapshot = live.snapshot()
-            assert snapshot.update_index == CADENCE
-            batch = batch_prefix(
-                name, stream, CADENCE, coin_protocol=protocol
-            )
-            assert fingerprint(snapshot.sketch) == fingerprint(batch), (
-                f"{name} ({protocol or 'default'}) snapshot diverged "
-                f"from the batch run over the same prefix"
-            )
-            # The live run keeps going past the cut without issue.
-            live.append(stream[CADENCE + 301:])
-            assert live.head == M
+        live = LiveEngine(
+            name,
+            n=N,
+            m=M,
+            epsilon=0.4,
+            seed=9,
+            snapshot_every=CADENCE,
+        )
+        # Odd-sized appends: cadence boundaries must not care.
+        live.append(stream[:700])
+        live.append(stream[700:CADENCE + 301])
+        snapshot = live.snapshot()
+        assert snapshot.update_index == CADENCE
+        batch = batch_prefix(name, stream, CADENCE)
+        assert fingerprint(snapshot.sketch) == fingerprint(batch), (
+            f"{name} snapshot diverged from the batch run over the "
+            f"same prefix"
+        )
+        # The live run keeps going past the cut without issue.
+        live.append(stream[CADENCE + 301:])
+        assert live.head == M
 
     @pytest.mark.parametrize("name", ["count-min", "count-min-morris",
                                       "misra-gries", "kmv"])
     def test_sharded_live_engine_matches_sharded_batch(self, name):
         stream = zipf_stream(N, M, skew=1.1, seed=22)
-        for protocol in _protocols(name):
-            live = LiveEngine(
-                name,
-                n=N,
-                m=M,
-                epsilon=0.4,
-                seed=9,
-                shards=4,
-                snapshot_every=CADENCE,
-                coin_protocol=protocol,
-            )
-            live.append(stream[:CADENCE + 99])
-            snapshot = live.snapshot()
-            batch = batch_prefix(
-                name, stream, CADENCE, shards=4, coin_protocol=protocol
-            )
-            assert fingerprint(snapshot.sketch) == fingerprint(batch)
+        live = LiveEngine(
+            name,
+            n=N,
+            m=M,
+            epsilon=0.4,
+            seed=9,
+            shards=4,
+            snapshot_every=CADENCE,
+        )
+        live.append(stream[:CADENCE + 99])
+        snapshot = live.snapshot()
+        batch = batch_prefix(name, stream, CADENCE, shards=4)
+        assert fingerprint(snapshot.sketch) == fingerprint(batch)
 
     @pytest.mark.parametrize("tracking", ["aggregate", "trace"])
     def test_backends_round_trip(self, tracking):

@@ -3,7 +3,7 @@
 Three executors exist — serial, thread, and the pipelined process
 pool — and the contract is that executors change wall-clock time,
 never results.  These tests pin that down over chunked (columnar) streams,
-both coin protocols, mid-chunk budget cutover, and checkpoint
+the coin-drawing families, mid-chunk budget cutover, and checkpoint
 round-trips, plus the failure contract (shard context on worker
 errors, no silently merged partial results, no leaked shared-memory
 segments) and the container-aware sizing / fork-safety policies.
@@ -84,21 +84,18 @@ class TestChunkedGoldenEquivalence:
             assert other.shard_items == serial.shard_items, executor
             assert other.budget_reports == serial.budget_reports, executor
 
-    @pytest.mark.parametrize("protocol", ["v1", "v2"])
     @pytest.mark.parametrize("name", ["count-min-morris", "pstable-fp"])
-    def test_coin_protocols_bit_identical_under_every_mode(
-        self, name, protocol, arr
-    ):
+    def test_coin_families_bit_identical_under_every_mode(self, name, arr):
         def run(executor, **kw):
-            return make_runner(
-                name, executor, coin_protocol=protocol, **kw
-            ).run(ChunkedStream(arr[:3000]))
+            return make_runner(name, executor, **kw).run(
+                ChunkedStream(arr[:3000])
+            )
 
         serial = run("serial")
         for executor in EXECUTORS:
             other = run(executor)
             assert canonical(other.merged) == canonical(serial.merged), (
-                executor, protocol,
+                executor
             )
 
     def test_tight_ring_backpressure_is_bit_neutral(self, arr):

@@ -3,8 +3,7 @@
 The load-bearing contract: ``query_many`` over a
 :class:`~repro.query.MultiPointQuery` is **bit-identical** to a loop
 of scalar ``PointQuery`` dispatches — for every registered family,
-under both coin protocols where the family has one, across tracker
-backends, and through the serving snapshot path (``query_batch`` /
+across tracker backends, and through the serving snapshot path (``query_batch`` /
 ``queries`` on a :class:`~repro.serve.LiveEngine`).  On top of that
 sit the serving-plane guarantees this PR adds: reads answer off the
 ingest lock, multi-query reads observe one consistent cut, and the
@@ -43,13 +42,7 @@ NON_POINT_FAMILIES = sorted(
 )
 
 
-def _protocols(name: str) -> tuple[str | None, ...]:
-    if name in registry.COIN_PROTOCOL_AWARE:
-        return ("v1", "v2")
-    return (None,)
-
-
-def _build(name, protocol, tracking="aggregate"):
+def _build(name, tracking="aggregate"):
     return registry.create(
         name,
         n=N,
@@ -57,7 +50,6 @@ def _build(name, protocol, tracking="aggregate"):
         epsilon=0.3,
         seed=11,
         tracker=make_tracker(tracking),
-        coin_protocol=protocol,
     )
 
 
@@ -81,10 +73,7 @@ class TestBatchScalarIdentity:
             ),
             label="probe",
         )
-        protocol = data.draw(
-            st.sampled_from(_protocols(name)), label="protocol"
-        )
-        sketch = _build(name, protocol)
+        sketch = _build(name)
         sketch.process_many(np.asarray(stream, dtype=np.int64))
         batch = sketch.query_many(MultiPointQuery(probe))
         scalar = tuple(
@@ -97,14 +86,11 @@ class TestBatchScalarIdentity:
     def test_tracker_backends(self, name, tracking):
         stream = zipf_stream(N, M, skew=1.2, seed=4)
         probe = list(range(0, 300, 7))
-        for protocol in _protocols(name):
-            sketch = _build(name, protocol, tracking=tracking)
-            sketch.process_many(stream)
-            batch = sketch.query_many(MultiPointQuery(probe))
-            scalar = tuple(
-                sketch.query(PointQuery(item)) for item in probe
-            )
-            assert batch == scalar
+        sketch = _build(name, tracking=tracking)
+        sketch.process_many(stream)
+        batch = sketch.query_many(MultiPointQuery(probe))
+        scalar = tuple(sketch.query(PointQuery(item)) for item in probe)
+        assert batch == scalar
 
     @pytest.mark.parametrize("name", POINT_FAMILIES)
     def test_large_batch_exercises_kernels(self, name):
@@ -112,7 +98,7 @@ class TestBatchScalarIdentity:
         # vectorized gather (not the scalar fallback) is what answers.
         stream = zipf_stream(N, M, skew=1.4, seed=8)
         probe = [int(item) for item in np.arange(2000) % 500]
-        sketch = _build(name, _protocols(name)[-1])
+        sketch = _build(name)
         sketch.process_many(stream)
         batch = sketch.query_many(MultiPointQuery(probe))
         scalar = tuple(
@@ -122,12 +108,12 @@ class TestBatchScalarIdentity:
 
     @pytest.mark.parametrize("name", NON_POINT_FAMILIES)
     def test_non_point_families_raise(self, name):
-        sketch = _build(name, _protocols(name)[0])
+        sketch = _build(name)
         with pytest.raises(UnsupportedQueryError):
             sketch.query_many(MultiPointQuery((1, 2, 3)))
 
     def test_empty_batch(self):
-        sketch = _build("count-min", None)
+        sketch = _build("count-min")
         assert sketch.query_many(MultiPointQuery(())) == ()
 
     def test_scalar_fallback_path(self):
@@ -171,27 +157,21 @@ class TestServeSnapshotPath:
     @pytest.mark.parametrize("name", POINT_FAMILIES)
     def test_query_batch_matches_scalar(self, name):
         stream = zipf_stream(N, M, skew=1.2, seed=13)
-        for protocol in _protocols(name):
-            engine = LiveEngine(
-                name,
-                n=N,
-                m=M,
-                epsilon=0.3,
-                seed=11,
-                snapshot_every=1024,
-                coin_protocol=protocol,
-            )
-            engine.append(stream)
-            probe = list(range(0, 200, 3))
-            batch = engine.query_batch(probe)
-            scalar = [engine.query(PointQuery(item)) for item in probe]
-            assert [a.answer for a in batch] == [
-                a.answer for a in scalar
-            ]
-            # One consistent cut: a single staleness triple.
-            assert len(
-                {(a.snapshot_index, a.head) for a in batch}
-            ) == 1
+        engine = LiveEngine(
+            name,
+            n=N,
+            m=M,
+            epsilon=0.3,
+            seed=11,
+            snapshot_every=1024,
+        )
+        engine.append(stream)
+        probe = list(range(0, 200, 3))
+        batch = engine.query_batch(probe)
+        scalar = [engine.query(PointQuery(item)) for item in probe]
+        assert [a.answer for a in batch] == [a.answer for a in scalar]
+        # One consistent cut: a single staleness triple.
+        assert len({(a.snapshot_index, a.head) for a in batch}) == 1
 
     def test_queries_batches_point_misses(self):
         engine = LiveEngine(

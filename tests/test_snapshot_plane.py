@@ -7,8 +7,8 @@ bit-identical — payload, answers, audit — to the **reference
 rebuild** (:func:`reference_snapshot`: serialization-round-trip copies
 of every shard, reduced from scratch) and to a **fresh batch run**
 over the same stream prefix.  Hypothesis sweeps
-the equivalence over every mergeable family, both coin protocols for
-the randomized families, all tracker backends including budget
+the equivalence over every mergeable family, the randomized families'
+coins, all tracker backends including budget
 freeze/degrade, and checkpoint-resumed runners.
 
 Alongside the equivalence sweep: the epoch-keyed cache invalidation
@@ -39,7 +39,7 @@ N = 64  # universe for generated streams
 SHARDS = 4
 
 MERGEABLE = sorted(registry.mergeable_names())
-#: Families whose merge/ingest flips coins (accept ``coin_protocol=``).
+#: Mergeable families whose merge/ingest flips coins.
 RANDOMIZED = ("count-min-morris", "pstable-fp")
 
 streams = st.lists(st.integers(0, N - 1), max_size=40)
@@ -107,13 +107,12 @@ class TestIncrementalEqualsReference:
         assert stats["cuts_taken"] == 2
 
     @pytest.mark.parametrize("name", RANDOMIZED)
-    @pytest.mark.parametrize("protocol", ["v1", "v2"])
     @given(first=streams, second=streams)
     @settings(max_examples=6, deadline=None)
-    def test_coin_protocols(self, name, protocol, first, second):
-        """The randomized families stay bit-identical (coin RNG
-        position included) under both coin protocols."""
-        incremental = make_runner(name, coin_protocol=protocol)
+    def test_randomized_families(self, name, first, second):
+        """The randomized families stay bit-identical, coin positions
+        included."""
+        incremental = make_runner(name)
         incremental.ingest(first)
         assert_matches_reference(incremental)
         incremental.ingest(second)

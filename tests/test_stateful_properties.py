@@ -78,7 +78,7 @@ class SampleAndHoldMachine(RuleBasedStateMachine):
             budget_high=14,
             counter_a=0.25,
         )
-        self.algo = SampleAndHold(params, rng=random.Random(0))
+        self.algo = SampleAndHold(params, seed=0)
         self.exact = {}
 
     @rule(item=st.integers(0, 40))
