@@ -131,9 +131,9 @@ class FpEstimator(StreamAlgorithm):
         self.backend_kind = backend
         self._chunk_kernel_enabled = backend == "sample-hold"
 
-        rng = random.Random(seed)
+        self._rng = random.Random(seed)
         # Definition 3.3's randomized boundary.
-        self._lambda = rng.uniform(0.5, 1.0)
+        self._lambda = self._rng.uniform(0.5, 1.0)
         if num_levels is None:
             num_levels = max(1, int(math.ceil(math.log2(max(2, n)))) + 1)
         self.num_levels = num_levels
@@ -145,7 +145,7 @@ class FpEstimator(StreamAlgorithm):
 
         self._samplers = [
             NestedUniverseSampler(
-                num_levels, seed=rng.randrange(2**62)
+                num_levels, seed=self._rng.randrange(2**62)
             )
             for _ in range(repetitions)
         ]
@@ -174,7 +174,7 @@ class FpEstimator(StreamAlgorithm):
                             m=expected_m,
                             p=p,
                             epsilon=epsilon,
-                            seed=rng.randrange(2**62),
+                            seed=self._rng.randrange(2**62),
                             tracker=self.tracker,
                             **inner_kwargs,
                         )
