@@ -52,7 +52,6 @@ from repro.query import (
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.sharded import ShardedRunner
 from repro.serve.engine import LiveEngine
-from repro.state.algorithm import COIN_PROTOCOL
 from repro.state.tracker import make_tracker
 from repro.streams.generators import _zipf_draws
 
@@ -347,15 +346,6 @@ class TestProtocolPlumbing:
 
 class TestLegacySnapshots:
     """The snapshot tag and the retirement of untagged / v1 snapshots."""
-
-    @pytest.mark.parametrize("name", SERIALIZABLE)
-    def test_snapshots_carry_the_tag(self, name):
-        sketch = registry.create(name, n=N, m=M, epsilon=0.3, seed=9)
-        assert sketch.to_state()["config"]["coin_protocol"] == COIN_PROTOCOL
-
-    def test_coin_free_snapshots_carry_no_tag(self):
-        sketch = registry.create("count-min", n=N, m=M, seed=9)
-        assert "coin_protocol" not in sketch.to_state()["config"]
 
     @pytest.mark.parametrize("tag", [None, "v1"])
     @pytest.mark.parametrize("name", SERIALIZABLE)
