@@ -3,7 +3,7 @@
 Two configurations: the oracle backend isolates the HNO08 interpolation
 machinery (errors << 0.1 bits), and the streaming p-stable backend
 measures the end-to-end additive error of the write-frugal estimator
-(coarser at laptop scale; see EXPERIMENTS.md for the gap discussion).
+(coarser at laptop scale; see docs/ARCHITECTURE.md §2, deviation 3).
 """
 
 from repro.experiments import entropy_accuracy

@@ -32,12 +32,12 @@ with the machine — the >= 2x assertion applies on hosts with at least
 as many cores as shards (a single-core container cannot parallelize
 CPU-bound work, so there the bench asserts only bounded overhead).
 
-The parallel-pipeline section runs the same chunked stream through all
-three executors — serial, thread pool, and the pipelined shared-memory
-process pool — asserts their bit-identity (merged state, per-shard
-audits, point-query answers) unconditionally, bounds the pipelined
-pool's overhead against serial, and records pipelined ÷ serial
-throughput.  The results are committed as
+The parallel-pipeline section runs the same chunked stream through both
+executors — serial and the pipelined shared-memory process pool —
+asserts their bit-identity (merged state, per-shard audits,
+point-query answers) unconditionally, bounds the pipelined pool's
+overhead against serial, and records pipelined ÷ serial throughput.
+The results are committed as
 ``benchmarks/results/BENCH_parallel_pipeline.json``.
 
 Setting ``REPRO_BENCH_QUICK=1`` shrinks the stream sizes (used by the
@@ -547,9 +547,9 @@ def run_parallel_pipeline(
     sketch: str = "count-min",
     chunk_size: int = 8192,
 ) -> dict:
-    """Pipelined vs thread vs serial on one chunked stream.
+    """Pipelined vs serial on one chunked stream.
 
-    Every executor routes the identical ``int64`` stream with the
+    Both executors route the identical ``int64`` stream with the
     identical partitioner, so merged states, per-shard audits, and
     query answers must agree bit for bit — that equivalence is recorded
     (and asserted unconditionally by the test).  The timing side
@@ -568,7 +568,6 @@ def run_parallel_pipeline(
 
     modes = {
         "serial": "serial",
-        "thread": "thread",
         "pipelined": "process",
     }
     results = {}
@@ -579,7 +578,7 @@ def run_parallel_pipeline(
         )
         start = time.perf_counter()
         runner.ingest(ChunkedStream(arr))
-        reports = runner.shard_reports()  # triggers deferred dispatch
+        reports = runner.shard_reports()  # finishes the pipelined pool
         merged = runner.merge()
         total_seconds = time.perf_counter() - start
         results[mode] = {

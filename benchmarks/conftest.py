@@ -1,9 +1,10 @@
 """Shared fixtures for the benchmark suite.
 
 Each benchmark regenerates one paper artifact (Table 1 or a theorem-
-shaped experiment; see DESIGN.md Section 4).  The formatted result
-table is written to ``benchmarks/results/<id>.txt`` so that it survives
-pytest's stdout capture, and also printed for ``-s`` runs.
+shaped experiment; see the index in docs/ARCHITECTURE.md §5).  The
+formatted result table is written to ``benchmarks/results/<id>.txt``
+so that it survives pytest's stdout capture, and also printed for
+``-s`` runs.
 """
 
 from __future__ import annotations

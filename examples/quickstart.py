@@ -61,22 +61,6 @@ def main() -> None:
     budgets = [shard.state_changes for shard in flash.shard_reports]
     print(f"  per-shard write costs: {budgets} (skew {flash.skew:.2f})\n")
 
-    # --- executor="thread": parallel shards, no serialization --------
-    # The thread executor runs the same sharded ingest on a thread
-    # pool over the live shard objects.  Nothing is pickled, so even
-    # families without state hooks (like the paper's heavy-hitters)
-    # parallelize — and the numpy chunk kernels release the GIL for
-    # much of their work.  Answers and audits are bit-identical to
-    # serial and process runs.
-    threaded = Engine("heavy-hitters", n=N, m=M, epsilon=EPSILON,
-                      seed=0, executor="thread")
-    tre = threaded.run(stream, queries=[Moment()])
-    print("FullSampleAndHold on the thread executor:")
-    print(f"  {tre.summary()}")
-    assert tre.audit == report.audit  # executor never changes results
-    print(f"  audit identical to the serial run: "
-          f"{tre.audit.state_changes} state changes either way\n")
-
     # --- columnar (chunked) ingest -----------------------------------
     # Streams are ChunkedStreams — lazy sequences of int64 ndarray
     # chunks — and the deterministic families ingest them through

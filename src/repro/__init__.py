@@ -22,9 +22,9 @@ Quick start (the :class:`~repro.api.Engine` facade + typed queries)::
     print(report.answers)                 # typed (query, answer) pairs
 
 Algorithm classes remain directly usable (``HeavyHitters(...)``,
-``algo.process_stream(...)``, ``algo.query(...)``).  See DESIGN.md for
-the full system inventory and EXPERIMENTS.md for the paper-vs-measured
-record.
+``algo.process_stream(...)``, ``algo.query(...)``).  See
+docs/ARCHITECTURE.md for the layer-by-layer design, its deviations
+from the paper (§2) and the experiment index (§5).
 """
 
 from repro.api import Engine, RunReport

@@ -17,13 +17,12 @@ protocol (:mod:`repro.query`)::
     report.wall_time_s                      # ingest + reduce wall time
 
 ``shards=K`` switches ingestion to the sharded runtime transparently;
-answers still come from one merged sketch, and ``executor="thread"``
-or ``executor="process"`` additionally fans the shards out over a
-thread pool or the pipelined shared-memory ``multiprocessing`` pool,
-with bit-identical results.  One ``seed`` drives the registry factory
-(sketch randomness), the shard partitioner, and the stream-independent
-RNGs, so two engines built with the same arguments produce identical
-reports end to end.
+answers still come from one merged sketch, and ``executor="process"``
+additionally fans the shards out over the pipelined shared-memory
+``multiprocessing`` pool, with bit-identical results.  One ``seed``
+drives the registry factory (sketch randomness), the shard
+partitioner, and the stream-independent RNGs, so two engines built
+with the same arguments produce identical reports end to end.
 
 Streams can be passed explicitly or named: ``run(workload="bursty")``
 materializes a registered scenario (:mod:`repro.workloads`) sized by
@@ -72,7 +71,7 @@ from repro.query import (
     UnsupportedQueryError,
 )
 from repro.runtime.parallel import resolve_start_method
-from repro.runtime.sharded import ShardedRunner
+from repro.runtime.sharded import ShardedRunner, check_partition_and_executor
 from repro.state.algorithm import Sketch, check_coin_protocol
 from repro.state.budget import BudgetReport, WriteBudget
 from repro.state.report import StateChangeReport
@@ -114,8 +113,7 @@ class RunReport:
     skew:
         Max-over-mean shard load (1.0 = perfectly balanced).
     executor:
-        ``"serial"``, ``"thread"``, or ``"process"`` — where shard
-        ingest ran.
+        ``"serial"`` or ``"process"`` — where shard ingest ran.
     workload:
         Spec string of the named workload that generated the stream
         (``None`` when the caller passed an explicit stream).
@@ -196,10 +194,9 @@ class Engine:
         ``"hash"`` (default) or ``"round-robin"``; see
         :class:`~repro.runtime.sharded.ShardedRunner`.
     executor:
-        ``"serial"`` (default), ``"thread"`` (deferred thread pool
-        over the live shards — no serialization round trip), or
-        ``"process"`` (the pipelined shared-memory pool).  Results are
-        bit-identical; only the wall-clock changes.
+        ``"serial"`` (default) or ``"process"`` (the pipelined
+        shared-memory pool).  Results are bit-identical; only the
+        wall-clock changes.
     max_workers:
         Pool size cap (``None``: one worker per shard, capped by the
         CPUs the process may run on).
@@ -241,23 +238,16 @@ class Engine:
                     f"applies only to sketches that draw coins"
                 )
             check_coin_protocol(coin_protocol, f"Engine({sketch!r})")
-        if executor not in ("serial", "thread", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; "
-                f"choose from ('serial', 'thread', 'process')"
-            )
+        check_partition_and_executor(partition, executor)
         if executor == "process" and (
             self.spec.cls._config_state is Sketch._config_state
         ):
             # Fail at construction, not deep inside run(): the process
             # executor round-trips shards through to_state/from_state,
-            # which this family does not implement.  (The thread
-            # executor works on the live objects and has no such
-            # requirement.)
+            # which this family does not implement.
             raise ValueError(
                 f"{sketch!r} does not support state serialization and "
-                f"cannot use the process executor; use "
-                f"executor='serial' or executor='thread'"
+                f"cannot use the process executor; use executor='serial'"
             )
         if start_method is not None:
             resolve_start_method(start_method)  # validate eagerly
@@ -382,8 +372,7 @@ class Engine:
             if self.executor != "serial":
                 raise ValueError(
                     "nvm= attaches write listeners, which cannot cross "
-                    "a process pool and are not safe under concurrent "
-                    "shard threads; use executor='serial'"
+                    "a process pool; use executor='serial'"
                 )
             tracking = "trace"
             device = NVMDevice(

@@ -44,6 +44,7 @@ from repro.query import (
     Moment,
     QueryKind,
 )
+from repro.runtime.sharded import EXECUTORS, PARTITIONS
 from repro.state import (
     BUDGET_POLICIES,
     TRACKING_MODES,
@@ -436,13 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trace file for --workload trace-replay")
     run.add_argument("--shards", type=int, default=1)
     run.add_argument("--executor", default="serial",
-                     choices=["serial", "thread", "process"])
+                     choices=list(EXECUTORS))
     run.add_argument("--start-method", default=None, dest="start_method",
                      choices=["fork", "forkserver", "spawn"],
                      help="multiprocessing start method (default: fork "
                           "when single-threaded, else forkserver/spawn)")
     run.add_argument("--partition", default="hash",
-                     choices=["hash", "round-robin"])
+                     choices=list(PARTITIONS))
     run.add_argument("--n", type=int, default=4096)
     run.add_argument("--m", type=int, default=65536)
     run.add_argument("--skew", type=float, default=None,
@@ -481,9 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--shards", default="1,2,4,8",
                        help="comma-separated shard counts")
     shard.add_argument("--partition", default="hash",
-                       choices=["hash", "round-robin"])
+                       choices=list(PARTITIONS))
     shard.add_argument("--executor", default="serial",
-                       choices=["serial", "thread", "process"])
+                       choices=list(EXECUTORS))
     shard.add_argument("--workload", default="zipf",
                        help="registered workload scenario name")
     shard.add_argument("--trace",
@@ -509,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "print it)")
     serve.add_argument("--shards", type=int, default=1)
     serve.add_argument("--partition", default="hash",
-                       choices=["hash", "round-robin"])
+                       choices=list(PARTITIONS))
     serve.add_argument("--snapshot-every", type=int, default=8192,
                        dest="snapshot_every",
                        help="snapshot cadence in updates (collector "

@@ -45,7 +45,6 @@ import random
 import numpy as np
 
 from repro.hashing.coins import PhiloxCoins
-from repro.state.algorithm import NotMergeableError
 from repro.state.registers import TrackedValue
 from repro.state.tracker import StateTracker
 
@@ -99,7 +98,7 @@ def weighted_morris_step(
     return new_levels + coin.astype(np.int64)
 
 
-def climbed_level_v2(a: float, level: int, weight: float, u: float) -> int:
+def climbed_level(a: float, level: int, weight: float, u: float) -> int:
     """Scalar wrapper over :func:`weighted_morris_step` (merge path)."""
     return int(
         weighted_morris_step(
@@ -162,14 +161,6 @@ class ExactCounter(ApproximateCounter):
     @property
     def estimate(self) -> float:
         return self._cell.value
-
-    def merge_from(self, other: "ApproximateCounter") -> None:
-        """Absorb ``other``'s count (untracked: merges are offline)."""
-        if not isinstance(other, ExactCounter):
-            raise NotMergeableError(
-                f"cannot merge {type(other).__name__} into ExactCounter"
-            )
-        self._cell.load(self._cell.value + other.estimate)
 
     def release(self) -> None:
         self._cell.release()
@@ -282,32 +273,6 @@ class MorrisCounter(ApproximateCounter):
         """Current stored level ``X`` (the only persisted word)."""
         return self._level.value
 
-    def merge_from(self, other: "ApproximateCounter") -> None:
-        """Absorb ``other``'s count; remains unbiased.
-
-        The other counter's estimate is unbiased for its true count, so
-        a weighted climb by that estimate keeps the merged estimator
-        unbiased (tower property).  The level write goes through the
-        untracked ``load`` path: merging is an offline reduce, not a
-        stream update, so it is not charged as a state change.
-        """
-        if not isinstance(other, MorrisCounter):
-            raise NotMergeableError(
-                f"cannot merge {type(other).__name__} into MorrisCounter"
-            )
-        if other.a != self.a:
-            raise ValueError(
-                f"cannot merge Morris counters with different growth "
-                f"parameters: {self.a} vs {other.a}"
-            )
-        weight = other.estimate
-        if weight > 0:
-            self._level.load(self._climbed_level(weight))
-
-    def load_level(self, level: int) -> None:
-        """Restore a serialized level (untracked; checkpoint path)."""
-        self._level.load(int(level))
-
     def release(self) -> None:
         self._level.release()
 
@@ -419,7 +384,7 @@ class SkipMorrisCounter(ApproximateCounter):
         which is exact by geometric memorylessness.  Untracked, like
         every merge.  Returns whether the level changed.
         """
-        level = climbed_level_v2(self.a, self._level.value, weight, u)
+        level = climbed_level(self.a, self._level.value, weight, u)
         if level == self._level.value:
             return False
         self._level.load(level)
@@ -490,30 +455,6 @@ class MedianMorrisCounter(ApproximateCounter):
     def levels(self) -> list[int]:
         """Stored levels of every copy (the persisted words)."""
         return [copy.level for copy in self._copies]
-
-    def merge_from(self, other: "ApproximateCounter") -> None:
-        """Absorb another median-of-Morris counter, copy by copy."""
-        if not isinstance(other, MedianMorrisCounter):
-            raise NotMergeableError(
-                f"cannot merge {type(other).__name__} into "
-                f"MedianMorrisCounter"
-            )
-        if other.num_copies != self.num_copies:
-            raise ValueError(
-                f"cannot merge MedianMorrisCounters with different copy "
-                f"counts: {self.num_copies} vs {other.num_copies}"
-            )
-        for mine, theirs in zip(self._copies, other._copies):
-            mine.merge_from(theirs)
-
-    def load_levels(self, levels: list[int]) -> None:
-        """Restore serialized per-copy levels (checkpoint path)."""
-        if len(levels) != len(self._copies):
-            raise ValueError(
-                f"expected {len(self._copies)} levels, got {len(levels)}"
-            )
-        for copy, level in zip(self._copies, levels):
-            copy.load_level(level)
 
     def release(self) -> None:
         for copy in self._copies:

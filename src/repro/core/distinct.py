@@ -18,7 +18,7 @@ at all).  The estimator is the classical ``(k-1) / v_k`` with the
 
 This module rounds out the library's coverage of the paper's problem
 family; it is an extension, not a reproduction of a specific theorem
-(EXPERIMENTS.md lists it under E10).
+(docs/ARCHITECTURE.md §5 indexes it as experiment E10).
 """
 
 from __future__ import annotations

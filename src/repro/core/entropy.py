@@ -18,7 +18,7 @@ because ``F'(1) = sum_i f_i ln f_i`` and ``H = log2 m - F'(1)/(m ln 2)``
 with ``F(1) = m``.  We interpolate ``G`` at the nodes (degree-``k``
 Lagrange polynomial) and differentiate the interpolant at 1 — the
 numerically-stable equivalent of the paper's ``2^{P(0)}`` evaluation
-(DESIGN.md substitution 5).
+(docs/ARCHITECTURE.md §2, deviation 3).
 
 Backends:
 
@@ -27,7 +27,8 @@ Backends:
   Differentiating noisy data amplifies the per-moment relative error by
   roughly ``1/width``, so the default streaming configuration widens
   the node cluster (``node_width``) beyond the paper's asymptotic
-  ``ell``; EXPERIMENTS.md (E6) reports the measured accuracy honestly.
+  ``ell``; experiment E6 (docs/ARCHITECTURE.md §5) measures the
+  resulting accuracy.
 * ``"oracle"`` — exact moments from a tracked frequency table; isolates
   and validates the interpolation machinery (not write-frugal).
 """

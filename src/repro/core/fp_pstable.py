@@ -23,9 +23,10 @@ demand from a per-item generator, ``numpy.random.default_rng`` seeded
 with ``hash((variate_seed, j))``, which draws the column's ``(theta,
 r)`` uniforms for the Chambers–Mallows–Stuck transform.  This stands in
 for the ``O(log(1/eps)/log log(1/eps))``-wise independent generation of
-[JW19] (DESIGN.md substitution note).  A :class:`VariateTable` keeps
-the regenerated columns of recently seen items, at every order ``p``
-its sketches use, so each item's uniforms are drawn once.
+[JW19] (docs/ARCHITECTURE.md §2, deviation 4).  A
+:class:`VariateTable` keeps the regenerated columns of recently seen
+items, at every order ``p`` its sketches use, so each item's uniforms
+are drawn once.
 
 Coins: the Morris levels live in ``int64`` arrays and every weighted
 climb draws from an indexed Philox stream — update ``t`` row ``i``
@@ -49,7 +50,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.counters import climbed_level_v2, weighted_morris_step
+from repro.core.counters import climbed_level, weighted_morris_step
 from repro.hashing.coins import PhiloxCoins
 from repro.hashing.pstable import (
     cms_transform,
@@ -368,7 +369,7 @@ class PStableFpEstimator(StreamAlgorithm):
                 if weight > 0:
                     u = self._merge_coins.uniform(self._merge_draws)
                     self._merge_draws += 1
-                    levels[i] = climbed_level_v2(
+                    levels[i] = climbed_level(
                         a, int(levels[i]), weight, u
                     )
 

@@ -18,8 +18,8 @@ Implementation notes
   length counter would alone cost ``Theta(m)`` state changes).
 * The paper's line 8 selects ``l = min{x : m_x >= (fhat^x_j)^p}``; we
   default to the maximum rule justified by the one-sidedness argument
-  (DESIGN.md substitution 4) and keep the paper's literal rule
-  available via ``level_rule="min-length"``.
+  (docs/ARCHITECTURE.md §2, deviation 2) and keep the paper's literal
+  rule available via ``level_rule="min-length"``.
 """
 
 from __future__ import annotations

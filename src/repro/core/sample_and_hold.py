@@ -24,7 +24,7 @@ Deviation from the paper's constants: the theoretical multipliers
 laptop-scale stream; :class:`SampleAndHoldParams` keeps every
 *functional form* but exposes the leading constants, with defaults
 calibrated so the asymptotic shapes are measurable at
-``n in [2^10, 2^20]`` (see DESIGN.md, substitution 1).
+``n in [2^10, 2^20]`` (see docs/ARCHITECTURE.md §2, deviation 1).
 """
 
 from __future__ import annotations

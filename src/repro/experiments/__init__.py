@@ -1,5 +1,5 @@
-"""Experiment harness: one module per experiment family (see DESIGN.md
-Section 4 for the experiment index T1, E1-E8, A1-A3)."""
+"""Experiment harness: one module per experiment family (see
+docs/ARCHITECTURE.md §5 for the experiment index T1, E1-E10, A1-A4)."""
 
 from repro.experiments.ablation import (
     counter_ablation,

@@ -132,10 +132,9 @@ def shard_scaling(
     any scenario registered in :mod:`repro.workloads` — and the same
     sketch seed, so differences are attributable to the
     partition/merge pipeline alone.  ``executor="process"`` runs the
-    multi-shard rows on the pipelined shared-memory pool and
-    ``executor="thread"`` on a thread pool; results are bit-identical
-    to serial by construction, making this sweep a live equivalence
-    audit.
+    multi-shard rows on the pipelined shared-memory pool; results are
+    bit-identical to serial by construction, making this sweep a live
+    equivalence audit.
     """
     spec = workloads.scenario_spec(workload)
     params = dict(workload_params or {})

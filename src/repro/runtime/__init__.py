@@ -1,12 +1,12 @@
 """Distributed-ingestion runtime built on the mergeable sketch protocol.
 
 * :mod:`repro.runtime.sharded` — :class:`ShardedRunner`: partition a
-  stream over ``K`` sketch shards chunk by chunk, ingest (serially, on
-  a thread pool via ``executor="thread"``, or on the pipelined
-  shared-memory process pool via ``executor="process"``), merge-reduce.
+  stream over ``K`` sketch shards chunk by chunk, ingest (serially, or
+  on the pipelined shared-memory process pool via
+  ``executor="process"``), merge-reduce.
 * :mod:`repro.runtime.parallel` — the process executor
-  (:class:`PipelinedShardPool`) and the shared sizing/start-method
-  policy.  Worker failures carry shard context as
+  (:class:`PipelinedShardPool`) and its sizing/start-method policy.
+  Worker failures carry shard context as
   :class:`ShardIngestError`.
 * :mod:`repro.runtime.checkpoint` — :class:`Checkpoint`: JSON
   round-trips of sketch state (estimates + coin positions + audit).

@@ -20,7 +20,7 @@ Two pieces live here:
   (the expensive half of the merge-reduce) while slower workers are
   still ingesting.
 
-* The sizing/start-method policy (shared with the thread executor):
+* The pool's sizing/start-method policy:
   :func:`available_cpus` respects cgroup quotas and CPU affinity
   (``os.process_cpu_count`` where available, ``sched_getaffinity``
   otherwise — plain ``os.cpu_count`` oversubscribes 1-CPU containers),

@@ -48,16 +48,11 @@ sliced as is; any other iterable is pulled lazily, one ``int64`` chunk
 at a time, so generators stay bounded-memory.  An optional
 ``chunk_size`` sets the chunk length.
 
-Three executors decide *where* the per-shard ingest runs:
+Two executors (:data:`EXECUTORS`) decide *where* the per-shard ingest
+runs:
 
 * ``"serial"`` — shards are ingested in-process as the stream is
   routed.
-* ``"thread"`` — routed chunks are buffered per shard and ingested by
-  a thread pool over the live shard objects at the first observation.
-  No serialization round trip at all (non-serializable families can
-  use it), and the numpy-dominated ``process_chunk`` kernels release
-  the GIL for much of their work — on free-threaded builds the
-  overlap is full.
 * ``"process"`` — the zero-copy pipelined pool
   (:class:`~repro.runtime.parallel.PipelinedShardPool`): persistent
   workers are rebuilt once from each shard's empty snapshot, the
@@ -67,7 +62,7 @@ Three executors decide *where* the per-shard ingest runs:
   for restoration.
 
 The results — merged payload, answers, and the full audit — are
-bit-identical across executors; only the wall-clock changes.
+bit-identical across the two; only the wall-clock changes.
 
 A worker failure aborts the run with its shard context
 (:class:`~repro.runtime.parallel.ShardIngestError`; ``policy="raise"``
@@ -79,7 +74,6 @@ partial results.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -88,14 +82,7 @@ import numpy as np
 
 from repro import registry
 from repro.hashing.prime_field import KWiseHash
-from repro.runtime.parallel import (
-    PipelinedShardPool,
-    ShardIngestError,
-    reraise_shard_error,
-    resolve_start_method,
-    resolve_workers,
-    wrap_shard_error,
-)
+from repro.runtime.parallel import PipelinedShardPool, resolve_start_method
 from repro.state.algorithm import NotMergeableError, Sketch
 from repro.state.budget import BudgetReport, WriteBudget
 from repro.state.report import StateChangeReport
@@ -110,8 +97,10 @@ from repro.streams.chunked import (
 #: merge-compatible (same type, same hash seeds, separate trackers).
 ShardFactory = Callable[[int], Sketch]
 
-_PARTITIONS = ("hash", "round-robin")
-_EXECUTORS = ("serial", "thread", "process")
+#: Partitioners and executors a runner (and the ``Engine`` and CLI
+#: built on it) accepts; see the module docs.
+PARTITIONS = ("hash", "round-robin")
+EXECUTORS = ("serial", "process")
 
 #: One leaf of a snapshot cut: the shard's ingest-epoch key plus an
 #: immutable-by-convention private copy of the shard at that epoch.
@@ -119,6 +108,18 @@ SnapshotCut = list[tuple[tuple, Sketch]]
 
 
 _Node = TypeVar("_Node")
+
+
+def check_partition_and_executor(partition: str, executor: str) -> None:
+    """Reject a partitioner or executor outside the declared choices."""
+    if partition not in PARTITIONS:
+        raise ValueError(
+            f"unknown partition {partition!r}; choose from {PARTITIONS}"
+        )
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {executor!r}; choose from {EXECUTORS}"
+        )
 
 
 def _iter_chunks(items: Iterable[int], size: int) -> Iterator[np.ndarray]:
@@ -222,13 +223,10 @@ class ShardedRunner:
     seed:
         Seeds the partitioning hash (independent of the sketch seeds).
     executor:
-        ``"serial"`` (default) ingests in-process; ``"thread"``
-        buffers routed work and ingests the live shards on a thread
-        pool at the first observation (reports, merge, or
-        :meth:`run`); ``"process"`` runs the pipelined shared-memory
-        pool, whose workers ingest concurrently with routing.  The
-        process executor requires a serializable sketch; every
-        executor is bit-identical to serial mode.
+        ``"serial"`` (default) ingests in-process; ``"process"``
+        runs the pipelined shared-memory pool, whose workers ingest
+        concurrently with routing.  The process executor requires a
+        serializable sketch and is bit-identical to serial mode.
     max_workers:
         Pool size cap (``None``: one worker per shard, capped by the
         CPUs the process may run on).
@@ -256,14 +254,7 @@ class ShardedRunner:
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"need at least one shard: {num_shards}")
-        if partition not in _PARTITIONS:
-            raise ValueError(
-                f"unknown partition {partition!r}; choose from {_PARTITIONS}"
-            )
-        if executor not in _EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; choose from {_EXECUTORS}"
-            )
+        check_partition_and_executor(partition, executor)
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
         if start_method is not None:
@@ -289,15 +280,11 @@ class ShardedRunner:
         # Route by item identity so all occurrences co-locate.
         self._route = KWiseHash(2, seed=seed + 0x5A5A)
         self._cursor = 0  # round-robin position
-        # Routed chunks awaiting the thread pool (thread executor).
-        self._thread_parts: list[list[np.ndarray]] = [
-            [] for _ in range(num_shards)
-        ]
         self._shard_items = [0] * num_shards
         self._merged: Sketch | None = None
         self._premerge_reports: tuple[StateChangeReport, ...] = ()
         self._premerge_budgets: tuple[BudgetReport | None, ...] = ()
-        self._dispatched = False  # pool/thread executor ran its work
+        self._dispatched = False  # the process executor ran its work
         self._pipeline: PipelinedShardPool | None = None
         self._failed: BaseException | None = None
         # Incremental snapshot plane: per-leaf clones and memoized
@@ -407,9 +394,7 @@ class ShardedRunner:
         Where the routed work goes depends on the executor: serial
         ingests as it routes; the process executor writes each routed
         part into the shard's shared-memory ring (workers ingest
-        concurrently — the overlap is the point); the thread executor
-        only buffers, and the buffered work runs at the first
-        observation (reports, merge, or :meth:`run`).
+        concurrently — the overlap is the point).
         """
         self._check_ingestable()
         chunks = getattr(stream, "chunks", None)
@@ -490,10 +475,7 @@ class ShardedRunner:
             )
             return
         self._shard_items[shard] += len(part)
-        if self.executor == "thread":
-            self._thread_parts[shard].append(part)
-        else:
-            self._pool_submit(shard, part)
+        self._pool_submit(shard, part)
 
     def _pool_submit(self, shard: int, part: np.ndarray) -> None:
         """Hand one routed part to the pipelined pool (started lazily).
@@ -518,65 +500,23 @@ class ShardedRunner:
             raise
 
     def _execute(self) -> None:
-        """Run any deferred/pipelined shard work (at most once).
+        """Finish the pipelined pool's work (at most once).
 
-        Process runs: signal end-of-stream and restore the ingested
-        states incrementally as workers report (a fast worker's
+        Signal end-of-stream and restore the ingested states
+        incrementally as workers report (a fast worker's
         ``from_state`` restoration overlaps a slow worker's tail).
-        Thread runs: a thread pool ingests the buffered chunks into
-        the *live* shard objects — no serialization round trip at all.
         Shards that received no items keep their local (empty)
-        instances in every mode, matching serial bit for bit.  Any
-        failure latches the runner: partial results are never merged.
+        instances, matching serial bit for bit.  Any failure latches
+        the runner: partial results are never merged.
         """
         if self.executor == "serial" or self._dispatched:
             return
         self._dispatched = True
         try:
-            if self.executor == "thread":
-                self._execute_threads()
-            else:
-                self._drain_pipeline()
+            self._drain_pipeline()
         except BaseException as error:
             self._fail(error)
             raise
-        self._thread_parts = [[] for _ in range(self.num_shards)]
-
-    def _execute_threads(self) -> None:
-        """Ingest buffered chunks on a thread pool over live shards.
-
-        Each shard's routed parts are concatenated in stream order and
-        ingested in one ``process_chunk`` call; the numpy-dominated
-        kernels release the GIL for much of their work, so shards
-        genuinely overlap.  Worker errors carry shard context exactly
-        like the process executor.
-        """
-        payloads = [
-            (index, parts[0] if len(parts) == 1 else np.concatenate(parts))
-            for index, parts in enumerate(self._thread_parts)
-            if parts
-        ]
-        if not payloads:
-            return
-
-        def ingest_live(index: int, payload: np.ndarray) -> None:
-            shard = self._shards[index]
-            try:
-                shard.process_chunk(payload)
-            except Exception as error:
-                raise wrap_shard_error(index, shard, error) from error
-
-        workers = resolve_workers(len(payloads), self.max_workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(ingest_live, index, payload)
-                for index, payload in payloads
-            ]
-            try:
-                for future in futures:
-                    future.result()
-            except ShardIngestError as error:
-                reraise_shard_error(error)
 
     def _drain_pipeline(self) -> None:
         """Finish the pipelined pool, restoring states as they arrive."""
@@ -633,10 +573,9 @@ class ShardedRunner:
         :meth:`merged_from_cut` can reduce it later without touching
         live shard state.
 
-        Under the thread and process executors the first cut triggers
-        the pending dispatch, after which those one-shot runners
-        cannot ingest again — same semantics as
-        :meth:`merged_snapshot` always had.
+        Under the process executor the first cut finishes the
+        pipelined pool, after which that one-shot runner cannot ingest
+        again — same semantics as :meth:`merged_snapshot`.
         """
         self._check_not_failed()
         if self._merged is not None:
@@ -727,10 +666,9 @@ class ShardedRunner:
         This is the primitive the live serving engine
         (:class:`repro.serve.LiveEngine`) answers queries through.
 
-        Under the thread and process executors the first snapshot
-        triggers the pending dispatch (or finishes the pipelined
-        pool), after which the runner cannot ingest again (those
-        executors are one-shot); snapshot-while-ingesting is a
+        Under the process executor the first snapshot finishes the
+        pipelined pool, after which the runner cannot ingest again (the
+        process executor is one-shot); snapshot-while-ingesting is a
         serial-executor workflow.
         """
         return self.merged_from_cut(self.snapshot_cut())

@@ -32,7 +32,7 @@ from repro.query import (
     QueryKind,
 )
 from repro.runtime.checkpoint import Checkpoint
-from repro.runtime.sharded import ShardedRunner
+from repro.runtime.sharded import EXECUTORS, ShardedRunner
 from repro.state.algorithm import Sketch
 from repro.state.budget import WriteBudget, WriteBudgetExceededError
 from repro.state.tracker import make_tracker
@@ -504,7 +504,7 @@ class TestChunkedSharding:
             chunked.merged.to_state(), sort_keys=True
         ) == json.dumps(merged.to_state(), sort_keys=True)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_every_input_type_matches_under_every_executor(self, executor):
         """List, ndarray, ``ChunkedStream`` and generator inputs give
         the serial ``ChunkedStream`` run's exact result on every

@@ -17,9 +17,10 @@ import pytest
 
 from repro import registry
 from repro.api import Engine
+from repro.cli import build_parser, main
 from repro.runtime.parallel import PipelinedShardPool, resolve_workers
-from repro.runtime.sharded import ShardedRunner
-from repro.state.algorithm import NotSerializableError
+from repro.runtime.sharded import EXECUTORS, PARTITIONS, ShardedRunner
+from repro.state.algorithm import NotSerializableError, Sketch
 from repro.streams import zipf_stream
 
 N, M = 512, 6000
@@ -111,20 +112,27 @@ class TestProcessExecutorBehaviour:
             runner.ingest([1, 2, 3])
             runner.merge()
 
-    def test_non_serializable_sketch_fine_on_thread_executor(self):
-        # The thread executor ingests the live objects — no state
-        # round trip — so serial-only families parallelize under it.
-        runner = ShardedRunner.from_registry(
-            "heavy-hitters", 1, n=64, m=256, executor="thread"
-        )
-        runner.ingest([1, 2, 2, 3])
-        assert runner.merge().items_processed == 4
-
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedRunner.from_registry("count-min", 2, executor="gpu")
-        with pytest.raises(ValueError):
-            Engine("count-min", executor="gpu")
+        assert EXECUTORS == ("serial", "process")
+        for executor in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                ShardedRunner.from_registry(
+                    "count-min", 2, executor=executor
+                )
+            with pytest.raises(ValueError, match="unknown executor"):
+                Engine("count-min", executor=executor)
+        for command in ("run", "shard"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--executor", "thread"])
+            assert excinfo.value.code == 2  # argparse's usage error
+
+    def test_unknown_partition_rejected_at_construction(self):
+        # Engine rejects it at construction, not first inside run().
+        with pytest.raises(ValueError, match="unknown partition"):
+            Engine("count-min", shards=2, partition="bogus")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--partition", "bogus"])
+        assert excinfo.value.code == 2
 
     def test_engine_rejects_non_serializable_process_at_construction(self):
         with pytest.raises(ValueError, match="serialization"):
@@ -152,6 +160,90 @@ class TestProcessExecutorBehaviour:
         assert resolve_workers(4) >= 1
         with pytest.raises(ValueError):
             resolve_workers(4, max_workers=0)
+
+
+def serializable(name: str) -> bool:
+    """Whether ``name`` has the state hooks the process executor
+    round-trips shards through (the check ``Engine`` makes)."""
+    return registry.spec(name).cls._config_state is not Sketch._config_state
+
+
+#: Families without state hooks: they run on the serial executor only.
+SERIAL_ONLY = [name for name in registry.names() if not serializable(name)]
+
+
+class TestExecutorDeclaration:
+    """``runtime.sharded`` declares the executors and partitions once;
+    the runner, ``Engine`` and the CLI all read that declaration.
+
+    No family needs an executor beyond serial and the process pool: a
+    family without state hooks is not mergeable either, so it runs on
+    one serial shard.
+    """
+
+    def test_two_executors_and_two_partitions(self):
+        assert EXECUTORS == ("serial", "process")
+        assert PARTITIONS == ("hash", "round-robin")
+
+    @pytest.mark.parametrize(
+        ("command", "option", "declared"),
+        [
+            pytest.param("run", "--executor", EXECUTORS, id="run-executor"),
+            pytest.param("run", "--partition", PARTITIONS, id="run-partition"),
+            pytest.param("shard", "--executor", EXECUTORS, id="shard-executor"),
+            pytest.param(
+                "shard", "--partition", PARTITIONS, id="shard-partition"
+            ),
+            pytest.param(
+                "serve", "--partition", PARTITIONS, id="serve-partition"
+            ),
+        ],
+    )
+    def test_cli_choices_are_the_runtime_declaration(
+        self, command, option, declared
+    ):
+        parser = build_parser()
+        dest = option.lstrip("-")
+        for value in declared:
+            args = parser.parse_args([command, option, value])
+            assert getattr(args, dest) == value
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args([command, option, "thread"])
+        assert excinfo.value.code == 2  # argparse's usage error
+
+    def test_runner_rejects_unknown_partition_at_construction(self):
+        with pytest.raises(ValueError, match="unknown partition"):
+            ShardedRunner.from_registry("count-min", 2, partition="bogus")
+
+    def test_rejections_list_the_declared_choices(self):
+        with pytest.raises(ValueError) as excinfo:
+            Engine("count-min", executor="thread")
+        assert str(EXECUTORS) in str(excinfo.value)
+        with pytest.raises(ValueError) as excinfo:
+            Engine("count-min", shards=2, partition="bogus")
+        assert str(PARTITIONS) in str(excinfo.value)
+
+    def test_no_error_message_offers_threads(self, stream):
+        with pytest.raises(ValueError) as excinfo:
+            Engine("heavy-hitters", executor="process")
+        assert "executor='serial'" in str(excinfo.value)
+        assert "thread" not in str(excinfo.value)
+        engine = Engine("count-min", n=N, m=M, seed=5, executor="process")
+        with pytest.raises(ValueError) as excinfo:
+            engine.run(stream, queries=(), nvm="pcm")
+        assert "executor='serial'" in str(excinfo.value)
+        assert "thread" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", SERIAL_ONLY)
+    def test_serial_only_family_runs_on_one_serial_shard(self, name):
+        assert not registry.spec(name).mergeable
+        with pytest.raises(ValueError, match="not mergeable"):
+            Engine(name, shards=2)
+        with pytest.raises(ValueError, match="serialization"):
+            Engine(name, executor="process")
+        runner = ShardedRunner.from_registry(name, 1, n=64, m=256, seed=1)
+        runner.ingest([1, 2, 2, 3])
+        assert runner.merge().items_processed == 4
 
 
 class TestSkewRegression:

@@ -1,8 +1,8 @@
 """The pipelined shared-memory executor and the parallel bug burn-down.
 
-Three executors exist — serial, thread, and the pipelined process
-pool — and the contract is that executors change wall-clock time,
-never results.  These tests pin that down over chunked (columnar) streams,
+Two executors exist — serial and the pipelined process pool — and
+the contract is that the executor changes wall-clock time, never
+results.  These tests pin that down over chunked (columnar) streams,
 the coin-drawing families, mid-chunk budget cutover, and checkpoint
 round-trips, plus the failure contract (shard context on worker
 errors, no silently merged partial results, no leaked shared-memory
@@ -31,7 +31,7 @@ from repro.runtime.parallel import (
     resolve_workers,
     wrap_shard_error,
 )
-from repro.runtime.sharded import ShardedRunner
+from repro.runtime.sharded import EXECUTORS as ALL_EXECUTORS, ShardedRunner
 from repro.state.budget import WriteBudget, WriteBudgetExceededError
 from repro.streams import zipf_stream
 from repro.streams.chunked import ChunkedStream
@@ -39,7 +39,7 @@ from repro.streams.chunked import ChunkedStream
 N, M = 512, 6000
 
 #: Every non-serial executor.
-EXECUTORS = ["thread", "process"]
+EXECUTORS = [executor for executor in ALL_EXECUTORS if executor != "serial"]
 
 
 @pytest.fixture(scope="module")
@@ -151,20 +151,19 @@ class TestChunkedGoldenEquivalence:
         for executor in EXECUTORS:
             assert canonical(run(executor)) == canonical(serial), executor
 
-    def test_engine_answers_match_on_thread_and_pipelined(self, arr):
-        def report(executor, **kw):
+    def test_engine_answers_match_on_pipelined(self, arr):
+        def report(executor):
             return Engine(
                 "count-min", n=N, m=M, epsilon=0.2, seed=9, shards=4,
-                executor=executor, max_workers=2, **kw,
+                executor=executor, max_workers=2,
             ).run(arr)
 
         serial = report("serial")
-        for executor, kw in (("thread", {}), ("process", {})):
-            other = report(executor, **kw)
-            assert [
-                (type(q).__name__, a) for q, a in other.answers
-            ] == [(type(q).__name__, a) for q, a in serial.answers]
-            assert other.audit == serial.audit
+        other = report("process")
+        assert [
+            (type(q).__name__, a) for q, a in other.answers
+        ] == [(type(q).__name__, a) for q, a in serial.answers]
+        assert other.audit == serial.audit
 
     def test_checkpoint_round_trip_from_pipelined_merge(self, arr):
         merged = make_runner("kmv", "process").run(
@@ -223,18 +222,6 @@ class TestFaultPaths:
     @staticmethod
     def _boom(self, chunk):
         raise ValueError("injected shard fault")
-
-    def test_injected_fault_thread_executor(self, arr, monkeypatch):
-        cls = registry.spec("count-min").cls
-        runner = make_runner("count-min", "thread")
-        runner.ingest(arr[:2000])
-        monkeypatch.setattr(cls, "process_chunk", self._boom)
-        with pytest.raises(ShardIngestError) as excinfo:
-            runner.merge()
-        assert excinfo.value.shard_index >= 0
-        assert isinstance(excinfo.value.cause, ValueError)
-        with pytest.raises(RuntimeError, match="failed"):
-            runner.merged_snapshot()
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -391,16 +378,6 @@ class TestStartMethodPolicy:
 
 
 class TestCliFlags:
-    def test_run_accepts_thread_executor(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "run", "--algorithm", "count-min", "--workload", "zipf",
-            "--shards", "2", "--executor", "thread",
-            "--n", "64", "--m", "500",
-        ]) == 0
-        assert "count-min" in capsys.readouterr().out
-
     def test_run_accepts_process_executor(self, capsys):
         from repro.cli import main
 

@@ -9,15 +9,13 @@ bound of the single-instance run on the same stream, and the merged
 from __future__ import annotations
 
 import json
-import random
 from collections import Counter
 
 import pytest
 
 from repro import registry
 from repro.baselines import CountMin, MisraGries
-from repro.core import FullSampleAndHold, MorrisCounter, SampleAndHold
-from repro.core.counters import MedianMorrisCounter
+from repro.core import FullSampleAndHold, SampleAndHold
 from repro.core.sample_and_hold import SampleAndHoldParams
 from repro.state import (
     NotMergeableError,
@@ -214,6 +212,8 @@ class TestSerialization:
         sketch = make(name, seed=15)
         sketch.process_many(stream)
         state = json.loads(json.dumps(sketch.to_state()))
+        # Tag rule: only the classes that draw coins tag their snapshots.
+        assert ("coin_protocol" in state["config"]) == type(sketch).draws_coins
         restored = registry.sketch_class(state["algorithm"]).from_state(state)
         assert restored.report() == sketch.report()
         assert restored.items_processed == sketch.items_processed
@@ -245,48 +245,6 @@ class TestSerialization:
                                  repetitions=1)
         with pytest.raises(NotSerializableError):
             algo.to_state()
-
-
-class TestCounterMerges:
-    def test_morris_merge_is_approximately_additive(self):
-        rng = random.Random(0)
-        totals = []
-        for _ in range(30):
-            tracker = StateTracker()
-            first = MorrisCounter(tracker, a=0.05, rng=rng)
-            second = MorrisCounter(tracker, a=0.05, rng=rng)
-            for _ in range(2000):
-                first.add()
-            for _ in range(3000):
-                second.add()
-            first.merge_from(second)
-            totals.append(first.estimate)
-        mean = sum(totals) / len(totals)
-        assert mean == pytest.approx(5000, rel=0.15)
-
-    def test_morris_merge_parameter_mismatch(self):
-        tracker = StateTracker()
-        rng = random.Random(0)
-        first = MorrisCounter(tracker, a=0.05, rng=rng)
-        second = MorrisCounter(tracker, a=0.1, rng=rng)
-        with pytest.raises(ValueError):
-            first.merge_from(second)
-
-    def test_median_morris_merge(self):
-        tracker = StateTracker()
-        rng = random.Random(1)
-        first = MedianMorrisCounter(tracker, epsilon=0.3, delta=0.1, rng=rng)
-        second = MedianMorrisCounter(tracker, epsilon=0.3, delta=0.1, rng=rng)
-        for _ in range(1000):
-            first.add()
-            second.add()
-        first.merge_from(second)
-        assert first.estimate == pytest.approx(2000, rel=0.5)
-        restored = MedianMorrisCounter(
-            tracker, epsilon=0.3, delta=0.1, rng=rng
-        )
-        restored.load_levels(first.levels)
-        assert restored.estimate == first.estimate
 
 
 class TestExternalTrackerRestore:
