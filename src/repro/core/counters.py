@@ -33,18 +33,24 @@ audited by the enclosing algorithm's
 
 :func:`weighted_morris_step` is the weighted-increment kernel on
 indexed coins, shared verbatim by the scalar and the chunked p-stable
-paths so their levels agree bit for bit.
+paths so their levels agree bit for bit.  :func:`skip_morris_step` is
+its unit-increment sibling: it advances many
+:class:`SkipMorrisCounter` s at once (:func:`absorb_lanes`), reading
+their level coins lane-wise and inverting them with the libm calls of
+the counters' own :func:`geometric_threshold`.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
+import itertools
 import math
 import random
 
 import numpy as np
 
-from repro.hashing.coins import PhiloxCoins
+from repro.hashing.coins import PhiloxCoins, lane_block_uniforms
 from repro.state.registers import TrackedValue
 from repro.state.tracker import StateTracker
 
@@ -108,6 +114,163 @@ def climbed_level(a: float, level: int, weight: float, u: float) -> int:
             np.array([float(u)]),
         )[0]
     )
+
+
+@functools.lru_cache(maxsize=4096)
+def _survival_log(a: float, level: int) -> float:
+    """``log1p(-(1+a)^-level)``: the log of the probability that level
+    ``level`` survives one arrival."""
+    return math.log1p(-((1.0 + a) ** (-level)))
+
+
+def geometric_threshold(a: float, level: int, u: float) -> int:
+    """Arrivals level ``level >= 1`` survives: Geometric((1+a)^-level),
+    by inversion from the coin ``u``.
+
+    The logarithms and the power are libm's (``math`` and ``**``), not
+    numpy's: numpy's SIMD ``log1p`` and ``power`` can differ from libm
+    in the last ulp, which would move a threshold.
+    :func:`skip_morris_step` inverts its lanes with the same libm calls;
+    only the division, ``ceil`` and clipping -- exact in both -- run
+    in numpy there.
+    """
+    g = math.ceil(math.log1p(-u) / _survival_log(a, level))
+    return min(max(1, int(g)), _MAX_THRESHOLD)
+
+
+def skip_morris_step(
+    a: float,
+    keys0: np.ndarray,
+    keys1: np.ndarray,
+    levels: np.ndarray,
+    since: np.ndarray,
+    thresholds: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lane-wise :meth:`SkipMorrisCounter.absorb`: lane ``i`` is one
+    counter with Morris parameter ``a`` -- the Philox key
+    ``(keys0[i], keys1[i])`` of its level-coin stream and its
+    ``(level, since, threshold)`` -- absorbing ``counts[i]`` unit
+    arrivals.
+
+    Returns the new levels, ``since`` and thresholds, and every
+    transition as two parallel arrays: its lane and its 1-based arrival
+    ordinal within that lane's count, in ascending order per lane --
+    exactly what ``counts[i]`` scalar adds would have written on.  The
+    lanes climb together, one level per round; a climbing lane reads
+    the coin of its new level from a cached block of four, and only
+    lanes that leave their block go back to
+    :func:`~repro.hashing.coins.lane_block_uniforms`.  Lanes with
+    count 0 pass through unchanged.
+    """
+    keys = np.array(
+        [np.asarray(keys0, dtype=np.uint64), np.asarray(keys1, dtype=np.uint64)]
+    )
+    levels = np.array(levels, dtype=np.int64)
+    since = np.array(since, dtype=np.int64)
+    thresholds = np.array(thresholds, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    # The climbing lanes: indices, levels, thresholds, arrivals left.
+    active = np.arange(len(levels))
+    level, threshold, left = levels, thresholds, counts
+    need = threshold - since
+    coins = cached = None  # each lane's block of level coins, on demand
+    moved: list[np.ndarray] = []
+    ordinals: list[np.ndarray] = []
+    while len(active):
+        climb = left >= need
+        if not climb.all():
+            stay = ~climb
+            done = active[stay]
+            levels[done] = level[stay]
+            since[done] += left[stay]
+            thresholds[done] = threshold[stay]
+            active, level, left, need = (
+                active[climb], level[climb], left[climb], need[climb]
+            )
+            if not len(active):
+                break
+        left = left - need
+        level = level + 1
+        moved.append(active)
+        ordinals.append(counts[active] - left)
+        if coins is None:
+            coins = np.empty((4, len(levels)))
+            cached = np.full(len(levels), -1, dtype=np.int64)
+        block = level >> 2
+        stale = cached[active] != block
+        if stale.any():
+            fetch = active[stale]
+            coins[:, fetch] = lane_block_uniforms(
+                *keys[:, fetch], block[stale]
+            )
+            cached[fetch] = block[stale]
+        # geometric_threshold, lane-wise: libm logs, exact numpy rest.
+        u = coins[level & 3, active]
+        survival = [_survival_log(a, x) for x in level.tolist()]
+        logs = np.fromiter(map(math.log1p, (-u).tolist()), float, len(u))
+        g = np.ceil(logs / np.array(survival))
+        threshold = np.minimum(np.maximum(g, 1.0), float(_MAX_THRESHOLD)).astype(
+            np.int64
+        )
+        since[active] = 0
+        need = threshold
+    if moved:
+        lanes = np.concatenate(moved)
+        at = np.concatenate(ordinals)
+        order = np.argsort(lanes, kind="stable")
+        lanes, at = lanes[order], at[order]
+    else:
+        lanes = at = np.zeros(0, dtype=np.int64)
+    return levels, since, thresholds, lanes, at
+
+
+#: Below this many counters, :func:`absorb_lanes` lets each counter
+#: climb with its own :meth:`SkipMorrisCounter.absorb`: a lane step's
+#: ~100 array operations per round only pay off across wide waves
+#: (measured: 1.7 ms one by one vs 2.9 ms lane-wise at 256 counters,
+#: 35 vs 18 ms at 5,000).
+_FEW_COUNTERS = 256
+
+
+def absorb_lanes(
+    counters: list["SkipMorrisCounter"], counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Absorb ``counts[i]`` unit arrivals into ``counters[i]`` (which
+    share one ``a``) with one :func:`skip_morris_step`; returns its
+    transitions (lane, 1-based ordinal).  Untracked, like
+    :meth:`SkipMorrisCounter.absorb`, which a few counters call one by
+    one instead -- the same climbs."""
+    if len(counters) < _FEW_COUNTERS:
+        moved = [
+            counter.absorb(count)
+            for counter, count in zip(counters, np.asarray(counts).tolist())
+        ]
+        return (
+            np.repeat(np.arange(len(moved)), [len(m) for m in moved]),
+            np.array([at for m in moved for at in m], dtype=np.int64),
+        )
+    keys = np.fromiter(
+        itertools.chain.from_iterable(c._coins.key for c in counters),
+        np.uint64,
+        2 * len(counters),
+    ).reshape(-1, 2)
+    levels, since, thresholds, lanes, at = skip_morris_step(
+        counters[0].a,
+        keys[:, 0],
+        keys[:, 1],
+        [c._level._value for c in counters],
+        [c._since for c in counters],
+        [c._threshold for c in counters],
+        counts,
+    )
+    for counter, level, lane_since, threshold in zip(
+        counters, levels.tolist(), since.tolist(), thresholds.tolist()
+    ):
+        counter._level.load(level)
+        counter._since = lane_since
+        counter._threshold = threshold
+    return lanes, at
 
 
 class ApproximateCounter(abc.ABC):
@@ -319,10 +482,7 @@ class SkipMorrisCounter(ApproximateCounter):
         """Arrivals level ``level`` survives: Geometric((1+a)^-level)."""
         if level <= 0:
             return 1
-        u = self._coins.uniform(level)
-        p = (1.0 + self.a) ** (-level)
-        g = math.ceil(math.log1p(-u) / math.log1p(-p))
-        return min(max(1, int(g)), _MAX_THRESHOLD)
+        return geometric_threshold(self.a, level, self._coins.uniform(level))
 
     def add(self, weight: float = 1.0) -> None:
         if weight != 1.0:
@@ -373,6 +533,11 @@ class SkipMorrisCounter(ApproximateCounter):
     def since(self) -> int:
         """Arrivals absorbed at the current level (untracked shadow)."""
         return self._since
+
+    @property
+    def threshold(self) -> int:
+        """Arrivals the current level survives (untracked shadow)."""
+        return self._threshold
 
     def merge_weight(self, weight: float, u: float) -> bool:
         """Absorb a merged-in estimate via one weighted climb.

@@ -149,6 +149,13 @@ class FpEstimator(StreamAlgorithm):
             )
             for _ in range(repetitions)
         ]
+        # Per sampler, the universe level of every item a chunk has
+        # routed so far (a cache of the pure ``level_of``).
+        self._item_levels: list[dict[int, int]] = [{} for _ in range(repetitions)]
+        # Arrival clock, advanced before each update reaches a backend,
+        # and the band contributions with the clock they were built at.
+        self._t = 0
+        self._contributions: tuple[int, dict[int, float]] | None = None
         inner_kwargs = dict(inner_kwargs or {})
         # Moment sums aggregate many small estimates, so the inner
         # instances default to the shallowest-held-level rule: maxing
@@ -185,6 +192,7 @@ class FpEstimator(StreamAlgorithm):
     # Stream processing (Algorithm 3 lines 2-7)
     # ------------------------------------------------------------------
     def _update(self, item: int) -> None:
+        self._t += 1
         for r, sampler in enumerate(self._samplers):
             deepest = sampler.level_of(item)
             row = self._backends[r]
@@ -196,18 +204,24 @@ class FpEstimator(StreamAlgorithm):
         grid's instances in one pass over one shared audit.
 
         Universe levels come from the scalar ``level_of``, once per
-        distinct item of the chunk, so a level boundary never moves by
+        distinct item of the stream, so a level boundary never moves by
         the last-ulp difference a vectorized unit hash could make.
         Routes are gathered in the scalar (repetition, level, grid
         repetition, grid level) order.
         """
+        self._t += len(chunk)
         audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
         distinct, inverse = np.unique(chunk, return_inverse=True)
         items = distinct.tolist()
         routes: list[tuple[SampleAndHold, np.ndarray]] = []
-        for sampler, row in zip(self._samplers, self._backends):
+        for sampler, known, row in zip(
+            self._samplers, self._item_levels, self._backends
+        ):
+            for item in items:
+                if item not in known:
+                    known[item] = sampler.level_of(item)
             deepest = np.array(
-                [sampler.level_of(item) for item in items], dtype=np.int64
+                [known[item] for item in items], dtype=np.int64
             )[inverse]
             for level_index, backend in enumerate(row):
                 positions = np.flatnonzero(deepest > level_index)
@@ -236,7 +250,14 @@ class FpEstimator(StreamAlgorithm):
         return min(self.num_levels, max(1, band - self._offset))
 
     def contributions(self) -> dict[int, float]:
-        """Per-band contribution estimates ``C_i`` (line 13)."""
+        """Per-band contribution estimates ``C_i`` (line 13), built once
+        per arrival clock."""
+        built = self._contributions
+        if built is None or built[0] != self._t:
+            built = self._contributions = (self._t, self._build_contributions())
+        return dict(built[1])
+
+    def _build_contributions(self) -> dict[int, float]:
         m_tilde = 2.0 ** math.ceil(self.p * math.log2(max(2, self.m)))
         num_bands = int(math.ceil(math.log2(m_tilde))) + 2
 

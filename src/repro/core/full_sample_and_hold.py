@@ -109,6 +109,9 @@ class FullSampleAndHold(StreamAlgorithm):
             num_levels = min(24, max(1, int(math.ceil(math.log2(max(2, m)))) + 1))
         self.num_levels = num_levels
         self._t = 0  # arrival clock (level-coin index of the next arrival)
+        # Estimate maps by level rule, each with the clock it was built
+        # at: state changes only as the clock advances.
+        self._estimate_maps: dict[str, tuple[int, dict[int, float]]] = {}
 
         # One indexed level-draw stream per repetition: arrival t's
         # survival depth for copy r is a pure function of coin (r, t),
@@ -244,7 +247,9 @@ class FullSampleAndHold(StreamAlgorithm):
 
     def _answer_all_estimates(self, q: AllEstimates) -> MapAnswer:
         """Estimates for every held item, under the default level rule."""
-        return MapAnswer(QueryKind.ALL_ESTIMATES, self._estimates_impl(None))
+        return MapAnswer(
+            QueryKind.ALL_ESTIMATES, dict(self._estimates_impl(None))
+        )
 
     def _answer_point_many(
         self, q: MultiPointQuery
@@ -269,7 +274,7 @@ class FullSampleAndHold(StreamAlgorithm):
         """
         if level_rule is None:
             return dict(self.query(AllEstimates()).values)
-        return self._estimates_impl(level_rule)
+        return dict(self._estimates_impl(level_rule))
 
     def _estimates_impl(self, level_rule: str | None) -> dict[int, float]:
         """Frequency estimates for every item held at any level.
@@ -279,10 +284,23 @@ class FullSampleAndHold(StreamAlgorithm):
         ``level_rule`` (a query-time choice — the sketch itself is
         rule-agnostic, so one pass can serve both point queries with
         ``"max"`` and moment sums with ``"shallowest"``).
+
+        The map is built once per arrival clock and rule and returned
+        as is: callers that hand it out copy it.
         """
         rule = self.level_rule if level_rule is None else level_rule
         if rule not in ("max", "shallowest", "min-length"):
             raise ValueError(f"unknown level_rule: {rule!r}")
+        built = self._estimate_maps.get(rule)
+        if built is None or built[0] != self._t:
+            built = self._estimate_maps[rule] = (
+                self._t,
+                self._build_estimates(rule),
+            )
+        return built[1]
+
+    def _build_estimates(self, rule: str) -> dict[int, float]:
+        """The estimate map under ``rule``, from the held counters."""
         # Read the instances' held maps directly: a point query per
         # (item, level) would pay one query dispatch each.
         held = [[instance._held for instance in row] for row in self._instances]
@@ -291,21 +309,26 @@ class FullSampleAndHold(StreamAlgorithm):
             for counters in row:
                 candidates.update(counters)
 
-        results: dict[int, float] = {}
-        for item in candidates:
-            per_level: list[tuple[int, float]] = []
-            for x in range(1, self.num_levels + 1):
-                found = [row[x - 1].get(item) for row in held]
-                if not any(found):
-                    continue  # every copy reads 0, so the median is 0
+        # Per item, the (level, rescaled median) of every level at which
+        # some copy holds it; at any other level every copy reads 0, so
+        # the median is 0.
+        per_item: dict[int, list[tuple[int, float]]] = {}
+        for x, copies in enumerate(zip(*held), start=1):
+            scale = 2.0 ** (x - 1)
+            for item in set().union(*copies):
                 med = float(
                     statistics.median(
-                        0.0 if h is None else h.counter.estimate for h in found
+                        0.0 if h is None else h.counter.estimate
+                        for h in (counters.get(item) for counters in copies)
                     )
                 )
                 if med > 0:
-                    per_level.append((x, med * 2.0 ** (x - 1)))
-            if not per_level:
+                    per_item.setdefault(item, []).append((x, med * scale))
+
+        results: dict[int, float] = {}
+        for item in candidates:
+            per_level = per_item.get(item)
+            if per_level is None:
                 continue
             if rule == "max":
                 results[item] = max(value for _, value in per_level)

@@ -81,6 +81,9 @@ class HeavyHitters(StreamAlgorithm):
             **fp_kwargs,
         )
         self._chunk_kernel_enabled = self._fp._chunk_kernel_enabled
+        # The median-of-copies map and the estimator's arrival clock it
+        # was built at.
+        self._estimate_map: tuple[int, dict[int, float]] | None = None
 
     def _update(self, item: int) -> None:
         self._fp._update(item)
@@ -99,6 +102,19 @@ class HeavyHitters(StreamAlgorithm):
         ``fhat_j <= f_j`` always, and ``fhat_j >= (1 - eps) * f_j`` for
         heavy hitters with the theorem's probability.
         """
+        return MapAnswer(QueryKind.ALL_ESTIMATES, dict(self._estimates()))
+
+    def _estimates(self) -> dict[int, float]:
+        """The median-of-copies map, built once per arrival clock of the
+        estimator (state changes only as it advances); callers that
+        hand it out copy it."""
+        built = self._estimate_map
+        if built is None or built[0] != self._fp._t:
+            built = self._estimate_map = (self._fp._t, self._build_estimates())
+        return built[1]
+
+    def _build_estimates(self) -> dict[int, float]:
+        """Median over copies of the level-1 estimates."""
         candidates: set[int] = set()
         # Point queries read the least-subsampled level that held the
         # item ("shallowest"): unless the stream's moment is so large
@@ -112,27 +128,24 @@ class HeavyHitters(StreamAlgorithm):
         ]
         for estimates in per_copy:
             candidates.update(estimates)
-        return MapAnswer(
-            QueryKind.ALL_ESTIMATES,
-            {
-                item: float(
-                    statistics.median(est.get(item, 0.0) for est in per_copy)
-                )
-                for item in candidates
-            },
-        )
+        return {
+            item: float(
+                statistics.median(est.get(item, 0.0) for est in per_copy)
+            )
+            for item in candidates
+        }
 
     def _answer_point(self, q: PointQuery) -> ScalarAnswer:
         return ScalarAnswer(
-            QueryKind.POINT, self.estimates().get(q.item, 0.0)
+            QueryKind.POINT, self._estimates().get(q.item, 0.0)
         )
 
     def _answer_point_many(
         self, q: MultiPointQuery
     ) -> tuple[ScalarAnswer, ...]:
-        """Batch point queries: the median-of-copies estimate map is
-        built once and gathered, instead of once per item."""
-        estimates = self.estimates()
+        """Batch point queries: one gather from the median-of-copies
+        estimate map."""
+        estimates = self._estimates()
         return tuple(
             ScalarAnswer(QueryKind.POINT, estimates.get(item, 0.0))
             for item in q.items
@@ -153,7 +166,7 @@ class HeavyHitters(StreamAlgorithm):
             QueryKind.HEAVY_HITTERS,
             {
                 item: fhat
-                for item, fhat in self.estimates().items()
+                for item, fhat in self._estimates().items()
                 if fhat >= threshold
             },
         )

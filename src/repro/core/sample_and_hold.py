@@ -30,6 +30,7 @@ calibrated so the asymptotic shapes are measurable at
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +40,9 @@ from repro.core.counters import (
     ApproximateCounter,
     ExactCounter,
     SkipMorrisCounter,
+    absorb_lanes,
 )
-from repro.hashing.coins import PhiloxCoins
+from repro.hashing.coins import PhiloxCoins, lane_uniforms
 from repro.query import (
     AllEstimates,
     MapAnswer,
@@ -230,17 +232,34 @@ class SampleAndHold(StreamAlgorithm):
             return
         if item in self._reservoir_members:
             # Lines 12-13: item is in the reservoir -> hold a counter.
-            self._create_counter(item)
+            counter = self._new_counter()
+            counter.add()  # the triggering occurrence counts
+            self._hold(item, counter, self._t)
             return
         # Lines 15-18: sample into the reservoir with probability rho.
         if self._coins_sample.uniform(idx) < self.params.sample_probability:
-            u = self._coins_slot.uniform(idx)
-            slot = min(int(u * self._budget), self._budget - 1)
-            evicted = self._reservoir[slot]
-            if evicted is not None and self._reservoir_members.get(evicted) == slot:
-                del self._reservoir_members[evicted]
+            self._sample(item, self._coins_slot.uniform(idx))
+
+    def _sample(
+        self,
+        item: int,
+        u: float,
+        audit: ChunkAudit | None = None,
+        position: int = 0,
+    ) -> None:
+        """Lines 17-18: write ``item`` into the slot picked by the slot
+        coin ``u``.  Inside a chunk kernel (``audit`` given) the write
+        lands in the chunk audit and the register is stored untracked."""
+        slot = min(int(u * self._budget), self._budget - 1)
+        evicted = self._reservoir[slot]
+        if evicted is not None and self._reservoir_members.get(evicted) == slot:
+            del self._reservoir_members[evicted]
+        if audit is None:
             self._reservoir[slot] = item
-            self._reservoir_members[item] = slot
+        else:
+            audit.write(f"q[{slot}]", item != evicted, position)
+            self._reservoir.store_at(slot, item)
+        self._reservoir_members[item] = slot
 
     def _new_counter(self) -> ApproximateCounter:
         """A fresh held counter on its own coin stream."""
@@ -257,16 +276,21 @@ class SampleAndHold(StreamAlgorithm):
         self._created += 1
         return counter
 
-    def _create_counter(self, item: int) -> None:
-        """Open an approximate counter for ``item`` (lines 13, 19-21)."""
-        counter = self._new_counter()
-        counter.add()  # the triggering occurrence counts
+    def _hold(
+        self,
+        item: int,
+        counter: ApproximateCounter,
+        created_at: int,
+        settle: "ChunkSettle | None" = None,
+        position: int = 0,
+    ) -> None:
+        """Hold ``counter`` for ``item`` (lines 13, 19-21); prune when
+        the held set reaches the budget."""
         # Two bookkeeping words: the held item id and its creation time.
         self.tracker.allocate(2)
-        created_at = self._t
         self._held[item] = _HeldCounter(counter, created_at)
         if len(self._held) >= self._budget:
-            self._prune_counters(created_at)
+            self._prune_counters(created_at, settle, position)
 
     # ------------------------------------------------------------------
     # Counter maintenance (lines 19-21): dyadic age groups
@@ -288,8 +312,8 @@ class SampleAndHold(StreamAlgorithm):
 
         Inside a chunk kernel (``settle`` given) the deferred arrivals
         of held items are absorbed up to ``position`` before any
-        estimate is read, and the evicted items' later arrivals go back
-        into the settle order.
+        estimate is read, and the evicted items' later deferred
+        arrivals go back into the settle's event order.
         """
         if settle is not None:
             settle.flush(self, position)
@@ -337,68 +361,43 @@ class SampleAndHold(StreamAlgorithm):
         audit.commit(self.tracker, len(chunk))
 
     def _screen(
-        self, items: np.ndarray
+        self, ranks: np.ndarray, distinct: np.ndarray
     ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Screen ``items`` arriving at clock ``self._t`` and advance
+        """Screen the arrivals of items ``distinct[ranks]`` (the chunk's
+        sorted distinct items) arriving at clock ``self._t`` and advance
         the clock past them.
 
-        Returns the first arrival's coin index, the sampling coins, the
-        conservative settle mask, and the mask of arrivals whose item is
-        held now.  An arrival needs settling iff its item could touch
-        state: it is already held or reservoir-resident, its sampling
-        coin hits, or it equals an item whose coin hits in this chunk
-        (that item may enter the reservoir and then be held on a later
-        occurrence).  Everything unflagged is a provable no-op — the
-        sampling coin misses and no lookup matches — so skipping it
-        leaves state and audit exactly as the scalar loop would.
+        Returns the first arrival's coin index, the mask of arrivals
+        whose sampling coin hits, the conservative settle mask, and the
+        mask of arrivals whose item is held now.  An arrival needs
+        settling iff its item could touch state: it is already held or
+        reservoir-resident, its sampling coin hits, or it equals an item
+        whose coin hits in this chunk (that item may enter the reservoir
+        and then be held on a later occurrence).  Everything unflagged
+        is a provable no-op — the sampling coin misses and no lookup
+        matches — so skipping it leaves state and audit exactly as the
+        scalar loop would.  Membership is asked once per distinct item,
+        not once per arrival.
         """
-        n = len(items)
+        n = len(ranks)
         t0 = self._t
         self._t = t0 + n
         uniforms = self._coins_sample.uniform_block(t0, n)
         hits = uniforms < self.params.sample_probability
-        keys = items.tolist()
-        held = np.fromiter(map(self._held.__contains__, keys), bool, n)
-        watch = self._reservoir_members.keys() | items[hits].tolist()
-        flagged = held | np.fromiter(map(watch.__contains__, keys), bool, n)
-        return t0, uniforms, flagged, held
-
-    def _step_absorb(
-        self,
-        item: int,
-        idx: int,
-        u_sample: float,
-        position: int,
-        settle: "ChunkSettle",
-    ) -> None:
-        """One arrival with audit-side accounting: identical state
-        transitions to :meth:`_update`, but writes land in the chunk
-        audit and registers are stored untracked."""
-        audit = settle.audit
-        held = self._held.get(item)
-        if held is not None:
-            for _ in held.counter.absorb(1):
-                audit.write(held.counter.cell_id, True, position)
-            return
-        if item in self._reservoir_members:
-            counter = self._new_counter()
-            for _ in counter.absorb(1):
-                audit.write(counter.cell_id, True, position)
-            self.tracker.allocate(2)
-            created_at = idx + 1
-            self._held[item] = _HeldCounter(counter, created_at)
-            if len(self._held) >= self._budget:
-                self._prune_counters(created_at, settle, position)
-            return
-        if u_sample < self.params.sample_probability:
-            u = self._coins_slot.uniform(idx)
-            slot = min(int(u * self._budget), self._budget - 1)
-            evicted = self._reservoir[slot]
-            if evicted is not None and self._reservoir_members.get(evicted) == slot:
-                del self._reservoir_members[evicted]
-            audit.write(f"q[{slot}]", item != evicted, position)
-            self._reservoir.store_at(slot, item)
-            self._reservoir_members[item] = slot
+        # Per distinct item (indexed by chunk rank): present here, held,
+        # flagged.
+        present = np.zeros(len(distinct), dtype=bool)
+        present[ranks] = True
+        seen = np.flatnonzero(present)
+        keys = distinct[seen].tolist()
+        held = np.zeros(len(distinct), dtype=bool)
+        held[seen] = np.fromiter(map(self._held.__contains__, keys), bool, len(keys))
+        flagged = held.copy()
+        flagged[seen] |= np.fromiter(
+            map(self._reservoir_members.__contains__, keys), bool, len(keys)
+        )
+        flagged[ranks[hits]] = True
+        return t0, hits, flagged[ranks], held[ranks]
 
     # ------------------------------------------------------------------
     # Queries
@@ -469,24 +468,44 @@ class ChunkSettle:
     visits the leaves, with ascending chunk positions per leaf.  Because
     the leaves share one audit, a position is dirty iff any leaf mutated
     on it — the union of their dirty masks, exactly the scalar ``X_t``.
+    The leaves of one composite come from one parameter set, so they
+    hold one kind of counter: Morris counters with one ``a``, or exact
+    counters.
 
-    Each leaf screens its substream (:meth:`SampleAndHold._screen`).
-    A flagged arrival of an item the leaf held at screen time only
-    bumps that item's counter, so it is *deferred*: the deferred
-    arrivals of one item are absorbed with one ``counter.absorb(k)``
-    whose transition ordinals map back to chunk positions.  Every other
-    flagged arrival is an *event*, settled one by one in the scalar
-    order (position, leaf), which keeps the ``fresh_cell_id`` order and
-    the allocate/free interleaving, hence the per-cell histogram and
-    ``peak_words``.  A prune reads estimates, so it first absorbs its
-    leaf's deferred arrivals up to the prune's position; the later
-    deferred arrivals of the items it evicts go back into the event
-    order (they were flagged, so the screen stays conservative).
+    Each leaf screens its substream (:meth:`SampleAndHold._screen`),
+    and the flagged arrivals settle in two passes:
+
+    * **Structural pass.**  Counter openings, reservoir writes and
+      prunes settle one by one in the scalar order (position, leaf),
+      which keeps the ``fresh_cell_id`` order and the allocate/free
+      interleaving, hence the per-cell histogram and ``peak_words``.
+      The slot coins of the arrivals whose sampling coin hits are read
+      up front, lane-wise.
+    * **Counting pass.**  Every unit arrival at a held counter only
+      moves that counter, so it is *deferred*: the arrivals of items
+      held at screen time never enter the structural pass, and an
+      arrival the structural pass meets at an item held by then — the
+      triggering occurrence of a counter it opens included — is set
+      aside.  Deferred arrivals are absorbed in *waves*: one
+      :func:`~repro.core.counters.absorb_lanes` over every counter they
+      reach, whose transition ordinals map back to chunk positions (a
+      wide wave climbs in lane-wise steps that read the counters' level
+      coins lane-wise).
+
+    A prune reads estimates, so a wave first absorbs its leaf's
+    deferred arrivals up to the prune's position.  The later arrivals
+    that were deferred at screen time for the items it evicts go back
+    into the event order (they were flagged, so the screen stays
+    conservative); arrivals the structural pass set aside are never
+    later than the prune, so they are all in that wave.  The final
+    wave absorbs everything left.
 
     Arrivals live in numpy columns over all leaves — (position, leaf
-    ordinal, item, coin index, uniform) — with the deferred ones sorted
-    by (leaf, position) and ``_pending`` marking those not yet absorbed
-    or handed back.
+    ordinal, item, coin index, sampling hit) — with the screen-deferred
+    ones sorted by (leaf, position) and ``_pending`` marking those not
+    yet absorbed or handed back; ``_late`` holds, per leaf, the
+    arrivals the structural pass set aside, as flat ``item, position``
+    pairs.
     """
 
     __slots__ = (
@@ -498,6 +517,9 @@ class ChunkSettle:
         "_deferred",
         "_bounds",
         "_pending",
+        "_late",
+        "_rank",
+        "_width",
     )
 
     def __init__(
@@ -507,35 +529,37 @@ class ChunkSettle:
         audit: ChunkAudit,
     ) -> None:
         self.audit = audit
+        # Chunk-local item ranks: the screens ask membership once per
+        # distinct item, and waves group arrivals by (leaf, rank).
+        distinct, self._rank = np.unique(chunk, return_inverse=True)
+        self._width = len(distinct)
         self._leaves = [leaf for leaf, _ in routes]
         self._ordinals = {leaf: o for o, leaf in enumerate(self._leaves)}
         self._requeued: list[tuple] = []
-        columns: tuple[list, ...] = ([], [], [], [], [], [])
-        lengths = []
-        for leaf, positions in routes:
-            items = chunk[positions]
-            t0, uniforms, flagged, held = leaf._screen(items)
-            for column, values in zip(
-                columns,
-                (
-                    positions,
-                    items,
-                    np.arange(t0, t0 + len(items)),
-                    uniforms,
-                    flagged,
-                    held,
-                ),
-            ):
-                column.append(values)
-            lengths.append(len(items))
-        position, item, index, uniform, flagged, held = (
-            np.concatenate(column) for column in columns
+        self._late: list[list[int]] = [[] for _ in routes]
+        lengths = [len(positions) for _, positions in routes]
+        position = np.concatenate([positions for _, positions in routes])
+        item = chunk[position]
+        bounds = np.cumsum([0] + lengths)
+        rank = self._rank[position]
+        t0s, hits, flags, helds = zip(
+            *(
+                leaf._screen(rank[low:high], distinct)
+                for leaf, low, high in zip(self._leaves, bounds, bounds[1:])
+            )
+        )
+        hit, flagged, held = (
+            np.concatenate(column) for column in (hits, flags, helds)
         )
         ordinal = np.repeat(np.arange(len(routes)), lengths)
-        fields = (position, ordinal, item, index, uniform)
+        # Coin indices: leaf o's arrivals count up from its clock t0.
+        index = np.arange(len(position)) + np.repeat(
+            np.array(t0s) - bounds[:-1], lengths
+        )
+        fields = (position, ordinal, item, index, hit)
         events = np.flatnonzero(flagged & ~held)
         events = events[np.lexsort((ordinal[events], position[events]))]
-        self._events = [field[events].tolist() for field in fields]
+        self._events = self._event_rows([field[events] for field in fields])
         deferred = np.flatnonzero(held)  # already in (leaf, position) order
         self._deferred = [field[deferred] for field in fields]
         self._bounds = np.searchsorted(
@@ -543,38 +567,93 @@ class ChunkSettle:
         ).tolist()
         self._pending = np.ones(len(deferred), dtype=bool)
 
+    def _event_rows(self, columns: list[np.ndarray]) -> list[list]:
+        """Event columns (position, ordinal, item, coin index, slot
+        coin) as lists, from arrival columns (position, ordinal, item,
+        coin index, sampling hit).  The slot coin is read, lane-wise,
+        only where the sampling coin hits; it is -1.0 elsewhere."""
+        position, ordinal, item, index, hit = columns
+        hits = np.flatnonzero(hit)
+        slot = np.full(len(position), -1.0)
+        if len(hits):
+            keys0, keys1 = np.array(
+                [leaf._coins_slot.key for leaf in self._leaves], dtype=np.uint64
+            ).T
+            hit_ordinal = ordinal[hits]
+            slot[hits] = lane_uniforms(
+                keys0[hit_ordinal], keys1[hit_ordinal], index[hits]
+            )
+        return [
+            position.tolist(),
+            ordinal.tolist(),
+            item.tolist(),
+            index.tolist(),
+            slot.tolist(),
+        ]
+
     def run(self) -> None:
-        """Settle every event, then absorb the remaining deferrals."""
+        """The structural pass over every event, then the final wave.
+
+        An event replays the scalar :meth:`SampleAndHold._update` with
+        the counting deferred: an arrival at an item held by then is
+        set aside, and so is the triggering occurrence of a counter the
+        event opens."""
         leaves = self._leaves
+        held = [leaf._held for leaf in leaves]
+        members = [leaf._reservoir_members for leaf in leaves]
+        late = self._late
+        audit = self.audit
+        for position, ordinal, item, index, slot in self._merged_events():
+            if item in held[ordinal]:
+                late[ordinal] += (item, position)
+            elif item in members[ordinal]:
+                late[ordinal] += (item, position)
+                leaf = leaves[ordinal]
+                leaf._hold(item, leaf._new_counter(), index + 1, self, position)
+            elif slot >= 0.0:
+                leaves[ordinal]._sample(item, slot, audit, position)
+        self._wave(
+            np.flatnonzero(self._pending),
+            np.repeat(np.arange(len(late)), [len(rows) // 2 for rows in late]),
+            list(itertools.chain.from_iterable(late)),
+        )
+
+    def _merged_events(self):
+        """The events in (position, leaf) order, with the arrivals that
+        prunes hand back (:meth:`requeue`) merged in as they come."""
         requeued = self._requeued
         for event in zip(*self._events):
             while requeued and requeued[0] < event:
-                position, ordinal, item, index, uniform = heapq.heappop(requeued)
-                leaves[ordinal]._step_absorb(item, index, uniform, position, self)
-            position, ordinal, item, index, uniform = event
-            leaves[ordinal]._step_absorb(item, index, uniform, position, self)
+                yield heapq.heappop(requeued)
+            yield event
         while requeued:
-            position, ordinal, item, index, uniform = heapq.heappop(requeued)
-            leaves[ordinal]._step_absorb(item, index, uniform, position, self)
-        self._absorb(np.flatnonzero(self._pending))
+            yield heapq.heappop(requeued)
 
     def flush(self, leaf: SampleAndHold, position: int) -> None:
-        """Absorb ``leaf``'s deferred arrivals before ``position``."""
+        """Absorb ``leaf``'s deferred arrivals up to ``position``."""
         ordinal = self._ordinals[leaf]
         low = self._bounds[ordinal]
         high = low + int(
             np.searchsorted(
-                self._deferred[0][low:self._bounds[ordinal + 1]], position
+                self._deferred[0][low:self._bounds[ordinal + 1]],
+                position,
+                side="right",
             )
         )
-        self._absorb(np.flatnonzero(self._pending[low:high]) + low)
+        late = self._late[ordinal]
+        self._late[ordinal] = []
+        self._wave(
+            np.flatnonzero(self._pending[low:high]) + low,
+            np.full(len(late) // 2, ordinal),
+            late,
+        )
 
     def requeue(
         self, leaf: SampleAndHold, evicted: list[int], position: int
     ) -> None:
-        """Hand the pending deferred arrivals of items ``leaf`` just
-        evicted back to the event order.  The prune flushed everything
-        before ``position``, so all of them come later."""
+        """Hand the pending screen-deferred arrivals of items ``leaf``
+        just evicted back to the event order.  The prune flushed
+        everything up to ``position``, so all of them come later."""
         ordinal = self._ordinals[leaf]
         low, high = self._bounds[ordinal], self._bounds[ordinal + 1]
         if low == high or not evicted:
@@ -590,29 +669,58 @@ class ChunkSettle:
             + low
         )
         self._pending[take] = False
-        for event in zip(*(field[take].tolist() for field in self._deferred)):
+        rows = self._event_rows([field[take] for field in self._deferred])
+        for event in zip(*rows):
             heapq.heappush(self._requeued, event)
 
-    def _absorb(self, take: np.ndarray) -> None:
-        """Absorb the deferred arrivals ``take`` (indices into the
-        deferred columns): one ``counter.absorb(k)`` per (leaf, item)."""
-        if len(take) == 0:
+    def _wave(
+        self,
+        take: np.ndarray,
+        late_ordinals: np.ndarray,
+        late: list[int],
+    ) -> None:
+        """The counting pass over the screen-deferred arrivals ``take``
+        (indices into the deferred columns) plus the ``late`` arrivals
+        (flat item, position pairs) of leaves ``late_ordinals``: one
+        lane per held counter, all climbed by one
+        :func:`~repro.core.counters.absorb_lanes`."""
+        if len(take) == 0 and not late:
             return
         self._pending[take] = False
         position, ordinal, item = (field[take] for field in self._deferred[:3])
-        order = np.lexsort((item, ordinal))  # stable: positions stay sorted
-        ordinal = ordinal[order]
-        item = item[order]
-        position = position[order].tolist()
-        starts = np.flatnonzero(
-            np.r_[True, (ordinal[1:] != ordinal[:-1]) | (item[1:] != item[:-1])]
-        )
-        bounds = starts.tolist() + [len(order)]
+        if late:
+            extra = np.array(late, dtype=np.int64).reshape(-1, 2)
+            item = np.concatenate((item, extra[:, 0]))
+            position = np.concatenate((position, extra[:, 1]))
+            ordinal = np.concatenate((ordinal, late_ordinals))
+        # Group by (leaf, item).  A group's arrivals all come from one
+        # source -- screen-deferred ones exist only for items held at
+        # screen time, and a requeue takes all of an item's pending ones
+        # before it can arrive late -- and each source lists a leaf's
+        # arrivals by position, so a stable sort keeps them ascending.
+        key = ordinal * self._width + self._rank[position]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        counts = np.concatenate((starts[1:], [len(key)])) - starts
+        head = order[starts]  # each group's first arrival
         leaves = self._leaves
-        write = self.audit.write
-        for o, key, start, end in zip(
-            ordinal[starts].tolist(), item[starts].tolist(), bounds, bounds[1:]
-        ):
-            counter = leaves[o]._held[key].counter
-            for step in counter.absorb(end - start):
-                write(counter.cell_id, True, position[start + step - 1])
+        counters = [
+            leaves[o]._held[x].counter
+            for o, x in zip(ordinal[head].tolist(), item[head].tolist())
+        ]
+        if not leaves[0].use_morris:  # exact counters: every arrival writes
+            for counter, first, count in zip(
+                counters, starts.tolist(), counts.tolist()
+            ):
+                for step in counter.absorb(count):
+                    self.audit.write(
+                        counter.cell_id, True, int(position[order[first + step - 1]])
+                    )
+            return
+        moved, at = absorb_lanes(counters, counts)
+        self.audit.write_many(
+            position[order[starts[moved] + at - 1]],
+            moved,
+            lambda lane: counters[lane].cell_id,
+        )

@@ -250,10 +250,12 @@ def build_pruning(name: str, mode: str):
 
 class TestSampleAndHoldPrunes:
     """The shared settle of the sample-and-hold stack on a stream that
-    prunes: items held when a chunk is screened have their arrivals
-    absorbed in bulk, so a prune inside the chunk must first absorb
-    them up to its position and hand the evicted items' later arrivals
-    back to the scalar settle order."""
+    prunes: held counters count their arrivals in deferred waves, so a
+    prune inside the chunk must first absorb its leaf's deferred
+    arrivals up to its position, and the evicted items' later arrivals
+    must settle in the scalar order again -- both for items held when
+    the chunk was screened (handed back from the deferred set) and for
+    items opened inside it (still ahead in the event order)."""
 
     @pytest.mark.parametrize("mode", ["aggregate", "trace"])
     @pytest.mark.parametrize("size", [1, 37, 4096, PRUNE_M])
@@ -270,26 +272,28 @@ class TestSampleAndHoldPrunes:
         # A held counter was opened before the chunk iff its creation
         # clock is at most the leaf's clock when the chunk was screened.
         screened_at: dict[int, int] = {}
-        evicted_inside = 0
+        evicted_inside = 0  # held before the chunk, evicted inside it
+        opened_inside = 0  # opened and evicted inside one chunk
         screen = SampleAndHold._screen
         prune = SampleAndHold._prune_counters
 
-        def recording_screen(self, items):
+        def recording_screen(self, ranks, distinct):
             screened_at[id(self)] = self._t
-            return screen(self, items)
+            return screen(self, ranks, distinct)
 
         def recording_prune(self, now, settle=None, position=0):
-            nonlocal evicted_inside
+            nonlocal evicted_inside, opened_inside
             before = {
                 item: held.created_at for item, held in self._held.items()
             }
             prune(self, now, settle, position)
             if settle is not None:
-                evicted_inside += sum(
-                    created <= screened_at[id(self)]
-                    for item, created in before.items()
-                    if item not in self._held
-                )
+                for item, created in before.items():
+                    if item not in self._held:
+                        if created <= screened_at[id(self)]:
+                            evicted_inside += 1
+                        else:
+                            opened_inside += 1
 
         monkeypatch.setattr(SampleAndHold, "_screen", recording_screen)
         monkeypatch.setattr(SampleAndHold, "_prune_counters", recording_prune)
@@ -301,6 +305,8 @@ class TestSampleAndHoldPrunes:
         assert sum(leaf.num_prunes for leaf in sample_and_hold_leaves(sketch)) > 0
         if size < PRUNE_M:  # nothing is held when the first chunk starts
             assert evicted_inside > 0
+        if size >= 4096:  # long enough to open and evict inside a chunk
+            assert opened_inside > 0
 
 
 WAVE_N, WAVE_M = 512, 20_000

@@ -39,7 +39,13 @@ from repro.baselines import ReservoirSampler
 from repro.core import SampleAndHold
 from repro.experiments.sharding import shard_scaling
 from repro.hashing import coins as coins_module
-from repro.hashing.coins import PhiloxCoins, stream_key
+from repro.hashing.coins import (
+    PhiloxCoins,
+    lane_block_uniforms,
+    lane_uniforms,
+    lane_words,
+    stream_key,
+)
 from repro.query import (
     AllEstimates,
     Distinct,
@@ -295,6 +301,72 @@ class TestOneGeneratorPerThread:
                     _fresh_uniforms(9, label, start + count // 2, 1)[0]
                 )
             assert seen[t] == expected
+
+
+class TestLanePhilox:
+    """The pure-numpy Philox-4x64-10 of the lane-wise reads returns the
+    words ``np.random.Philox`` returns, counter pre-increment included,
+    for many streams in one call and for a few (which re-point the
+    thread's generator instead)."""
+
+    INDICES = (
+        list(range(8)) + [2**40 + k for k in range(1, 8)] + [2**50 + 3]
+    )
+
+    @pytest.mark.parametrize("lanes", [1, 5, 95, 96, 200])
+    def test_words_match_a_freshly_built_philox(self, lanes):
+        rng = np.random.default_rng(lanes)
+        keys0 = rng.integers(0, 2**64, lanes, dtype=np.uint64, endpoint=False)
+        keys1 = rng.integers(0, 2**64, lanes, dtype=np.uint64, endpoint=False)
+        index = np.array(
+            [self.INDICES[i % len(self.INDICES)] for i in range(lanes)],
+            dtype=np.uint64,
+        )
+        expected = []
+        for key0, key1, at in zip(keys0, keys1, index.tolist()):
+            block, offset = divmod(at, 4)
+            expected.append(
+                int(
+                    np.random.Philox(
+                        key=np.array([key0, key1], dtype=np.uint64),
+                        counter=[block, 0, 0, 0],
+                    ).random_raw(offset + 1)[offset]
+                )
+            )
+        assert lane_words(keys0, keys1, index).tolist() == expected
+
+    @pytest.mark.parametrize("lanes", [3, 64])
+    def test_blocks_hold_four_consecutive_draws(self, lanes):
+        key = stream_key(9, "golden")
+        blocks = np.arange(lanes, dtype=np.uint64) * 7
+        rows = lane_block_uniforms(
+            np.full(lanes, key[0], dtype=np.uint64),
+            np.full(lanes, key[1], dtype=np.uint64),
+            blocks,
+        )
+        coins = PhiloxCoins(9, "golden")
+        for lane, block in enumerate(blocks.tolist()):
+            assert rows[:, lane].tolist() == [
+                coins.uniform(4 * block + j) for j in range(4)
+            ]
+
+    def test_reproduces_the_golden_draws(self, golden):
+        def lanes(label: str, indices: list[int]) -> np.ndarray:
+            key = stream_key(9, label)
+            return lane_uniforms(
+                np.full(len(indices), key[0], dtype=np.uint64),
+                np.full(len(indices), key[1], dtype=np.uint64),
+                np.array(indices, dtype=np.uint64),
+            )
+
+        assert {
+            "block_0_8": [repr(u) for u in lanes("golden", list(range(8)))],
+            "index_1000": repr(float(lanes("golden", [1000])[0])),
+            "index_2**40": repr(float(lanes("golden", [2**40])[0])),
+            "other_label_0_4": [
+                repr(u) for u in lanes("golden.other", list(range(4)))
+            ],
+        } == golden["philox"]
 
 
 class TestProtocolPlumbing:

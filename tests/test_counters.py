@@ -11,8 +11,12 @@ from repro.core.counters import (
     ExactCounter,
     MedianMorrisCounter,
     MorrisCounter,
+    SkipMorrisCounter,
+    absorb_lanes,
+    skip_morris_step,
     weighted_morris_step,
 )
+from repro.hashing.coins import PhiloxCoins
 from repro.state import StateTracker
 
 
@@ -172,6 +176,111 @@ class TestWeightedMorrisStep:
             for i in range(length)
         ]
         assert stepped.tolist() == alone
+
+
+def _skip_counter(a: float, lane: int, level: int, since: int):
+    """A held-counter-like SkipMorrisCounter at ``(level, since)``, with
+    ``since`` reduced below the level's threshold."""
+    counter = SkipMorrisCounter(
+        StateTracker(), a=a, coins=PhiloxCoins(lane, f"lane{lane}.ctr")
+    )
+    counter.restore(level, 0)
+    counter.restore(level, since % counter.threshold)
+    return counter
+
+
+class TestSkipMorrisCounter:
+    @pytest.mark.parametrize("a", [0.05, 0.125, 0.5])
+    @pytest.mark.parametrize("level", [0, 1, 7, 30])
+    @pytest.mark.parametrize("count", [0, 1, 5, 300, 4000])
+    def test_absorb_equals_adds(self, a, level, count):
+        """``absorb(k)`` is ``k`` scalar adds: the same level, since and
+        threshold, and transitions exactly at the adds that wrote."""
+        bulk = _skip_counter(a, 3, level, 11)
+        scalar = _skip_counter(a, 3, level, 11)
+        written = []
+        for ordinal in range(1, count + 1):
+            before = scalar.level
+            scalar.add()
+            if scalar.level != before:
+                written.append(ordinal)
+        assert bulk.absorb(count) == written
+        assert (bulk.level, bulk.since, bulk.threshold) == (
+            scalar.level,
+            scalar.since,
+            scalar.threshold,
+        )
+
+    def test_only_unit_adds(self):
+        with pytest.raises(ValueError):
+            _skip_counter(0.125, 0, 0, 0).add(2.0)
+
+
+class TestSkipMorrisStep:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        length=st.integers(min_value=1, max_value=120),
+        a=st.sampled_from([0.02, 0.125, 0.5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lanes_equal_per_counter_absorb(self, seed, length, a):
+        """Lane-wise climbs -- count 0, single steps and many-level
+        climbs, past the few-lanes cut-off of the coin kernel -- equal
+        each counter's own ``absorb``: levels, since, thresholds and
+        transition ordinals."""
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(0, 40, length).tolist()
+        since = rng.integers(0, 1000, length).tolist()
+        counts = np.where(
+            rng.random(length) < 0.2, 0, 10 ** rng.uniform(0, 3.5, length)
+        ).astype(np.int64)
+        stepped = [
+            _skip_counter(a, lane, levels[lane], since[lane])
+            for lane in range(length)
+        ]
+        alone = [
+            _skip_counter(a, lane, levels[lane], since[lane])
+            for lane in range(length)
+        ]
+        keys0, keys1 = zip(*(c._coins.key for c in stepped))
+        new_levels, new_since, thresholds, lanes, at = skip_morris_step(
+            a,
+            list(keys0),
+            list(keys1),
+            [c.level for c in stepped],
+            [c.since for c in stepped],
+            [c.threshold for c in stepped],
+            counts,
+        )
+        for lane, counter in enumerate(alone):
+            assert at[lanes == lane].tolist() == counter.absorb(
+                int(counts[lane])
+            )
+            assert (
+                new_levels[lane], new_since[lane], thresholds[lane]
+            ) == (counter.level, counter.since, counter.threshold)
+        assert np.all(np.diff(lanes) >= 0)
+
+    @pytest.mark.parametrize("width", [3, 300])
+    def test_absorb_lanes_equals_per_counter_absorb(self, width):
+        """Narrow waves absorb counter by counter, wide ones in one
+        lane step; both leave every counter where its own ``absorb``
+        would and report the same transitions."""
+        rng = np.random.default_rng(width)
+        levels = rng.integers(0, 30, width).tolist()
+        counts = rng.integers(0, 200, width)
+        waved = [_skip_counter(0.125, i, levels[i], 7) for i in range(width)]
+        alone = [_skip_counter(0.125, i, levels[i], 7) for i in range(width)]
+        lanes, at = absorb_lanes(waved, counts)
+        for lane, (counter, single) in enumerate(zip(waved, alone)):
+            assert at[lanes == lane].tolist() == single.absorb(
+                int(counts[lane])
+            )
+            assert (counter.level, counter.since, counter.threshold) == (
+                single.level,
+                single.since,
+                single.threshold,
+            )
 
 
 class TestMedianMorrisCounter:

@@ -1,10 +1,20 @@
 """Tests for Algorithm 2 (FullSampleAndHold)."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from repro.core import FullSampleAndHold
+from repro import registry
+from repro.core import FpEstimator, FullSampleAndHold, HeavyHitters
+from repro.query import (
+    AllEstimates,
+    Moment,
+    MultiPointQuery,
+    PointQuery,
+)
+from repro.query import HeavyHitters as HeavyHittersQuery
 from repro.streams import (
     FrequencyVector,
     planted_heavy_hitter_stream,
@@ -137,3 +147,118 @@ class TestStateChanges:
         for item, fhat in algo.estimates().items():
             if f[item] >= 100:
                 assert fhat <= 4.0 * f[item]
+
+
+class TestEstimateMaps:
+    """Estimate maps are built once per stream state and handed out as
+    copies: FullSampleAndHold keeps one per (arrival clock, level
+    rule); HeavyHitters' median-of-copies map and its estimator's band
+    contributions are kept per arrival clock of the estimator."""
+
+    N, M = 256, 3000
+    STREAM = zipf_stream(N, M, 1.2, seed=4)
+    QUERIES = (
+        PointQuery(0),
+        PointQuery(1),
+        AllEstimates(),
+        HeavyHittersQuery(),
+        Moment(),
+    )
+    RULES = (None, "max", "shallowest", "min-length")
+
+    def heavy_hitters(self, items):
+        sketch = registry.create("heavy-hitters", n=self.N, m=self.M,
+                                 epsilon=0.5, seed=4)
+        sketch.process_chunk(np.asarray(items, dtype=np.int64))
+        return sketch
+
+    def answers(self, sketch) -> list:
+        return [repr(sketch.query(q)) for q in self.QUERIES] + [
+            repr(sketch.query_many(MultiPointQuery(tuple(range(40)))))
+        ]
+
+    def test_an_unchanged_sketch_builds_each_map_once(self, monkeypatch):
+        builds = Counter()
+        fsh_build = FullSampleAndHold._build_estimates
+        hh_build = HeavyHitters._build_estimates
+        fp_build = FpEstimator._build_contributions
+
+        def counting_fsh(self, rule):
+            builds[(id(self), rule)] += 1
+            return fsh_build(self, rule)
+
+        def counting_hh(self):
+            builds["heavy-hitters"] += 1
+            return hh_build(self)
+
+        def counting_fp(self):
+            builds["contributions"] += 1
+            return fp_build(self)
+
+        monkeypatch.setattr(
+            FullSampleAndHold, "_build_estimates", counting_fsh
+        )
+        monkeypatch.setattr(HeavyHitters, "_build_estimates", counting_hh)
+        monkeypatch.setattr(FpEstimator, "_build_contributions", counting_fp)
+        sketch = self.heavy_hitters(self.STREAM)
+        first = self.answers(sketch)
+        assert builds and set(builds.values()) == {1}
+        assert self.answers(sketch) == first
+        assert set(builds.values()) == {1}
+
+    def test_one_more_item_matches_a_fresh_sketch(self):
+        """Feed one item at a time past a prefix until the answers move
+        (an item can leave every estimate where it was); they must then
+        equal a fresh sketch's on the same stream."""
+        items = list(self.STREAM)
+        start = self.M - 200
+
+        sketch = self.heavy_hitters(items[:start])
+        seen = self.answers(sketch)
+        for end in range(start + 1, self.M + 1):
+            sketch.process_chunk(np.asarray(items[end - 1:end], dtype=np.int64))
+            now = self.answers(sketch)
+            if now != seen:
+                break
+        else:
+            pytest.fail("no item moved the heavy-hitters answers")
+        assert now == self.answers(self.heavy_hitters(items[:end]))
+
+        def grid(stream):
+            algo = FullSampleAndHold(n=self.N, m=self.M, p=2, epsilon=0.5, seed=4)
+            algo.process_stream(stream)
+            return algo
+
+        def estimates(algo):
+            return [algo.estimates(rule) for rule in self.RULES]
+
+        algo = grid(items[:start])
+        seen = estimates(algo)
+        for end in range(start + 1, self.M + 1):
+            algo.process(items[end - 1])
+            now = estimates(algo)
+            if now != seen:
+                break
+        else:
+            pytest.fail("no item moved the FullSampleAndHold estimates")
+        assert now == estimates(grid(items[:end]))
+
+    def test_returned_maps_are_copies(self):
+        sketch = self.heavy_hitters(self.STREAM)
+        grid = FullSampleAndHold(n=self.N, m=self.M, p=2, epsilon=0.5, seed=4)
+        grid.process_stream(self.STREAM)
+        for algo, calls in (
+            (sketch, (sketch.estimates,
+                      lambda: sketch.query(AllEstimates()).values,
+                      sketch.heavy_hitters)),
+            (grid, (grid.estimates,
+                    lambda: grid.estimates("max"),
+                    lambda: grid.query(AllEstimates()).values)),
+        ):
+            for call in calls:
+                before = dict(call())
+                assert before
+                mutated = call()
+                mutated.clear()
+                mutated[-1] = 1.0
+                assert call() == before
