@@ -34,23 +34,25 @@ audited by the enclosing algorithm's
 :func:`weighted_morris_step` is the weighted-increment kernel on
 indexed coins, shared verbatim by the scalar and the chunked p-stable
 paths so their levels agree bit for bit.  :func:`skip_morris_step` is
-its unit-increment sibling: it advances many
-:class:`SkipMorrisCounter` s at once (:func:`absorb_lanes`), reading
-their level coins lane-wise and inverting them with the libm calls of
-the counters' own :func:`geometric_threshold`.
+its unit-increment sibling: it advances many skip counters at once,
+reading their level coins lane-wise and inverting them with the libm
+calls of :func:`geometric_threshold`.  :class:`HeldTable` keeps many
+unit counters -- the sample-and-hold stack's held counters -- as numpy
+columns, so a wave of arrivals steps its rows in one
+:func:`skip_morris_step`; :class:`SkipMorrisCounter` stays the
+per-object form (and the table's test oracle).
 """
 
 from __future__ import annotations
 
 import abc
 import functools
-import itertools
 import math
 import random
 
 import numpy as np
 
-from repro.hashing.coins import PhiloxCoins, lane_block_uniforms
+from repro.hashing.coins import PhiloxCoins, lane_block_uniforms, stream_uniforms
 from repro.state.registers import TrackedValue
 from repro.state.tracker import StateTracker
 
@@ -225,52 +227,182 @@ def skip_morris_step(
     return levels, since, thresholds, lanes, at
 
 
-#: Below this many counters, :func:`absorb_lanes` lets each counter
-#: climb with its own :meth:`SkipMorrisCounter.absorb`: a lane step's
-#: ~100 array operations per round only pay off across wide waves
-#: (measured: 1.7 ms one by one vs 2.9 ms lane-wise at 256 counters,
-#: 35 vs 18 ms at 5,000).
-_FEW_COUNTERS = 256
+#: Rows a table makes room for at its first growth.
+_FIRST_ROWS = 64
+
+#: The table's numpy columns and their dtypes.
+_COLUMNS = (
+    ("level", np.int64),
+    ("since", np.int64),
+    ("threshold", np.int64),
+    ("key0", np.uint64),
+    ("key1", np.uint64),
+    ("created_at", np.int64),
+    ("cell", np.int64),
+)
 
 
-def absorb_lanes(
-    counters: list["SkipMorrisCounter"], counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Absorb ``counts[i]`` unit arrivals into ``counters[i]`` (which
-    share one ``a``) with one :func:`skip_morris_step`; returns its
-    transitions (lane, 1-based ordinal).  Untracked, like
-    :meth:`SkipMorrisCounter.absorb`, which a few counters call one by
-    one instead -- the same climbs."""
-    if len(counters) < _FEW_COUNTERS:
-        moved = [
-            counter.absorb(count)
-            for counter, count in zip(counters, np.asarray(counts).tolist())
-        ]
-        return (
-            np.repeat(np.arange(len(moved)), [len(m) for m in moved]),
-            np.array([at for m in moved for at in m], dtype=np.int64),
-        )
-    keys = np.fromiter(
-        itertools.chain.from_iterable(c._coins.key for c in counters),
-        np.uint64,
-        2 * len(counters),
-    ).reshape(-1, 2)
-    levels, since, thresholds, lanes, at = skip_morris_step(
-        counters[0].a,
-        keys[:, 0],
-        keys[:, 1],
-        [c._level._value for c in counters],
-        [c._since for c in counters],
-        [c._threshold for c in counters],
-        counts,
+class HeldTable:
+    """Unit counters as numpy columns: the held counters of a set of
+    sample-and-hold leaves.
+
+    Row ``i`` is one counter -- a :class:`SkipMorrisCounter` with
+    parameter ``a``, or an :class:`ExactCounter` when ``exact`` -- kept
+    as column entries instead of objects: ``level`` (the one tracked
+    word; an exact row's count), the untracked skip shadows ``since``
+    and ``threshold``, the Philox key ``(key0, key1)`` of its
+    level-coin stream, its ``created_at`` clock and its tracker
+    ``cell`` number.  Leaves map held items to rows, and the leaves of
+    one composite share one table, so a wave of arrivals over many
+    leaves' counters gathers and scatters its rows with one fancy
+    index each.  Rows freed by evictions are reused; storage grows by
+    doubling.
+
+    A row is the counter object, word for word: :meth:`open` allocates
+    its level word and reserves one cell number (labelled ``morris#k``
+    or ``exact#k``, formatted only when the backend needs cell ids),
+    :meth:`add` is the counter's tracked ``add`` -- a budget refusal
+    included -- :meth:`absorb` its untracked ``absorb``, and
+    :meth:`release` frees the word.  Threshold draws invert the level
+    coins with :func:`geometric_threshold`, estimates use ``**`` (not
+    ``np.power``, which differs from it in the last ulp), so every
+    level, threshold and estimate equals the object's.
+    """
+
+    __slots__ = (
+        "a",
+        "exact",
+        *(name for name, _ in _COLUMNS),
+        "_tracker",
+        "_rows",
+        "_free",
     )
-    for counter, level, lane_since, threshold in zip(
-        counters, levels.tolist(), since.tolist(), thresholds.tolist()
-    ):
-        counter._level.load(level)
-        counter._since = lane_since
-        counter._threshold = threshold
-    return lanes, at
+
+    def __init__(
+        self, tracker: StateTracker, a: float, exact: bool = False
+    ) -> None:
+        if not exact and a <= 0:
+            raise ValueError(f"Morris parameter a must be positive: {a}")
+        self.a = a
+        self.exact = exact
+        for name, dtype in _COLUMNS:
+            setattr(self, name, np.zeros(0, dtype=dtype))
+        self._tracker = tracker
+        self._rows = 0  # rows ever opened: row numbers stay below it
+        self._free: list[int] = []
+
+    def label(self, cell: int) -> str:
+        """The trace label of cell number ``cell``."""
+        return f"{'exact' if self.exact else 'morris'}#{cell}"
+
+    def open(self, key: tuple[int, int], created_at: int) -> int:
+        """A fresh row at level 0 counting on the level-coin stream
+        keyed ``key`` (see :func:`~repro.hashing.coins.stream_key`;
+        exact rows read no coins), created at clock ``created_at``."""
+        tracker = self._tracker
+        cell = tracker.fresh_cell_number()
+        tracker.allocate(1)
+        if self._free:
+            row = self._free.pop()
+        else:
+            row = self._rows
+            if row == len(self.level):
+                self._grow()
+            self._rows = row + 1
+        self.level[row] = 0
+        self.since[row] = 0
+        self.threshold[row] = 1
+        self.key0[row], self.key1[row] = key
+        self.created_at[row] = created_at
+        self.cell[row] = cell
+        return row
+
+    def _grow(self) -> None:
+        size = max(_FIRST_ROWS, 2 * len(self.level))
+        for name, dtype in _COLUMNS:
+            column = np.zeros(size, dtype=dtype)
+            old = getattr(self, name)
+            column[: len(old)] = old
+            setattr(self, name, column)
+
+    def release(self, row: int) -> None:
+        """Free ``row``'s word (on eviction); the row is reused."""
+        self._tracker.free(1)
+        self._free.append(row)
+
+    def add(self, row: int) -> None:
+        """One unit arrival at ``row``, written through the tracker."""
+        if self.exact:
+            if self._write(row):
+                self.level[row] += 1
+            return
+        since = self.since[row] + 1
+        self.since[row] = since
+        if since >= self.threshold[row] and self._write(row):
+            level = int(self.level[row]) + 1
+            self.level[row] = level
+            self.since[row] = 0
+            key = int(self.key0[row]), int(self.key1[row])
+            self.threshold[row] = geometric_threshold(
+                self.a, level, float(stream_uniforms(key, level, 1)[0])
+            )
+
+    def _write(self, row: int) -> bool:
+        """One mutating write on ``row``'s level; False if refused."""
+        tracker = self._tracker
+        if tracker.needs_cell_ids:
+            return tracker.record_write(self.label(int(self.cell[row])), True)
+        return tracker.count_write(True)
+
+    def absorb(
+        self, rows: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Absorb ``counts[i]`` unit arrivals into row ``rows[i]`` (rows
+        distinct), untracked: the chunk kernels' counting pass.
+
+        Returns every transition as two parallel arrays -- its lane
+        ``i`` and its 1-based arrival ordinal within ``counts[i]`` --
+        exactly the arrivals scalar :meth:`add` calls would have
+        written on.  Exact rows write on every arrival; Morris rows
+        climb together in one :func:`skip_morris_step`.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if self.exact:
+            self.level[rows] += counts
+            lanes = np.repeat(np.arange(len(rows)), counts)
+            at = np.arange(1, len(lanes) + 1) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            return lanes, at
+        levels, since, thresholds, lanes, at = skip_morris_step(
+            self.a,
+            self.key0[rows],
+            self.key1[rows],
+            self.level[rows],
+            self.since[rows],
+            self.threshold[rows],
+            counts,
+        )
+        self.level[rows] = levels
+        self.since[rows] = since
+        self.threshold[rows] = thresholds
+        return lanes, at
+
+    def estimates(self, rows: np.ndarray) -> np.ndarray:
+        """The estimates of ``rows``, as floats: ``((1 + a) ** L - 1) /
+        a`` with Python floats, once per distinct level ``L``."""
+        levels = self.level[rows]
+        if self.exact:
+            return levels.astype(np.float64)
+        distinct, inverse = np.unique(levels, return_inverse=True)
+        a = self.a
+        by_level = [((1.0 + a) ** level - 1.0) / a for level in distinct.tolist()]
+        return np.array(by_level, dtype=np.float64)[inverse]
+
+    def estimate(self, row: int) -> float:
+        """The estimate of ``row``."""
+        return float(self.estimates(np.array([row]))[0])
 
 
 class ApproximateCounter(abc.ABC):
@@ -305,21 +437,6 @@ class ExactCounter(ApproximateCounter):
         if weight == 0:
             return
         self._cell.set(self._cell.value + weight)
-
-    @property
-    def cell_id(self) -> str:
-        return self._cell._cell_id
-
-    def absorb(self, count: int) -> range:
-        """Untracked bulk add of ``count`` unit increments.
-
-        The chunk-kernel counterpart of ``count`` ``add()`` calls:
-        every increment mutates an exact counter, so all 1-based
-        ordinals are returned for the caller to audit.
-        """
-        if count > 0:
-            self._cell.load(self._cell.value + count)
-        return range(1, count + 1)
 
     @property
     def estimate(self) -> float:

@@ -35,7 +35,11 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.full_sample_and_hold import FullSampleAndHold
-from repro.core.sample_and_hold import ChunkSettle, SampleAndHold
+from repro.core.sample_and_hold import (
+    ChunkSettle,
+    SampleAndHold,
+    share_held_table,
+)
 from repro.hashing.subsample import NestedUniverseSampler
 from repro.query import Moment, MomentAnswer, QueryKind
 from repro.state.algorithm import ChunkAudit, StreamAlgorithm
@@ -98,6 +102,11 @@ class FpEstimator(StreamAlgorithm):
     supports = frozenset({QueryKind.MOMENT})
     draws_coins = True
 
+    #: Items a sampler's level cache holds before it starts over.
+    #: Levels are a pure function of the item, so the cache only saves
+    #: hashing; it holds a default chunk's items many times over.
+    LEVEL_CACHE = 1 << 16
+
     def __init__(
         self,
         n: int,
@@ -149,8 +158,8 @@ class FpEstimator(StreamAlgorithm):
             )
             for _ in range(repetitions)
         ]
-        # Per sampler, the universe level of every item a chunk has
-        # routed so far (a cache of the pure ``level_of``).
+        # Per sampler, the universe level of items chunks have routed (a
+        # cache of the pure ``level_of``, bounded by LEVEL_CACHE).
         self._item_levels: list[dict[int, int]] = [{} for _ in range(repetitions)]
         # Arrival clock, advanced before each update reaches a backend,
         # and the band contributions with the clock they were built at.
@@ -187,6 +196,17 @@ class FpEstimator(StreamAlgorithm):
                         )
                     )
             self._backends.append(row)
+        if backend == "sample-hold":
+            # Every grid's instances hold their counters in one table:
+            # the chunk kernel settles them all at once.
+            share_held_table(
+                [
+                    leaf
+                    for row in self._backends
+                    for grid in row
+                    for leaf in grid.leaves()
+                ]
+            )
 
     # ------------------------------------------------------------------
     # Stream processing (Algorithm 3 lines 2-7)
@@ -203,11 +223,11 @@ class FpEstimator(StreamAlgorithm):
         """Route the chunk down the universe levels, then settle every
         grid's instances in one pass over one shared audit.
 
-        Universe levels come from the scalar ``level_of``, once per
-        distinct item of the stream, so a level boundary never moves by
-        the last-ulp difference a vectorized unit hash could make.
-        Routes are gathered in the scalar (repetition, level, grid
-        repetition, grid level) order.
+        Universe levels come from the scalar ``level_of``, cached per
+        distinct item, so a level boundary never moves by the last-ulp
+        difference a vectorized unit hash could make.  Routes are
+        gathered in the scalar (repetition, level, grid repetition,
+        grid level) order.
         """
         self._t += len(chunk)
         audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
@@ -217,12 +237,15 @@ class FpEstimator(StreamAlgorithm):
         for sampler, known, row in zip(
             self._samplers, self._item_levels, self._backends
         ):
+            levels = []
             for item in items:
-                if item not in known:
-                    known[item] = sampler.level_of(item)
-            deepest = np.array(
-                [known[item] for item in items], dtype=np.int64
-            )[inverse]
+                level = known.get(item)
+                if level is None:
+                    if len(known) >= self.LEVEL_CACHE:
+                        known.clear()
+                    level = known[item] = sampler.level_of(item)
+                levels.append(level)
+            deepest = np.array(levels, dtype=np.int64)[inverse]
             for level_index, backend in enumerate(row):
                 positions = np.flatnonzero(deepest > level_index)
                 if len(positions) == 0:

@@ -24,8 +24,8 @@ Implementation notes
 
 from __future__ import annotations
 
+import itertools
 import math
-import statistics
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.core.sample_and_hold import (
     ChunkSettle,
     SampleAndHold,
     SampleAndHoldParams,
+    share_held_table,
 )
 from repro.hashing.coins import PhiloxCoins
 from repro.query import (
@@ -140,6 +141,8 @@ class FullSampleAndHold(StreamAlgorithm):
                     )
                 )
             self._instances.append(row)
+        # The instances hold their counters in one table.
+        share_held_table(self.leaves())
         # Morris counters tracking each level's substream length m_x
         # (line 4); the paper only needs a 2-approximation, so a coarse
         # growth parameter keeps these counters nearly write-free.
@@ -151,6 +154,10 @@ class FullSampleAndHold(StreamAlgorithm):
             )
             for x in range(num_levels)
         ]
+
+    def leaves(self) -> list[SampleAndHold]:
+        """The grid's instances, in (repetition, level) order."""
+        return [instance for row in self._instances for instance in row]
 
     # ------------------------------------------------------------------
     # Stream processing
@@ -300,9 +307,10 @@ class FullSampleAndHold(StreamAlgorithm):
         return built[1]
 
     def _build_estimates(self, rule: str) -> dict[int, float]:
-        """The estimate map under ``rule``, from the held counters."""
-        # Read the instances' held maps directly: a point query per
-        # (item, level) would pay one query dispatch each.
+        """The estimate map under ``rule``, from the held table."""
+        # Read the instances' held maps and their table directly: a
+        # point query per (item, level) would pay one dispatch each.
+        table = self._instances[0][0]._table
         held = [[instance._held for instance in row] for row in self._instances]
         candidates: set[int] = set()
         for row in held:
@@ -311,17 +319,23 @@ class FullSampleAndHold(StreamAlgorithm):
 
         # Per item, the (level, rescaled median) of every level at which
         # some copy holds it; at any other level every copy reads 0, so
-        # the median is 0.
+        # the median is 0.  The copies are odd in number: the median is
+        # the middle of their sorted estimates.
         per_item: dict[int, list[tuple[int, float]]] = {}
         for x, copies in enumerate(zip(*held), start=1):
-            scale = 2.0 ** (x - 1)
-            for item in set().union(*copies):
-                med = float(
-                    statistics.median(
-                        0.0 if h is None else h.counter.estimate
-                        for h in (counters.get(item) for counters in copies)
-                    )
+            items = list(dict.fromkeys(itertools.chain.from_iterable(copies)))
+            estimates = np.zeros((len(copies), len(items)))
+            for copy, counters in enumerate(copies):
+                rows = np.fromiter(
+                    map(counters.get, items, itertools.repeat(-1)),
+                    np.int64,
+                    len(items),
                 )
+                present = rows >= 0
+                estimates[copy, present] = table.estimates(rows[present])
+            medians = np.sort(estimates, axis=0)[len(copies) // 2]
+            scale = 2.0 ** (x - 1)
+            for item, med in zip(items, medians.tolist()):
                 if med > 0:
                     per_item.setdefault(item, []).append((x, med * scale))
 

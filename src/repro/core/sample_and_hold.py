@@ -36,13 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.counters import (
-    ApproximateCounter,
-    ExactCounter,
-    SkipMorrisCounter,
-    absorb_lanes,
-)
-from repro.hashing.coins import PhiloxCoins, lane_uniforms
+from repro.core.counters import HeldTable
+from repro.hashing.coins import PhiloxCoins, lane_uniforms, stream_key
 from repro.query import (
     AllEstimates,
     MapAnswer,
@@ -141,16 +136,6 @@ class SampleAndHoldParams:
         )
 
 
-class _HeldCounter:
-    """A held item's approximate counter plus its creation time."""
-
-    __slots__ = ("counter", "created_at")
-
-    def __init__(self, counter: ApproximateCounter, created_at: int) -> None:
-        self.counter = counter
-        self.created_at = created_at
-
-
 class SampleAndHold(StreamAlgorithm):
     """Algorithm 1 of the paper, on tracked memory.
 
@@ -178,6 +163,11 @@ class SampleAndHold(StreamAlgorithm):
         ``"global"`` (keep the globally largest half — the
         [EV02, BO13, BKSV14]-style rule the Section 1.4 counterexample
         defeats; the ablation of experiment A2).
+
+    Held counters live in a :class:`~repro.core.counters.HeldTable`:
+    ``_held`` maps each held item to its row.  A standalone instance
+    owns its table; the leaves of a composite share one
+    (:func:`share_held_table`).
     """
 
     name = "SampleAndHold"
@@ -216,7 +206,10 @@ class SampleAndHold(StreamAlgorithm):
         # Shadow read-index of reservoir contents; mirrors the tracked
         # array for O(1) membership tests (reads are free in the model).
         self._reservoir_members: dict[int, int] = {}
-        self._held: dict[int, _HeldCounter] = {}
+        self._held: dict[int, int] = {}  # held item -> table row
+        self._table = HeldTable(
+            self.tracker, params.counter_a, exact=not use_morris
+        )
         self._prunes = 0
 
     # ------------------------------------------------------------------
@@ -225,16 +218,16 @@ class SampleAndHold(StreamAlgorithm):
     def _update(self, item: int) -> None:
         idx = self._t
         self._t = idx + 1
-        held = self._held.get(item)
-        if held is not None:
+        row = self._held.get(item)
+        if row is not None:
             # Line 10-11: update the (Morris) counter.
-            held.counter.add()
+            self._table.add(row)
             return
         if item in self._reservoir_members:
             # Lines 12-13: item is in the reservoir -> hold a counter.
-            counter = self._new_counter()
-            counter.add()  # the triggering occurrence counts
-            self._hold(item, counter, self._t)
+            row = self._open(self._t)
+            self._table.add(row)  # the triggering occurrence counts
+            self._hold(item, row, self._t)
             return
         # Lines 15-18: sample into the reservoir with probability rho.
         if self._coins_sample.uniform(idx) < self.params.sample_probability:
@@ -261,34 +254,29 @@ class SampleAndHold(StreamAlgorithm):
             self._reservoir.store_at(slot, item)
         self._reservoir_members[item] = slot
 
-    def _new_counter(self) -> ApproximateCounter:
-        """A fresh held counter on its own coin stream."""
-        if not self.use_morris:
-            counter: ApproximateCounter = ExactCounter(self.tracker)
-        else:
-            counter = SkipMorrisCounter(
-                self.tracker,
-                a=self.params.counter_a,
-                coins=PhiloxCoins(
-                    self.seed, f"{self.stream_label}.ctr{self._created}"
-                ),
-            )
+    def _open(self, created_at: int) -> int:
+        """A fresh held-counter row, counting on its own coin stream."""
+        key = (
+            stream_key(self.seed, f"{self.stream_label}.ctr{self._created}")
+            if self.use_morris
+            else (0, 0)
+        )
         self._created += 1
-        return counter
+        return self._table.open(key, created_at)
 
     def _hold(
         self,
         item: int,
-        counter: ApproximateCounter,
+        row: int,
         created_at: int,
         settle: "ChunkSettle | None" = None,
         position: int = 0,
     ) -> None:
-        """Hold ``counter`` for ``item`` (lines 13, 19-21); prune when
-        the held set reaches the budget."""
+        """Hold counter ``row`` for ``item`` (lines 13, 19-21); prune
+        when the held set reaches the budget."""
         # Two bookkeeping words: the held item id and its creation time.
         self.tracker.allocate(2)
-        self._held[item] = _HeldCounter(counter, created_at)
+        self._held[item] = row
         if len(self._held) >= self._budget:
             self._prune_counters(created_at, settle, position)
 
@@ -314,25 +302,37 @@ class SampleAndHold(StreamAlgorithm):
         of held items are absorbed up to ``position`` before any
         estimate is read, and the evicted items' later deferred
         arrivals go back into the settle's event order.
+
+        Estimates grow with the level (an exact row's level is its
+        count), so each group is ranked by level: one stable lexsort
+        by (group, level) in ``_held`` order, which breaks ties the
+        way sorting each group by estimate would.
         """
         if settle is not None:
             settle.flush(self, position)
-        groups: dict[int, list[int]] = {}
-        for item, held in self._held.items():
-            if self.eviction == "global":
-                z = 0
-            else:
-                age = max(1, now - held.created_at)
-                z = age.bit_length() - 1  # dyadic bucket floor(log2(age))
-            groups.setdefault(z, []).append(item)
-
-        evicted: list[int] = []
-        for members in groups.values():
-            members.sort(key=lambda it: self._held[it].counter.estimate)
-            evicted.extend(members[: len(members) // 2])
+        table = self._table
+        items = list(self._held)
+        rows = np.fromiter(self._held.values(), np.int64, len(items))
+        if self.eviction == "global":
+            groups = np.zeros(len(rows), dtype=np.int64)
+        else:
+            # The dyadic bucket floor(log2(age)), as the bit length of
+            # the age: frexp's exponent, exact for any clock below 2^53.
+            age = np.maximum(1, now - table.created_at[rows])
+            groups = np.frexp(age.astype(np.float64))[1]
+        order = np.lexsort((table.level[rows], groups))
+        grouped = groups[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], grouped[1:] != grouped[:-1]))
+        )
+        sizes = np.diff(np.append(starts, len(order)))
+        rank = np.arange(len(order)) - np.repeat(starts, sizes)
+        # The lower half of each group by estimate.
+        evicted = [
+            items[i] for i in order[rank < np.repeat(sizes // 2, sizes)].tolist()
+        ]
         for item in evicted:
-            held = self._held.pop(item)
-            held.counter.release()
+            table.release(self._held.pop(item))
             self.tracker.free(2)
             if settle is None:
                 self.tracker.mark_dirty()
@@ -369,70 +369,72 @@ class SampleAndHold(StreamAlgorithm):
 
         Returns the first arrival's coin index, the mask of arrivals
         whose sampling coin hits, the conservative settle mask, and the
-        mask of arrivals whose item is held now.  An arrival needs
-        settling iff its item could touch state: it is already held or
-        reservoir-resident, its sampling coin hits, or it equals an item
-        whose coin hits in this chunk (that item may enter the reservoir
-        and then be held on a later occurrence).  Everything unflagged
-        is a provable no-op — the sampling coin misses and no lookup
-        matches — so skipping it leaves state and audit exactly as the
-        scalar loop would.  Membership is asked once per distinct item,
-        not once per arrival.
+        table row of each arrival's item if it is held now (-1 if not).
+        An arrival needs settling iff its item could touch state: it is
+        already held or reservoir-resident, its sampling coin hits, or
+        it equals an item whose coin hits in this chunk (that item may
+        enter the reservoir and then be held on a later occurrence).
+        Everything unflagged is a provable no-op — the sampling coin
+        misses and no lookup matches — so skipping it leaves state and
+        audit exactly as the scalar loop would.  Membership is asked
+        once per distinct item, not once per arrival.
         """
         n = len(ranks)
         t0 = self._t
         self._t = t0 + n
         uniforms = self._coins_sample.uniform_block(t0, n)
         hits = uniforms < self.params.sample_probability
-        # Per distinct item (indexed by chunk rank): present here, held,
-        # flagged.
+        # Per distinct item (indexed by chunk rank): present here, its
+        # row if held (-1 if not), flagged.  Only the entries of items
+        # present here are filled in or read.
         present = np.zeros(len(distinct), dtype=bool)
         present[ranks] = True
         seen = np.flatnonzero(present)
         keys = distinct[seen].tolist()
-        held = np.zeros(len(distinct), dtype=bool)
-        held[seen] = np.fromiter(map(self._held.__contains__, keys), bool, len(keys))
-        flagged = held.copy()
+        rows = np.empty(len(distinct), dtype=np.int64)
+        rows[seen] = np.fromiter(
+            map(self._held.get, keys, itertools.repeat(-1)), np.int64, len(keys)
+        )
+        flagged = rows >= 0
         flagged[seen] |= np.fromiter(
             map(self._reservoir_members.__contains__, keys), bool, len(keys)
         )
         flagged[ranks[hits]] = True
-        return t0, hits, flagged[ranks], held[ranks]
+        return t0, hits, flagged[ranks], rows[ranks]
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def _answer_point(self, q: PointQuery) -> ScalarAnswer:
-        held = self._held.get(q.item)
+        row = self._held.get(q.item)
         return ScalarAnswer(
             QueryKind.POINT,
-            held.counter.estimate if held is not None else 0.0,
+            self._table.estimate(row) if row is not None else 0.0,
         )
 
     def _answer_point_many(
         self, q: MultiPointQuery
     ) -> tuple[ScalarAnswer, ...]:
         """Batch point queries: one bulk lookup pass over the held set
-        (no per-item query construction or dispatch)."""
-        get = self._held.get
-        answers = []
-        for item in q.items:
-            held = get(item)
-            answers.append(
-                ScalarAnswer(
-                    QueryKind.POINT,
-                    held.counter.estimate if held is not None else 0.0,
-                )
-            )
-        return tuple(answers)
+        and one gather from the table (no per-item query construction
+        or dispatch)."""
+        rows = np.fromiter(
+            map(self._held.get, q.items, itertools.repeat(-1)),
+            np.int64,
+            len(q.items),
+        )
+        values = np.zeros(len(rows))
+        held = rows >= 0
+        values[held] = self._table.estimates(rows[held])
+        return tuple(
+            ScalarAnswer(QueryKind.POINT, value) for value in values.tolist()
+        )
 
     def _answer_all_estimates(self, q: AllEstimates) -> MapAnswer:
+        rows = np.fromiter(self._held.values(), np.int64, len(self._held))
         return MapAnswer(
             QueryKind.ALL_ESTIMATES,
-            {
-                item: held.counter.estimate
-                for item, held in self._held.items()
-            },
+            dict(zip(self._held, self._table.estimates(rows).tolist())),
         )
 
     def estimate(self, item: int) -> float:
@@ -468,9 +470,10 @@ class ChunkSettle:
     visits the leaves, with ascending chunk positions per leaf.  Because
     the leaves share one audit, a position is dirty iff any leaf mutated
     on it — the union of their dirty masks, exactly the scalar ``X_t``.
-    The leaves of one composite come from one parameter set, so they
-    hold one kind of counter: Morris counters with one ``a``, or exact
-    counters.
+    The leaves share one :class:`~repro.core.counters.HeldTable`
+    (:func:`share_held_table`): they come from one parameter set, so
+    they hold one kind of counter -- Morris counters with one ``a``, or
+    exact counters.
 
     Each leaf screens its substream (:meth:`SampleAndHold._screen`),
     and the flagged arrivals settle in two passes:
@@ -487,10 +490,10 @@ class ChunkSettle:
       arrival the structural pass meets at an item held by then — the
       triggering occurrence of a counter it opens included — is set
       aside.  Deferred arrivals are absorbed in *waves*: one
-      :func:`~repro.core.counters.absorb_lanes` over every counter they
+      :meth:`~repro.core.counters.HeldTable.absorb` over every row they
       reach, whose transition ordinals map back to chunk positions (a
-      wide wave climbs in lane-wise steps that read the counters' level
-      coins lane-wise).
+      wave climbs in lane-wise steps that read the rows' level coins
+      lane-wise).
 
     A prune reads estimates, so a wave first absorbs its leaf's
     deferred arrivals up to the prune's position.  The later arrivals
@@ -502,24 +505,27 @@ class ChunkSettle:
 
     Arrivals live in numpy columns over all leaves — (position, leaf
     ordinal, item, coin index, sampling hit) — with the screen-deferred
-    ones sorted by (leaf, position) and ``_pending`` marking those not
-    yet absorbed or handed back; ``_late`` holds, per leaf, the
-    arrivals the structural pass set aside, as flat ``item, position``
-    pairs.
+    ones sorted by (leaf, position), their items' table rows in
+    ``_rows`` and ``_pending`` marking those not yet absorbed or handed
+    back; ``_late`` holds, per leaf, the arrivals the structural pass
+    set aside, as flat ``row, position`` pairs.  A pending or late
+    arrival's row is its item's row until the wave absorbs it: a prune
+    absorbs its leaf's arrivals before it frees any row and hands the
+    evicted items' later ones back.
     """
 
     __slots__ = (
         "audit",
         "_leaves",
         "_ordinals",
+        "_table",
         "_events",
         "_requeued",
         "_deferred",
+        "_rows",
         "_bounds",
         "_pending",
         "_late",
-        "_rank",
-        "_width",
     )
 
     def __init__(
@@ -530,27 +536,28 @@ class ChunkSettle:
     ) -> None:
         self.audit = audit
         # Chunk-local item ranks: the screens ask membership once per
-        # distinct item, and waves group arrivals by (leaf, rank).
-        distinct, self._rank = np.unique(chunk, return_inverse=True)
-        self._width = len(distinct)
+        # distinct item.
+        distinct, ranks = np.unique(chunk, return_inverse=True)
         self._leaves = [leaf for leaf, _ in routes]
         self._ordinals = {leaf: o for o, leaf in enumerate(self._leaves)}
+        self._table = self._leaves[0]._table
         self._requeued: list[tuple] = []
         self._late: list[list[int]] = [[] for _ in routes]
         lengths = [len(positions) for _, positions in routes]
         position = np.concatenate([positions for _, positions in routes])
         item = chunk[position]
         bounds = np.cumsum([0] + lengths)
-        rank = self._rank[position]
-        t0s, hits, flags, helds = zip(
+        rank = ranks[position]
+        t0s, hits, flags, rows = zip(
             *(
                 leaf._screen(rank[low:high], distinct)
                 for leaf, low, high in zip(self._leaves, bounds, bounds[1:])
             )
         )
-        hit, flagged, held = (
-            np.concatenate(column) for column in (hits, flags, helds)
+        hit, flagged, row = (
+            np.concatenate(column) for column in (hits, flags, rows)
         )
+        held = row >= 0
         ordinal = np.repeat(np.arange(len(routes)), lengths)
         # Coin indices: leaf o's arrivals count up from its clock t0.
         index = np.arange(len(position)) + np.repeat(
@@ -562,6 +569,7 @@ class ChunkSettle:
         self._events = self._event_rows([field[events] for field in fields])
         deferred = np.flatnonzero(held)  # already in (leaf, position) order
         self._deferred = [field[deferred] for field in fields]
+        self._rows = row[deferred]
         self._bounds = np.searchsorted(
             self._deferred[1], np.arange(len(routes) + 1)
         ).tolist()
@@ -604,17 +612,18 @@ class ChunkSettle:
         late = self._late
         audit = self.audit
         for position, ordinal, item, index, slot in self._merged_events():
-            if item in held[ordinal]:
-                late[ordinal] += (item, position)
+            row = held[ordinal].get(item)
+            if row is not None:
+                late[ordinal] += (row, position)
             elif item in members[ordinal]:
-                late[ordinal] += (item, position)
                 leaf = leaves[ordinal]
-                leaf._hold(item, leaf._new_counter(), index + 1, self, position)
+                row = leaf._open(index + 1)
+                late[ordinal] += (row, position)
+                leaf._hold(item, row, index + 1, self, position)
             elif slot >= 0.0:
                 leaves[ordinal]._sample(item, slot, audit, position)
         self._wave(
             np.flatnonzero(self._pending),
-            np.repeat(np.arange(len(late)), [len(rows) // 2 for rows in late]),
             list(itertools.chain.from_iterable(late)),
         )
 
@@ -642,11 +651,7 @@ class ChunkSettle:
         )
         late = self._late[ordinal]
         self._late[ordinal] = []
-        self._wave(
-            np.flatnonzero(self._pending[low:high]) + low,
-            np.full(len(late) // 2, ordinal),
-            late,
-        )
+        self._wave(np.flatnonzero(self._pending[low:high]) + low, late)
 
     def requeue(
         self, leaf: SampleAndHold, evicted: list[int], position: int
@@ -673,54 +678,46 @@ class ChunkSettle:
         for event in zip(*rows):
             heapq.heappush(self._requeued, event)
 
-    def _wave(
-        self,
-        take: np.ndarray,
-        late_ordinals: np.ndarray,
-        late: list[int],
-    ) -> None:
+    def _wave(self, take: np.ndarray, late: list[int]) -> None:
         """The counting pass over the screen-deferred arrivals ``take``
         (indices into the deferred columns) plus the ``late`` arrivals
-        (flat item, position pairs) of leaves ``late_ordinals``: one
-        lane per held counter, all climbed by one
-        :func:`~repro.core.counters.absorb_lanes`."""
+        (flat row, position pairs): one lane per table row, all climbed
+        by one :meth:`~repro.core.counters.HeldTable.absorb`."""
         if len(take) == 0 and not late:
             return
         self._pending[take] = False
-        position, ordinal, item = (field[take] for field in self._deferred[:3])
+        position = self._deferred[0][take]
+        rows = self._rows[take]
         if late:
             extra = np.array(late, dtype=np.int64).reshape(-1, 2)
-            item = np.concatenate((item, extra[:, 0]))
+            rows = np.concatenate((rows, extra[:, 0]))
             position = np.concatenate((position, extra[:, 1]))
-            ordinal = np.concatenate((ordinal, late_ordinals))
-        # Group by (leaf, item).  A group's arrivals all come from one
-        # source -- screen-deferred ones exist only for items held at
-        # screen time, and a requeue takes all of an item's pending ones
-        # before it can arrive late -- and each source lists a leaf's
-        # arrivals by position, so a stable sort keeps them ascending.
-        key = ordinal * self._width + self._rank[position]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        counts = np.concatenate((starts[1:], [len(key)])) - starts
-        head = order[starts]  # each group's first arrival
-        leaves = self._leaves
-        counters = [
-            leaves[o]._held[x].counter
-            for o, x in zip(ordinal[head].tolist(), item[head].tolist())
-        ]
-        if not leaves[0].use_morris:  # exact counters: every arrival writes
-            for counter, first, count in zip(
-                counters, starts.tolist(), counts.tolist()
-            ):
-                for step in counter.absorb(count):
-                    self.audit.write(
-                        counter.cell_id, True, int(position[order[first + step - 1]])
-                    )
-            return
-        moved, at = absorb_lanes(counters, counts)
+        # Group by row.  A row's arrivals all come from one source --
+        # screen-deferred ones exist only for items held at screen time,
+        # and a requeue takes all of an item's pending ones before it
+        # can arrive late -- and each source lists a leaf's arrivals by
+        # position, so a stable sort keeps them ascending.
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        counts = np.diff(np.append(starts, len(rows)))
+        table = self._table
+        waved = rows[starts]
+        lanes, at = table.absorb(waved, counts)
         self.audit.write_many(
-            position[order[starts[moved] + at - 1]],
-            moved,
-            lambda lane: counters[lane].cell_id,
+            position[order[starts[lanes] + at - 1]],
+            table.cell[waved[lanes]],
+            table.label,
         )
+
+
+def share_held_table(leaves: list[SampleAndHold]) -> None:
+    """Give ``leaves`` -- the sample-and-hold instances of one
+    composite, on one tracker and one parameter set -- the first one's
+    :class:`~repro.core.counters.HeldTable`, before any holds a
+    counter: a :class:`ChunkSettle` over them then steps all their
+    counters with one gather (the way entropy's node sketches share
+    one :class:`~repro.core.fp_pstable.VariateTable`)."""
+    table = leaves[0]._table
+    for leaf in leaves:
+        leaf._table = table

@@ -36,7 +36,9 @@ one re-pointing each.  :func:`lane_uniforms` evaluates Philox-4x64-10
 (Salmon et al., SC'11) in pure numpy instead, one lane per
 ``(key, index)`` pair, and returns the same words as the generator:
 contiguous blocks stay on ``np.random.Philox``, scattered reads go
-lane-wise.
+lane-wise.  A stream known only by its key -- a held counter's row in a
+column table -- reads through :func:`stream_uniforms`, with no stream
+object.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ _SCALE = 2.0**-53
 #: words and each further miss doubles that, up to ``_BLOCK``.
 #: Sequential consumers (the scalar paths walk their indices in
 #: order) re-point the generator once per up to ``_BLOCK`` draws,
-#: while a stream touched at a few low indices -- a held Morris
+#: while a stream touched at a few low indices -- a substream length
 #: counter's level coins -- keeps a cache of ``_FIRST_BLOCK`` words.
 _FIRST_BLOCK = 16
 _BLOCK = 256
@@ -104,6 +106,27 @@ def stream_key(seed: int, label: str) -> tuple[int, int]:
     return (int(seed) & _MASK64, int.from_bytes(digest, "big"))
 
 
+def _words(key: tuple[int, int], start: int, count: int) -> np.ndarray:
+    """Raw 64-bit output words at indices ``[start, start+count)`` of
+    the stream keyed ``key``.
+
+    Philox's counter advances one *block* (four output words) per
+    increment, so index ``start`` lives at word ``start % 4`` of block
+    ``start // 4``.
+    """
+    block, offset = divmod(int(start), 4)
+    bits = _pointed(key, block).random_raw(offset + count)
+    return bits[offset:] if offset else bits
+
+
+def stream_uniforms(key: tuple[int, int], start: int, count: int) -> np.ndarray:
+    """Uniforms on [0, 1) at draw indices ``[start, start+count)`` of
+    the stream keyed ``key`` (see :func:`stream_key`):
+    :meth:`PhiloxCoins.uniform_block` without the stream object or its
+    read-ahead cache."""
+    return (_words(key, start, count) >> np.uint64(11)) * _SCALE
+
+
 class PhiloxCoins:
     """One labelled stream of index-addressable uniform coins.
 
@@ -125,17 +148,6 @@ class PhiloxCoins:
         self._cache: tuple[int, np.ndarray] | None = None
         self._ahead = _FIRST_BLOCK
 
-    def _raw(self, start: int, count: int) -> np.ndarray:
-        """Raw 64-bit output words at indices ``[start, start+count)``.
-
-        Philox's counter advances one *block* (four output words) per
-        increment, so index ``start`` lives at word ``start % 4`` of
-        block ``start // 4``.
-        """
-        block, offset = divmod(int(start), 4)
-        bits = _pointed(self._key, block).random_raw(offset + count)
-        return bits[offset:] if offset else bits
-
     def uniform_block(self, start: int, count: int) -> np.ndarray:
         """Uniforms on [0, 1) at draw indices ``[start, start+count)``.
 
@@ -151,8 +163,7 @@ class PhiloxCoins:
         ahead = self._ahead
         if ahead < _BLOCK:
             self._ahead = 2 * ahead
-        words = self._raw(start, max(count, ahead))
-        uniforms = (words >> np.uint64(11)) * _SCALE
+        uniforms = stream_uniforms(self._key, start, max(count, ahead))
         self._cache = (start, uniforms)
         return uniforms[:count]
 
@@ -249,7 +260,7 @@ def lane_words(
     """Raw Philox words, one per lane: lane ``i`` reads draw index
     ``index[i]`` of the stream keyed ``(keys0[i], keys1[i])`` (the two
     words of :func:`stream_key`) -- bit-identical to
-    :meth:`PhiloxCoins._raw` at that index."""
+    :func:`_words` at that index."""
     index = np.asarray(index, dtype=np.uint64)
     words = _lane_block_words(keys0, keys1, index >> np.uint64(2))
     return words[(index & np.uint64(3)).astype(np.intp), np.arange(len(index))]
@@ -278,4 +289,5 @@ __all__ = [
     "lane_uniforms",
     "lane_words",
     "stream_key",
+    "stream_uniforms",
 ]

@@ -123,9 +123,15 @@ class TrackerBackend:
         construction.  The sharded runtime's process executor relies on
         this for byte-identical serial/parallel audits.
         """
-        cell_id = f"{prefix}#{self._next_cell_id}"
-        self._next_cell_id += 1
-        return cell_id
+        return f"{prefix}#{self.fresh_cell_number()}"
+
+    def fresh_cell_number(self) -> int:
+        """Reserve the number :meth:`fresh_cell_id` would label next,
+        without building the label (columnar counters format it only
+        when the backend needs cell ids)."""
+        number = self._next_cell_id
+        self._next_cell_id = number + 1
+        return number
 
     # ------------------------------------------------------------------
     # Stream clock

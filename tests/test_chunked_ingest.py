@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro import registry
 from repro.api import Engine
 from repro.core import fp_pstable
-from repro.core.sample_and_hold import SampleAndHold
+from repro.core.sample_and_hold import SampleAndHold, SampleAndHoldParams
 from repro.query import (
     AllEstimates,
     Distinct,
@@ -224,8 +224,11 @@ class TestRandomizedFamiliesV2:
 
 
 def sample_and_hold_leaves(sketch) -> list[SampleAndHold]:
-    """The SampleAndHold instances of a sample-and-hold (one grid) or
-    heavy-hitters (a grid per universe level and copy) sketch."""
+    """The SampleAndHold instances of a bare SampleAndHold, a
+    sample-and-hold (one grid) or heavy-hitters (a grid per universe
+    level and copy) sketch."""
+    if isinstance(sketch, SampleAndHold):
+        return [sketch]
     grids = (
         [sketch]
         if hasattr(sketch, "_instances")
@@ -239,9 +242,32 @@ PRUNE_ARR = _zipf_draws(PRUNE_N, PRUNE_M, 1.1, 3)
 _PRUNE_REFERENCE: dict = {}
 
 
+#: The leaves of ablations A1 and A2: bare SampleAndHold instances
+#: holding exact counters, under the paper's dyadic eviction and under
+#: global eviction.
+ABLATION_LEAVES = {
+    "a1-exact-counters": {"use_morris": False},
+    "a2-global-eviction": {"use_morris": False, "eviction": "global"},
+}
+
+#: (sketch, chunk size) pairs of the prune sweep.
+PRUNE_CASES = [
+    (name, size)
+    for name in ("heavy-hitters", "sample-and-hold")
+    for size in (1, 37, 4096, PRUNE_M)
+] + [(name, size) for name in ABLATION_LEAVES for size in (37, 4096)]
+
+
 def build_pruning(name: str, mode: str):
     # At n=512 only epsilon=1.0 budgets (a few dozen held counters)
     # are small enough for the held sets to fill up and prune.
+    if name in ABLATION_LEAVES:
+        params = SampleAndHoldParams.from_problem(
+            n=PRUNE_N, m=PRUNE_M, p=2, epsilon=1.0
+        )
+        return SampleAndHold(
+            params, seed=3, tracker=make_tracker(mode), **ABLATION_LEAVES[name]
+        )
     return registry.create(
         name, n=PRUNE_N, m=PRUNE_M, epsilon=1.0, seed=3,
         tracker=make_tracker(mode),
@@ -255,11 +281,12 @@ class TestSampleAndHoldPrunes:
     arrivals up to its position, and the evicted items' later arrivals
     must settle in the scalar order again -- both for items held when
     the chunk was screened (handed back from the deferred set) and for
-    items opened inside it (still ahead in the event order)."""
+    items opened inside it (still ahead in the event order).  The A1
+    and A2 ablation leaves -- exact counters, dyadic and global
+    eviction -- take the same prunes."""
 
     @pytest.mark.parametrize("mode", ["aggregate", "trace"])
-    @pytest.mark.parametrize("size", [1, 37, 4096, PRUNE_M])
-    @pytest.mark.parametrize("name", ["heavy-hitters", "sample-and-hold"])
+    @pytest.mark.parametrize("name,size", PRUNE_CASES)
     def test_chunked_equals_scalar_through_prunes(
         self, monkeypatch, name, size, mode
     ):
@@ -284,7 +311,8 @@ class TestSampleAndHoldPrunes:
         def recording_prune(self, now, settle=None, position=0):
             nonlocal evicted_inside, opened_inside
             before = {
-                item: held.created_at for item, held in self._held.items()
+                item: int(self._table.created_at[row])
+                for item, row in self._held.items()
             }
             prune(self, now, settle, position)
             if settle is not None:

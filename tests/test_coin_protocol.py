@@ -41,6 +41,7 @@ from repro.experiments.sharding import shard_scaling
 from repro.hashing import coins as coins_module
 from repro.hashing.coins import (
     PhiloxCoins,
+    _words,
     lane_block_uniforms,
     lane_uniforms,
     lane_words,
@@ -169,8 +170,8 @@ class TestGoldenFixtures:
 
 
 def _reference_uniforms(start: int, count: int) -> list[float]:
-    """One ``_raw`` block from a fresh stream: no read-ahead involved."""
-    words = PhiloxCoins(9, "golden")._raw(start, count)
+    """One ``_words`` block of the stream: no read-ahead involved."""
+    words = _words(stream_key(9, "golden"), start, count)
     return ((words >> np.uint64(11)) * 2.0**-53).tolist()
 
 
@@ -228,7 +229,7 @@ class TestOneGeneratorPerThread:
         [0, 1, 2, 3, 4, 7, 1001, 2**40 + 1, 2**40 + 2, 2**40 + 7, 2**50 + 3],
     )
     def test_raw_matches_a_freshly_built_philox(self, start):
-        assert PhiloxCoins(9, "golden")._raw(start, 11).tolist() == (
+        assert _words(stream_key(9, "golden"), start, 11).tolist() == (
             _fresh_words(9, "golden", start, 11).tolist()
         )
 

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 from repro.core.counters import (
     ExactCounter,
+    HeldTable,
     MedianMorrisCounter,
     MorrisCounter,
     SkipMorrisCounter,
-    absorb_lanes,
     skip_morris_step,
     weighted_morris_step,
 )
 from repro.hashing.coins import PhiloxCoins
 from repro.state import StateTracker
+from repro.state.tracker import make_tracker
 
 
 class TestExactCounter:
@@ -261,26 +262,174 @@ class TestSkipMorrisStep:
             ) == (counter.level, counter.since, counter.threshold)
         assert np.all(np.diff(lanes) >= 0)
 
+
+def _table_rows(a: float, levels: list[int], since: list[int]):
+    """A table whose row ``i`` stands where ``_skip_counter(a, i,
+    levels[i], since[i])`` does -- same coin key, level, since and
+    threshold -- plus those oracle counters."""
+    oracles = [
+        _skip_counter(a, lane, level, count)
+        for lane, (level, count) in enumerate(zip(levels, since))
+    ]
+    table = HeldTable(StateTracker(), a)
+    rows = []
+    for oracle in oracles:
+        row = table.open(oracle._coins.key, 0)
+        table.level[row] = oracle.level
+        table.since[row] = oracle.since
+        table.threshold[row] = oracle.threshold
+        rows.append(row)
+    return table, np.array(rows), oracles
+
+
+def _row_state(table: HeldTable, row: int) -> tuple[int, int, int]:
+    return (
+        int(table.level[row]),
+        int(table.since[row]),
+        int(table.threshold[row]),
+    )
+
+
+class TestHeldTable:
+    """Table rows are :class:`SkipMorrisCounter` s (and
+    :class:`ExactCounter` s) held as columns: the oracle counters with
+    the same coin key and ``(level, since)`` must agree on every level,
+    since, threshold, transition and estimate."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        a=st.sampled_from([0.02, 0.125, 0.5]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_scalar_adds_equal_counter_adds(self, seed, a):
+        rng = np.random.default_rng(seed)
+        width = 6
+        levels = rng.integers(0, 40, width).tolist()
+        since = rng.integers(0, 1000, width).tolist()
+        counts = rng.integers(0, 400, width).tolist()
+        table, rows, oracles = _table_rows(a, levels, since)
+        for row, oracle, count in zip(rows.tolist(), oracles, counts):
+            stepped, added = [], []
+            for ordinal in range(1, count + 1):
+                before = int(table.level[row]), oracle.level
+                table.add(row)
+                oracle.add()
+                if table.level[row] != before[0]:
+                    stepped.append(ordinal)
+                if oracle.level != before[1]:
+                    added.append(ordinal)
+            assert stepped == added
+            assert _row_state(table, row) == (
+                oracle.level, oracle.since, oracle.threshold
+            )
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        a=st.sampled_from([0.02, 0.125, 0.5]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_wave_absorbs_equal_counter_absorbs(self, wide, seed, a):
+        """Narrow waves (a few rows, like a chunk of a few items) and
+        wide ones (hundreds of rows) climb in the same lane step."""
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(128, 192) if wide else rng.integers(1, 40))
+        levels = rng.integers(0, 40, width).tolist()
+        since = rng.integers(0, 1000, width).tolist()
+        counts = np.where(
+            rng.random(width) < 0.2, 0, 10 ** rng.uniform(0, 3.5, width)
+        ).astype(np.int64)
+        table, rows, oracles = _table_rows(a, levels, since)
+        lanes, at = table.absorb(rows, counts)
+        for lane, oracle in enumerate(oracles):
+            assert at[lanes == lane].tolist() == oracle.absorb(int(counts[lane]))
+            assert _row_state(table, rows[lane]) == (
+                oracle.level, oracle.since, oracle.threshold
+            )
+
     @pytest.mark.parametrize("width", [3, 300])
-    def test_absorb_lanes_equals_per_counter_absorb(self, width):
-        """Narrow waves absorb counter by counter, wide ones in one
-        lane step; both leave every counter where its own ``absorb``
-        would and report the same transitions."""
+    def test_table_absorb_equals_per_counter_absorb(self, width):
+        """A narrow and a wide wave leave every row where its
+        counter's own ``absorb`` would and report the same
+        transitions."""
         rng = np.random.default_rng(width)
         levels = rng.integers(0, 30, width).tolist()
         counts = rng.integers(0, 200, width)
-        waved = [_skip_counter(0.125, i, levels[i], 7) for i in range(width)]
+        table, rows, _ = _table_rows(0.125, levels, [7] * width)
         alone = [_skip_counter(0.125, i, levels[i], 7) for i in range(width)]
-        lanes, at = absorb_lanes(waved, counts)
-        for lane, (counter, single) in enumerate(zip(waved, alone)):
+        lanes, at = table.absorb(rows, counts)
+        for lane, single in enumerate(alone):
             assert at[lanes == lane].tolist() == single.absorb(
                 int(counts[lane])
             )
-            assert (counter.level, counter.since, counter.threshold) == (
+            assert _row_state(table, rows[lane]) == (
                 single.level,
                 single.since,
                 single.threshold,
             )
+
+    def test_exact_rows_count_every_arrival(self):
+        """Exact rows write on every arrival, added or absorbed, and
+        estimate their count like an :class:`ExactCounter`."""
+        tracker = StateTracker()
+        table = HeldTable(tracker, 0.125, exact=True)
+        rows = np.array([table.open((0, 0), 0) for _ in range(3)])
+        oracles = [ExactCounter(StateTracker()) for _ in range(3)]
+        lanes, at = table.absorb(rows, np.array([2, 0, 3]))
+        assert lanes.tolist() == [0, 0, 2, 2, 2]
+        assert at.tolist() == [1, 2, 1, 2, 3]
+        for oracle, count in zip(oracles, [2, 1, 3]):
+            for _ in range(count):
+                oracle.add()
+        table.add(int(rows[1]))
+        assert table.estimates(rows).tolist() == [o.estimate for o in oracles]
+        assert tracker.total_writes == 1
+        assert tracker.report().cell_writes == {table.label(1): 1}
+
+    def test_estimates_use_python_power_at_every_level(self):
+        a = 0.125
+        table = HeldTable(StateTracker(), a)
+        rows = np.array([table.open((0, 0), 0) for _ in range(401)])
+        table.level[rows] = np.arange(401)
+        expected = [((1 + a) ** level - 1) / a for level in range(401)]
+        assert table.estimates(rows).tolist() == expected
+        assert [table.estimate(row) for row in rows.tolist()] == expected
+        oracle = _skip_counter(a, 0, 0, 0)
+        for level in (0, 1, 37, 400):
+            oracle.restore(level, 0)
+            assert table.estimate(int(rows[level])) == oracle.estimate
+        # A tiny ``a`` lets levels follow counts far past 400.
+        tiny = HeldTable(StateTracker(), 2e-6)
+        high = np.array([tiny.open((0, 0), 0) for _ in range(3)])
+        tiny.level[high] = [3, 10**6, 3]
+        assert tiny.estimates(high).tolist() == [
+            ((1 + 2e-6) ** level - 1) / 2e-6 for level in (3, 10**6, 3)
+        ]
+
+    @pytest.mark.parametrize("mode", ["aggregate", "trace"])
+    def test_evicted_row_is_reused_with_a_fresh_cell(self, mode):
+        """A released row comes back at level 0 for the next opening,
+        under a fresh cell number, and the words balance."""
+        tracker = make_tracker(mode)
+        table = HeldTable(tracker, 0.125)
+        first = table.open((1, 2), 5)
+        table.open((3, 4), 6)
+        for _ in range(3):
+            table.add(first)
+        assert table.level[first] > 0 and int(table.cell[first]) == 0
+        table.release(first)
+        assert tracker.current_words == 1
+        reused = table.open((5, 6), 9)
+        assert reused == first
+        assert int(table.cell[reused]) == 2
+        assert _row_state(table, reused) == (0, 0, 1)
+        assert (int(table.key0[reused]), int(table.key1[reused])) == (5, 6)
+        assert int(table.created_at[reused]) == 9
+        assert tracker.current_words == 2
+        table.add(reused)
+        if mode == "trace":
+            cells = tracker.report().cell_writes
+            assert cells["morris#2"] == 1 and cells["morris#0"] >= 1
 
 
 class TestMedianMorrisCounter:

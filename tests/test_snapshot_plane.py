@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import registry
-from repro.query import PointQuery
+from repro.query import AllEstimates, PointQuery
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.sharded import ShardedRunner
 from repro.serve.collectors import StateChangesCollector
@@ -34,6 +34,8 @@ from repro.serve.engine import LiveEngine
 from repro.serve.server import LiveSession
 from repro.state.algorithm import Sketch
 from repro.state.budget import WriteBudget, WriteBudgetExceededError
+from repro.state.tracker import make_tracker
+from repro.streams.generators import _zipf_draws
 
 N = 64  # universe for generated streams
 SHARDS = 4
@@ -200,6 +202,60 @@ class TestCloneProtocol:
         dup.process_many([1, 1, 2, 3])
         assert shard.to_state() == before
         assert dup.report().state_changes > changes_before
+
+    @pytest.mark.parametrize(
+        "name",
+        ["sample-and-hold", "heavy-hitters", "adaptive-sample-and-hold"],
+    )
+    @pytest.mark.parametrize("tracking", ["aggregate", "trace"])
+    def test_sample_and_hold_clone_is_isolated(self, name, tracking):
+        """The sample-and-hold families have no state hooks, and their
+        leaves share one held-counter table: a clone taken mid-stream
+        and fed the rest leaves the source as it was, and ends where an
+        uncloned sketch fed the whole stream does."""
+
+        def build():
+            return registry.create(
+                name, n=HELD_N, m=HELD_M, epsilon=1.0, seed=3,
+                tracker=make_tracker(tracking),
+            )
+
+        def feed(sketch, low, high):
+            for start in range(low, high, 1000):
+                sketch.process_chunk(HELD_ARR[start:min(high, start + 1000)])
+
+        source = build()
+        feed(source, 0, HELD_M // 2)
+        before = held_fingerprint(source)
+        dup = source.clone()
+        feed(dup, HELD_M // 2, HELD_M)
+        assert held_fingerprint(source) == before
+        whole = build()
+        feed(whole, 0, HELD_M)
+        assert held_fingerprint(dup) == held_fingerprint(whole)
+        assert held_fingerprint(dup) != before
+
+
+HELD_N, HELD_M = 512, 8000
+HELD_ARR = _zipf_draws(HELD_N, HELD_M, 1.1, 3)
+
+
+def held_fingerprint(sketch) -> tuple:
+    """Audit, per-cell wear and every default answer of a sketch."""
+    report = sketch.report()
+    answers = tuple(
+        repr(sketch.query(query))
+        for query in (PointQuery(0), PointQuery(1), AllEstimates())
+    )
+    return (
+        sketch.items_processed,
+        report.state_changes,
+        report.total_writes,
+        report.peak_words,
+        report.current_words,
+        tuple(sorted(report.cell_writes.items())),
+        answers,
+    )
 
 
 # ----------------------------------------------------------------------
