@@ -19,14 +19,15 @@ Two estimators over the ``k`` sketch coordinates are provided:
   to 1).
 
 The sketch matrix is never stored: column ``D[:, j]`` is regenerated on
-demand from a per-item generator, ``numpy.random.default_rng`` seeded
-with ``hash((variate_seed, j))``, which draws the column's ``(theta,
-r)`` uniforms for the Chambers–Mallows–Stuck transform.  This stands in
-for the ``O(log(1/eps)/log log(1/eps))``-wise independent generation of
-[JW19] (docs/ARCHITECTURE.md §2, deviation 4).  A
+demand from a per-item generator, numpy's default generator (PCG64)
+seeded with ``hash((variate_seed, j))``, which draws the column's
+``(theta, r)`` uniforms for the Chambers–Mallows–Stuck transform.  This
+stands in for the ``O(log(1/eps)/log log(1/eps))``-wise independent
+generation of [JW19] (docs/ARCHITECTURE.md §2, deviation 4).  A
 :class:`VariateTable` keeps the regenerated columns of recently seen
 items, at every order ``p`` its sketches use, so each item's uniforms
-are drawn once.
+are drawn once; it runs the new items' generators lane-wise, all in
+one :func:`~repro.hashing.coins.seeded_uniforms` call.
 
 Coins: the Morris levels live in ``int64`` arrays and every weighted
 climb draws from an indexed Philox stream — update ``t`` row ``i``
@@ -51,7 +52,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.counters import climbed_level, weighted_morris_step
-from repro.hashing.coins import PhiloxCoins
+from repro.hashing.coins import PhiloxCoins, seeded_uniforms
 from repro.hashing.pstable import (
     cms_transform,
     stable_abs_median,
@@ -68,12 +69,14 @@ class VariateTable:
     """Regenerated columns ``D[:, item]`` of one ``(variate_seed,
     rows)`` sketch matrix, at each of the orders ``p`` in ``orders``.
 
-    Item ``j``'s ``(theta, r)`` uniforms come from a
-    ``numpy.random.default_rng`` seeded with ``hash((variate_seed,
-    j))``; they do not depend on ``p``, so one draw serves every order
+    Item ``j``'s ``(theta, r)`` uniforms are the first ``2 * rows``
+    draws of numpy's default generator seeded with ``hash((variate_seed,
+    j)) & 0x7FFFFFFF`` (``theta`` scaled as ``Generator.uniform`` scales
+    it); they do not depend on ``p``, so one draw serves every order
     (common random numbers).  :meth:`slots` numbers items in first-seen
-    order, drawing the new ones' uniforms once and filling every
-    order's columns with one elementwise
+    order, drawing the new ones' uniforms once -- every new item's in
+    one lane-wise :func:`~repro.hashing.coins.seeded_uniforms` call --
+    and filling every order's columns with one elementwise
     :func:`~repro.hashing.pstable.cms_transform` call; the sketches
     then gather ``columns(p)[slots]``.
 
@@ -119,15 +122,14 @@ class VariateTable:
         rows = self.rows
         start = len(self._slots)
         stop = start + len(items)
-        theta = np.empty((len(items), rows))
-        r = np.empty((len(items), rows))
-        for index, item in enumerate(items):
-            gen = np.random.default_rng(
-                hash((self.variate_seed, item)) & 0x7FFFFFFF
-            )
-            theta[index] = gen.uniform(-_HALF_PI, _HALF_PI, rows)
-            r[index] = gen.uniform(0.0, 1.0, rows)
-            self._slots[item] = start + index
+        uniforms = seeded_uniforms(
+            [hash((self.variate_seed, item)) & 0x7FFFFFFF for item in items],
+            2 * rows,
+        )
+        # Generator.uniform(low, high): low + (high - low) * u.
+        theta = -_HALF_PI + (_HALF_PI - -_HALF_PI) * uniforms[:, :rows]
+        r = uniforms[:, rows:]
+        self._slots.update(zip(items, range(start, stop)))
         for p, columns in self._columns.items():
             if stop > len(columns):
                 grown = np.empty((max(stop, 2 * len(columns), 64), rows))

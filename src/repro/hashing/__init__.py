@@ -3,13 +3,14 @@
 * k-wise independent hash families over ``GF(2^61 - 1)``
   (:mod:`repro.hashing.prime_field`),
 * nested universe subsampling (:mod:`repro.hashing.subsample`),
-* p-stable variate generation and derandomization
-  (:mod:`repro.hashing.pstable`).
+* p-stable variates and their scale constants
+  (:mod:`repro.hashing.pstable`),
+* index-addressable coins and lane-wise seeded generators
+  (:mod:`repro.hashing.coins`).
 """
 
 from repro.hashing.prime_field import MERSENNE_P, KWiseHash, hash_to_unit
 from repro.hashing.pstable import (
-    DerandomizedStable,
     sample_pstable,
     sample_pstable_array,
     stable_abs_median,
@@ -20,7 +21,6 @@ __all__ = [
     "MERSENNE_P",
     "KWiseHash",
     "hash_to_unit",
-    "DerandomizedStable",
     "sample_pstable",
     "sample_pstable_array",
     "stable_abs_median",

@@ -39,12 +39,21 @@ contiguous blocks stay on ``np.random.Philox``, scattered reads go
 lane-wise.  A stream known only by its key -- a held counter's row in a
 column table -- reads through :func:`stream_uniforms`, with no stream
 object.
+
+The p-stable sketches' regenerated columns are not coin streams: each
+item's column comes from ``numpy.random.default_rng`` seeded by a hash
+of the item.  :func:`seeded_uniforms` runs those generators lane-wise,
+one lane per seed -- numpy's ``SeedSequence`` and PCG64 in pure numpy,
+on the same 64x64-bit product helper as the Philox lanes -- and returns
+the words one generator per seed would.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,13 +186,28 @@ class PhiloxCoins:
         return float(self.uniform_block(index, 1)[0])
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+class _Factor(NamedTuple):
+    """A 64-bit factor of :func:`_mulhilo` with its 32-bit halves,
+    split once so constant factors are not split again per call."""
+
+    word: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _factor(words) -> _Factor:
+    words = np.asarray(words, dtype=np.uint64)
+    return _Factor(words, words & _LOW32, words >> _SHIFT32)
+
+
 #: Philox-4x64-10 constants (Random123's, which numpy's ``Philox``
-#: uses): the round multipliers of words 0 and 2, split into 32-bit
-#: halves as (2, 1) columns, and the per-round key increments.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_M_LO = np.array([[m & 0xFFFFFFFF] for m in _PHILOX_M], dtype=np.uint64)
-_M_HI = np.array([[m >> 32] for m in _PHILOX_M], dtype=np.uint64)
-_M_FULL = np.array([[m] for m in _PHILOX_M], dtype=np.uint64)
+#: uses): the round multipliers of words 0 and 2, as a (2, 1) column,
+#: and the per-round key increments.
+_PHILOX_M = _factor([[0xD2E7470EE14C6C93], [0xCA5A826395121157]])
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 #: Below this many lanes, re-pointing the thread's generator once per
@@ -192,13 +216,10 @@ _PHILOX_ROUNDS = 10
 _FEW_LANES = 96
 _KEY_STEPS = np.arange(_PHILOX_ROUNDS, dtype=np.uint64)[:, None, None]
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 
-
-def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products of the two rows of
-    ``x`` with their round multipliers.
+def _mulhilo(x: np.ndarray, y: _Factor) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``x * y``, elementwise
+    (the shapes broadcast).
 
     numpy has no 128-bit integers, so the high word is assembled from
     the four 32-bit partial products; the low word is the wrapping
@@ -206,13 +227,13 @@ def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     x_lo = x & _LOW32
     x_hi = x >> _SHIFT32
-    lo_lo = x_lo * _M_LO
-    hi_lo = x_hi * _M_LO
-    lo_hi = x_lo * _M_HI
+    lo_lo = x_lo * y.lo
+    hi_lo = x_hi * y.lo
+    lo_hi = x_lo * y.hi
     cross = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
-    hi = x_hi * _M_HI + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32)
+    hi = x_hi * y.hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32)
     hi += cross >> _SHIFT32
-    return hi, x * _M_FULL
+    return hi, x * y.word
 
 
 def _lane_block_words(
@@ -249,7 +270,7 @@ def _lane_block_words(
     mixed[0] = blocks + np.uint64(1)
     passed = np.zeros_like(mixed)
     for key in schedule:
-        hi, lo = _mulhilo(mixed)
+        hi, lo = _mulhilo(mixed, _PHILOX_M)
         mixed, passed = hi[::-1] ^ passed ^ key, lo[::-1]
     return np.stack((mixed[0], passed[0], mixed[1], passed[1]))
 
@@ -283,11 +304,184 @@ def lane_block_uniforms(
     return (_lane_block_words(keys0, keys1, blocks) >> np.uint64(11)) * _SCALE
 
 
+#: numpy's ``SeedSequence`` hash constants (``bit_generator.pyx``):
+#: the pool hash's initial value and multiplier, the output hash's, and
+#: the pool mix's two multipliers.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L = np.array(0xCA01F9DD, dtype=np.uint32)
+_MIX_R = np.array(0x4973F715, dtype=np.uint32)
+_XSHIFT = np.array(16, dtype=np.uint32)
+_POOL = 4
+
+
+def _hash_schedule(init: int, mult: int, calls: int) -> np.ndarray:
+    """The (xor, multiplier) pair of each of ``calls`` successive
+    hashes, as a (2, calls) array: the hash constant starts at ``init``
+    and is multiplied by ``mult`` at every hash, whatever the data."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array([consts[:-1], consts[1:]], dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, schedule: np.ndarray) -> np.ndarray:
+    value = (value ^ schedule[0]) * schedule[1]
+    return value ^ (value >> _XSHIFT)
+
+
+#: The sixteen pool hashes of a one-word entropy: hash 0 takes the
+#: seed, hashes 1..3 zeros, and hashes ``4 + 3 * s`` to ``6 + 3 * s``
+#: mix pool word ``s`` into the other three, in ascending order.
+_POOL_HASHES = _hash_schedule(_INIT_A, _MULT_A, _POOL * _POOL)
+_ZEROS_HASHED = _hashmix(
+    np.zeros((_POOL - 1, 1), dtype=np.uint32), _POOL_HASHES[:, 1:_POOL, None]
+)
+#: Stage ``s``'s three mix hashes, in the rotated row order of
+#: :func:`_seed_words` (words ``s + 1``, ``s + 2``, ``s + 3`` mod 4).
+_MIX_STAGES = [
+    _POOL_HASHES[
+        :,
+        [
+            _POOL + 3 * s + dest - (dest > s)
+            for dest in ((s + i) % _POOL for i in (1, 2, 3))
+        ],
+        None,
+    ]
+    for s in range(_POOL)
+]
+#: ``generate_state``'s eight output hashes, cycling over the pool,
+#: shaped (2, 2, 4, 1) so a (4, lanes) pool broadcasts to all eight.
+_STATE_HASHES = _hash_schedule(_INIT_B, _MULT_B, 2 * _POOL).reshape(
+    2, 2, _POOL, 1
+)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, uint64)`` of each uint32
+    seed, as a (4, lanes) array.
+
+    A seed below ``2**32`` is one entropy word, so the pool holds its
+    hash and three hashed zeros.  Then every pool word is hashed into
+    the other three; those three updates read only the source word, so
+    they run as one batch.  Rows are kept rotated -- the source first,
+    then the words after it -- so each stage is a slice, not a gather,
+    and four stages restore the order.
+    """
+    pool = np.concatenate(
+        (
+            _hashmix(seeds, _POOL_HASHES[:, 0])[None],
+            np.broadcast_to(_ZEROS_HASHED, (_POOL - 1, len(seeds))),
+        )
+    )
+    for stage in _MIX_STAGES:
+        mixed = _MIX_L * pool[1:] - _MIX_R * _hashmix(pool[0], stage)
+        pool = np.concatenate((mixed ^ (mixed >> _XSHIFT), pool[:1]))
+    words = _hashmix(pool, _STATE_HASHES).reshape(2 * _POOL, -1)
+    # Little-endian pairs of 32-bit words make the 64-bit words.
+    words = words.astype(np.uint64)
+    return words[0::2] | (words[1::2] << _SHIFT32)
+
+
+#: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_ONE = np.uint64(1)
+_SIXTY_THREE = np.uint64(63)
+#: XSL-RR rotates by the state's top six bits, bits 122..127.
+_ROTATION = np.uint64(122 - 64)
+#: Lanes x draws per pass of :func:`seeded_uniforms`' expansion: its
+#: (2, lanes, draws) temporaries stay at 64 KiB, whatever the batch.
+_PASS_WORDS = 1 << 12
+
+
+@functools.lru_cache(maxsize=16)
+def _draw_jumps(count: int) -> tuple[np.ndarray, _Factor]:
+    """Jump-ahead maps of the LCG ``state -> M * state + inc`` (mod
+    ``2**128``) for draws ``0..count - 1``.
+
+    ``k`` steps take ``state`` to ``M**k * state + sum(M**j for j < k)
+    * inc``, and draw ``d`` is ``d + 2`` steps (see
+    :func:`seeded_uniforms`).  Row 0 holds the powers and row 1 the
+    sums, one column per draw, as (2, 1, count) high words and split
+    low words.  A sketch geometry draws one ``count`` throughout, so
+    each is built once.
+    """
+    maps = [[], []]
+    power, total = _PCG_MULT, 1
+    for _ in range(count):
+        power = power * _PCG_MULT & _MASK128
+        total = (total * _PCG_MULT + 1) & _MASK128
+        maps[0].append(power)
+        maps[1].append(total)
+    return (
+        np.array([[[v >> 64 for v in m]] for m in maps], dtype=np.uint64),
+        _factor([[[v & _MASK64 for v in m]] for m in maps]),
+    )
+
+
+def _mul128(x_hi, x_lo, y_hi, y_lo: _Factor) -> tuple[np.ndarray, np.ndarray]:
+    """The low 128 bits of ``x * y``, as (high, low) words."""
+    hi, lo = _mulhilo(x_lo, y_lo)
+    hi += x_lo * y_hi + x_hi * y_lo.word
+    return hi, lo
+
+
+def _add128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = x_lo + y_lo
+    return x_hi + y_hi + (lo < y_lo), lo
+
+
+def seeded_uniforms(seeds, count: int) -> np.ndarray:
+    """Row ``i`` is ``np.random.default_rng(int(seeds[i])).random(count)``,
+    bit for bit, for every seed in ``[0, 2**32)``, all seeds at once.
+
+    ``default_rng(seed)`` is PCG64 (O'Neill, 2014) seeded from
+    ``SeedSequence(seed)``; both are integer algorithms, so they run
+    lane-wise, one lane per seed.  The seed sequence's hashes give four
+    words (:func:`_seed_words`): the state ``s`` and the stream ``q``.
+    PCG64 seeds in two steps -- ``inc = 2 * q + 1``, state ``(s + inc)
+    * M + inc`` -- and steps once more before each output, so draw
+    ``d`` (from 0) reads the state ``d + 2`` LCG steps past ``s +
+    inc``: one multiply-add by a cached jump-ahead map
+    (:func:`_draw_jumps`) instead of ``d + 2`` steps.  Each state's
+    output is its XSL-RR word, and each uniform is ``(word >> 11) *
+    2**-53``, :meth:`numpy.random.Generator.random`'s mapping.
+
+    Seeds outside ``[0, 2**32)`` would seed a sequence of another
+    length (or none), so they raise ``ValueError``.
+    """
+    seeds = np.asarray(seeds)
+    if len(seeds) and not (0 <= seeds.min() and seeds.max() < 1 << 32):
+        raise ValueError("seeds must lie in [0, 2**32)")
+    s_hi, s_lo, q_hi, q_lo = _seed_words(seeds.astype(np.uint32))
+    inc_hi = (q_hi << _ONE) | (q_lo >> _SIXTY_THREE)
+    inc_lo = (q_lo << _ONE) | _ONE
+    # One row per term of the maps: the start s + inc, and inc.
+    start_hi, start_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
+    x_hi = np.stack((start_hi, inc_hi))[:, :, None]
+    x_lo = np.stack((start_lo, inc_lo))[:, :, None]
+    jumps_hi, jumps_lo = _draw_jumps(count)
+    uniforms = np.empty((len(seeds), count))
+    step = max(1, _PASS_WORDS // max(count, 1))
+    for low in range(0, len(seeds), step):
+        lanes = slice(low, low + step)
+        hi, lo = _mul128(x_hi[:, lanes], x_lo[:, lanes], jumps_hi, jumps_lo)
+        hi, lo = _add128(hi[0], lo[0], hi[1], lo[1])
+        # XSL-RR: the halves' xor, rotated right by the top six bits.
+        word = hi ^ lo
+        turn = hi >> _ROTATION
+        word = (word >> turn) | (word << ((-turn) & _SIXTY_THREE))
+        np.multiply(word >> np.uint64(11), _SCALE, out=uniforms[lanes])
+    return uniforms
+
+
 __all__ = [
     "PhiloxCoins",
     "lane_block_uniforms",
     "lane_uniforms",
     "lane_words",
+    "seeded_uniforms",
     "stream_key",
     "stream_uniforms",
 ]

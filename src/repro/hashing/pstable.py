@@ -11,16 +11,17 @@ quoted in the paper (Section 3.1):
 with ``theta ~ Uni(-pi/2, pi/2)`` and ``r ~ Uni(0, 1)``.
 
 Because the sketch matrix cannot be stored, variates are *derandomized*:
-each ``(row, item)`` pair regenerates its variate from a seeded hash, so
-only the seed occupies memory ([JW19]'s limited-independence trick,
-realized here with a hash-seeded PRNG).
+each item's column regenerates from a generator seeded by a hash of
+``(seed, item)``, so only the seed occupies memory ([JW19]'s
+limited-independence trick, realized with a hash-seeded PRNG; see
+:class:`repro.core.fp_pstable.VariateTable`).  This module holds the
+transform and the scale constants.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 
 import numpy as np
 
@@ -78,31 +79,6 @@ def sample_pstable_array(
     theta = rng.uniform(-_HALF_PI, _HALF_PI, size)
     r = rng.uniform(0.0, 1.0, size)
     return cms_transform(p, theta, r)
-
-
-class DerandomizedStable:
-    """Deterministic p-stable variates indexed by ``(row, item)``.
-
-    The sketch never stores its random matrix ``D``; entry
-    ``D[row, item]`` is regenerated on demand from ``(seed, row, item)``.
-    Identical arguments always return identical variates, which is what
-    makes the sketch's inner products well defined across the stream.
-    """
-
-    def __init__(self, p: float, seed: int) -> None:
-        if not 0.0 < p <= 2.0:
-            raise ValueError(f"stability index p must be in (0, 2]: {p}")
-        self.p = p
-        self.seed = seed
-
-    def variate(self, row: int, item: int) -> float:
-        """The matrix entry ``D[row, item]``."""
-        mix = random.Random(hash((self.seed, row, item)))
-        theta = mix.uniform(-_HALF_PI, _HALF_PI)
-        r = mix.random()
-        while r <= 0.0:  # guard log(0); probability ~0
-            r = mix.random()
-        return sample_pstable(self.p, theta, r)
 
 
 #: Samples per :func:`cms_transform` call when evaluating the scale

@@ -32,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import registry
 from repro.api import Engine
@@ -45,6 +47,7 @@ from repro.hashing.coins import (
     lane_block_uniforms,
     lane_uniforms,
     lane_words,
+    seeded_uniforms,
     stream_key,
 )
 from repro.query import (
@@ -368,6 +371,65 @@ class TestLanePhilox:
                 repr(u) for u in lanes("golden.other", list(range(4)))
             ],
         } == golden["philox"]
+
+
+def _default_rng_words(seeds, count: int) -> list:
+    """The uniforms' bit patterns, from one freshly seeded
+    ``default_rng`` per seed."""
+    return [
+        np.random.default_rng(seed).random(count).view(np.uint64).tolist()
+        for seed in seeds
+    ]
+
+
+class TestSeededUniforms:
+    """The lane-wise SeedSequence + PCG64 behind the p-stable variate
+    table returns the words of one ``default_rng`` per seed."""
+
+    EDGES = [0, 1, 2**31 - 1, 2**32 - 1]
+
+    @pytest.mark.parametrize("count", [1, 2, 40, 800])
+    def test_edge_seeds_match_default_rng(self, count):
+        expected = _default_rng_words(self.EDGES, count)
+        got = seeded_uniforms(self.EDGES, count)
+        assert got.shape == (len(self.EDGES), count)
+        assert got.view(np.uint64).tolist() == expected
+        # One lane per call: the scalar path's batch.
+        assert [
+            seeded_uniforms([seed], count).view(np.uint64).tolist()[0]
+            for seed in self.EDGES
+        ] == expected
+
+    @pytest.mark.parametrize("count", [1, 2, 40, 800])
+    def test_wide_batches_match_default_rng(self, count):
+        seeds = np.random.default_rng(count).integers(
+            0, 2**32, 600, dtype=np.uint64
+        )
+        seeds[:4] = self.EDGES
+        got = seeded_uniforms(seeds, count)
+        assert got.view(np.uint64).tolist() == _default_rng_words(
+            seeds.tolist(), count
+        )
+
+    @given(
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12),
+        st.sampled_from([1, 2, 40, 800]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_seeds_match_default_rng(self, seeds, count):
+        assert seeded_uniforms(seeds, count).view(
+            np.uint64
+        ).tolist() == _default_rng_words(seeds, count)
+
+    def test_no_seeds_no_rows(self):
+        assert seeded_uniforms([], 40).shape == (0, 40)
+
+    @pytest.mark.parametrize("bad", [-1, -(2**40), 2**32, 2**63, 2**64])
+    def test_seeds_outside_32_bits_raise(self, bad):
+        # SeedSequence rejects negative seeds and hashes larger ones as
+        # two or more words.
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            seeded_uniforms([5, bad, 7], 40)
 
 
 class TestProtocolPlumbing:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import fp_pstable
 from repro.core.entropy import (
     EntropyEstimator,
     hno08_nodes,
@@ -120,18 +121,19 @@ class TestPStableBackend:
 class TestSharedVariates:
     def test_node_sketches_draw_each_item_once(self, monkeypatch):
         """The node sketches share one variate table, so a chunk draws
-        each distinct item's uniforms once (not once per node)."""
+        each distinct item's uniforms once (not once per node): one
+        seed per distinct item reaches the lane-wise draw."""
         algo = EntropyEstimator(m=4096, epsilon=0.5, seed=6)
         table = algo._sketches[0]._table
         assert all(sketch._table is table for sketch in algo._sketches)
         seeded = []
-        default_rng = np.random.default_rng
+        seeded_uniforms = fp_pstable.seeded_uniforms
 
-        def counting_rng(seed=None):
-            seeded.append(seed)
-            return default_rng(seed)
+        def counting_uniforms(seeds, count):
+            seeded.extend(seeds)
+            return seeded_uniforms(seeds, count)
 
-        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(fp_pstable, "seeded_uniforms", counting_uniforms)
         chunk = np.random.RandomState(6).zipf(1.3, 3000) % 700
         algo.process_chunk(chunk)
         distinct = set(chunk.tolist())

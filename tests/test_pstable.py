@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.hashing import (
-    DerandomizedStable,
     sample_pstable,
     sample_pstable_array,
     stable_abs_median,
@@ -83,24 +82,3 @@ class TestScaleConstantsInPlace:
         draws = np.abs(sample_pstable_array(p, self.SAMPLES, rng))
         expected = float(np.median(draws))
         assert stable_abs_median(p, self.SAMPLES) == expected
-
-
-class TestDerandomizedStable:
-    def test_deterministic_per_cell(self):
-        gen = DerandomizedStable(0.5, seed=7)
-        assert gen.variate(3, 100) == gen.variate(3, 100)
-
-    def test_varies_across_cells(self):
-        gen = DerandomizedStable(0.5, seed=7)
-        values = {gen.variate(r, i) for r in range(5) for i in range(5)}
-        assert len(values) == 25
-
-    def test_distribution_matches_direct_sampling(self):
-        gen = DerandomizedStable(1.0, seed=3)
-        draws = np.array([gen.variate(0, i) for i in range(50_000)])
-        # Cauchy |.|-median is 1.
-        assert float(np.median(np.abs(draws))) == pytest.approx(1.0, rel=0.05)
-
-    def test_invalid_p_raises(self):
-        with pytest.raises(ValueError):
-            DerandomizedStable(3.0, seed=0)
