@@ -15,14 +15,16 @@ behaviour stays ``Θ(m)``.  The paper's sample-and-hold approach is
 sublinear regardless of skew, which is exactly the separation A4
 demonstrates.
 
-Coins: each cell owns an index-addressable
-:class:`~repro.hashing.coins.PhiloxCoins` stream labelled by its cell
-id and counts arrivals down to a geometric threshold
-(:class:`~repro.core.counters.SkipMorrisCounter`), so the chunk kernel
-can group a chunk by bucket and absorb each cell's arrivals in
-``O(levels climbed)`` — bit-identical to the scalar loop.  Merges draw
-from a dedicated ``cmm.merge`` stream with a serialized draw counter,
-keeping the executor round trip deterministic.
+Coins: the cells are the rows of one
+:class:`~repro.core.counters.HeldTable` -- row ``r * width + c`` is cell
+``cmm[r][c]``, counting arrivals down to geometric thresholds drawn
+from the index-addressable level-coin stream labelled by its cell id --
+so the chunk kernel hands the table every (cell, position) arrival of a
+chunk in one :meth:`~repro.core.counters.HeldTable.settle`, which
+climbs all touched cells in ``O(levels climbed)`` — bit-identical to
+the scalar loop.  Merges draw from a dedicated ``cmm.merge`` stream
+with a serialized draw counter, keeping the executor round trip
+deterministic.
 """
 
 from __future__ import annotations
@@ -31,12 +33,32 @@ import math
 
 import numpy as np
 
-from repro.core.counters import SkipMorrisCounter
-from repro.hashing.coins import PhiloxCoins
+from repro.core.counters import HeldTable
+from repro.hashing.coins import PhiloxCoins, stream_key
 from repro.hashing.prime_field import KWiseHash
 from repro.query import MultiPointQuery, PointQuery, QueryKind, ScalarAnswer
-from repro.state.algorithm import ChunkAudit, StreamAlgorithm
+from repro.state.algorithm import ChunkAudit, StreamAlgorithm, payload_counts
 from repro.state.tracker import StateTracker
+
+
+class _Cells(HeldTable):
+    """The sketch's cells: row ``r * width + c`` is cell ``cmm[r][c]``,
+    numbered by its position rather than by the tracker, so its id is
+    the same on any tracker it is restored onto."""
+
+    __slots__ = ("width",)
+
+    def __init__(
+        self, tracker: StateTracker, a: float, width: int, depth: int, seed: int
+    ) -> None:
+        super().__init__(tracker, a)
+        self.width = width
+        for cell in range(depth * width):
+            self.open(stream_key(seed, self.label(cell)), 0, cell)
+
+    def label(self, cell: int) -> str:
+        row, column = divmod(cell, self.width)
+        return f"cmm[{row}][{column}]"
 
 
 class CountMinMorris(StreamAlgorithm):
@@ -68,18 +90,7 @@ class CountMinMorris(StreamAlgorithm):
         self.a = a
         self.seed = 0 if seed is None else seed
         base = self.seed
-        self._rows = [
-            [
-                SkipMorrisCounter(
-                    self.tracker,
-                    a=a,
-                    coins=PhiloxCoins(base, f"cmm[{r}][{c}]"),
-                    cell_id=f"cmm[{r}][{c}]",
-                )
-                for c in range(width)
-            ]
-            for r in range(depth)
-        ]
+        self._cells = _Cells(self.tracker, a, width, depth, base)
         self._merge_coins = PhiloxCoins(base, "cmm.merge")
         self._merge_draws = 0
         self._hashes = [KWiseHash(2, seed=base + 1000 * r) for r in range(depth)]
@@ -100,74 +111,56 @@ class CountMinMorris(StreamAlgorithm):
         return cls(width, depth, a=a, seed=seed, tracker=tracker)
 
     def _update(self, item: int) -> None:
-        for row, h in zip(self._rows, self._hashes):
-            row[h.bucket(item, self.width)].add()
+        for offset, h in zip(self._offsets, self._hashes):
+            self._cells.add(offset + h.bucket(item, self.width))
 
     def _update_chunk(self, chunk: np.ndarray) -> None:
         n = len(chunk)
         audit = ChunkAudit(n, self.tracker.needs_cell_ids)
-        for row, h in zip(self._rows, self._hashes):
-            buckets = h.bucket_many(chunk, self.width)
-            # Stable sort: within one bucket, positions stay in stream
-            # order, so a cell's j-th absorbed arrival maps back to the
-            # exact chunk position the scalar loop would have written on.
-            order = np.argsort(buckets, kind="stable")
-            uniq, starts = np.unique(buckets[order], return_index=True)
-            ends = np.append(starts[1:], n)
-            for c, lo, hi in zip(
-                uniq.tolist(), starts.tolist(), ends.tolist()
-            ):
-                cell = row[c]
-                transitions = cell.absorb(hi - lo)
-                if transitions:
-                    count = len(transitions)
-                    audit.writes += count
-                    audit.attempts += count
-                    audit.dirty[
-                        order[lo + np.asarray(transitions) - 1]
-                    ] = True
-                    if audit.cells is not None:
-                        audit.cells[cell.cell_id] = (
-                            audit.cells.get(cell.cell_id, 0) + count
-                        )
+        # Every row's arrivals, row by row and each in stream order.
+        cells = np.concatenate(
+            [
+                offset + h.bucket_many(chunk, self.width)
+                for offset, h in zip(self._offsets, self._hashes)
+            ]
+        )
+        self._cells.settle(cells, np.tile(np.arange(n), self.depth), audit)
         audit.commit(self.tracker, n)
+
+    @property
+    def _offsets(self) -> range:
+        """The number of each row's first cell."""
+        return range(0, self.depth * self.width, self.width)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def _answer_point(self, q: PointQuery) -> ScalarAnswer:
         """Point query: min over rows of the cell estimates."""
-        item = q.item
+        cells = [
+            offset + h.bucket(q.item, self.width)
+            for offset, h in zip(self._offsets, self._hashes)
+        ]
         return ScalarAnswer(
-            QueryKind.POINT,
-            min(
-                row[h.bucket(item, self.width)].estimate
-                for row, h in zip(self._rows, self._hashes)
-            ),
+            QueryKind.POINT, float(self._cells.estimates(cells).min())
         )
 
     def _answer_point_many(
         self, q: MultiPointQuery
     ) -> tuple[ScalarAnswer, ...]:
-        """Batch point queries: one chunked hash per row, each touched
-        cell's Morris estimate computed once and gathered.
+        """Batch point queries: one chunked hash per row and one table
+        gather per row, each distinct level's estimate computed once.
 
-        The per-cell ``estimate`` is a pure function of the counter
-        level, so memoizing it per batch reproduces the scalar min
-        over rows exactly.
+        The per-cell estimate is a pure function of the counter level,
+        so the gathered estimates reproduce the scalar min over rows
+        exactly.
         """
         if not q.items:
             return ()
         items = np.asarray(q.items, dtype=np.int64)
         best: np.ndarray | None = None
-        for row, h in zip(self._rows, self._hashes):
-            buckets = h.bucket_many(items, self.width)
-            estimates = {
-                c: row[c].estimate for c in np.unique(buckets).tolist()
-            }
-            values = np.array(
-                [estimates[c] for c in buckets.tolist()], dtype=np.float64
-            )
+        for offset, h in zip(self._offsets, self._hashes):
+            values = self._cells.estimates(offset + h.bucket_many(items, self.width))
             best = values if best is None else np.minimum(best, values)
         return tuple(
             ScalarAnswer(QueryKind.POINT, value)
@@ -196,13 +189,13 @@ class CountMinMorris(StreamAlgorithm):
                 f"{self.width}x{self.depth}/a={self.a}/seed={self.seed} vs "
                 f"{other.width}x{other.depth}/a={other.a}/seed={other.seed}"
             )
-        for row, other_row in zip(self._rows, other._rows):
-            for cell, other_cell in zip(row, other_row):
-                weight = other_cell.estimate
-                if weight > 0:
-                    u = self._merge_coins.uniform(self._merge_draws)
-                    self._merge_draws += 1
-                    cell.merge_weight(weight, u)
+        # One merge coin per cell the other sketch counted, in cell
+        # order.
+        weights = other._cells.estimates(np.arange(self.depth * self.width))
+        cells = np.flatnonzero(weights > 0)
+        uniforms = self._merge_coins.uniform_block(self._merge_draws, len(cells))
+        self._merge_draws += len(cells)
+        self._cells.merge(cells, weights[cells], uniforms)
 
     def _config_state(self) -> dict:
         return {
@@ -213,16 +206,17 @@ class CountMinMorris(StreamAlgorithm):
         }
 
     def _payload_state(self) -> dict:
+        cells, shape = self._cells, (self.depth, self.width)
+        size = self.depth * self.width
         return {
-            "levels": [[cell.level for cell in row] for row in self._rows],
-            "since": [[cell.since for cell in row] for row in self._rows],
+            "levels": cells.level[:size].reshape(shape).tolist(),
+            "since": cells.since[:size].reshape(shape).tolist(),
             "merge_draws": self._merge_draws,
         }
 
     def _load_payload(self, payload: dict) -> None:
-        for row, levels, since in zip(
-            self._rows, payload["levels"], payload["since"]
-        ):
-            for cell, level, n_since in zip(row, levels, since):
-                cell.restore(level, n_since)
-        self._merge_draws = int(payload.get("merge_draws", 0))
+        shape = (self.depth, self.width)
+        levels = payload_counts(payload, "levels", shape)
+        since = payload_counts(payload, "since", shape)
+        self._cells.restore(np.arange(levels.size), levels.ravel(), since.ravel())
+        self._merge_draws = int(payload_counts(payload, "merge_draws", ()))

@@ -113,8 +113,11 @@ class AdaptiveFullSampleAndHold(StreamAlgorithm):
             if self._epoch_budget == 0:
                 self._start_epoch()
             stop = min(n, start + self._epoch_budget)
+            epoch = self._epochs[-1]
             routes: list[tuple[SampleAndHold, np.ndarray]] = []
-            self._epochs[-1]._route_chunk(np.arange(start, stop), audit, routes)
+            epoch._lengths.settle(
+                *epoch._route_chunk(np.arange(start, stop), routes), audit
+            )
             ChunkSettle(chunk, routes, audit).run()
             self._epoch_budget -= stop - start
             start = stop

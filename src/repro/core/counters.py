@@ -10,20 +10,12 @@ a ``(1+eps)``-approximation with probability ``1 - delta`` (Chebyshev),
 and a median over ``O(log 1/delta)`` copies upgrades the failure
 probability exponentially (the NY22 parameterization behind Thm 1.5).
 
-Four counter flavours share the :class:`ApproximateCounter` interface:
+Three counter objects share the :class:`ApproximateCounter` interface:
 
 * :class:`ExactCounter` — writes on every update (the baseline).
 * :class:`MorrisCounter` — the textbook counter: unit and weighted
   increments, few writes, coins from a caller-supplied sequential
   ``random.Random``.  Experiment E8 studies it directly.
-* :class:`SkipMorrisCounter` — the unit counter every coin family
-  holds: the same distribution, but driven by index-addressable
-  :class:`~repro.hashing.coins.PhiloxCoins` draws via geometric
-  *skip-sampling* — instead of flipping one ``(1+a)^{-X}`` coin per
-  arrival, it draws how many arrivals the current level survives
-  (a geometric variate, by inversion from the coin at index ``X``)
-  and counts down, so a chunk kernel can absorb ``k`` arrivals in
-  ``O(levels climbed)`` work.
 * :class:`MedianMorrisCounter` — median of independent textbook Morris
   copies.
 
@@ -31,16 +23,22 @@ All of them store their registers in tracked cells so state changes are
 audited by the enclosing algorithm's
 :class:`~repro.state.tracker.StateTracker`.
 
-:func:`weighted_morris_step` is the weighted-increment kernel on
-indexed coins, shared verbatim by the scalar and the chunked p-stable
-paths so their levels agree bit for bit.  :func:`skip_morris_step` is
-its unit-increment sibling: it advances many skip counters at once,
-reading their level coins lane-wise and inverting them with the libm
-calls of :func:`geometric_threshold`.  :class:`HeldTable` keeps many
-unit counters -- the sample-and-hold stack's held counters -- as numpy
-columns, so a wave of arrivals steps its rows in one
-:func:`skip_morris_step`; :class:`SkipMorrisCounter` stays the
-per-object form (and the table's test oracle).
+Every coin family counts unit arrivals in a :class:`HeldTable`
+instead: unit Morris counters as numpy columns, driven by
+index-addressable Philox level coins via geometric *skip-sampling* --
+instead of flipping one ``(1+a)^{-X}`` coin per arrival, a counter
+draws how many arrivals its level survives (a geometric variate, by
+inversion from the coin at index ``X``) and counts down, so a chunk
+kernel absorbs ``k`` arrivals in ``O(levels climbed)`` work.  The
+sample-and-hold stack's held counters, CountMin-Morris's cells and the
+substream length counters are all table rows.
+:func:`skip_morris_step` climbs many rows at once, reading their level
+coins lane-wise and inverting them with the libm calls of
+:func:`geometric_threshold`, and finishes its last few climbing rows
+one at a time.  :func:`weighted_morris_step` is the weighted-increment
+kernel on indexed coins, shared verbatim by the scalar and the chunked
+p-stable paths (and the table's merges) so their levels agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -52,7 +50,8 @@ import random
 
 import numpy as np
 
-from repro.hashing.coins import PhiloxCoins, lane_block_uniforms, stream_uniforms
+from repro.hashing.coins import lane_block_uniforms, lane_uniforms, stream_uniforms
+from repro.state.algorithm import ChunkAudit
 from repro.state.registers import TrackedValue
 from repro.state.tracker import StateTracker
 
@@ -118,7 +117,13 @@ def climbed_level(a: float, level: int, weight: float, u: float) -> int:
     )
 
 
-@functools.lru_cache(maxsize=4096)
+#: Levels whose survival log :func:`_survival_log` keeps: more than a
+#: long run climbs -- entropy's length counter (``a = 0.001``) alone
+#: climbs ~4,200 levels in 65,536 arrivals -- so repeated runs hit it.
+_SURVIVAL_CACHE = 1 << 15
+
+
+@functools.lru_cache(maxsize=_SURVIVAL_CACHE)
 def _survival_log(a: float, level: int) -> float:
     """``log1p(-(1+a)^-level)``: the log of the probability that level
     ``level`` survives one arrival."""
@@ -140,6 +145,35 @@ def geometric_threshold(a: float, level: int, u: float) -> int:
     return min(max(1, int(g)), _MAX_THRESHOLD)
 
 
+#: Climbing lanes below which :func:`skip_morris_step` finishes one lane
+#: at a time: a lane-wise round costs ~25 us however few lanes it
+#: climbs, a lane's own count-down a few us per level.
+_FEW_LANES = 16
+
+#: Level coins a lane counting down on its own reads per Philox call.
+_COIN_BLOCK = 64
+
+
+def _count_down(
+    a: float, key: tuple[int, int], level: int, left: int, need: int
+) -> tuple[int, int, int, list[int]]:
+    """One counter's own count-down: from ``level``, with ``left``
+    arrivals to absorb and its next climb ``need`` of them away.
+    Returns the new level, ``since`` and threshold, and the climbs'
+    ordinals within ``left``."""
+    at: list[int] = []
+    coins: list[float] = []
+    start = taken = 0
+    while left - taken >= need:
+        taken += need
+        level += 1
+        at.append(taken)
+        if level - start >= len(coins):
+            start, coins = level, stream_uniforms(key, level, _COIN_BLOCK).tolist()
+        need = geometric_threshold(a, level, coins[level - start])
+    return level, left - taken, need, at
+
+
 def skip_morris_step(
     a: float,
     keys0: np.ndarray,
@@ -149,11 +183,13 @@ def skip_morris_step(
     thresholds: np.ndarray,
     counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Lane-wise :meth:`SkipMorrisCounter.absorb`: lane ``i`` is one
-    counter with Morris parameter ``a`` -- the Philox key
-    ``(keys0[i], keys1[i])`` of its level-coin stream and its
-    ``(level, since, threshold)`` -- absorbing ``counts[i]`` unit
-    arrivals.
+    """Skip-sampled Morris counters absorbing unit arrivals: lane ``i``
+    is one counter with Morris parameter ``a`` -- the Philox key
+    ``(keys0[i], keys1[i])`` of its level-coin stream and its ``(level,
+    since, threshold)`` -- absorbing ``counts[i]`` arrivals.  A climb
+    needs at least one arrival, so a ``since`` at or past the threshold
+    (a restore's, or a budget refusal's) climbs on the next one, as a
+    scalar add does.
 
     Returns the new levels, ``since`` and thresholds, and every
     transition as two parallel arrays: its lane and its 1-based arrival
@@ -162,24 +198,25 @@ def skip_morris_step(
     lanes climb together, one level per round; a climbing lane reads
     the coin of its new level from a cached block of four, and only
     lanes that leave their block go back to
-    :func:`~repro.hashing.coins.lane_block_uniforms`.  Lanes with
-    count 0 pass through unchanged.
+    :func:`~repro.hashing.coins.lane_block_uniforms`.  Once fewer than
+    ``_FEW_LANES`` lanes still climb, each finishes on its own
+    (:func:`_count_down`).  Lanes with count 0 pass through unchanged.
     """
-    keys = np.array(
-        [np.asarray(keys0, dtype=np.uint64), np.asarray(keys1, dtype=np.uint64)]
-    )
+    keys0 = np.asarray(keys0, dtype=np.uint64)
+    keys1 = np.asarray(keys1, dtype=np.uint64)
     levels = np.array(levels, dtype=np.int64)
     since = np.array(since, dtype=np.int64)
     thresholds = np.array(thresholds, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
-    # The climbing lanes: indices, levels, thresholds, arrivals left.
+    # The climbing lanes: indices, levels, thresholds, arrivals left and
+    # arrivals needed before the next climb.
     active = np.arange(len(levels))
     level, threshold, left = levels, thresholds, counts
-    need = threshold - since
+    need = np.maximum(threshold - since, 1)
     coins = cached = None  # each lane's block of level coins, on demand
     moved: list[np.ndarray] = []
     ordinals: list[np.ndarray] = []
-    while len(active):
+    while True:
         climb = left >= need
         if not climb.all():
             stay = ~climb
@@ -190,8 +227,8 @@ def skip_morris_step(
             active, level, left, need = (
                 active[climb], level[climb], left[climb], need[climb]
             )
-            if not len(active):
-                break
+        if len(active) < _FEW_LANES:
+            break
         left = left - need
         level = level + 1
         moved.append(active)
@@ -204,7 +241,7 @@ def skip_morris_step(
         if stale.any():
             fetch = active[stale]
             coins[:, fetch] = lane_block_uniforms(
-                *keys[:, fetch], block[stale]
+                keys0[fetch], keys1[fetch], block[stale]
             )
             cached[fetch] = block[stale]
         # geometric_threshold, lane-wise: libm logs, exact numpy rest.
@@ -217,6 +254,15 @@ def skip_morris_step(
         )
         since[active] = 0
         need = threshold
+    for lane, start, rest, first in zip(
+        active.tolist(), level.tolist(), left.tolist(), need.tolist()
+    ):
+        key = int(keys0[lane]), int(keys1[lane])
+        levels[lane], since[lane], thresholds[lane], at = _count_down(
+            a, key, start, rest, first
+        )
+        moved.append(np.full(len(at), lane))
+        ordinals.append(int(counts[lane]) - rest + np.array(at, dtype=np.int64))
     if moved:
         lanes = np.concatenate(moved)
         at = np.concatenate(ordinals)
@@ -243,30 +289,32 @@ _COLUMNS = (
 
 
 class HeldTable:
-    """Unit counters as numpy columns: the held counters of a set of
-    sample-and-hold leaves.
+    """Unit counters as numpy columns -- the package's one unit counter:
+    the sample-and-hold stack's held counters, CountMin-Morris's cells
+    and the substream length counters are its rows.
 
-    Row ``i`` is one counter -- a :class:`SkipMorrisCounter` with
-    parameter ``a``, or an :class:`ExactCounter` when ``exact`` -- kept
-    as column entries instead of objects: ``level`` (the one tracked
-    word; an exact row's count), the untracked skip shadows ``since``
-    and ``threshold``, the Philox key ``(key0, key1)`` of its
-    level-coin stream, its ``created_at`` clock and its tracker
-    ``cell`` number.  Leaves map held items to rows, and the leaves of
-    one composite share one table, so a wave of arrivals over many
-    leaves' counters gathers and scatters its rows with one fancy
-    index each.  Rows freed by evictions are reused; storage grows by
-    doubling.
+    Row ``i`` is a skip-sampled Morris counter with parameter ``a`` (an
+    exact counter when ``exact``): ``level`` (the one tracked word; an
+    exact row's count), the untracked shadows ``since`` (arrivals
+    absorbed at the level) and ``threshold`` (arrivals the level
+    survives: 1 at level 0, else drawn on entering the level from the
+    coin at that index of the stream keyed ``(key0, key1)``), its
+    ``created_at`` clock and its tracker ``cell`` number.  Levels only
+    increase, so every path into a level -- adds, absorbs, merges,
+    restores -- sees the same threshold, and checkpoints carry only
+    ``(level, since)``.  Rows freed by evictions are reused; storage
+    grows by doubling.
 
-    A row is the counter object, word for word: :meth:`open` allocates
-    its level word and reserves one cell number (labelled ``morris#k``
-    or ``exact#k``, formatted only when the backend needs cell ids),
-    :meth:`add` is the counter's tracked ``add`` -- a budget refusal
-    included -- :meth:`absorb` its untracked ``absorb``, and
-    :meth:`release` frees the word.  Threshold draws invert the level
-    coins with :func:`geometric_threshold`, estimates use ``**`` (not
+    :meth:`open` allocates a row's word and reserves its cell number
+    (:meth:`label` formats the id, ``morris#k`` or ``exact#k``, only
+    when the backend needs ids); :meth:`add` is the tracked scalar add,
+    budget refusals included; :meth:`settle` absorbs a chunk's arrivals
+    and charges them to its audit; :meth:`merge` and :meth:`restore`
+    are the untracked offline loads.  Thresholds invert the coins with
+    :func:`geometric_threshold` and estimates use ``**`` (not
     ``np.power``, which differs from it in the last ulp), so every
-    level, threshold and estimate equals the object's.
+    level, threshold and estimate equals the per-object counter's that
+    ``tests/test_counters.py`` keeps as the oracle.
     """
 
     __slots__ = (
@@ -295,20 +343,19 @@ class HeldTable:
         """The trace label of cell number ``cell``."""
         return f"{'exact' if self.exact else 'morris'}#{cell}"
 
-    def open(self, key: tuple[int, int], created_at: int) -> int:
+    def open(
+        self, key: tuple[int, int], created_at: int, cell: int | None = None
+    ) -> int:
         """A fresh row at level 0 counting on the level-coin stream
         keyed ``key`` (see :func:`~repro.hashing.coins.stream_key`;
-        exact rows read no coins), created at clock ``created_at``."""
+        exact rows read no coins), created at clock ``created_at``.
+        Its cell number is the tracker's next unless ``cell`` is
+        given."""
         tracker = self._tracker
-        cell = tracker.fresh_cell_number()
+        if cell is None:
+            cell = tracker.fresh_cell_number()
         tracker.allocate(1)
-        if self._free:
-            row = self._free.pop()
-        else:
-            row = self._rows
-            if row == len(self.level):
-                self._grow()
-            self._rows = row + 1
+        row = self._free.pop() if self._free else self._append(1)
         self.level[row] = 0
         self.since[row] = 0
         self.threshold[row] = 1
@@ -317,13 +364,30 @@ class HeldTable:
         self.cell[row] = cell
         return row
 
-    def _grow(self) -> None:
-        size = max(_FIRST_ROWS, 2 * len(self.level))
-        for name, dtype in _COLUMNS:
-            column = np.zeros(size, dtype=dtype)
-            old = getattr(self, name)
-            column[: len(old)] = old
-            setattr(self, name, column)
+    def _append(self, count: int) -> int:
+        """Room for ``count`` rows past the last one (storage grows by
+        doubling); returns the first of them."""
+        first = self._rows
+        self._rows = first + count
+        if self._rows > len(self.level):
+            size = max(_FIRST_ROWS, 2 * len(self.level), self._rows)
+            for name, dtype in _COLUMNS:
+                column = np.zeros(size, dtype=dtype)
+                old = getattr(self, name)
+                column[: len(old)] = old
+                setattr(self, name, column)
+        return first
+
+    def adopt(self, other: "HeldTable", rows: np.ndarray) -> np.ndarray:
+        """Move ``other``'s rows ``rows`` -- counters of the same kind on
+        the same tracker -- into this table and return their new row
+        numbers.  Every column moves as is: no word is allocated and no
+        cell number reserved, so ids and ``peak_words`` stay put."""
+        rows = np.asarray(rows, dtype=np.int64)
+        moved = np.arange(self._append(len(rows)), self._rows)
+        for name, _ in _COLUMNS:
+            getattr(self, name)[moved] = getattr(other, name)[rows]
+        return moved
 
     def release(self, row: int) -> None:
         """Free ``row``'s word (on eviction); the row is reused."""
@@ -389,6 +453,68 @@ class HeldTable:
         self.threshold[rows] = thresholds
         return lanes, at
 
+    def settle(
+        self, rows: np.ndarray, positions: np.ndarray, audit: ChunkAudit
+    ) -> None:
+        """Absorb a chunk's arrivals -- arrival ``i`` at row ``rows[i]``
+        and chunk position ``positions[i]``, each row's arrivals in
+        ascending positions -- and charge every transition to ``audit``
+        at the position of the arrival that made it: what one scalar
+        :meth:`add` per arrival would have written, in one
+        :meth:`absorb`."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if not len(rows):
+            return
+        # A stable sort keeps each row's arrivals in stream order, so a
+        # row's j-th arrival is its j-th position.  Keyed by the
+        # narrowest unsigned type that holds every row number: numpy's
+        # stable sort of 8- and 16-bit keys is a radix sort.
+        key = rows.astype(np.min_scalar_type(self._rows))
+        order = np.argsort(key, kind="stable")
+        rows = rows[order]
+        # Where each row's run of arrivals starts, and where the last ends.
+        edge = np.ones(len(rows) + 1, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=edge[1:-1])
+        edges = np.flatnonzero(edge)
+        starts, counts = edges[:-1], edges[1:] - edges[:-1]
+        distinct = rows[starts]
+        lanes, at = self.absorb(distinct, counts)
+        audit.write_many(
+            np.asarray(positions)[order[starts[lanes] + at - 1]],
+            self.cell[distinct[lanes]],
+            self.label,
+        )
+
+    def merge(
+        self, rows: np.ndarray, weights: np.ndarray, uniforms: np.ndarray
+    ) -> None:
+        """Absorb merged-in estimates, untracked: row ``rows[i]`` takes
+        one weighted climb (:func:`weighted_morris_step`) by
+        ``weights[i]`` on the merge coin ``uniforms[i]``, from the
+        enclosing sketch's own merge stream (the level-coin streams stay
+        single-consumer).  A row that enters a new level draws that
+        level's threshold; one that stays keeps ``since`` and its
+        threshold, exact by geometric memorylessness."""
+        rows = np.asarray(rows, dtype=np.int64)
+        levels = weighted_morris_step(self.a, self.level[rows], weights, uniforms)
+        climbed = levels != self.level[rows]
+        self.restore(rows[climbed], levels[climbed], 0)
+
+    def restore(
+        self, rows: np.ndarray, levels: np.ndarray, since: np.ndarray | int
+    ) -> None:
+        """Load ``(level, since)`` pairs into ``rows``, untracked; each
+        threshold is drawn from its level's coin (1 at level 0)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        levels = np.asarray(levels, dtype=np.int64)
+        self.level[rows] = levels
+        self.since[rows] = since
+        uniforms = lane_uniforms(self.key0[rows], self.key1[rows], levels)
+        self.threshold[rows] = [
+            geometric_threshold(self.a, level, u) if level else 1
+            for level, u in zip(levels.tolist(), uniforms.tolist())
+        ]
+
     def estimates(self, rows: np.ndarray) -> np.ndarray:
         """The estimates of ``rows``, as floats: ``((1 + a) ** L - 1) /
         a`` with Python floats, once per distinct level ``L``."""
@@ -401,8 +527,11 @@ class HeldTable:
         return np.array(by_level, dtype=np.float64)[inverse]
 
     def estimate(self, row: int) -> float:
-        """The estimate of ``row``."""
-        return float(self.estimates(np.array([row]))[0])
+        """The estimate of ``row``, as :meth:`estimates` computes it."""
+        level = int(self.level[row])
+        if self.exact:
+            return float(level)
+        return ((1.0 + self.a) ** level - 1.0) / self.a
 
 
 class ApproximateCounter(abc.ABC):
@@ -552,134 +681,6 @@ class MorrisCounter(ApproximateCounter):
     def level(self) -> int:
         """Current stored level ``X`` (the only persisted word)."""
         return self._level.value
-
-    def release(self) -> None:
-        self._level.release()
-
-
-class SkipMorrisCounter(ApproximateCounter):
-    """Unit Morris counter on indexed coins (skip-sampling).
-
-    The stored state is the level ``X`` (one tracked word) plus two
-    untracked shadows: ``since``, the arrivals absorbed at the current
-    level, and the geometric ``threshold`` at which the level is left.
-    Entering level ``X`` draws the threshold by inversion from the coin
-    at index ``X`` of the counter's :class:`PhiloxCoins` stream —
-    levels only increase, so each index is consumed at most once and
-    any path (scalar adds, bulk absorbs, merges, restores) that enters
-    a level sees the same threshold.  ``threshold`` is therefore
-    recomputable and never serialized; checkpoints carry only
-    ``(level, since)``.
-
-    Level 0 keeps the textbook counter's deterministic first step: the
-    increment probability is 1, so the threshold is 1 and no coin is
-    spent.
-    """
-
-    __slots__ = ("a", "cell_id", "_coins", "_level", "_since", "_threshold")
-
-    def __init__(
-        self,
-        tracker: StateTracker,
-        a: float,
-        coins: PhiloxCoins,
-        cell_id: str | None = None,
-    ) -> None:
-        if a <= 0:
-            raise ValueError(f"Morris parameter a must be positive: {a}")
-        cell_id = cell_id or tracker.fresh_cell_id("morris")
-        self.a = a
-        self.cell_id = cell_id
-        self._coins = coins
-        self._level: TrackedValue[int] = TrackedValue(tracker, cell_id, 0)
-        self._since = 0
-        self._threshold = 1
-
-    def _geometric(self, level: int) -> int:
-        """Arrivals level ``level`` survives: Geometric((1+a)^-level)."""
-        if level <= 0:
-            return 1
-        return geometric_threshold(self.a, level, self._coins.uniform(level))
-
-    def add(self, weight: float = 1.0) -> None:
-        if weight != 1.0:
-            raise ValueError(
-                f"SkipMorrisCounter only supports unit increments: {weight}"
-            )
-        self._since += 1
-        if self._since >= self._threshold:
-            level = self._level.value + 1
-            if self._level.set(level):
-                self._since = 0
-                self._threshold = self._geometric(level)
-
-    def absorb(self, count: int) -> list[int]:
-        """Bulk-apply ``count`` unit arrivals (untracked; kernel path).
-
-        Returns the 1-based arrival ordinals at which the level
-        transitioned — exactly the arrivals a scalar :meth:`add` loop
-        would have written on — so the caller can charge the enclosing
-        chunk positions.  Work is ``O(levels climbed)``, not
-        ``O(count)``.
-        """
-        transitions: list[int] = []
-        consumed = 0
-        while True:
-            need = self._threshold - self._since
-            if count - consumed < need:
-                self._since += count - consumed
-                return transitions
-            consumed += need
-            level = self._level.value + 1
-            self._level.load(level)
-            transitions.append(consumed)
-            self._since = 0
-            self._threshold = self._geometric(level)
-
-    @property
-    def estimate(self) -> float:
-        level = self._level.value
-        return ((1.0 + self.a) ** level - 1.0) / self.a
-
-    @property
-    def level(self) -> int:
-        """Current stored level ``X`` (the only persisted word)."""
-        return self._level.value
-
-    @property
-    def since(self) -> int:
-        """Arrivals absorbed at the current level (untracked shadow)."""
-        return self._since
-
-    @property
-    def threshold(self) -> int:
-        """Arrivals the current level survives (untracked shadow)."""
-        return self._threshold
-
-    def merge_weight(self, weight: float, u: float) -> bool:
-        """Absorb a merged-in estimate via one weighted climb.
-
-        ``u`` comes from the enclosing sketch's dedicated merge stream
-        (the level-indexed stream stays single-consumer).  Entering a
-        new level redraws the threshold at that level's index; an
-        unchanged level keeps ``since``/``threshold`` as they are,
-        which is exact by geometric memorylessness.  Untracked, like
-        every merge.  Returns whether the level changed.
-        """
-        level = climbed_level(self.a, self._level.value, weight, u)
-        if level == self._level.value:
-            return False
-        self._level.load(level)
-        self._since = 0
-        self._threshold = self._geometric(level)
-        return True
-
-    def restore(self, level: int, since: int) -> None:
-        """Load a checkpointed ``(level, since)`` pair (untracked)."""
-        level = int(level)
-        self._level.load(level)
-        self._threshold = self._geometric(level)
-        self._since = int(since)
 
     def release(self) -> None:
         self._level.release()

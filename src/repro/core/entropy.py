@@ -39,13 +39,13 @@ import math
 
 import numpy as np
 
-from repro.core.counters import SkipMorrisCounter
+from repro.core.counters import HeldTable
 from repro.core.fp_pstable import (
     PStableFpEstimator,
     VariateTable,
     absorb_chunk,
 )
-from repro.hashing.coins import PhiloxCoins
+from repro.hashing.coins import stream_key
 from repro.query import Entropy, QueryKind, ScalarAnswer
 from repro.state.algorithm import ChunkAudit, StreamAlgorithm
 from repro.state.registers import TrackedDict
@@ -188,12 +188,12 @@ class EntropyEstimator(StreamAlgorithm):
         else:
             self._oracle = TrackedDict(self.tracker, "entropy-oracle")
         # A Morris counter supplies the stream length (G(1) = ln m and
-        # the log2(m) offset) with few writes.  It rides its own indexed
-        # coin stream so the chunk kernel can batch-absorb arrivals.
-        self._length = SkipMorrisCounter(
-            self.tracker,
-            a=0.001,
-            coins=PhiloxCoins(seed, "entropy.len"),
+        # the log2(m) offset) with few writes: one table row, riding its
+        # own indexed coin stream so the chunk kernel can batch-absorb
+        # arrivals.
+        self._length = HeldTable(self.tracker, 0.001)
+        self._length_row = self._length.open(
+            stream_key(0 if seed is None else seed, "entropy.len"), 0
         )
 
     def _update(self, item: int) -> None:
@@ -202,7 +202,7 @@ class EntropyEstimator(StreamAlgorithm):
         else:
             for sketch in self._sketches:
                 sketch._update(item)
-        self._length.add()
+        self._length.add(self._length_row)
 
     def _update_chunk(self, chunk: np.ndarray) -> None:
         # Node sketches settle as one set and share one audit: a chunk
@@ -211,8 +211,8 @@ class EntropyEstimator(StreamAlgorithm):
         # have ticked it.
         audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
         absorb_chunk(self._sketches, chunk, audit)
-        for ordinal in self._length.absorb(len(chunk)):
-            audit.write(self._length.cell_id, True, ordinal - 1)
+        n = len(chunk)
+        self._length.settle(np.full(n, self._length_row), np.arange(n), audit)
         audit.commit(self.tracker, len(chunk))
 
     # ------------------------------------------------------------------
@@ -234,7 +234,7 @@ class EntropyEstimator(StreamAlgorithm):
 
     def _answer_entropy(self, q: Entropy) -> ScalarAnswer:
         """Estimated Shannon entropy (bits) of the stream so far."""
-        length = max(2.0, self._length.estimate)
+        length = max(2.0, self._length.estimate(self._length_row))
         values = []
         for index in range(len(self.nodes)):
             moment = self._moment(index)

@@ -34,7 +34,10 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.full_sample_and_hold import FullSampleAndHold
+from repro.core.full_sample_and_hold import (
+    FullSampleAndHold,
+    share_length_table,
+)
 from repro.core.sample_and_hold import (
     ChunkSettle,
     SampleAndHold,
@@ -197,16 +200,12 @@ class FpEstimator(StreamAlgorithm):
                     )
             self._backends.append(row)
         if backend == "sample-hold":
-            # Every grid's instances hold their counters in one table:
-            # the chunk kernel settles them all at once.
-            share_held_table(
-                [
-                    leaf
-                    for row in self._backends
-                    for grid in row
-                    for leaf in grid.leaves()
-                ]
-            )
+            # Every grid's instances hold their counters in one table,
+            # and every grid's length counters are rows of another: the
+            # chunk kernel settles each table at once.
+            grids = [grid for row in self._backends for grid in row]
+            share_held_table([leaf for grid in grids for leaf in grid.leaves()])
+            share_length_table(grids)
 
     # ------------------------------------------------------------------
     # Stream processing (Algorithm 3 lines 2-7)
@@ -221,19 +220,29 @@ class FpEstimator(StreamAlgorithm):
 
     def _update_chunk(self, chunk: np.ndarray) -> None:
         """Route the chunk down the universe levels, then settle every
-        grid's instances in one pass over one shared audit.
+        grid's instances in one pass over one shared audit."""
+        self._t += len(chunk)
+        audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
+        ChunkSettle(chunk, self._route(chunk, audit), audit).run()
+        audit.commit(self.tracker, len(chunk))
+
+    def _route(
+        self, chunk: np.ndarray, audit: ChunkAudit
+    ) -> list[tuple[SampleAndHold, np.ndarray]]:
+        """The chunk's routes to every grid's instances, in the scalar
+        (repetition, level, grid repetition, grid level) order; every
+        grid's length-counter arrivals settle here, in one call on
+        their shared table, and their arrays are freed before the
+        instances settle.
 
         Universe levels come from the scalar ``level_of``, cached per
         distinct item, so a level boundary never moves by the last-ulp
-        difference a vectorized unit hash could make.  Routes are
-        gathered in the scalar (repetition, level, grid repetition,
-        grid level) order.
+        difference a vectorized unit hash could make.
         """
-        self._t += len(chunk)
-        audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
         distinct, inverse = np.unique(chunk, return_inverse=True)
         items = distinct.tolist()
         routes: list[tuple[SampleAndHold, np.ndarray]] = []
+        lengths: list[tuple[np.ndarray, np.ndarray]] = []
         for sampler, known, row in zip(
             self._samplers, self._item_levels, self._backends
         ):
@@ -250,9 +259,11 @@ class FpEstimator(StreamAlgorithm):
                 positions = np.flatnonzero(deepest > level_index)
                 if len(positions) == 0:
                     break  # universe levels are nested
-                backend._route_chunk(positions, audit, routes)
-        ChunkSettle(chunk, routes, audit).run()
-        audit.commit(self.tracker, len(chunk))
+                lengths.append(backend._route_chunk(positions, routes))
+        self._backends[0][0]._lengths.settle(
+            *(np.concatenate(column) for column in zip(*lengths)), audit
+        )
+        return routes
 
     # ------------------------------------------------------------------
     # Level-set estimation (Algorithm 3 lines 8-14)

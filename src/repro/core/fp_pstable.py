@@ -59,7 +59,7 @@ from repro.hashing.pstable import (
     stable_log_abs_mean,
 )
 from repro.query import Moment, MomentAnswer, QueryKind
-from repro.state.algorithm import ChunkAudit, StreamAlgorithm
+from repro.state.algorithm import ChunkAudit, StreamAlgorithm, payload_counts
 from repro.state.tracker import StateTracker
 
 _HALF_PI = math.pi / 2.0
@@ -394,10 +394,11 @@ class PStableFpEstimator(StreamAlgorithm):
         }
 
     def _load_payload(self, payload: dict) -> None:
-        self._pos_levels = np.asarray(payload["positive"], dtype=np.int64)
-        self._neg_levels = np.asarray(payload["negative"], dtype=np.int64)
-        self._updates = int(payload.get("updates", 0))
-        self._merge_draws = int(payload.get("merge_draws", 0))
+        shape = (self.num_rows,)
+        self._pos_levels = payload_counts(payload, "positive", shape)
+        self._neg_levels = payload_counts(payload, "negative", shape)
+        self._updates = int(payload_counts(payload, "updates", ()))
+        self._merge_draws = int(payload_counts(payload, "merge_draws", ()))
 
 
 #: Screening-block length: the no-op screen freezes its gaps at block

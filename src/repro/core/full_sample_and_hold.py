@@ -15,7 +15,13 @@ rescaled by the inverse sampling rate ``2^{x-1}``.
 Implementation notes
 --------------------
 * Substream lengths ``m_x`` are tracked by Morris counters (an exact
-  length counter would alone cost ``Theta(m)`` state changes).
+  length counter would alone cost ``Theta(m)`` state changes): one
+  :class:`~repro.core.counters.HeldTable` row per level, which the
+  chunk kernel settles with one
+  :meth:`~repro.core.counters.HeldTable.settle` per chunk.  The grids
+  of one :class:`~repro.core.fp_estimation.FpEstimator` move their
+  length rows into one table (:func:`share_length_table`), so its
+  chunk kernel settles every grid's lengths in one call.
 * The paper's line 8 selects ``l = min{x : m_x >= (fhat^x_j)^p}``; we
   default to the maximum rule justified by the one-sidedness argument
   (docs/ARCHITECTURE.md §2, deviation 2) and keep the paper's literal
@@ -29,14 +35,14 @@ import math
 
 import numpy as np
 
-from repro.core.counters import SkipMorrisCounter
+from repro.core.counters import HeldTable
 from repro.core.sample_and_hold import (
     ChunkSettle,
     SampleAndHold,
     SampleAndHoldParams,
     share_held_table,
 )
-from repro.hashing.coins import PhiloxCoins
+from repro.hashing.coins import PhiloxCoins, stream_key
 from repro.query import (
     AllEstimates,
     MapAnswer,
@@ -146,14 +152,14 @@ class FullSampleAndHold(StreamAlgorithm):
         # Morris counters tracking each level's substream length m_x
         # (line 4); the paper only needs a 2-approximation, so a coarse
         # growth parameter keeps these counters nearly write-free.
-        self._length_counters = [
-            SkipMorrisCounter(
-                self.tracker,
-                a=0.05,
-                coins=PhiloxCoins(self.seed, f"fsh.len[{x}]"),
-            )
-            for x in range(num_levels)
-        ]
+        self._lengths = HeldTable(self.tracker, 0.05)
+        self._length_rows = np.array(
+            [
+                self._lengths.open(stream_key(self.seed, f"fsh.len[{x}]"), 0)
+                for x in range(num_levels)
+            ],
+            dtype=np.int64,
+        )
 
     def leaves(self) -> list[SampleAndHold]:
         """The grid's instances, in (repetition, level) order."""
@@ -192,37 +198,40 @@ class FullSampleAndHold(StreamAlgorithm):
                 # (one representative draw per level suffices for the
                 # 2-approximation Algorithm 2 line 4 asks for).
                 for x in range(deepest):
-                    self._length_counters[x].add()
+                    self._lengths.add(self._length_rows[x])
 
     def _update_chunk(self, chunk: np.ndarray) -> None:
         audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
         routes: list[tuple[SampleAndHold, np.ndarray]] = []
-        self._route_chunk(np.arange(len(chunk)), audit, routes)
+        self._lengths.settle(
+            *self._route_chunk(np.arange(len(chunk)), routes), audit
+        )
         ChunkSettle(chunk, routes, audit).run()
         audit.commit(self.tracker, len(chunk))
 
     def _route_chunk(
         self,
         positions: np.ndarray,
-        audit: ChunkAudit,
         routes: list[tuple[SampleAndHold, np.ndarray]],
-    ) -> None:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Route the arrivals at chunk ``positions`` (this grid's
         substream) to its instances.
 
         The indexed level coins split the substream into per-level
         substreams up front; ``(instance, positions)`` pairs are
         appended in the scalar loop's (repetition, level) order for
-        :class:`~repro.core.sample_and_hold.ChunkSettle`.  The substream
-        length counters (first copy only) absorb each level's arrivals
-        in bulk, mapping transition ordinals back to chunk positions;
-        they never allocate or free, so settling them ahead of the
-        instances cannot move ``peak_words``.
+        :class:`~repro.core.sample_and_hold.ChunkSettle`.  Returns the
+        arrivals of the substream length counters (first copy only) as
+        (length row, chunk position) pairs for
+        :meth:`~repro.core.counters.HeldTable.settle`; those counters
+        never allocate or free, so settling them ahead of the instances
+        cannot move ``peak_words``.
         """
         n = len(positions)
         t0 = self._t
         self._t = t0 + n
         levels = self.num_levels
+        length_positions: list[np.ndarray] = []
         for r, coins in enumerate(self._level_coins):
             # The vectorized twin of _deepest_level: for u in (0, 1),
             # 1 - exponent >= 1 already, and u == 0 survives everywhere.
@@ -239,9 +248,12 @@ class FullSampleAndHold(StreamAlgorithm):
                     break  # levels are nested: deeper ones are empty too
                 routes.append((instance, sub))
                 if r == 0:
-                    counter = self._length_counters[x]
-                    for ordinal in counter.absorb(len(sub)):
-                        audit.write(counter.cell_id, True, int(sub[ordinal - 1]))
+                    length_positions.append(sub)
+        rows = np.repeat(
+            self._length_rows[: len(length_positions)],
+            [len(sub) for sub in length_positions],
+        )
+        return rows, np.concatenate(length_positions)
 
     # ------------------------------------------------------------------
     # Queries
@@ -358,7 +370,7 @@ class FullSampleAndHold(StreamAlgorithm):
         """The paper's line 8: first level whose length dominates
         ``(fhat^x_j)^p``; falls back to the max rule when none does."""
         for x, value in per_level:
-            m_x = self._length_counters[x - 1].estimate
+            m_x = self.level_length(x)
             raw = value / 2.0 ** (x - 1)
             if m_x >= raw**self.p:
                 return value
@@ -368,4 +380,16 @@ class FullSampleAndHold(StreamAlgorithm):
         """Morris-estimated substream length ``m_x`` of ``level``."""
         if not 1 <= level <= self.num_levels:
             raise ValueError(f"level {level} outside [1, {self.num_levels}]")
-        return self._length_counters[level - 1].estimate
+        return self._lengths.estimate(self._length_rows[level - 1])
+
+
+def share_length_table(grids: list[FullSampleAndHold]) -> None:
+    """Move the substream length rows of ``grids`` -- the grids of one
+    composite, on one tracker -- into the first grid's table, with
+    their cell numbers and words: the composite's chunk kernel then
+    settles every grid's length arrivals in one
+    :meth:`~repro.core.counters.HeldTable.settle`."""
+    table = grids[0]._lengths
+    for grid in grids[1:]:
+        grid._length_rows = table.adopt(grid._lengths, grid._length_rows)
+        grid._lengths = table

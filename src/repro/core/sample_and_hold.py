@@ -490,10 +490,10 @@ class ChunkSettle:
       arrival the structural pass meets at an item held by then — the
       triggering occurrence of a counter it opens included — is set
       aside.  Deferred arrivals are absorbed in *waves*: one
-      :meth:`~repro.core.counters.HeldTable.absorb` over every row they
-      reach, whose transition ordinals map back to chunk positions (a
+      :meth:`~repro.core.counters.HeldTable.settle` over every row they
+      reach, which charges each transition at its chunk position (a
       wave climbs in lane-wise steps that read the rows' level coins
-      lane-wise).
+      lane-wise, and finishes its last few climbing rows one by one).
 
     A prune reads estimates, so a wave first absorbs its leaf's
     deferred arrivals up to the prune's position.  The later arrivals
@@ -681,8 +681,14 @@ class ChunkSettle:
     def _wave(self, take: np.ndarray, late: list[int]) -> None:
         """The counting pass over the screen-deferred arrivals ``take``
         (indices into the deferred columns) plus the ``late`` arrivals
-        (flat row, position pairs): one lane per table row, all climbed
-        by one :meth:`~repro.core.counters.HeldTable.absorb`."""
+        (flat row, position pairs), all settled by one
+        :meth:`~repro.core.counters.HeldTable.settle`.
+
+        A row's arrivals all come from one source -- screen-deferred
+        ones exist only for items held at screen time, and a requeue
+        takes all of an item's pending ones before it can arrive late
+        -- and each source lists a leaf's arrivals by position, so each
+        row's arrivals are in stream order, as the settle needs."""
         if len(take) == 0 and not late:
             return
         self._pending[take] = False
@@ -692,23 +698,7 @@ class ChunkSettle:
             extra = np.array(late, dtype=np.int64).reshape(-1, 2)
             rows = np.concatenate((rows, extra[:, 0]))
             position = np.concatenate((position, extra[:, 1]))
-        # Group by row.  A row's arrivals all come from one source --
-        # screen-deferred ones exist only for items held at screen time,
-        # and a requeue takes all of an item's pending ones before it
-        # can arrive late -- and each source lists a leaf's arrivals by
-        # position, so a stable sort keeps them ascending.
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-        counts = np.diff(np.append(starts, len(rows)))
-        table = self._table
-        waved = rows[starts]
-        lanes, at = table.absorb(waved, counts)
-        self.audit.write_many(
-            position[order[starts[lanes] + at - 1]],
-            table.cell[waved[lanes]],
-            table.label,
-        )
+        self._table.settle(rows, position, self.audit)
 
 
 def share_held_table(leaves: list[SampleAndHold]) -> None:

@@ -172,6 +172,24 @@ class ChunkAudit:
         )
 
 
+def payload_counts(
+    payload: dict[str, Any], field: str, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Snapshot payload field ``field`` as an ``int64`` array of
+    ``shape`` with no negative entry (levels and counts of the
+    configured geometry); a ``ValueError`` naming the field otherwise,
+    so a payload that does not fit fails at restore, not later."""
+    try:
+        values = np.asarray(payload[field], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
+        raise ValueError(f"payload field {field!r}: no integer array") from error
+    if values.shape != shape:
+        raise ValueError(f"payload field {field!r}: shape {values.shape}, not {shape}")
+    if (values < 0).any():
+        raise ValueError(f"payload field {field!r}: a negative entry")
+    return values
+
+
 class Sketch(abc.ABC):
     """Abstract insertion-only streaming algorithm over universe ``[n]``.
 

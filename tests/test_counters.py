@@ -7,18 +7,125 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import counters as counters_module
 from repro.core.counters import (
+    ApproximateCounter,
     ExactCounter,
     HeldTable,
     MedianMorrisCounter,
     MorrisCounter,
-    SkipMorrisCounter,
+    climbed_level,
+    geometric_threshold,
     skip_morris_step,
     weighted_morris_step,
 )
 from repro.hashing.coins import PhiloxCoins
 from repro.state import StateTracker
+from repro.state.registers import TrackedValue
 from repro.state.tracker import make_tracker
+
+
+class SkipMorrisCounter(ApproximateCounter):
+    """Unit Morris counter on indexed coins (skip-sampling), one object
+    per counter: the oracle of :class:`HeldTable` rows and
+    :func:`skip_morris_step` lanes.
+
+    The stored state is the level ``X`` (one tracked word) plus two
+    untracked shadows: ``since``, the arrivals absorbed at the current
+    level, and the geometric ``threshold`` at which the level is left.
+    Entering level ``X`` draws the threshold by inversion from the coin
+    at index ``X`` of the counter's :class:`PhiloxCoins` stream; level 0
+    keeps the textbook counter's deterministic first step (threshold 1,
+    no coin).
+    """
+
+    __slots__ = ("a", "cell_id", "_coins", "_level", "_since", "_threshold")
+
+    def __init__(self, tracker, a, coins, cell_id=None):
+        if a <= 0:
+            raise ValueError(f"Morris parameter a must be positive: {a}")
+        cell_id = cell_id or tracker.fresh_cell_id("morris")
+        self.a = a
+        self.cell_id = cell_id
+        self._coins = coins
+        self._level = TrackedValue(tracker, cell_id, 0)
+        self._since = 0
+        self._threshold = 1
+
+    def _geometric(self, level):
+        """Arrivals level ``level`` survives: Geometric((1+a)^-level)."""
+        if level <= 0:
+            return 1
+        return geometric_threshold(self.a, level, self._coins.uniform(level))
+
+    def add(self, weight=1.0):
+        if weight != 1.0:
+            raise ValueError(
+                f"SkipMorrisCounter only supports unit increments: {weight}"
+            )
+        self._since += 1
+        if self._since >= self._threshold:
+            level = self._level.value + 1
+            if self._level.set(level):
+                self._since = 0
+                self._threshold = self._geometric(level)
+
+    def absorb(self, count):
+        """Bulk-apply ``count`` unit arrivals (untracked); returns the
+        1-based arrival ordinals at which the level transitioned.  A
+        climb needs at least one arrival, however far ``since`` is past
+        the threshold."""
+        transitions = []
+        consumed = 0
+        while True:
+            need = max(self._threshold - self._since, 1)
+            if count - consumed < need:
+                self._since += count - consumed
+                return transitions
+            consumed += need
+            level = self._level.value + 1
+            self._level.load(level)
+            transitions.append(consumed)
+            self._since = 0
+            self._threshold = self._geometric(level)
+
+    @property
+    def estimate(self):
+        level = self._level.value
+        return ((1.0 + self.a) ** level - 1.0) / self.a
+
+    @property
+    def level(self):
+        return self._level.value
+
+    @property
+    def since(self):
+        return self._since
+
+    @property
+    def threshold(self):
+        return self._threshold
+
+    def merge_weight(self, weight, u):
+        """Absorb a merged-in estimate via one weighted climb on the
+        merge coin ``u``; returns whether the level changed."""
+        level = climbed_level(self.a, self._level.value, weight, u)
+        if level == self._level.value:
+            return False
+        self._level.load(level)
+        self._since = 0
+        self._threshold = self._geometric(level)
+        return True
+
+    def restore(self, level, since):
+        """Load a checkpointed ``(level, since)`` pair (untracked)."""
+        level = int(level)
+        self._level.load(level)
+        self._threshold = self._geometric(level)
+        self._since = int(since)
+
+    def release(self):
+        self._level.release()
 
 
 class TestExactCounter:
@@ -216,6 +323,31 @@ class TestSkipMorrisCounter:
         with pytest.raises(ValueError):
             _skip_counter(0.125, 0, 0, 0).add(2.0)
 
+    @pytest.mark.parametrize("past", [0, 1, 10**6])
+    @pytest.mark.parametrize("level", [0, 5, 40])
+    def test_absorb_from_since_past_threshold_equals_adds(self, level, past):
+        """A restored ``since`` at or past the threshold climbs on the
+        next arrival, in bulk as in scalar adds."""
+        bulk = _skip_counter(0.125, 3, level, 0)
+        bulk.restore(level, bulk.threshold + past)
+        scalar = _skip_counter(0.125, 3, level, 0)
+        scalar.restore(level, scalar.threshold + past)
+        assert bulk.absorb(3) == _scalar_writes(scalar, 3)
+        assert (bulk.level, bulk.since, bulk.threshold) == (
+            scalar.level, scalar.since, scalar.threshold
+        )
+
+
+def _scalar_writes(counter, count: int) -> list[int]:
+    """The 1-based ordinals of ``count`` scalar adds that wrote."""
+    written = []
+    for ordinal in range(1, count + 1):
+        before = counter.level
+        counter.add()
+        if counter.level != before:
+            written.append(ordinal)
+    return written
+
 
 class TestSkipMorrisStep:
     @given(
@@ -261,6 +393,97 @@ class TestSkipMorrisStep:
                 new_levels[lane], new_since[lane], thresholds[lane]
             ) == (counter.level, counter.since, counter.threshold)
         assert np.all(np.diff(lanes) >= 0)
+
+    @staticmethod
+    def _assert_step_equals_oracle(a, counters, counts):
+        """One :func:`skip_morris_step` over ``counters`` equals each
+        oracle counter's own ``absorb`` (the counters are advanced)."""
+        keys0, keys1 = zip(*(c._coins.key for c in counters))
+        new_levels, new_since, thresholds, lanes, at = skip_morris_step(
+            a,
+            list(keys0),
+            list(keys1),
+            [c.level for c in counters],
+            [c.since for c in counters],
+            [c.threshold for c in counters],
+            counts,
+        )
+        assert np.all(np.diff(lanes) >= 0)
+        for lane, counter in enumerate(counters):
+            assert at[lanes == lane].tolist() == counter.absorb(
+                int(counts[lane])
+            )
+            assert (
+                new_levels[lane], new_since[lane], thresholds[lane]
+            ) == (counter.level, counter.since, counter.threshold)
+
+    def test_one_lane_climbs_thousands_of_levels(self):
+        """Below the cut-off a lane counts down on its own: one lane
+        at a = 0.001 climbs thousands of levels, across many blocks of
+        read-ahead coins."""
+        counter = _skip_counter(0.001, 7, 0, 0)
+        self._assert_step_equals_oracle(
+            0.001, [_skip_counter(0.001, 7, 0, 0)], np.array([200_000])
+        )
+        counter.absorb(200_000)
+        assert counter.level > 4000
+
+    def test_a_few_lanes_climb_far_past_the_rest(self):
+        """A wide call climbs lane-wise until fewer than the cut-off
+        still climb; those few then finish one at a time."""
+        rng = np.random.default_rng(11)
+        width = 200
+        counts = rng.integers(0, 60, width)
+        counts[[3, 77, 150]] = [40_000, 90_000, 150_000]
+        levels = rng.integers(0, 30, width).tolist()
+        since = rng.integers(0, 50, width).tolist()
+        counters = [
+            _skip_counter(0.02, lane, levels[lane], since[lane])
+            for lane in range(width)
+        ]
+        self._assert_step_equals_oracle(0.02, counters, counts)
+
+    @pytest.mark.parametrize("width", range(1, 2 * counters_module._FEW_LANES + 1))
+    def test_every_width_around_the_cut_off(self, width):
+        """Calls narrower than, at and wider than the cut-off, from
+        states with ``since`` at or past the threshold included."""
+        rng = np.random.default_rng(width)
+        counts = np.where(
+            rng.random(width) < 0.2, 0, 10 ** rng.uniform(0, 3.5, width)
+        ).astype(np.int64)
+        counters = []
+        for lane in range(width):
+            counter = _skip_counter(
+                0.125, lane, int(rng.integers(0, 30)), int(rng.integers(0, 100))
+            )
+            if rng.random() < 0.25:
+                counter.restore(counter.level, counter.threshold + 5)
+            counters.append(counter)
+        self._assert_step_equals_oracle(0.125, counters, counts)
+
+    def test_since_past_threshold_climbs_on_the_next_arrival(self):
+        """A climb needs at least one arrival: the lane step from a
+        restored ``since`` past the threshold writes where scalar adds
+        do, never before the first arrival."""
+        for level in (0, 5, 40):
+            stepped = _skip_counter(0.125, 3, level, 0)
+            stepped.restore(level, stepped.threshold + 10**6)
+            scalar = _skip_counter(0.125, 3, level, 0)
+            scalar.restore(level, scalar.threshold + 10**6)
+            levels, since, thresholds, lanes, at = skip_morris_step(
+                0.125,
+                [stepped._coins.key[0]],
+                [stepped._coins.key[1]],
+                [stepped.level],
+                [stepped.since],
+                [stepped.threshold],
+                np.array([3]),
+            )
+            assert at.tolist() == _scalar_writes(scalar, 3)
+            assert at.min() >= 1
+            assert (levels[0], since[0], thresholds[0]) == (
+                scalar.level, scalar.since, scalar.threshold
+            )
 
 
 def _table_rows(a: float, levels: list[int], since: list[int]):
@@ -405,6 +628,113 @@ class TestHeldTable:
         assert tiny.estimates(high).tolist() == [
             ((1 + 2e-6) ** level - 1) / 2e-6 for level in (3, 10**6, 3)
         ]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        a=st.sampled_from([0.02, 0.125, 0.5]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_merge_equals_counter_merge_weight(self, seed, a):
+        """One weighted climb per row, on the caller's merge coins:
+        rows that climb redraw their threshold at the new level, rows
+        that stay keep ``since`` and threshold."""
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 60))
+        levels = rng.integers(0, 40, width).tolist()
+        since = rng.integers(0, 1000, width).tolist()
+        table, rows, oracles = _table_rows(a, levels, since)
+        weights = np.where(
+            rng.random(width) < 0.2, 0.0, 10.0 ** rng.uniform(-3, 4, width)
+        )
+        uniforms = rng.random(width)
+        table.merge(rows, weights, uniforms)
+        for row, oracle, weight, u in zip(
+            rows.tolist(), oracles, weights.tolist(), uniforms.tolist()
+        ):
+            oracle.merge_weight(weight, u)
+            assert _row_state(table, row) == (
+                oracle.level, oracle.since, oracle.threshold
+            )
+
+    @pytest.mark.parametrize("a", [0.125, 0.5])
+    def test_restore_equals_counter_restore(self, a):
+        """Restored rows redraw each threshold from their level's coin
+        and keep ``since`` as given -- past the threshold included --
+        and then absorb as the restored counter does."""
+        rng = np.random.default_rng(5)
+        width = 40
+        levels = rng.integers(0, 60, width)
+        levels[::2] = 0  # level 0 keeps threshold 1 and reads no coin
+        since = rng.integers(0, 10**6, width)
+        since[::4] = 0
+        table, rows, oracles = _table_rows(a, [0] * width, [0] * width)
+        table.restore(rows, levels, since)
+        for lane, oracle in enumerate(oracles):
+            oracle.restore(int(levels[lane]), int(since[lane]))
+            assert _row_state(table, rows[lane]) == (
+                oracle.level, oracle.since, oracle.threshold
+            )
+        counts = rng.integers(0, 300, width)
+        lanes, at = table.absorb(rows, counts)
+        for lane, oracle in enumerate(oracles):
+            assert at[lanes == lane].tolist() == oracle.absorb(int(counts[lane]))
+            assert _row_state(table, rows[lane]) == (
+                oracle.level, oracle.since, oracle.threshold
+            )
+
+    @pytest.mark.parametrize("mode", ["aggregate", "trace"])
+    def test_settle_charges_what_scalar_adds_write(self, mode):
+        """A chunk's (row, position) arrivals, rows interleaved: the
+        settle charges every transition at the position a scalar add
+        per arrival writes on, to the cell it writes."""
+        from repro.state.algorithm import ChunkAudit
+
+        rng = np.random.default_rng(9)
+        width, n = 24, 3000
+        levels = rng.integers(0, 12, width).tolist()
+        bulk, rows, _ = _table_rows(0.125, levels, [0] * width)
+        tracker = make_tracker(mode)
+        scalar = HeldTable(tracker, 0.125)
+        for row in rows.tolist():
+            scalar.open((int(bulk.key0[row]), int(bulk.key1[row])), 0)
+            scalar.level[row] = bulk.level[row]
+            scalar.threshold[row] = bulk.threshold[row]
+        arrivals = rng.integers(0, width, n)
+        audit = ChunkAudit(n, tracker.needs_cell_ids)
+        bulk.settle(rows[arrivals], np.arange(n), audit)
+        written = []
+        for position, row in enumerate(rows[arrivals].tolist()):
+            before = tracker.total_writes
+            scalar.add(row)
+            if tracker.total_writes != before:
+                written.append(position)
+        assert np.flatnonzero(audit.dirty).tolist() == written
+        assert audit.writes == audit.attempts == len(written)
+        assert bulk.level[rows].tolist() == scalar.level[rows].tolist()
+        assert bulk.since[rows].tolist() == scalar.since[rows].tolist()
+        if mode == "trace":
+            assert audit.cells == tracker.report().cell_writes
+
+    def test_adopted_rows_keep_columns_words_and_cells(self):
+        """Moving rows between tables of one tracker allocates nothing,
+        reserves no cell number and keeps every column."""
+        tracker = make_tracker("trace")
+        first, second = HeldTable(tracker, 0.05), HeldTable(tracker, 0.05)
+        mine = [first.open((1, i), 0) for i in range(3)]
+        theirs = [second.open((2, i), 0) for i in range(4)]
+        for row in theirs:
+            for _ in range(5):
+                second.add(row)
+        words, cells = tracker.current_words, tracker.fresh_cell_number()
+        moved = first.adopt(second, theirs)
+        assert moved.tolist() == [3, 4, 5, 6]
+        assert tracker.current_words == words
+        assert tracker.fresh_cell_number() == cells + 1
+        for name in ("level", "since", "threshold", "key0", "key1", "cell"):
+            assert getattr(first, name)[moved].tolist() == getattr(
+                second, name
+            )[theirs].tolist()
+        assert first.cell[mine + moved.tolist()].tolist() == list(range(7))
 
     @pytest.mark.parametrize("mode", ["aggregate", "trace"])
     def test_evicted_row_is_reused_with_a_fresh_cell(self, mode):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import fp_pstable
+from repro.core import counters, fp_pstable
 from repro.core.entropy import (
     EntropyEstimator,
     hno08_nodes,
@@ -149,3 +149,23 @@ class TestValidation:
             EntropyEstimator(m=100, epsilon=0)
         with pytest.raises(ValueError):
             EntropyEstimator(m=100, backend="count")
+
+
+class TestSurvivalCache:
+    def test_second_identical_run_adds_no_misses(self):
+        """The threshold inversion's survival logs stay cached across
+        runs: the length counter (a = 0.001) climbs more levels per run
+        than a 4,096-entry cache holds, and a repeat run finds every
+        one of them."""
+        stream = np.asarray(zipf_stream(512, 81_920, skew=1.1, seed=3).materialize())
+
+        def run():
+            estimator = EntropyEstimator(m=len(stream), epsilon=0.5, seed=3)
+            estimator.process_chunk(stream)
+            return estimator
+
+        first = run()
+        assert first._length.level[first._length_row] > 4096
+        misses = counters._survival_log.cache_info().misses
+        run()
+        assert counters._survival_log.cache_info().misses == misses

@@ -155,3 +155,36 @@ class TestVariateTable:
             assert columns[slots[0]].tolist() == reference_column(
                 5, 10**6, rows, p
             )
+
+
+class TestSnapshotGeometry:
+    """A payload whose level vectors do not fit ``num_rows``, or hold a
+    negative level, fails at restore with the field's name."""
+
+    @staticmethod
+    def _state():
+        sketch = PStableFpEstimator(p=1.0, epsilon=0.3, seed=9)
+        sketch.process_many(zipf_stream(64, 300, skew=1.1, seed=2).materialize())
+        return sketch.to_state()
+
+    def test_short_level_vector_raises(self):
+        state = self._state()
+        assert len(state["payload"]["positive"]) == 45
+        state["payload"]["positive"] = state["payload"]["positive"][:3]
+        with pytest.raises(ValueError, match="'positive'"):
+            PStableFpEstimator.from_state(state)
+
+    def test_negative_level_raises(self):
+        state = self._state()
+        state["payload"]["negative"][7] = -2
+        with pytest.raises(ValueError, match="'negative'.*negative"):
+            PStableFpEstimator.from_state(state)
+
+    @pytest.mark.parametrize("field", ["updates", "merge_draws"])
+    def test_negative_coin_index_raises(self, field):
+        """A negative coin index would fail only at the next update or
+        merge."""
+        state = self._state()
+        state["payload"][field] = -3
+        with pytest.raises(ValueError, match=f"{field!r}.*negative"):
+            PStableFpEstimator.from_state(state)
