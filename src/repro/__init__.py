@@ -29,12 +29,9 @@ from the paper (§2) and the experiment index (§5).
 
 from repro.api import Engine, RunReport
 from repro.core import (
-    ExactCounter,
     FpEstimator,
     FullSampleAndHold,
     HeavyHitters,
-    MedianMorrisCounter,
-    MorrisCounter,
     SampleAndHold,
     SampleAndHoldParams,
 )
@@ -95,13 +92,10 @@ __all__ = [
     "ChunkedStream",
     "Engine",
     "EntropyEstimator",
-    "ExactCounter",
     "FpEstimator",
     "FrequencyVector",
     "FullSampleAndHold",
     "HeavyHitters",
-    "MedianMorrisCounter",
-    "MorrisCounter",
     "NotMergeableError",
     "NotSerializableError",
     "PStableFpEstimator",

@@ -12,7 +12,6 @@ from repro.baselines.count_min_morris import CountMinMorris
 from repro.baselines.count_sketch import CountSketch
 from repro.baselines.exact import ExactFrequencyCounter
 from repro.baselines.misra_gries import MisraGries
-from repro.baselines.naive_sample_hold import NaiveSampleAndHold
 from repro.baselines.reservoir import ReservoirSampler
 from repro.baselines.space_saving import SpaceSaving
 
@@ -23,7 +22,6 @@ __all__ = [
     "CountSketch",
     "ExactFrequencyCounter",
     "MisraGries",
-    "NaiveSampleAndHold",
     "ReservoirSampler",
     "SpaceSaving",
 ]

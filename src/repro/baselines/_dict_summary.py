@@ -1,13 +1,12 @@
 """Shared helpers for the dict-backed summaries.
 
-``ExactFrequencyCounter``, ``MisraGries``, ``SpaceSaving``, and
-``NaiveSampleAndHold`` all keep an (item → count)
-:class:`~repro.state.registers.TrackedDict` in ``self._counters``; the
-point/all-estimates query hooks, the add-merge over two summaries, and
-the ``[[item, count], ...]`` payload round-trip are identical across
-them and live here so the family-specific rules (heavy-hitter
-thresholds, k-th-largest subtraction, minimum floors) stay the only
-per-class code.
+``ExactFrequencyCounter``, ``MisraGries`` and ``SpaceSaving`` all keep
+an (item → count) :class:`~repro.state.registers.TrackedDict` in
+``self._counters``; the point/all-estimates query hooks, the add-merge
+over two summaries, and the ``[[item, count], ...]`` payload round-trip
+are identical across them and live here so the family-specific rules
+(heavy-hitter thresholds, k-th-largest subtraction, minimum floors) stay
+the only per-class code.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 from repro.baselines._merge_kernels import add_cells
 from repro.hashing.prime_field import KWiseHash
 from repro.query import MultiPointQuery, PointQuery, QueryKind, ScalarAnswer
-from repro.state.algorithm import StreamAlgorithm
+from repro.state.algorithm import StreamAlgorithm, payload_counts
 from repro.state.registers import TrackedArray
 from repro.state.tracker import StateTracker
 
@@ -178,5 +178,6 @@ class CountMin(StreamAlgorithm):
         return {"rows": [list(row) for row in self._rows]}
 
     def _load_payload(self, payload: dict) -> None:
-        for row, values in zip(self._rows, payload["rows"]):
-            row.load([int(v) for v in values])
+        rows = payload_counts(payload, "rows", (self.depth, self.width))
+        for row, values in zip(self._rows, rows.tolist()):
+            row.load(values)

@@ -24,7 +24,7 @@ from repro.query import (
     QueryKind,
     ScalarAnswer,
 )
-from repro.state.algorithm import StreamAlgorithm
+from repro.state.algorithm import StreamAlgorithm, payload_array
 from repro.state.registers import TrackedArray
 from repro.state.tracker import StateTracker
 
@@ -218,5 +218,7 @@ class CountSketch(StreamAlgorithm):
         return {"rows": [list(row) for row in self._rows]}
 
     def _load_payload(self, payload: dict) -> None:
-        for row, values in zip(self._rows, payload["rows"]):
-            row.load([int(v) for v in values])
+        # Cells are signed: the shape check, without the sign rule.
+        rows = payload_array(payload, "rows", (self.depth, self.width))
+        for row, values in zip(self._rows, rows.tolist()):
+            row.load(values)

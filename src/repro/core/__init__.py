@@ -1,6 +1,7 @@
 """The paper's contribution: state-change-frugal streaming algorithms.
 
-* :mod:`repro.core.counters` — Morris counters (Theorem 1.5).
+* :mod:`repro.core.counters` — Morris counters (Theorem 1.5): the
+  ``HeldTable`` unit counter and the weighted climb kernel.
 * :mod:`repro.core.sample_and_hold` — Algorithm 1.
 * :mod:`repro.core.full_sample_and_hold` — Algorithm 2.
 * :mod:`repro.core.fp_estimation` — Algorithm 3 (``Fp``, ``p >= 1``).
@@ -9,12 +10,6 @@
 * :mod:`repro.core.entropy` — Shannon entropy (Theorem 3.8).
 """
 
-from repro.core.counters import (
-    ApproximateCounter,
-    ExactCounter,
-    MedianMorrisCounter,
-    MorrisCounter,
-)
 from repro.core.fp_estimation import FpEstimator
 from repro.core.full_sample_and_hold import FullSampleAndHold
 from repro.core.heavy_hitters import HeavyHitters
@@ -22,13 +17,9 @@ from repro.core.sample_and_hold import SampleAndHold, SampleAndHoldParams
 from repro.core.support_recovery import SparseSupportRecovery
 
 __all__ = [
-    "ApproximateCounter",
-    "ExactCounter",
     "FpEstimator",
     "FullSampleAndHold",
     "HeavyHitters",
-    "MedianMorrisCounter",
-    "MorrisCounter",
     "SampleAndHold",
     "SampleAndHoldParams",
     "SparseSupportRecovery",

@@ -10,49 +10,37 @@ a ``(1+eps)``-approximation with probability ``1 - delta`` (Chebyshev),
 and a median over ``O(log 1/delta)`` copies upgrades the failure
 probability exponentially (the NY22 parameterization behind Thm 1.5).
 
-Three counter objects share the :class:`ApproximateCounter` interface:
-
-* :class:`ExactCounter` — writes on every update (the baseline).
-* :class:`MorrisCounter` — the textbook counter: unit and weighted
-  increments, few writes, coins from a caller-supplied sequential
-  ``random.Random``.  Experiment E8 studies it directly.
-* :class:`MedianMorrisCounter` — median of independent textbook Morris
-  copies.
-
-All of them store their registers in tracked cells so state changes are
-audited by the enclosing algorithm's
-:class:`~repro.state.tracker.StateTracker`.
-
-Every coin family counts unit arrivals in a :class:`HeldTable`
-instead: unit Morris counters as numpy columns, driven by
-index-addressable Philox level coins via geometric *skip-sampling* --
-instead of flipping one ``(1+a)^{-X}`` coin per arrival, a counter
-draws how many arrivals its level survives (a geometric variate, by
-inversion from the coin at index ``X``) and counts down, so a chunk
-kernel absorbs ``k`` arrivals in ``O(levels climbed)`` work.  The
-sample-and-hold stack's held counters, CountMin-Morris's cells and the
-substream length counters are all table rows.
+The unit counter is a :class:`HeldTable` row: unit Morris counters
+held as numpy columns, driven by index-addressable Philox level coins
+via geometric *skip-sampling* -- instead of flipping one
+``(1+a)^{-X}`` coin per arrival, a counter draws how many arrivals its
+level survives (a geometric variate, by inversion from the coin at
+index ``X``) and counts down, so a chunk kernel absorbs ``k`` arrivals
+in ``O(levels climbed)`` work.  The sample-and-hold stack's held
+counters, CountMin-Morris's cells, the substream length counters and
+experiment E8's trials are all table rows, and each row's level is one
+tracked word, so state changes are audited by the enclosing
+algorithm's :class:`~repro.state.tracker.StateTracker`.
 :func:`skip_morris_step` climbs many rows at once, reading their level
 coins lane-wise and inverting them with the libm calls of
 :func:`geometric_threshold`, and finishes its last few climbing rows
-one at a time.  :func:`weighted_morris_step` is the weighted-increment
-kernel on indexed coins, shared verbatim by the scalar and the chunked
-p-stable paths (and the table's merges) so their levels agree bit for
-bit.
+one at a time.
+
+:func:`weighted_morris_step` is the weighted-increment kernel on
+indexed coins, shared verbatim by the scalar and the chunked p-stable
+paths and by every merge (a table's and a p-stable sketch's), so their
+levels agree bit for bit.
 """
 
 from __future__ import annotations
 
-import abc
 import functools
 import math
-import random
 
 import numpy as np
 
 from repro.hashing.coins import lane_block_uniforms, lane_uniforms, stream_uniforms
 from repro.state.algorithm import ChunkAudit
-from repro.state.registers import TrackedValue
 from repro.state.tracker import StateTracker
 
 #: Geometric thresholds are clipped here; beyond it a level is never
@@ -73,10 +61,11 @@ def weighted_morris_step(
     ``consumed(d) = gap * ((1+a)^d - 1)/a <= w``, found in closed form
     with ``floor(log1p(a*w/gap)/log1p(a))`` plus one-step fix-ups for
     float rounding), then the remainder flips the coin
-    ``u * gap_new < remainder`` for one final level — the same
-    distribution as :meth:`MorrisCounter._climbed_level`, but a pure
-    function of ``(level, weight, uniform)``.  Zero-weight positions
-    never change and consume no coin semantics.
+    ``u * gap_new < remainder`` for one final level, so the expected
+    estimate ``((1+a)^L - 1)/a`` rises by exactly ``w``: the textbook
+    weighted Morris increment, as a pure function of ``(level, weight,
+    uniform)``.  Zero-weight positions never change and consume no coin
+    semantics.
 
     Both the scalar update and the chunk kernels call *this*
     function, so chunked ≡ scalar holds bit for bit by construction.
@@ -103,18 +92,6 @@ def weighted_morris_step(
     new_gap = np.power(1.0 + a, new_levels.astype(np.float64))
     coin = positive & (remainder > 0.0) & (u * new_gap < remainder)
     return new_levels + coin.astype(np.int64)
-
-
-def climbed_level(a: float, level: int, weight: float, u: float) -> int:
-    """Scalar wrapper over :func:`weighted_morris_step` (merge path)."""
-    return int(
-        weighted_morris_step(
-            a,
-            np.array([level], dtype=np.int64),
-            np.array([float(weight)]),
-            np.array([float(u)]),
-        )[0]
-    )
 
 
 #: Levels whose survival log :func:`_survival_log` keeps: more than a
@@ -532,213 +509,3 @@ class HeldTable:
         if self.exact:
             return float(level)
         return ((1.0 + self.a) ** level - 1.0) / self.a
-
-
-class ApproximateCounter(abc.ABC):
-    """A monotone counter supporting weighted increments."""
-
-    @abc.abstractmethod
-    def add(self, weight: float = 1.0) -> None:
-        """Increase the counted quantity by ``weight >= 0``."""
-
-    @property
-    @abc.abstractmethod
-    def estimate(self) -> float:
-        """Current estimate of the total added weight."""
-
-    @abc.abstractmethod
-    def release(self) -> None:
-        """Free the counter's tracked memory (on eviction)."""
-
-
-class ExactCounter(ApproximateCounter):
-    """An exact counter: one state change per (effective) increment."""
-
-    __slots__ = ("_cell",)
-
-    def __init__(self, tracker: StateTracker, cell_id: str | None = None) -> None:
-        cell_id = cell_id or tracker.fresh_cell_id("exact")
-        self._cell: TrackedValue[float] = TrackedValue(tracker, cell_id, 0.0)
-
-    def add(self, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ValueError(f"counter increments must be >= 0: {weight}")
-        if weight == 0:
-            return
-        self._cell.set(self._cell.value + weight)
-
-    @property
-    def estimate(self) -> float:
-        return self._cell.value
-
-    def release(self) -> None:
-        self._cell.release()
-
-
-class MorrisCounter(ApproximateCounter):
-    """Base-``(1+a)`` Morris counter with unbiased weighted increments.
-
-    Parameters
-    ----------
-    tracker:
-        State tracker charged for the level register.
-    a:
-        Growth parameter; smaller ``a`` means more accuracy and more
-        state changes.  ``a -> 0`` degenerates to an exact counter.
-    rng:
-        Source of the increment coin flips.
-
-    Notes
-    -----
-    Weighted increments generalize the classical unit increment while
-    preserving unbiasedness: weight ``w`` first climbs whole levels
-    deterministically while ``w`` exceeds the current level gap
-    ``a*(1+a)^X``, then flips a coin with probability
-    ``w_remainder / gap`` for the final level.  Unit increments with
-    ``w=1`` reduce to the textbook behaviour once the gap exceeds 1.
-    Monotone inner products maintained this way are exactly the
-    mechanism [JW19] uses for the ``p < 1`` moment sketch (Thm 3.2).
-    """
-
-    __slots__ = ("a", "_rng", "_level")
-
-    def __init__(
-        self,
-        tracker: StateTracker,
-        a: float,
-        rng: random.Random,
-        cell_id: str | None = None,
-    ) -> None:
-        if a <= 0:
-            raise ValueError(f"Morris parameter a must be positive: {a}")
-        cell_id = cell_id or tracker.fresh_cell_id("morris")
-        self.a = a
-        self._rng = rng
-        self._level: TrackedValue[int] = TrackedValue(tracker, cell_id, 0)
-
-    @classmethod
-    def with_accuracy(
-        cls,
-        tracker: StateTracker,
-        epsilon: float,
-        delta: float,
-        rng: random.Random,
-        cell_id: str | None = None,
-    ) -> "MorrisCounter":
-        """Counter achieving ``(1+epsilon)`` accuracy w.p. ``1-delta``.
-
-        Chebyshev on ``Var <= a*n^2/2`` gives failure probability
-        ``a / (2*epsilon^2)``; solving for ``a`` yields
-        ``a = 2*epsilon^2*delta``.
-        """
-        if not 0 < epsilon:
-            raise ValueError(f"epsilon must be positive: {epsilon}")
-        if not 0 < delta < 1:
-            raise ValueError(f"delta must be in (0, 1): {delta}")
-        return cls(tracker, a=2.0 * epsilon * epsilon * delta, rng=rng, cell_id=cell_id)
-
-    def _gap(self, level: int) -> float:
-        """Estimate increase from one more level.
-
-        ``((1+a)^{X+1} - (1+a)^X)/a = (1+a)^X`` — the classical Morris
-        increment probability is its reciprocal ``(1+a)^{-X}``.
-        """
-        return (1.0 + self.a) ** level
-
-    def _climbed_level(self, weight: float) -> int:
-        """Level reached after absorbing ``weight`` (unbiased).
-
-        Weight ``w`` first climbs whole levels deterministically while
-        ``w`` exceeds the current level gap, then flips a coin with
-        probability ``w_remainder / gap`` for the final level.
-        """
-        level = self._level.value
-        remaining = weight
-        gap = self._gap(level)
-        while remaining >= gap:
-            remaining -= gap
-            level += 1
-            gap = self._gap(level)
-        if remaining > 0 and self._rng.random() < remaining / gap:
-            level += 1
-        return level
-
-    def add(self, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ValueError(f"counter increments must be >= 0: {weight}")
-        if weight == 0:
-            return
-        level = self._climbed_level(weight)
-        if level != self._level.value:
-            self._level.set(level)
-
-    @property
-    def estimate(self) -> float:
-        level = self._level.value
-        return ((1.0 + self.a) ** level - 1.0) / self.a
-
-    @property
-    def level(self) -> int:
-        """Current stored level ``X`` (the only persisted word)."""
-        return self._level.value
-
-    def release(self) -> None:
-        self._level.release()
-
-
-class MedianMorrisCounter(ApproximateCounter):
-    """Median of independent Morris counters (high-probability Thm 1.5).
-
-    ``copies = O(log 1/delta)`` counters, each tuned for constant
-    failure probability, are updated independently; the median estimate
-    fails only if half the copies fail, i.e. with probability
-    ``exp(-Omega(copies))``.
-    """
-
-    __slots__ = ("_copies",)
-
-    def __init__(
-        self,
-        tracker: StateTracker,
-        epsilon: float,
-        delta: float,
-        rng: random.Random,
-        cell_id: str | None = None,
-    ) -> None:
-        if not 0 < delta < 1:
-            raise ValueError(f"delta must be in (0, 1): {delta}")
-        cell_id = cell_id or tracker.fresh_cell_id("medmorris")
-        num_copies = max(1, int(math.ceil(4.0 * math.log(1.0 / delta))))
-        if num_copies % 2 == 0:
-            num_copies += 1
-        self._copies = [
-            # Each copy targets failure probability 1/5; the median
-            # boosts it to delta.
-            MorrisCounter.with_accuracy(
-                tracker, epsilon, 0.2, rng, cell_id=f"{cell_id}.{i}"
-            )
-            for i in range(num_copies)
-        ]
-
-    def add(self, weight: float = 1.0) -> None:
-        for copy in self._copies:
-            copy.add(weight)
-
-    @property
-    def estimate(self) -> float:
-        estimates = sorted(copy.estimate for copy in self._copies)
-        return estimates[len(estimates) // 2]
-
-    @property
-    def num_copies(self) -> int:
-        """Number of independent Morris copies behind the median."""
-        return len(self._copies)
-
-    @property
-    def levels(self) -> list[int]:
-        """Stored levels of every copy (the persisted words)."""
-        return [copy.level for copy in self._copies]
-
-    def release(self) -> None:
-        for copy in self._copies:
-            copy.release()

@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.counters import climbed_level, weighted_morris_step
+from repro.core.counters import weighted_morris_step
 from repro.hashing.coins import PhiloxCoins, seeded_uniforms
 from repro.hashing.pstable import (
     cms_transform,
@@ -359,21 +359,24 @@ class PStableFpEstimator(StreamAlgorithm):
                 f"p={other.p}/rows={other.num_rows}/a={other.morris_a}"
                 f"/variates={other.variate_seed}"
             )
+        # One merge coin per row the other sketch counted, in row
+        # order: the positive half's rows first, then the negative's.
         a = self.morris_a
         for levels, other_levels in (
             (self._pos_levels, other._pos_levels),
             (self._neg_levels, other._neg_levels),
         ):
-            for i in range(self.num_rows):
-                weight = (
-                    math.pow(1.0 + a, int(other_levels[i])) - 1.0
-                ) / a
-                if weight > 0:
-                    u = self._merge_coins.uniform(self._merge_draws)
-                    self._merge_draws += 1
-                    levels[i] = climbed_level(
-                        a, int(levels[i]), weight, u
-                    )
+            weights = np.array(
+                [(math.pow(1.0 + a, L) - 1.0) / a for L in other_levels.tolist()]
+            )
+            rows = np.flatnonzero(weights > 0)
+            uniforms = self._merge_coins.uniform_block(
+                self._merge_draws, len(rows)
+            )
+            self._merge_draws += len(rows)
+            levels[rows] = weighted_morris_step(
+                a, levels[rows], weights[rows], uniforms
+            )
 
     def _config_state(self) -> dict:
         return {

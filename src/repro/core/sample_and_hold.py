@@ -480,7 +480,7 @@ class ChunkSettle:
 
     * **Structural pass.**  Counter openings, reservoir writes and
       prunes settle one by one in the scalar order (position, leaf),
-      which keeps the ``fresh_cell_id`` order and the allocate/free
+      which keeps the cell-number order and the allocate/free
       interleaving, hence the per-cell histogram and ``peak_words``.
       The slot coins of the arrivals whose sampling coin hits are read
       up front, lane-wise.

@@ -8,14 +8,19 @@ distribution, which is the measurable counterpart of the guarantee.
 
 from __future__ import annotations
 
-import random
+import math
 import statistics
 from dataclasses import dataclass
 
-from repro.core import FpEstimator, HeavyHitters, MorrisCounter
+import numpy as np
+
+from repro.core import FpEstimator, HeavyHitters
+from repro.core.counters import HeldTable
 from repro.core.entropy import EntropyEstimator
 from repro.core.fp_pstable import PStableFpEstimator
+from repro.hashing.coins import stream_key
 from repro.state import StateTracker
+from repro.state.algorithm import ChunkAudit
 from repro.streams import FrequencyVector, planted_heavy_hitter_stream, zipf_stream
 
 
@@ -205,11 +210,19 @@ def entropy_accuracy(
 
 @dataclass(frozen=True)
 class MorrisTradeoffRow:
-    """One point of the Morris accuracy/write trade-off curve (E8)."""
+    """One point of the Morris accuracy/write trade-off curve (E8).
+
+    A trial's relative error is ``(estimate - count) / count``.  The
+    counter is unbiased with variance ``a * count * (count - 1) / 2``
+    (Theorem 1.5), so the signed mean sits near 0 and the standard
+    deviation near ``sqrt(a / 2)``.
+    """
 
     a: float
     count: int
     mean_rel_error: float
+    signed_mean_rel_error: float
+    sd_rel_error: float
     mean_state_changes: float
 
 
@@ -219,23 +232,36 @@ def morris_tradeoff(
     trials: int = 10,
     seed: int = 0,
 ) -> list[MorrisTradeoffRow]:
-    """E8: Theorem 1.5's trade-off — state changes vs accuracy."""
+    """E8: Theorem 1.5's trade-off — state changes vs accuracy.
+
+    Each trial counts on the unit counter the algorithms run: one
+    Morris :class:`~repro.core.counters.HeldTable` row on its own
+    level-coin stream, which absorbs ``count`` arrivals in one
+    :meth:`~repro.core.counters.HeldTable.settle` charged to the
+    trial's own tracker.  The sd needs ``trials >= 2`` (NaN otherwise).
+    """
+    positions = np.arange(count)
     rows = []
     for a in a_values:
-        rels, changes = [], []
+        errors, changes = [], []
         for t in range(trials):
             tracker = StateTracker()
-            counter = MorrisCounter(tracker, a=a, rng=random.Random(seed + t))
-            for _ in range(count):
-                counter.add()
-                tracker.tick()
-            rels.append(abs(counter.estimate - count) / count)
+            table = HeldTable(tracker, a)
+            row = table.open(stream_key(seed, f"e8.trial{t}"), 0)
+            audit = ChunkAudit(count, tracker.needs_cell_ids)
+            table.settle(np.full(count, row), positions, audit)
+            audit.commit(tracker, count)
+            errors.append((table.estimate(row) - count) / count)
             changes.append(tracker.state_changes)
         rows.append(
             MorrisTradeoffRow(
                 a=a,
                 count=count,
-                mean_rel_error=float(statistics.mean(rels)),
+                mean_rel_error=float(statistics.mean(map(abs, errors))),
+                signed_mean_rel_error=float(statistics.mean(errors)),
+                sd_rel_error=(
+                    float(statistics.stdev(errors)) if trials > 1 else math.nan
+                ),
                 mean_state_changes=float(statistics.mean(changes)),
             )
         )
@@ -245,11 +271,13 @@ def morris_tradeoff(
 def format_morris_tradeoff(rows: list[MorrisTradeoffRow]) -> str:
     lines = [
         f"E8 Morris counter trade-off (count to {rows[0].count}):",
-        f"{'a':>10}{'mean rel err':>14}{'state changes':>16}",
+        f"{'a':>10}{'mean |rel err|':>16}{'signed mean':>13}"
+        f"{'sd':>9}{'sqrt(a/2)':>11}{'state changes':>16}",
     ]
     for row in rows:
         lines.append(
-            f"{row.a:>10.4f}{row.mean_rel_error:>14.4f}"
-            f"{row.mean_state_changes:>16.1f}"
+            f"{row.a:>10.4f}{row.mean_rel_error:>16.4f}"
+            f"{row.signed_mean_rel_error:>13.4f}{row.sd_rel_error:>9.4f}"
+            f"{math.sqrt(row.a / 2):>11.4f}{row.mean_state_changes:>16.1f}"
         )
     return "\n".join(lines)

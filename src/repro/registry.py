@@ -30,7 +30,6 @@ from repro.baselines import (
     CountSketch,
     ExactFrequencyCounter,
     MisraGries,
-    NaiveSampleAndHold,
     ReservoirSampler,
     SpaceSaving,
 )
@@ -267,17 +266,6 @@ register(
         k=max(1, int(2 / epsilon)), seed=seed, tracker=tracker
     ),
     "uniform reservoir sample (Algorithm R)",
-)
-register(
-    "naive-sample-hold",
-    NaiveSampleAndHold,
-    lambda n, m, epsilon, seed, tracker=None: NaiveSampleAndHold(
-        sample_probability=min(1.0, 64.0 / max(1, m)),
-        capacity=max(2, int(2 / epsilon)),
-        seed=seed,
-        tracker=tracker,
-    ),
-    "[EV02]-style sample-and-hold with global eviction (ablation A2)",
 )
 register(
     "support-recovery",

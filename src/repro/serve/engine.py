@@ -22,7 +22,7 @@ update-index-aligned — the same chunk-offset arithmetic the checkpoint
 machinery uses — the snapshot taken at index ``k`` is bit-identical to
 a fresh batch run over the first ``k`` updates, regardless of how the
 appends were sized (``tests/test_live_engine.py`` asserts this for
-all 16 families).
+all 15 families).
 
 **Staleness.**  Queries are answered from the newest snapshot and
 tagged with how far it trails the head: a :class:`LiveAnswer` carries

@@ -172,19 +172,31 @@ class ChunkAudit:
         )
 
 
-def payload_counts(
+def payload_array(
     payload: dict[str, Any], field: str, shape: tuple[int, ...]
 ) -> np.ndarray:
     """Snapshot payload field ``field`` as an ``int64`` array of
-    ``shape`` with no negative entry (levels and counts of the
-    configured geometry); a ``ValueError`` naming the field otherwise,
-    so a payload that does not fit fails at restore, not later."""
+    ``shape`` (the configured geometry); a ``ValueError`` naming the
+    field otherwise, so a payload that does not fit fails at restore,
+    not later."""
     try:
-        values = np.asarray(payload[field], dtype=np.int64)
+        raw = payload[field]
+        values = np.asarray(raw, dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise ValueError(f"payload field {field!r}: no integer array") from error
+    if values.size and np.asarray(raw).dtype.kind not in "iu":
+        raise ValueError(f"payload field {field!r}: a non-integer entry")
     if values.shape != shape:
         raise ValueError(f"payload field {field!r}: shape {values.shape}, not {shape}")
+    return values
+
+
+def payload_counts(
+    payload: dict[str, Any], field: str, shape: tuple[int, ...]
+) -> np.ndarray:
+    """:func:`payload_array` for levels and counts: also a
+    ``ValueError`` naming the field on a negative entry."""
+    values = payload_array(payload, field, shape)
     if (values < 0).any():
         raise ValueError(f"payload field {field!r}: a negative entry")
     return values

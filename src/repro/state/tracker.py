@@ -114,21 +114,17 @@ class TrackerBackend:
         self._peak_words = 0
         self._next_cell_id = 0
 
-    def fresh_cell_id(self, prefix: str) -> str:
-        """Deterministic id for a dynamically created counter cell.
+    def fresh_cell_number(self) -> int:
+        """Reserve the next number for a dynamically created counter
+        cell (its owner formats the label, such as ``morris#k``, only
+        when the backend needs cell ids).
 
-        Ids are numbered per tracker (not per process), so rebuilding a
-        sketch from a snapshot — possibly in a different worker process
-        — reproduces the exact same cell labels as the original
+        Cells are numbered per tracker (not per process), so rebuilding
+        a sketch from a snapshot — possibly in a different worker
+        process — reproduces the exact same cell labels as the original
         construction.  The sharded runtime's process executor relies on
         this for byte-identical serial/parallel audits.
         """
-        return f"{prefix}#{self.fresh_cell_number()}"
-
-    def fresh_cell_number(self) -> int:
-        """Reserve the number :meth:`fresh_cell_id` would label next,
-        without building the label (columnar counters format it only
-        when the backend needs cell ids)."""
         number = self._next_cell_id
         self._next_cell_id = number + 1
         return number

@@ -10,7 +10,6 @@ from repro.baselines import (
     CountSketch,
     ExactFrequencyCounter,
     MisraGries,
-    NaiveSampleAndHold,
     ReservoirSampler,
     SpaceSaving,
 )
@@ -168,6 +167,43 @@ class TestCountSketch:
             CountSketch(width=4, depth=0)
 
 
+@pytest.mark.parametrize("family", [CountMin, CountSketch])
+class TestRowsSnapshotGeometry:
+    """A ``rows`` payload that is not ``depth x width`` integer cells
+    fails at restore with the field's name; a snapshot cut to fewer
+    rows would otherwise answer from rows left at zero."""
+
+    @staticmethod
+    def _state(family):
+        sketch = family(width=16, depth=3, seed=4)
+        sketch.process_many([1, 1, 2, 3, 5, 8, 13, 21])
+        return sketch.to_state()
+
+    def test_fitting_rows_restore(self, family):
+        state = self._state(family)
+        if family is CountSketch:  # signed cells: no sign rule here
+            assert min(min(row) for row in state["payload"]["rows"]) < 0
+        assert family.from_state(state).to_state() == state
+
+    def test_fewer_rows_raise(self, family):
+        state = self._state(family)
+        state["payload"]["rows"] = state["payload"]["rows"][:1]
+        with pytest.raises(ValueError, match="'rows'"):
+            family.from_state(state)
+
+    def test_short_row_raises(self, family):
+        state = self._state(family)
+        state["payload"]["rows"][2] = state["payload"]["rows"][2][:-1]
+        with pytest.raises(ValueError, match="'rows'"):
+            family.from_state(state)
+
+    def test_non_integer_entry_raises(self, family):
+        state = self._state(family)
+        state["payload"]["rows"][1][0] = 1.5
+        with pytest.raises(ValueError, match="'rows'"):
+            family.from_state(state)
+
+
 class TestAMS:
     def test_f2_accuracy(self):
         stream = zipf_stream(200, 3000, seed=14)
@@ -225,33 +261,3 @@ class TestReservoir:
     def test_invalid_k_raises(self):
         with pytest.raises(ValueError):
             ReservoirSampler(k=0)
-
-
-class TestNaiveSampleAndHold:
-    def test_holds_sampled_items(self):
-        algo = NaiveSampleAndHold(1.0, capacity=100, rng=random.Random(19))
-        algo.process_stream([4, 4, 4, 5])
-        assert algo.estimate(4) == 3
-        assert algo.estimate(5) == 1
-
-    def test_eviction_keeps_capacity(self):
-        algo = NaiveSampleAndHold(1.0, capacity=10, rng=random.Random(20))
-        algo.process_stream(list(range(100)))
-        assert len(algo.estimates()) <= 11
-
-    def test_eviction_drops_small_counters(self):
-        algo = NaiveSampleAndHold(1.0, capacity=4, rng=random.Random(21))
-        algo.process_stream([1] * 10 + [2, 3, 4, 5, 6])
-        assert algo.estimate(1) == 10  # the big counter survives
-
-    def test_sampling_reduces_state_changes(self):
-        stream = uniform_stream(10_000, 20_000, seed=22)
-        sparse = NaiveSampleAndHold(0.01, capacity=500, rng=random.Random(22))
-        sparse.process_stream(stream)
-        assert sparse.state_changes < 0.2 * len(stream)
-
-    def test_invalid_args_raise(self):
-        with pytest.raises(ValueError):
-            NaiveSampleAndHold(0.0, capacity=10)
-        with pytest.raises(ValueError):
-            NaiveSampleAndHold(0.5, capacity=1)

@@ -92,7 +92,7 @@ class TestCellsOnTheTable:
         original, state = _snapshot(width=8, depth=2)
         tracker = make_tracker("trace")
         for _ in range(5):
-            tracker.fresh_cell_id("morris")
+            tracker.fresh_cell_number()
         restored = CountMinMorris.from_state(state, tracker=tracker)
         more = zipf_stream(64, 2000, skew=1.1, seed=6).materialize()
         restored.process_chunk(np.asarray(more))

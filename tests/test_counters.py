@@ -1,6 +1,4 @@
-"""Tests for exact / Morris / median-Morris counters (Theorem 1.5)."""
-
-import random
+"""Tests for the Morris counter kernels and table rows (Theorem 1.5)."""
 
 import numpy as np
 import pytest
@@ -9,23 +7,19 @@ from hypothesis import strategies as st
 
 from repro.core import counters as counters_module
 from repro.core.counters import (
-    ApproximateCounter,
-    ExactCounter,
     HeldTable,
-    MedianMorrisCounter,
-    MorrisCounter,
-    climbed_level,
     geometric_threshold,
     skip_morris_step,
     weighted_morris_step,
 )
 from repro.hashing.coins import PhiloxCoins
 from repro.state import StateTracker
+from repro.state.algorithm import ChunkAudit
 from repro.state.registers import TrackedValue
 from repro.state.tracker import make_tracker
 
 
-class SkipMorrisCounter(ApproximateCounter):
+class SkipMorrisCounter:
     """Unit Morris counter on indexed coins (skip-sampling), one object
     per counter: the oracle of :class:`HeldTable` rows and
     :func:`skip_morris_step` lanes.
@@ -44,7 +38,7 @@ class SkipMorrisCounter(ApproximateCounter):
     def __init__(self, tracker, a, coins, cell_id=None):
         if a <= 0:
             raise ValueError(f"Morris parameter a must be positive: {a}")
-        cell_id = cell_id or tracker.fresh_cell_id("morris")
+        cell_id = cell_id or f"morris#{tracker.fresh_cell_number()}"
         self.a = a
         self.cell_id = cell_id
         self._coins = coins
@@ -109,7 +103,11 @@ class SkipMorrisCounter(ApproximateCounter):
     def merge_weight(self, weight, u):
         """Absorb a merged-in estimate via one weighted climb on the
         merge coin ``u``; returns whether the level changed."""
-        level = climbed_level(self.a, self._level.value, weight, u)
+        level = int(
+            weighted_morris_step(
+                self.a, [self._level.value], [float(weight)], [float(u)]
+            )[0]
+        )
         if level == self._level.value:
             return False
         self._level.load(level)
@@ -126,138 +124,6 @@ class SkipMorrisCounter(ApproximateCounter):
 
     def release(self):
         self._level.release()
-
-
-class TestExactCounter:
-    def test_counts_exactly(self):
-        tracker = StateTracker()
-        counter = ExactCounter(tracker)
-        for _ in range(100):
-            counter.add()
-        assert counter.estimate == 100
-
-    def test_every_increment_is_a_write(self):
-        tracker = StateTracker()
-        counter = ExactCounter(tracker)
-        for _ in range(50):
-            counter.add()
-            tracker.tick()
-        assert tracker.state_changes == 50
-
-    def test_weighted_add(self):
-        counter = ExactCounter(StateTracker())
-        counter.add(2.5)
-        counter.add(0.5)
-        assert counter.estimate == 3.0
-
-    def test_zero_add_is_free(self):
-        tracker = StateTracker()
-        counter = ExactCounter(tracker)
-        counter.add(0)
-        assert tracker.total_writes == 0
-
-    def test_negative_add_raises(self):
-        with pytest.raises(ValueError):
-            ExactCounter(StateTracker()).add(-1)
-
-    def test_release_frees_word(self):
-        tracker = StateTracker()
-        counter = ExactCounter(tracker)
-        counter.release()
-        assert tracker.current_words == 0
-
-
-class TestMorrisCounter:
-    def test_unbiased_mean(self):
-        """Average of many independent counters approaches the truth."""
-        rng = random.Random(0)
-        n, copies = 500, 400
-        total = 0.0
-        for _ in range(copies):
-            counter = MorrisCounter(StateTracker(), a=0.5, rng=rng)
-            for _ in range(n):
-                counter.add()
-            total += counter.estimate
-        assert total / copies == pytest.approx(n, rel=0.1)
-
-    def test_few_state_changes(self):
-        tracker = StateTracker()
-        counter = MorrisCounter(tracker, a=0.5, rng=random.Random(1))
-        n = 100_000
-        for _ in range(n):
-            counter.add()
-            tracker.tick()
-        # Level grows like log_{1.5}(a*n) ~ 27; allow generous slack.
-        assert tracker.state_changes < 100
-        assert counter.estimate == pytest.approx(n, rel=0.5)
-
-    def test_accuracy_parameterization(self):
-        counter = MorrisCounter.with_accuracy(
-            StateTracker(), epsilon=0.1, delta=0.1, rng=random.Random(2)
-        )
-        assert counter.a == pytest.approx(2 * 0.1**2 * 0.1)
-
-    def test_with_accuracy_rejects_bad_args(self):
-        rng = random.Random(0)
-        with pytest.raises(ValueError):
-            MorrisCounter.with_accuracy(StateTracker(), 0, 0.1, rng)
-        with pytest.raises(ValueError):
-            MorrisCounter.with_accuracy(StateTracker(), 0.1, 0, rng)
-        with pytest.raises(ValueError):
-            MorrisCounter.with_accuracy(StateTracker(), 0.1, 1.0, rng)
-
-    def test_weighted_add_unbiased(self):
-        rng = random.Random(3)
-        total_weight = 0.0
-        estimates = 0.0
-        copies = 400
-        for _ in range(copies):
-            counter = MorrisCounter(StateTracker(), a=0.3, rng=rng)
-            for w in (0.2, 1.7, 3.1, 0.05, 10.0):
-                counter.add(w)
-            total_weight = 15.05
-            estimates += counter.estimate
-        assert estimates / copies == pytest.approx(total_weight, rel=0.15)
-
-    def test_large_weight_climbs_levels_deterministically(self):
-        counter = MorrisCounter(StateTracker(), a=0.5, rng=random.Random(4))
-        counter.add(1e6)
-        assert counter.estimate == pytest.approx(1e6, rel=0.5)
-        assert counter.level > 10
-
-    def test_invalid_a_raises(self):
-        with pytest.raises(ValueError):
-            MorrisCounter(StateTracker(), a=0, rng=random.Random(0))
-
-    def test_negative_weight_raises(self):
-        counter = MorrisCounter(StateTracker(), a=0.5, rng=random.Random(0))
-        with pytest.raises(ValueError):
-            counter.add(-2)
-
-    def test_zero_weight_noop(self):
-        tracker = StateTracker()
-        counter = MorrisCounter(tracker, a=0.5, rng=random.Random(0))
-        counter.add(0)
-        assert counter.level == 0
-        assert tracker.total_writes == 0
-
-    def test_estimate_zero_initially(self):
-        counter = MorrisCounter(StateTracker(), a=0.5, rng=random.Random(0))
-        assert counter.estimate == 0.0
-
-    @given(st.integers(min_value=1, max_value=2000))
-    @settings(max_examples=25, deadline=None)
-    def test_estimate_within_chebyshev_band_mostly(self, n):
-        """With a = 2*eps^2*delta (eps=0.5, delta=0.2) the estimate is
-        within 50% of n with probability >= 0.8; a single trial at fixed
-        derived seed must stay within a much looser 5x band."""
-        counter = MorrisCounter.with_accuracy(
-            StateTracker(), epsilon=0.5, delta=0.2, rng=random.Random(n)
-        )
-        for _ in range(n):
-            counter.add()
-        assert counter.estimate <= 6 * n + 10
-        assert counter.estimate >= n / 6 - 10
 
 
 class TestWeightedMorrisStep:
@@ -284,6 +150,48 @@ class TestWeightedMorrisStep:
             for i in range(length)
         ]
         assert stepped.tolist() == alone
+
+    @pytest.mark.parametrize(
+        "a,level,weight",
+        [
+            (0.3, 0, 0.2),
+            (0.3, 4, 1.7),
+            (0.5, 2, 10.0),
+            (0.125, 20, 0.05),
+            (0.02, 150, 37.0),
+        ],
+    )
+    def test_expected_estimate_rises_by_the_weight(self, a, level, weight):
+        """Unbiased weighted climbs: over 8,192 lanes at one level and
+        weight, the mean rise of the estimate ``((1+a)^L - 1)/a`` is
+        within 4 standard errors of the weight -- for sub-gap weights
+        that only flip the coin and for weights that first climb whole
+        levels."""
+        lanes = 8192
+        uniforms = PhiloxCoins(level, "unbiased").uniform_block(0, lanes)
+        levels = weighted_morris_step(
+            a, np.full(lanes, level), np.full(lanes, weight), uniforms
+        )
+        rise = ((1 + a) ** levels.astype(np.float64) - (1 + a) ** level) / a
+        assert abs(rise.mean() - weight) <= 4 * rise.std(ddof=1) / np.sqrt(lanes)
+
+    def test_large_weight_climbs_levels_deterministically(self):
+        """A 1e6 weight climbs its whole levels without a coin: any coin
+        lands on that level or one above, and the two estimates bracket
+        the weight."""
+        a = 0.5
+        uniforms = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+        levels = weighted_morris_step(a, np.zeros(5), np.full(5, 1e6), uniforms)
+        low = int(levels.min())
+        assert low > 10
+        assert levels.max() <= low + 1
+        assert ((1 + a) ** low - 1) / a <= 1e6 < ((1 + a) ** (low + 1) - 1) / a
+
+    def test_zero_weight_never_moves_a_level(self):
+        levels = np.array([0, 1, 7, 40, 400])
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            stepped = weighted_morris_step(0.5, levels, np.zeros(5), np.full(5, u))
+            assert stepped.tolist() == levels.tolist()
 
 
 def _skip_counter(a: float, lane: int, level: int, since: int):
@@ -514,10 +422,10 @@ def _row_state(table: HeldTable, row: int) -> tuple[int, int, int]:
 
 
 class TestHeldTable:
-    """Table rows are :class:`SkipMorrisCounter` s (and
-    :class:`ExactCounter` s) held as columns: the oracle counters with
-    the same coin key and ``(level, since)`` must agree on every level,
-    since, threshold, transition and estimate."""
+    """Table rows are :class:`SkipMorrisCounter` s held as columns (or
+    exact counts): the oracle counters with the same coin key and
+    ``(level, since)`` must agree on every level, since, threshold,
+    transition and estimate."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -593,21 +501,131 @@ class TestHeldTable:
 
     def test_exact_rows_count_every_arrival(self):
         """Exact rows write on every arrival, added or absorbed, and
-        estimate their count like an :class:`ExactCounter`."""
+        estimate their arrival count."""
         tracker = StateTracker()
         table = HeldTable(tracker, 0.125, exact=True)
         rows = np.array([table.open((0, 0), 0) for _ in range(3)])
-        oracles = [ExactCounter(StateTracker()) for _ in range(3)]
         lanes, at = table.absorb(rows, np.array([2, 0, 3]))
         assert lanes.tolist() == [0, 0, 2, 2, 2]
         assert at.tolist() == [1, 2, 1, 2, 3]
-        for oracle, count in zip(oracles, [2, 1, 3]):
-            for _ in range(count):
-                oracle.add()
         table.add(int(rows[1]))
-        assert table.estimates(rows).tolist() == [o.estimate for o in oracles]
+        assert table.estimates(rows).tolist() == [2.0, 1.0, 3.0]
         assert tracker.total_writes == 1
         assert tracker.report().cell_writes == {table.label(1): 1}
+
+    def test_exact_row_writes_once_per_add(self):
+        """Every scalar add on an exact row is one state change on its
+        cell, and the row estimates the number of adds."""
+        tracker = StateTracker()
+        table = HeldTable(tracker, 0.125, exact=True)
+        row = table.open((0, 0), 0)
+        for _ in range(50):
+            table.add(row)
+            tracker.tick()
+        assert tracker.state_changes == 50
+        assert table.estimate(row) == 50.0
+        assert tracker.report().cell_writes == {table.label(0): 50}
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_fresh_row_estimates_zero(self, exact):
+        """An opened row holds one word at level 0 (threshold 1, nothing
+        absorbed), estimates 0 and has written nothing."""
+        tracker = StateTracker()
+        table = HeldTable(tracker, 0.5, exact=exact)
+        row = table.open((3, 4), 0)
+        assert _row_state(table, row) == (0, 0, 1)
+        assert table.estimate(row) == 0.0
+        assert table.estimates(np.array([row])).tolist() == [0.0]
+        assert tracker.current_words == 1
+        assert tracker.total_writes == 0
+
+    def test_first_arrival_always_climbs(self):
+        """Level 0 survives one arrival whatever the coin key: the first
+        arrival climbs to level 1, absorbed or added."""
+        table = HeldTable(StateTracker(), 0.5)
+        rows = np.array([table.open((7, key), 0) for key in range(64)])
+        lanes, at = table.absorb(rows, np.ones(64, dtype=np.int64))
+        assert lanes.tolist() == list(range(64))
+        assert at.tolist() == [1] * 64
+        assert table.level[rows].tolist() == [1] * 64
+        tracker = StateTracker()
+        single = HeldTable(tracker, 0.5)
+        row = single.open((7, 64), 0)
+        single.add(row)
+        assert int(single.level[row]) == 1
+        assert tracker.total_writes == 1
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_zero_arrivals_write_nothing(self, exact):
+        """Rows absorbing no arrival keep their state and report no
+        transition, and an empty settle charges nothing."""
+        tracker = StateTracker()
+        table = HeldTable(tracker, 0.125, exact=exact)
+        rows = np.array([table.open((5, i), 0) for i in range(4)])
+        table.absorb(rows, np.array([0, 3, 0, 9]))
+        before = [_row_state(table, row) for row in rows]
+        lanes, at = table.absorb(rows, np.zeros(4, dtype=np.int64))
+        assert lanes.tolist() == at.tolist() == []
+        assert [_row_state(table, row) for row in rows] == before
+        audit = ChunkAudit(8, tracker.needs_cell_ids)
+        table.settle(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), audit)
+        assert audit.attempts == audit.writes == 0
+        assert not audit.dirty.any()
+        assert tracker.total_writes == 0
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_release_frees_the_word(self, exact):
+        """Released rows give their words back; the peak remembers
+        them."""
+        tracker = StateTracker()
+        table = HeldTable(tracker, 0.125, exact=exact)
+        rows = [table.open((6, i), 0) for i in range(3)]
+        for row in rows:
+            table.release(row)
+        assert tracker.current_words == 0
+        assert tracker.peak_words == 3
+
+    def test_invalid_a_raises(self):
+        """A Morris row needs ``a > 0``; an exact row reads no ``a``."""
+        for a in (0.0, -0.5):
+            with pytest.raises(ValueError, match="must be positive"):
+                HeldTable(StateTracker(), a)
+        assert HeldTable(StateTracker(), 0.0, exact=True).exact
+
+    def test_unit_arrival_mean_over_copies(self):
+        """The mean estimate over independent rows approaches the
+        count."""
+        n, copies = 500, 400
+        table = HeldTable(StateTracker(), 0.5)
+        rows = np.array([table.open((0, copy), 0) for copy in range(copies)])
+        table.absorb(rows, np.full(copies, n))
+        assert table.estimates(rows).mean() == pytest.approx(n, rel=0.1)
+
+    def test_few_state_changes(self):
+        """100K arrivals at a = 0.5 climb ~27 levels (log_1.5(a*n)):
+        fewer than 100 state changes, charged through a settle.  The
+        relative sd is sqrt(a/2) = 0.5 here, so the estimate is held to
+        the band of the Chebyshev test below, not to one sd."""
+        tracker = StateTracker()
+        table = HeldTable(tracker, 0.5)
+        row = table.open((1, 0), 0)
+        n = 100_000
+        audit = ChunkAudit(n, tracker.needs_cell_ids)
+        table.settle(np.full(n, row), np.arange(n), audit)
+        audit.commit(tracker, n)
+        assert tracker.state_changes < 100
+        assert n / 6 <= table.estimate(row) <= 6 * n
+
+    @given(st.integers(min_value=1, max_value=2000))
+    @settings(max_examples=25, deadline=None)
+    def test_estimate_within_chebyshev_band_mostly(self, n):
+        """With a = 2*eps^2*delta (eps=0.5, delta=0.2) the estimate is
+        within 50% of n with probability >= 0.8; one row on the n-th
+        key must stay within a much looser 6x band."""
+        table = HeldTable(StateTracker(), 2 * 0.5**2 * 0.2)
+        row = table.open((n, 0), 0)
+        table.absorb(np.array([row]), np.array([n]))
+        assert n / 6 - 10 <= table.estimate(row) <= 6 * n + 10
 
     def test_estimates_use_python_power_at_every_level(self):
         a = 0.125
@@ -687,8 +705,6 @@ class TestHeldTable:
         """A chunk's (row, position) arrivals, rows interleaved: the
         settle charges every transition at the position a scalar add
         per arrival writes on, to the cell it writes."""
-        from repro.state.algorithm import ChunkAudit
-
         rng = np.random.default_rng(9)
         width, n = 24, 3000
         levels = rng.integers(0, 12, width).tolist()
@@ -760,36 +776,3 @@ class TestHeldTable:
         if mode == "trace":
             cells = tracker.report().cell_writes
             assert cells["morris#2"] == 1 and cells["morris#0"] >= 1
-
-
-class TestMedianMorrisCounter:
-    def test_odd_number_of_copies(self):
-        counter = MedianMorrisCounter(
-            StateTracker(), epsilon=0.3, delta=0.05, rng=random.Random(0)
-        )
-        assert counter.num_copies % 2 == 1
-        assert counter.num_copies >= 3
-
-    def test_median_is_accurate(self):
-        counter = MedianMorrisCounter(
-            StateTracker(), epsilon=0.2, delta=0.01, rng=random.Random(1)
-        )
-        n = 5000
-        for _ in range(n):
-            counter.add()
-        assert counter.estimate == pytest.approx(n, rel=0.5)
-
-    def test_space_scales_with_copies(self):
-        tracker = StateTracker()
-        counter = MedianMorrisCounter(
-            tracker, epsilon=0.3, delta=0.001, rng=random.Random(2)
-        )
-        assert tracker.current_words == counter.num_copies
-        counter.release()
-        assert tracker.current_words == 0
-
-    def test_invalid_delta_raises(self):
-        with pytest.raises(ValueError):
-            MedianMorrisCounter(
-                StateTracker(), epsilon=0.3, delta=0, rng=random.Random(0)
-            )

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (small parameterizations)."""
 
+import math
+
 import pytest
 
 from repro.experiments import (
@@ -79,6 +81,31 @@ class TestMorrisTradeoff:
     def test_format(self):
         rows = morris_tradeoff(count=1000, a_values=(0.5,), trials=2)
         assert "Morris" in format_morris_tradeoff(rows)
+
+    @pytest.mark.parametrize("a", [0.5, 0.03])
+    def test_state_changes_are_the_trial_level(self, a):
+        """One trial's state changes, read from its tracker, are the
+        level its row climbed: the level the estimate inverts to."""
+        (row,) = morris_tradeoff(count=5000, a_values=(a,), trials=1, seed=3)
+        estimate = row.count * (1 + row.signed_mean_rel_error)
+        level = math.log1p(a * estimate) / math.log1p(a)
+        assert row.mean_state_changes == round(level)
+        assert level == pytest.approx(round(level), abs=1e-6)
+        assert row.mean_rel_error == abs(row.signed_mean_rel_error)
+
+    def test_one_trial_has_no_sd(self):
+        (row,) = morris_tradeoff(count=100, a_values=(0.5,), trials=1)
+        assert math.isnan(row.sd_rel_error)
+
+    def test_trials_follow_the_seed(self):
+        """Equal seeds repeat every row; the trials of one seed and
+        those of another count on different coins."""
+        first = morris_tradeoff(count=3000, a_values=(0.03,), trials=6, seed=7)
+        assert morris_tradeoff(count=3000, a_values=(0.03,), trials=6, seed=7) == first
+        (row,) = first
+        assert row.sd_rel_error > 0
+        (other,) = morris_tradeoff(count=3000, a_values=(0.03,), trials=6, seed=8)
+        assert other.signed_mean_rel_error != row.signed_mean_rel_error
 
 
 class TestLowerBoundCurve:

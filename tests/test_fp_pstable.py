@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.counters import weighted_morris_step
 from repro.core.entropy import EntropyEstimator
 from repro.core.fp_pstable import PStableFpEstimator, VariateTable
 from repro.hashing.pstable import cms_transform
@@ -155,6 +156,55 @@ class TestVariateTable:
             assert columns[slots[0]].tolist() == reference_column(
                 5, 10**6, rows, p
             )
+
+
+def _merge_row_by_row(sketch, other):
+    """The merge's climbs one row at a time: one scalar weighted climb
+    per row ``other`` counted, each on the next merge coin, the
+    positive half's rows before the negative's."""
+    a = sketch.morris_a
+    for levels, other_levels in (
+        (sketch._pos_levels, other._pos_levels),
+        (sketch._neg_levels, other._neg_levels),
+    ):
+        for i in range(sketch.num_rows):
+            weight = (math.pow(1.0 + a, int(other_levels[i])) - 1.0) / a
+            if weight > 0:
+                u = sketch._merge_coins.uniform(sketch._merge_draws)
+                sketch._merge_draws += 1
+                levels[i] = int(
+                    weighted_morris_step(a, [int(levels[i])], [weight], [u])[0]
+                )
+
+
+class TestMergeClimbs:
+    @pytest.mark.parametrize("case", range(12))
+    def test_one_step_per_sign_equals_row_by_row_climbs(self, case):
+        """Merging climbs every counted row of a half in one lane step
+        over one block of merge coins: the levels and ``merge_draws``
+        equal one scalar climb per row, across two successive merges
+        (the second starting past the first's coins)."""
+        rng = np.random.default_rng(case)
+        config = {
+            "p": float(rng.choice([0.25, 0.5, 1.0])),
+            "num_rows": int(rng.integers(5, 60)),
+            "morris_a": float(rng.choice([0.008, 0.02, 0.3])),
+            "seed": case,
+        }
+
+        def fed(seed, m):
+            sketch = PStableFpEstimator(**config)
+            sketch.process_stream(zipf_stream(200, m, skew=1.2, seed=seed))
+            return sketch
+
+        merged, reference = fed(100 + case, 400), fed(100 + case, 400)
+        for part in range(2):
+            other = fed(200 + 2 * case + part, int(rng.integers(1, 800)))
+            merged.merge(other)
+            _merge_row_by_row(reference, other)
+            assert merged._pos_levels.tolist() == reference._pos_levels.tolist()
+            assert merged._neg_levels.tolist() == reference._neg_levels.tolist()
+            assert merged._merge_draws == reference._merge_draws > 0
 
 
 class TestSnapshotGeometry:

@@ -14,6 +14,7 @@ fails here first.
 from __future__ import annotations
 
 import math
+import pathlib
 
 import pytest
 
@@ -126,6 +127,34 @@ def test_capability_matrix(processed, name, kind):
             assert answer.value == float(len(sketch.support()))
         else:
             assert answer.value == float(len(sketch.estimates()))
+
+
+def test_docs_support_table_is_the_registry_matrix():
+    """docs/ARCHITECTURE.md's query support table has one row per
+    registry name, and a ✓ exactly where the family declares the kind
+    (— elsewhere)."""
+    docs = pathlib.Path(__file__).resolve().parents[1] / "docs" / "ARCHITECTURE.md"
+    lines = docs.read_text(encoding="utf-8").splitlines()
+    header = next(
+        i for i, line in enumerate(lines) if line.startswith("| registry name |")
+    )
+
+    def cells(line):
+        return [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+
+    kinds = [QueryKind(cell) for cell in cells(lines[header])[1:]]
+    assert set(kinds) == set(QueryKind)
+    documented = {}
+    for line in lines[header + 2:]:
+        if not line.startswith("|"):
+            break
+        name, *marks = cells(line)
+        assert len(marks) == len(kinds), line
+        assert all(mark.startswith(("✓", "—")) for mark in marks), line
+        documented[name] = frozenset(
+            kind for kind, mark in zip(kinds, marks) if mark.startswith("✓")
+        )
+    assert documented == registry.support_matrix()
 
 
 class TestDispatchSemantics:

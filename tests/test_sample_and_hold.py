@@ -49,6 +49,16 @@ class TestParams:
         assert params.budget_low < params.budget_high
         assert params.budget_low >= 2 * params.kappa
 
+    def test_counter_accuracy_parameterization(self):
+        """Held Morris counters get ``a = 2 * eps^2 * delta`` from the
+        counter accuracy (Theorem 1.5's Chebyshev parameterization)."""
+        params = SampleAndHoldParams.from_problem(
+            n=1000, m=1000, p=2, epsilon=0.5, counter_epsilon=0.1, counter_delta=0.1
+        )
+        assert params.counter_a == pytest.approx(2 * 0.1**2 * 0.1)
+        default = SampleAndHoldParams.from_problem(n=1000, m=1000, p=2, epsilon=0.5)
+        assert default.counter_a == 0.125
+
     def test_invalid_args_raise(self):
         with pytest.raises(ValueError):
             SampleAndHoldParams.from_problem(n=0, m=10, p=2, epsilon=0.5)
@@ -149,3 +159,81 @@ class TestQueries:
         algo.process_stream(zipf_stream(n, m, seed=9))
         for item, value in algo.estimates().items():
             assert algo.estimate(item) == value
+
+
+def small_params(budget_low, sample_probability=1.0):
+    """Hand-sized parameters: every arrival sampled by default, and a
+    budget small enough to prune often."""
+    return SampleAndHoldParams(
+        sample_probability=sample_probability,
+        kappa=max(1, budget_low // 2),
+        budget_low=budget_low,
+        budget_high=budget_low + 1,
+        counter_a=0.125,
+    )
+
+
+class TestGlobalEviction:
+    """``eviction="global"``, the [EV02]-style rule the A2 ablation
+    runs: every prune keeps the globally largest half of the held
+    counters, whatever their age."""
+
+    def test_holds_sampled_items(self):
+        """A sampled item is held from its next arrival on: exact
+        counters count every arrival after the one that sampled it."""
+        algo = SampleAndHold(
+            small_params(100), use_morris=False, eviction="global", seed=19
+        )
+        algo.process_stream([4, 4, 4, 5])
+        assert algo.estimate(4) == 2.0
+        assert algo.estimate(5) == 0.0
+        assert algo.num_held == 1
+
+    def test_held_counters_stay_within_budget(self):
+        algo = SampleAndHold(
+            small_params(10), use_morris=False, eviction="global", seed=20
+        )
+        for item in [i for i in range(100) for _ in range(2)]:
+            algo.process(item)
+            assert algo.num_held <= algo.params.budget_high
+        assert algo.num_prunes > 10
+
+    def test_prune_keeps_the_globally_largest_half(self):
+        """Across every prune, no evicted counter holds more than a
+        surviving one (exact counters: a prune moves no count)."""
+        n, m = 300, 6000
+        algo = SampleAndHold(
+            small_params(16), use_morris=False, eviction="global", seed=21
+        )
+        prunes = 0
+        for item in zipf_stream(n, m, skew=1.1, seed=21):
+            before = algo.estimates()
+            algo.process(item)
+            if algo.num_prunes == prunes:
+                continue
+            prunes = algo.num_prunes
+            before[item] = before.get(item, 0.0) + 1.0
+            kept = algo.estimates()
+            evicted = [before[x] for x in before if x not in kept]
+            assert evicted
+            assert max(evicted) <= min(kept.values())
+        assert prunes >= 10
+
+    def test_large_counter_survives_prunes(self):
+        algo = SampleAndHold(
+            small_params(4), use_morris=False, eviction="global", seed=21
+        )
+        algo.process_stream([1] * 10 + [x for i in range(2, 30) for x in (i, i)])
+        assert algo.num_prunes >= 10
+        assert algo.estimate(1) == 9.0
+
+    def test_sampling_reduces_state_changes(self):
+        n, m = 10_000, 20_000
+        algo = make_algo(n, m, epsilon=1.0, seed=22, eviction="global")
+        assert algo.params.sample_probability < 0.2
+        algo.process_stream(uniform_stream(n, m, seed=22))
+        assert algo.state_changes < 0.2 * m
+
+    def test_unknown_eviction_policy_raises(self):
+        with pytest.raises(ValueError, match="eviction"):
+            SampleAndHold(small_params(10), eviction="lru")

@@ -1,8 +1,7 @@
 """Hypothesis stateful/model-based tests for the tracking substrate and
 core invariants."""
 
-import random
-
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -12,6 +11,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core import SampleAndHold, SampleAndHoldParams
+from repro.core.counters import HeldTable
 from repro.state import StateTracker, TrackedDict
 
 
@@ -119,17 +119,10 @@ class TestStatisticalProperties:
     @given(st.integers(10, 400))
     @settings(max_examples=20, deadline=None)
     def test_morris_mean_over_copies_near_truth(self, n):
-        """Average over independent Morris counters concentrates."""
-        from repro.core import MorrisCounter
-        from repro.state import StateTracker
-
-        rng = random.Random(n)
+        """Average over independent Morris table rows concentrates."""
         copies = 150
-        total = 0.0
-        for _ in range(copies):
-            counter = MorrisCounter(StateTracker(), a=0.25, rng=rng)
-            for _ in range(n):
-                counter.add()
-            total += counter.estimate
-        mean = total / copies
+        table = HeldTable(StateTracker(), a=0.25)
+        rows = np.array([table.open((n, copy), 0) for copy in range(copies)])
+        table.absorb(rows, np.full(copies, n))
+        mean = table.estimates(rows).mean()
         assert abs(mean - n) < 0.35 * n + 6
