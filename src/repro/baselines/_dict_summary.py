@@ -21,6 +21,7 @@ from repro.query import (
     QueryKind,
     ScalarAnswer,
 )
+from repro.state.algorithm import payload_array
 
 
 class DictSummaryQueries:
@@ -169,6 +170,31 @@ def dict_payload(cells) -> list[list[int]]:
     return [[item, count] for item, count in cells.items()]
 
 
-def load_dict_payload(cells, pairs) -> None:
-    """Restore a :func:`dict_payload` snapshot (untracked load)."""
-    cells.load({int(item): int(count) for item, count in pairs})
+def load_dict_payload(
+    cells, payload: dict, field: str, capacity: int | None = None
+) -> None:
+    """Restore a :func:`dict_payload` snapshot from ``payload[field]``
+    (untracked load): integer ``[item, count]`` pairs with distinct
+    items and counts of at least 1, at most ``capacity`` of them when
+    given.  Anything else raises a ``ValueError`` naming the field, so
+    a payload the summary could never hold fails at restore, not
+    later."""
+    try:
+        count = len(payload[field])
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"payload field {field!r}: no [item, count] pairs") from error
+    pairs = (
+        payload_array(payload, field, (count, 2))
+        if count
+        else np.zeros((0, 2), dtype=np.int64)
+    )
+    items, counts = pairs.T
+    if capacity is not None and count > capacity:
+        raise ValueError(
+            f"payload field {field!r}: {count} counters, more than {capacity}"
+        )
+    if (counts < 1).any():
+        raise ValueError(f"payload field {field!r}: a count below 1")
+    if len(np.unique(items)) != count:
+        raise ValueError(f"payload field {field!r}: a repeated item")
+    cells.load(dict(zip(items.tolist(), counts.tolist())))

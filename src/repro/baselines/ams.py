@@ -17,7 +17,7 @@ import numpy as np
 from repro.baselines._merge_kernels import add_cells
 from repro.hashing.prime_field import KWiseHash
 from repro.query import Moment, MomentAnswer, QueryKind
-from repro.state.algorithm import StreamAlgorithm
+from repro.state.algorithm import StreamAlgorithm, payload_array
 from repro.state.registers import TrackedArray
 from repro.state.tracker import StateTracker
 
@@ -141,4 +141,5 @@ class AMSSketch(StreamAlgorithm):
         return {"sums": list(self._sums)}
 
     def _load_payload(self, payload: dict) -> None:
-        self._sums.load([int(v) for v in payload["sums"]])
+        shape = (self.num_groups * self.group_size,)
+        self._sums.load(payload_array(payload, "sums", shape).tolist())

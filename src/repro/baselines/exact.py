@@ -149,4 +149,4 @@ class ExactFrequencyCounter(DictSummaryQueries, StreamAlgorithm):
         return {"counts": dict_payload(self._counters)}
 
     def _load_payload(self, payload: dict) -> None:
-        load_dict_payload(self._counters, payload["counts"])
+        load_dict_payload(self._counters, payload, "counts")

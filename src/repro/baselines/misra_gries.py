@@ -148,4 +148,4 @@ class MisraGries(DictSummaryQueries, StreamAlgorithm):
         return {"counters": dict_payload(self._counters)}
 
     def _load_payload(self, payload: dict) -> None:
-        load_dict_payload(self._counters, payload["counters"])
+        load_dict_payload(self._counters, payload, "counters", self.k - 1)

@@ -149,4 +149,4 @@ class SpaceSaving(DictSummaryQueries, StreamAlgorithm):
         return {"counters": dict_payload(self._counters)}
 
     def _load_payload(self, payload: dict) -> None:
-        load_dict_payload(self._counters, payload["counters"])
+        load_dict_payload(self._counters, payload, "counters", self.k)

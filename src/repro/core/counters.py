@@ -341,6 +341,29 @@ class HeldTable:
         self.cell[row] = cell
         return row
 
+    def open_many(
+        self, keys: list[tuple[int, int]], created_at: np.ndarray
+    ) -> np.ndarray:
+        """Fresh rows for ``keys`` and clocks ``created_at``, as one
+        :meth:`open` per key in order: the same rows, cell numbers and
+        words."""
+        count = len(keys)
+        tracker = self._tracker
+        cells = [tracker.fresh_cell_number() for _ in range(count)]
+        tracker.allocate(count)
+        free = self._free
+        rows = [free.pop() for _ in range(min(count, len(free)))]
+        if len(rows) < count:
+            rows.extend(range(self._append(count - len(rows)), self._rows))
+        rows = np.array(rows, dtype=np.int64)
+        self.level[rows] = 0
+        self.since[rows] = 0
+        self.threshold[rows] = 1
+        self.key0[rows], self.key1[rows] = np.array(keys, dtype=np.uint64).reshape(-1, 2).T
+        self.created_at[rows] = created_at
+        self.cell[rows] = cells
+        return rows
+
     def _append(self, count: int) -> int:
         """Room for ``count`` rows past the last one (storage grows by
         doubling); returns the first of them."""

@@ -29,7 +29,6 @@ calibrated so the asymptotic shapes are measurable at
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.counters import HeldTable
-from repro.hashing.coins import PhiloxCoins, lane_uniforms, stream_key
+from repro.hashing.coins import PhiloxCoins, stream_key
 from repro.query import (
     AllEstimates,
     MapAnswer,
@@ -233,52 +232,38 @@ class SampleAndHold(StreamAlgorithm):
         if self._coins_sample.uniform(idx) < self.params.sample_probability:
             self._sample(item, self._coins_slot.uniform(idx))
 
-    def _sample(
-        self,
-        item: int,
-        u: float,
-        audit: ChunkAudit | None = None,
-        position: int = 0,
-    ) -> None:
+    def _sample(self, item: int, u: float) -> None:
         """Lines 17-18: write ``item`` into the slot picked by the slot
-        coin ``u``.  Inside a chunk kernel (``audit`` given) the write
-        lands in the chunk audit and the register is stored untracked."""
+        coin ``u``."""
         slot = min(int(u * self._budget), self._budget - 1)
         evicted = self._reservoir[slot]
         if evicted is not None and self._reservoir_members.get(evicted) == slot:
             del self._reservoir_members[evicted]
-        if audit is None:
-            self._reservoir[slot] = item
-        else:
-            audit.write(f"q[{slot}]", item != evicted, position)
-            self._reservoir.store_at(slot, item)
+        self._reservoir[slot] = item
         self._reservoir_members[item] = slot
 
     def _open(self, created_at: int) -> int:
         """A fresh held-counter row, counting on its own coin stream."""
+        return self._table.open(self._next_key(), created_at)
+
+    def _next_key(self) -> tuple[int, int]:
+        """The level-coin stream key of the next held counter."""
         key = (
             stream_key(self.seed, f"{self.stream_label}.ctr{self._created}")
             if self.use_morris
             else (0, 0)
         )
         self._created += 1
-        return self._table.open(key, created_at)
+        return key
 
-    def _hold(
-        self,
-        item: int,
-        row: int,
-        created_at: int,
-        settle: "ChunkSettle | None" = None,
-        position: int = 0,
-    ) -> None:
+    def _hold(self, item: int, row: int, created_at: int) -> None:
         """Hold counter ``row`` for ``item`` (lines 13, 19-21); prune
         when the held set reaches the budget."""
         # Two bookkeeping words: the held item id and its creation time.
         self.tracker.allocate(2)
         self._held[item] = row
         if len(self._held) >= self._budget:
-            self._prune_counters(created_at, settle, position)
+            self._prune_counters(created_at)
 
     # ------------------------------------------------------------------
     # Counter maintenance (lines 19-21): dyadic age groups
@@ -286,7 +271,7 @@ class SampleAndHold(StreamAlgorithm):
     def _prune_counters(
         self,
         now: int,
-        settle: "ChunkSettle | None" = None,
+        audit: ChunkAudit | None = None,
         position: int = 0,
     ) -> None:
         """Halve each dyadic age group, keeping the largest estimates.
@@ -298,18 +283,15 @@ class SampleAndHold(StreamAlgorithm):
         ``eviction="global"`` all counters are compared together
         (the classical rule; kept for the A2 ablation).
 
-        Inside a chunk kernel (``settle`` given) the deferred arrivals
-        of held items are absorbed up to ``position`` before any
-        estimate is read, and the evicted items' later deferred
-        arrivals go back into the settle's event order.
+        Inside a chunk kernel (``audit`` given) the evictions mark
+        chunk ``position`` dirty; the kernel has absorbed every arrival
+        of the held items up to ``position`` before the call.
 
         Estimates grow with the level (an exact row's level is its
         count), so each group is ranked by level: one stable lexsort
         by (group, level) in ``_held`` order, which breaks ties the
         way sorting each group by estimate would.
         """
-        if settle is not None:
-            settle.flush(self, position)
         table = self._table
         items = list(self._held)
         rows = np.fromiter(self._held.values(), np.int64, len(items))
@@ -334,12 +316,10 @@ class SampleAndHold(StreamAlgorithm):
         for item in evicted:
             table.release(self._held.pop(item))
             self.tracker.free(2)
-            if settle is None:
+            if audit is None:
                 self.tracker.mark_dirty()
             else:
-                settle.audit.mark(position)
-        if settle is not None:
-            settle.requeue(self, evicted, position)
+                audit.mark(position)
         # Lemma 2.1: re-randomize the budget after each maintenance.
         self._budget = self._draw_budget()
         self._prunes += 1
@@ -359,48 +339,6 @@ class SampleAndHold(StreamAlgorithm):
         audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
         ChunkSettle(chunk, [(self, np.arange(len(chunk)))], audit).run()
         audit.commit(self.tracker, len(chunk))
-
-    def _screen(
-        self, ranks: np.ndarray, distinct: np.ndarray
-    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Screen the arrivals of items ``distinct[ranks]`` (the chunk's
-        sorted distinct items) arriving at clock ``self._t`` and advance
-        the clock past them.
-
-        Returns the first arrival's coin index, the mask of arrivals
-        whose sampling coin hits, the conservative settle mask, and the
-        table row of each arrival's item if it is held now (-1 if not).
-        An arrival needs settling iff its item could touch state: it is
-        already held or reservoir-resident, its sampling coin hits, or
-        it equals an item whose coin hits in this chunk (that item may
-        enter the reservoir and then be held on a later occurrence).
-        Everything unflagged is a provable no-op — the sampling coin
-        misses and no lookup matches — so skipping it leaves state and
-        audit exactly as the scalar loop would.  Membership is asked
-        once per distinct item, not once per arrival.
-        """
-        n = len(ranks)
-        t0 = self._t
-        self._t = t0 + n
-        uniforms = self._coins_sample.uniform_block(t0, n)
-        hits = uniforms < self.params.sample_probability
-        # Per distinct item (indexed by chunk rank): present here, its
-        # row if held (-1 if not), flagged.  Only the entries of items
-        # present here are filled in or read.
-        present = np.zeros(len(distinct), dtype=bool)
-        present[ranks] = True
-        seen = np.flatnonzero(present)
-        keys = distinct[seen].tolist()
-        rows = np.empty(len(distinct), dtype=np.int64)
-        rows[seen] = np.fromiter(
-            map(self._held.get, keys, itertools.repeat(-1)), np.int64, len(keys)
-        )
-        flagged = rows >= 0
-        flagged[seen] |= np.fromiter(
-            map(self._reservoir_members.__contains__, keys), bool, len(keys)
-        )
-        flagged[ranks[hits]] = True
-        return t0, hits, flagged[ranks], rows[ranks]
 
     # ------------------------------------------------------------------
     # Queries
@@ -459,7 +397,7 @@ class SampleAndHold(StreamAlgorithm):
 
 class ChunkSettle:
     """One chunk of arrivals settled across a set of sample-and-hold
-    leaves that share a tracker and a :class:`ChunkAudit`.
+    leaves that share a tracker, a held table and a :class:`ChunkAudit`.
 
     Composite estimators (:class:`~repro.core.full_sample_and_hold.
     FullSampleAndHold`'s level grid, the universe levels of
@@ -475,57 +413,63 @@ class ChunkSettle:
     they hold one kind of counter -- Morris counters with one ``a``, or
     exact counters.
 
-    Each leaf screens its substream (:meth:`SampleAndHold._screen`),
-    and the flagged arrivals settle in two passes:
+    At one leaf, between two prunes, an arrival of item ``x`` counts
+    (``x`` is held), opens a counter (``x`` sits in the reservoir),
+    writes ``x`` into the slot its slot coin picks (its sampling coin
+    hits) or does nothing.  The chunk settles in **rounds** of columns:
 
-    * **Structural pass.**  Counter openings, reservoir writes and
-      prunes settle one by one in the scalar order (position, leaf),
-      which keeps the cell-number order and the allocate/free
-      interleaving, hence the per-cell histogram and ``peak_words``.
-      The slot coins of the arrivals whose sampling coin hits are read
-      up front, lane-wise.
-    * **Counting pass.**  Every unit arrival at a held counter only
-      moves that counter, so it is *deferred*: the arrivals of items
-      held at screen time never enter the structural pass, and an
-      arrival the structural pass meets at an item held by then — the
-      triggering occurrence of a counter it opens included — is set
-      aside.  Deferred arrivals are absorbed in *waves*: one
-      :meth:`~repro.core.counters.HeldTable.settle` over every row they
-      reach, which charges each transition at its chunk position (a
-      wave climbs in lane-wise steps that read the rows' level coins
-      lane-wise, and finishes its last few climbing rows one by one).
+    * **Screen.**  Membership is asked once per distinct (leaf, item)
+      pair.  Arrivals of held items count; arrivals of items that are
+      neither held, resident nor hit in the round are no-ops; the rest
+      go to the resolution.  Sampling and slot coins come from one
+      contiguous block per leaf (no sampling block where every coin
+      hits).
+    * **Resolution.**  The reservoir writes are a fixed point: start
+      with every hit as a write, give each write its eviction time (the
+      next write to the same leaf and slot), open each pair at its
+      first arrival while resident, keep as writes only the hits before
+      the pair's opening, and repeat until the write set stops
+      shrinking (:func:`_open_times` is one pass).  Whether an arrival
+      writes depends only on the writes before it, so the fixed point
+      is the scalar loop's one; removing writes only delays evictions,
+      so openings only move earlier and the set only shrinks.
+    * **Cut.**  A leaf's round ends at the opening that fills its
+      budget.  Everything up to it is final: its writes land in the
+      reservoir and the audit at once, its openings and counting
+      arrivals wait.
 
-    A prune reads estimates, so a wave first absorbs its leaf's
-    deferred arrivals up to the prune's position.  The later arrivals
-    that were deferred at screen time for the items it evicts go back
-    into the event order (they were flagged, so the screen stays
-    conservative); arrivals the structural pass set aside are never
-    later than the prune, so they are all in that wave.  The final
-    wave absorbs everything left.
+    Openings are applied in the scalar order (position, leaf) up to
+    each prune, in the prunes' order, which keeps the cell numbers, the
+    rows taken from the free list and the allocate/free interleaving,
+    hence the cell histogram and ``peak_words``.  A prune reads
+    estimates, so its leaf's counting arrivals are absorbed first (one
+    :meth:`~repro.core.counters.HeldTable.settle`); the leaf's later
+    arrivals then resolve again as a new round.  The final wave absorbs
+    every counting arrival left.
 
-    Arrivals live in numpy columns over all leaves — (position, leaf
-    ordinal, item, coin index, sampling hit) — with the screen-deferred
-    ones sorted by (leaf, position), their items' table rows in
-    ``_rows`` and ``_pending`` marking those not yet absorbed or handed
-    back; ``_late`` holds, per leaf, the arrivals the structural pass
-    set aside, as flat ``row, position`` pairs.  A pending or late
-    arrival's row is its item's row until the wave absorbs it: a prune
-    absorbs its leaf's arrivals before it frees any row and hands the
-    evicted items' later ones back.
+    Arrivals are columns over all leaves in (leaf, position) order:
+    position, leaf ordinal, coin index and (leaf, item) pair; a pair
+    has its leaf, item, held row (-1 if not held) and reservoir slot
+    (-1 if not resident), both as of its last screen.  Openings,
+    counting arrivals and cuts wait as arrival indices.
     """
 
     __slots__ = (
         "audit",
         "_leaves",
-        "_ordinals",
         "_table",
-        "_events",
-        "_requeued",
-        "_deferred",
-        "_rows",
         "_bounds",
-        "_pending",
-        "_late",
+        "_position",
+        "_ordinal",
+        "_index",
+        "_pair",
+        "_pair_leaf",
+        "_pair_item",
+        "_pair_row",
+        "_pair_slot",
+        "_openings",
+        "_counts",
+        "_cuts",
     )
 
     def __init__(
@@ -535,170 +479,376 @@ class ChunkSettle:
         audit: ChunkAudit,
     ) -> None:
         self.audit = audit
-        # Chunk-local item ranks: the screens ask membership once per
-        # distinct item.
+        leaves = self._leaves = [leaf for leaf, _ in routes]
+        self._table = leaves[0]._table
+        lengths = np.array([len(positions) for _, positions in routes])
+        bounds = self._bounds = np.concatenate(([0], np.cumsum(lengths)))
+        self._position = np.concatenate([positions for _, positions in routes])
+        ordinal = self._ordinal = np.repeat(np.arange(len(leaves)), lengths)
+        # Coin indices: leaf o's arrivals count up from its clock.
+        clocks = np.array([leaf._t for leaf in leaves], dtype=np.int64)
+        for leaf, length in zip(leaves, lengths.tolist()):
+            leaf._t += length
+        self._index = np.arange(bounds[-1]) + np.repeat(
+            clocks - bounds[:-1], lengths
+        )
+        # (leaf, item) pairs, numbered in (leaf, item) order through a
+        # dense (leaf, chunk-local item rank) table.
         distinct, ranks = np.unique(chunk, return_inverse=True)
-        self._leaves = [leaf for leaf, _ in routes]
-        self._ordinals = {leaf: o for o, leaf in enumerate(self._leaves)}
-        self._table = self._leaves[0]._table
-        self._requeued: list[tuple] = []
-        self._late: list[list[int]] = [[] for _ in routes]
-        lengths = [len(positions) for _, positions in routes]
-        position = np.concatenate([positions for _, positions in routes])
-        item = chunk[position]
-        bounds = np.cumsum([0] + lengths)
-        rank = ranks[position]
-        t0s, hits, flags, rows = zip(
-            *(
-                leaf._screen(rank[low:high], distinct)
-                for leaf, low, high in zip(self._leaves, bounds, bounds[1:])
-            )
-        )
-        hit, flagged, row = (
-            np.concatenate(column) for column in (hits, flags, rows)
-        )
-        held = row >= 0
-        ordinal = np.repeat(np.arange(len(routes)), lengths)
-        # Coin indices: leaf o's arrivals count up from its clock t0.
-        index = np.arange(len(position)) + np.repeat(
-            np.array(t0s) - bounds[:-1], lengths
-        )
-        fields = (position, ordinal, item, index, hit)
-        events = np.flatnonzero(flagged & ~held)
-        events = events[np.lexsort((ordinal[events], position[events]))]
-        self._events = self._event_rows([field[events] for field in fields])
-        deferred = np.flatnonzero(held)  # already in (leaf, position) order
-        self._deferred = [field[deferred] for field in fields]
-        self._rows = row[deferred]
-        self._bounds = np.searchsorted(
-            self._deferred[1], np.arange(len(routes) + 1)
-        ).tolist()
-        self._pending = np.ones(len(deferred), dtype=bool)
-
-    def _event_rows(self, columns: list[np.ndarray]) -> list[list]:
-        """Event columns (position, ordinal, item, coin index, slot
-        coin) as lists, from arrival columns (position, ordinal, item,
-        coin index, sampling hit).  The slot coin is read, lane-wise,
-        only where the sampling coin hits; it is -1.0 elsewhere."""
-        position, ordinal, item, index, hit = columns
-        hits = np.flatnonzero(hit)
-        slot = np.full(len(position), -1.0)
-        if len(hits):
-            keys0, keys1 = np.array(
-                [leaf._coins_slot.key for leaf in self._leaves], dtype=np.uint64
-            ).T
-            hit_ordinal = ordinal[hits]
-            slot[hits] = lane_uniforms(
-                keys0[hit_ordinal], keys1[hit_ordinal], index[hits]
-            )
-        return [
-            position.tolist(),
-            ordinal.tolist(),
-            item.tolist(),
-            index.tolist(),
-            slot.tolist(),
-        ]
+        key = ordinal * len(distinct) + ranks[self._position]
+        seen = np.zeros(len(leaves) * len(distinct), dtype=bool)
+        seen[key] = True
+        keys = np.flatnonzero(seen)
+        numbers = np.empty(len(seen), dtype=np.int64)
+        numbers[keys] = np.arange(len(keys))
+        self._pair = numbers[key]
+        self._pair_leaf, rank = np.divmod(keys, len(distinct))
+        self._pair_item = distinct[rank]
+        self._pair_row = np.full(len(keys), -1)
+        self._pair_slot = np.full(len(keys), -1)
+        self._openings: list[np.ndarray] = []
+        self._counts: list[np.ndarray] = []
+        self._cuts: list[int] = []
 
     def run(self) -> None:
-        """The structural pass over every event, then the final wave.
+        """Resolve every leaf, then take the prunes in the scalar order,
+        each followed by a new round of its leaf; the final wave absorbs
+        every counting arrival left."""
+        self._resolve(0, len(self._pair))
+        cuts = self._cuts
+        while cuts:
+            arrival = min(cuts, key=self._order_key)
+            cuts.remove(arrival)
+            position, ordinal = self._order_key(arrival)
+            self._open_through(arrival)
+            self._flush(ordinal)
+            self._leaves[ordinal]._prune_counters(
+                int(self._index[arrival]) + 1, self.audit, position
+            )
+            self._resolve(arrival + 1, int(self._bounds[ordinal + 1]))
+        self._open_through(None)
+        self._wave(np.concatenate(self._counts))
 
-        An event replays the scalar :meth:`SampleAndHold._update` with
-        the counting deferred: an arrival at an item held by then is
-        set aside, and so is the triggering occurrence of a counter the
-        event opens."""
+    def _order_key(self, arrival: int) -> tuple[int, int]:
+        """The scalar order of ``arrival``: (position, leaf)."""
+        return int(self._position[arrival]), int(self._ordinal[arrival])
+
+    def _lookup(self, pairs: np.ndarray, attribute: str) -> np.ndarray:
+        """``getattr(leaf, attribute).get(item, -1)`` for each pair:
+        its held row or its reservoir slot."""
+        maps = [getattr(leaf, attribute) for leaf in self._leaves]
+        return np.fromiter(
+            map(
+                dict.get,
+                [maps[o] for o in self._pair_leaf[pairs].tolist()],
+                self._pair_item[pairs].tolist(),
+                itertools.repeat(-1),
+            ),
+            np.int64,
+            len(pairs),
+        )
+
+    def _coins(self, arrivals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sampling hits and slot coins of ``arrivals`` (ascending),
+        from one contiguous block per leaf and stream; no sampling
+        block where every coin hits."""
+        hit = np.ones(len(arrivals), dtype=bool)
+        coin = np.empty(len(arrivals))
+        index = self._index[arrivals]
+        edges = np.searchsorted(arrivals, self._bounds)
+        present = np.flatnonzero(edges[1:] > edges[:-1])
+        lows, highs = edges[present], edges[present + 1]
+        firsts = index[lows]
+        offsets = index - np.repeat(firsts, highs - lows)
+        counts = index[highs - 1] - firsts + 1
         leaves = self._leaves
-        held = [leaf._held for leaf in leaves]
-        members = [leaf._reservoir_members for leaf in leaves]
-        late = self._late
-        audit = self.audit
-        for position, ordinal, item, index, slot in self._merged_events():
-            row = held[ordinal].get(item)
-            if row is not None:
-                late[ordinal] += (row, position)
-            elif item in members[ordinal]:
-                leaf = leaves[ordinal]
-                row = leaf._open(index + 1)
-                late[ordinal] += (row, position)
-                leaf._hold(item, row, index + 1, self, position)
-            elif slot >= 0.0:
-                leaves[ordinal]._sample(item, slot, audit, position)
-        self._wave(
-            np.flatnonzero(self._pending),
-            list(itertools.chain.from_iterable(late)),
+        for o, low, high, first, count in zip(
+            present.tolist(),
+            lows.tolist(),
+            highs.tolist(),
+            firsts.tolist(),
+            counts.tolist(),
+        ):
+            leaf = leaves[o]
+            at = offsets[low:high]
+            coin[low:high] = leaf._coins_slot.uniform_block(first, count)[at]
+            rho = leaf.params.sample_probability
+            if rho < 1.0:
+                hit[low:high] = leaf._coins_sample.uniform_block(first, count)[at] < rho
+        return hit, coin
+
+    def _resolve(self, low: int, high: int) -> None:
+        """One round over the arrivals ``[low, high)`` -- every leaf's
+        (the first round) or the rest of one leaf's (after its prune)
+        -- from the leaves' current state, settled up to each leaf's
+        next prune (see the class docstring)."""
+        if low == high:
+            return
+        leaves = self._leaves
+        arrivals = np.arange(low, high)
+        pairs = self._pair[low:high]
+        if high - low == len(self._pair):
+            distinct = np.arange(len(self._pair_item))
+            ordinals = list(range(len(leaves)))
+        else:
+            distinct = np.unique(pairs)
+            ordinals = [int(self._ordinal[low])]
+        rows = self._pair_row
+        rows[distinct] = self._lookup(distinct, "_held")
+        held = rows[pairs] >= 0
+        counted = arrivals[held]
+        free, free_pairs = arrivals[~held], pairs[~held]
+        unheld = distinct[rows[distinct] < 0]
+        resident = self._pair_slot
+        resident[unheld] = self._lookup(unheld, "_reservoir_members")
+        hit, coin = self._coins(free)
+        # An arrival is a no-op unless its pair is resident or hit.
+        touched = np.zeros(len(self._pair_item), dtype=bool)
+        touched[free_pairs[hit]] = True
+        flagged = touched[free_pairs] | (resident[free_pairs] >= 0)
+        budget = np.zeros(len(leaves), dtype=np.int64)
+        held_now = np.zeros(len(leaves), dtype=np.int64)
+        budget[ordinals] = [leaves[o]._budget for o in ordinals]
+        held_now[ordinals] = [len(leaves[o]._held) for o in ordinals]
+        cut = self._resolve_chain(
+            free[flagged],
+            hit[flagged],
+            coin[flagged],
+            budget,
+            np.maximum(1, budget - held_now),
         )
+        if len(cut):
+            # Held items' arrivals count up to their leaf's cut.
+            limit = self._bounds[1:].copy()
+            limit[self._ordinal[cut]] = cut + 1
+            counted = counted[counted < limit[self._ordinal[counted]]]
+            self._cuts.extend(cut.tolist())
+        self._counts.append(counted)
 
-    def _merged_events(self):
-        """The events in (position, leaf) order, with the arrivals that
-        prunes hand back (:meth:`requeue`) merged in as they come."""
-        requeued = self._requeued
-        for event in zip(*self._events):
-            while requeued and requeued[0] < event:
-                yield heapq.heappop(requeued)
-            yield event
-        while requeued:
-            yield heapq.heappop(requeued)
+    def _resolve_chain(
+        self,
+        chain: np.ndarray,
+        hit: np.ndarray,
+        coin: np.ndarray,
+        budget: np.ndarray,
+        room: np.ndarray,
+    ) -> np.ndarray:
+        """The resolution of the arrivals ``chain`` (arrival indices in
+        (leaf, position) order, with their sampling hits and slot
+        coins) up to each leaf's cut, the ``room[o]``-th opening at leaf
+        ``o`` (budget ``budget[o]``): writes are applied, openings and
+        counting arrivals queued.  Returns the cuts' arrival indices.
 
-    def flush(self, leaf: SampleAndHold, position: int) -> None:
-        """Absorb ``leaf``'s deferred arrivals up to ``position``."""
-        ordinal = self._ordinals[leaf]
-        low = self._bounds[ordinal]
-        high = low + int(
-            np.searchsorted(
-                self._deferred[0][low:self._bounds[ordinal + 1]],
-                position,
-                side="right",
+        Times are indices into ``chain``, which order each leaf's
+        arrivals; ``never`` is past them all."""
+        n = never = len(chain)
+        if not n:
+            return chain
+        leaves = len(self._leaves)
+        ordinal = self._ordinal[chain]
+        # Pairs, renumbered locally, and each arrival's next arrival of
+        # its pair: a stable sort by pair keeps each pair's arrivals in
+        # time order (a radix sort while pair numbers fit 16 bits).
+        pairs = self._pair[chain]
+        order = np.argsort(
+            pairs.astype(np.min_scalar_type(len(self._pair_item))), kind="stable"
+        )
+        grouped = pairs[order]
+        starts = np.ones(n, dtype=bool)
+        np.not_equal(grouped[1:], grouped[:-1], out=starts[1:])
+        first = order[starts]
+        local = np.empty(n, dtype=np.int64)
+        local[order] = np.cumsum(starts) - 1
+        follow = np.full(n, never)
+        same = ~starts[1:]
+        follow[order[:-1][same]] = order[1:][same]
+        # Pairs resident when the round starts, by (slot, leaf) key.
+        slot0 = self._pair_slot[grouped[starts]]
+        resident = np.flatnonzero(slot0 >= 0)
+        resident_first = first[resident]
+        resident_key = slot0[resident] * leaves + ordinal[resident_first]
+        # Hits in (slot, leaf, time) order: a stable sort by slot of
+        # arrivals already in (leaf, time) order.
+        hits = np.flatnonzero(hit)
+        size = budget[ordinal[hits]]
+        slot = np.minimum((coin[hits] * size).astype(np.int64), size - 1)
+        by_slot = np.argsort(
+            slot.astype(np.min_scalar_type(int(budget.max()))), kind="stable"
+        )
+        times = hits[by_slot]
+        slot = slot[by_slot]
+        keys = slot * leaves + ordinal[times]
+        owners = local[times]
+        follows = follow[times]
+        opens = np.empty(len(first), dtype=np.int64)
+        live = np.ones(len(times), dtype=bool)
+        count = len(times)
+        while True:
+            _open_times(
+                times[live],
+                keys[live],
+                owners[live],
+                follows[live],
+                resident,
+                resident_first,
+                resident_key,
+                never,
+                opens,
             )
-        )
-        late = self._late[ordinal]
-        self._late[ordinal] = []
-        self._wave(np.flatnonzero(self._pending[low:high]) + low, late)
+            live = times < opens[owners]
+            shrunk = int(np.count_nonzero(live))
+            if shrunk == count:
+                break
+            count = shrunk
+        # Openings in time order, hence grouped by leaf; a leaf's cut is
+        # its room-th.  Everything up to the cuts is final; an
+        # opening's own arrival counts.
+        opened = np.sort(opens[opens < never])
+        leaf_of = ordinal[opened]
+        rank = np.arange(len(opened)) - np.searchsorted(leaf_of, leaf_of)
+        cut = opened[rank == room[leaf_of] - 1]
+        counting = np.arange(n) >= opens[local]
+        if len(cut):
+            limit = np.full(leaves, never)
+            limit[ordinal[cut]] = cut
+            live &= times <= limit[ordinal[times]]
+            opened = opened[opened <= limit[leaf_of]]
+            counting &= np.arange(n) <= limit[ordinal]
+        self._store(chain[times[live]], slot[live], keys[live])
+        self._openings.append(chain[opened])
+        self._counts.append(chain[counting])
+        return chain[cut]
 
-    def requeue(
-        self, leaf: SampleAndHold, evicted: list[int], position: int
+    def _store(
+        self, arrivals: np.ndarray, slots: np.ndarray, keys: np.ndarray
     ) -> None:
-        """Hand the pending screen-deferred arrivals of items ``leaf``
-        just evicted back to the event order.  The prune flushed
-        everything up to ``position``, so all of them come later."""
-        ordinal = self._ordinals[leaf]
-        low, high = self._bounds[ordinal], self._bounds[ordinal + 1]
-        if low == high or not evicted:
+        """Apply the reservoir writes at ``arrivals`` (grouped by
+        ``keys``, their (slot, leaf), and in time order within a
+        group): every write is audited, and each slot ends up holding
+        its group's last item, evicting the item it held before the
+        group's first.  Every write mutates: a written item is never
+        resident, and every reservoir item is."""
+        if not len(arrivals):
             return
-        take = (
-            np.flatnonzero(
-                self._pending[low:high]
-                & np.isin(
-                    self._deferred[2][low:high],
-                    np.asarray(evicted, dtype=np.int64),
-                )
-            )
-            + low
+        self.audit.write_many(self._position[arrivals], slots, "q[{}]".format)
+        last = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
+        ordinal = self._ordinal[arrivals[last]]
+        by_leaf = np.argsort(ordinal, kind="stable")
+        ordinal = ordinal[by_leaf]
+        slots = slots[last][by_leaf]
+        items = self._pair_item[self._pair[arrivals[last][by_leaf]]]
+        edges = np.flatnonzero(np.append(True, ordinal[1:] != ordinal[:-1]))
+        for o, low, high in zip(
+            ordinal[edges].tolist(),
+            edges.tolist(),
+            np.append(edges[1:], len(ordinal)).tolist(),
+        ):
+            leaf = self._leaves[o]
+            members = leaf._reservoir_members
+            written = slots[low:high].tolist()
+            stored = items[low:high].tolist()
+            for evicted, slot in zip(
+                leaf._reservoir.exchange_at(written, stored), written
+            ):
+                if evicted is not None and members.get(evicted) == slot:
+                    del members[evicted]
+            members.update(zip(stored, written))
+
+    def _open_through(self, bound: int | None) -> None:
+        """Apply the queued openings up to arrival ``bound`` in the
+        scalar (position, leaf) order (all of them if ``bound`` is
+        None): a table row on the leaf's next counter stream and the
+        two bookkeeping words per counter."""
+        if not self._openings:
+            return
+        queued = np.concatenate(self._openings)
+        position, ordinal = self._position[queued], self._ordinal[queued]
+        if bound is None:
+            due = np.ones(len(queued), dtype=bool)
+        else:
+            at, leaf = self._order_key(bound)
+            due = (position < at) | ((position == at) & (ordinal <= leaf))
+        self._openings = [queued[~due]]
+        queued = queued[due]
+        if not len(queued):
+            return
+        queued = queued[np.lexsort((ordinal[due], position[due]))]
+        leaves = self._leaves
+        ordinals = self._ordinal[queued].tolist()
+        pairs = self._pair[queued]
+        rows = self._table.open_many(
+            [leaves[o]._next_key() for o in ordinals], self._index[queued] + 1
         )
-        self._pending[take] = False
-        rows = self._event_rows([field[take] for field in self._deferred])
-        for event in zip(*rows):
-            heapq.heappush(self._requeued, event)
+        self._pair_row[pairs] = rows
+        for o, item, row in zip(
+            ordinals, self._pair_item[pairs].tolist(), rows.tolist()
+        ):
+            leaves[o]._held[item] = row
+        leaves[0].tracker.allocate(2 * len(rows))
 
-    def _wave(self, take: np.ndarray, late: list[int]) -> None:
-        """The counting pass over the screen-deferred arrivals ``take``
-        (indices into the deferred columns) plus the ``late`` arrivals
-        (flat row, position pairs), all settled by one
-        :meth:`~repro.core.counters.HeldTable.settle`.
+    def _flush(self, ordinal: int) -> None:
+        """Absorb leaf ``ordinal``'s queued counting arrivals."""
+        queued = np.concatenate(self._counts)
+        mine = (queued >= self._bounds[ordinal]) & (
+            queued < self._bounds[ordinal + 1]
+        )
+        self._counts = [queued[~mine]]
+        self._wave(queued[mine])
 
-        A row's arrivals all come from one source -- screen-deferred
-        ones exist only for items held at screen time, and a requeue
-        takes all of an item's pending ones before it can arrive late
-        -- and each source lists a leaf's arrivals by position, so each
+    def _wave(self, arrivals: np.ndarray) -> None:
+        """The counting pass over ``arrivals``, settled by one
+        :meth:`~repro.core.counters.HeldTable.settle`.  Each pair's
+        arrivals come from one round and one source (held at the screen
+        or opened in the round), each listed in time order, so each
         row's arrivals are in stream order, as the settle needs."""
-        if len(take) == 0 and not late:
-            return
-        self._pending[take] = False
-        position = self._deferred[0][take]
-        rows = self._rows[take]
-        if late:
-            extra = np.array(late, dtype=np.int64).reshape(-1, 2)
-            rows = np.concatenate((rows, extra[:, 0]))
-            position = np.concatenate((position, extra[:, 1]))
-        self._table.settle(rows, position, self.audit)
+        if len(arrivals):
+            self._table.settle(
+                self._pair_row[self._pair[arrivals]],
+                self._position[arrivals],
+                self.audit,
+            )
+
+
+def _open_times(
+    times: np.ndarray,
+    keys: np.ndarray,
+    owners: np.ndarray,
+    follows: np.ndarray,
+    resident: np.ndarray,
+    resident_first: np.ndarray,
+    resident_key: np.ndarray,
+    never: int,
+    opens: np.ndarray,
+) -> None:
+    """One pass of the write resolution: from the writes at ``times``
+    (sorted by ``keys``, their (slot, leaf), then time; ``owners`` their
+    pairs, ``follows`` the next arrival of each write's pair), each
+    pair's opening time into ``opens`` (``never`` if it does not open).
+
+    A write's item stays resident until the next write to its slot, so
+    it opens at its next arrival if that comes no later (a write at
+    that very arrival is the item's own hit, which the opening
+    replaces).  Pairs ``resident`` when the round starts (slots keyed
+    ``resident_key``) open at their first arrival ``resident_first``
+    unless another item's write to their slot comes first.  The
+    earliest opening wins."""
+    same = keys[1:] == keys[:-1]
+    evicted = np.full(len(times), never)
+    evicted[:-1][same] = times[1:][same]
+    stays = follows <= evicted
+    opens.fill(never)
+    np.minimum.at(opens, owners[stays], follows[stays])
+    if not len(resident):
+        return
+    # The first write to each (slot, leaf) evicts the slot's resident.
+    first_write = np.full(len(resident), never)
+    if len(times):
+        head = np.flatnonzero(np.concatenate(([True], ~same)))
+        found = np.minimum(np.searchsorted(keys[head], resident_key), len(head) - 1)
+        match = keys[head[found]] == resident_key
+        first_write[match] = times[head[found[match]]]
+    kept = resident_first <= first_write
+    opens[resident[kept]] = resident_first[kept]
 
 
 def share_held_table(leaves: list[SampleAndHold]) -> None:

@@ -189,6 +189,17 @@ class TrackedArray(Generic[T]):
         """
         self._cells[index] = value
 
+    def exchange_at(self, indices: list[int], values: list[T]) -> list[T]:
+        """Overwrite the cells at ``indices`` (distinct) with ``values``
+        without touching the audit; returns what they held.
+
+        The bulk counterpart of :meth:`store_at`."""
+        cells = self._cells
+        held = [cells[index] for index in indices]
+        for index, value in zip(indices, values):
+            cells[index] = value
+        return held
+
     def clone_to(self, tracker: TrackerBackend) -> "TrackedArray[T]":
         """Duplicate this array onto an already-cloned backend.
 

@@ -204,6 +204,106 @@ class TestRowsSnapshotGeometry:
             family.from_state(state)
 
 
+#: The dict summaries and their payload fields.
+DICT_FIELDS = {ExactFrequencyCounter: "counts", MisraGries: "counters", SpaceSaving: "counters"}
+
+
+@pytest.mark.parametrize("family", list(DICT_FIELDS))
+class TestDictSnapshotGeometry:
+    """A dict summary's ``[item, count]`` pairs restore only as the
+    summary could hold them: integer pairs, distinct items, counts of
+    at least 1, and no more counters than ``k - 1`` (Misra-Gries) or
+    ``k`` (SpaceSaving); anything else fails at restore, naming the
+    field."""
+
+    @staticmethod
+    def _state(family):
+        sketch = family() if family is ExactFrequencyCounter else family(k=4)
+        sketch.process_many([1, 1, 2, 3, 5, 8, 13, 21, 1, 2])
+        return sketch.to_state()
+
+    def test_fitting_pairs_restore(self, family):
+        state = self._state(family)
+        assert family.from_state(state).to_state() == state
+
+    @pytest.mark.parametrize("count", [-7, 0])
+    def test_count_below_one_raises(self, family, count):
+        state = self._state(family)
+        state["payload"][DICT_FIELDS[family]][0][1] = count
+        with pytest.raises(ValueError, match=repr(DICT_FIELDS[family])):
+            family.from_state(state)
+
+    @pytest.mark.parametrize(
+        "pair", [[1], [1, 2, 3], [1, 2.5], [1.5, 2], ["1", 2]], ids=repr
+    )
+    def test_malformed_pair_raises(self, family, pair):
+        state = self._state(family)
+        state["payload"][DICT_FIELDS[family]][0] = pair
+        with pytest.raises(ValueError, match=repr(DICT_FIELDS[family])):
+            family.from_state(state)
+
+    def test_repeated_item_raises(self, family):
+        state = self._state(family)
+        pairs = state["payload"][DICT_FIELDS[family]]
+        pairs[1][0] = pairs[0][0]
+        with pytest.raises(ValueError, match=repr(DICT_FIELDS[family])):
+            family.from_state(state)
+
+
+class TestDictSnapshotCapacity:
+    def test_space_saving_holds_at_most_k(self):
+        # k = 4 plus three more pairs, one of them negative: restored
+        # unchecked, this summary held 7 counters and answered -7.0.
+        sketch = SpaceSaving(k=4)
+        sketch.process_many([1, 1, 2, 3, 5, 8, 13, 21, 1, 2])
+        state = sketch.to_state()
+        state["payload"]["counters"] += [[40, 2], [41, -7], [42, 1]]
+        with pytest.raises(ValueError, match="'counters'"):
+            SpaceSaving.from_state(state)
+
+    def test_misra_gries_holds_at_most_k_minus_one(self):
+        sketch = MisraGries(k=4)
+        state = sketch.to_state()
+        state["payload"]["counters"] = [[item, 1] for item in range(4)]
+        with pytest.raises(ValueError, match="'counters'"):
+            MisraGries.from_state(state)
+        state["payload"]["counters"] = [[item, 1] for item in range(3)]
+        assert MisraGries.from_state(state).to_state() == state
+
+
+class TestAMSSnapshotGeometry:
+    """AMS ``sums`` restore as ``num_groups * group_size`` integers."""
+
+    @staticmethod
+    def _state():
+        sketch = AMSSketch(num_groups=2, group_size=3, seed=4)
+        sketch.process_many([1, 1, 2, 3, 5, 8])
+        return sketch.to_state()
+
+    def test_fitting_sums_restore(self):
+        state = self._state()
+        assert AMSSketch.from_state(state).to_state() == state
+
+    def test_non_integer_sum_raises(self):
+        # Restored unchecked, a sum of 2.7 became 2.
+        state = self._state()
+        state["payload"]["sums"][0] = 2.7
+        with pytest.raises(ValueError, match="'sums'"):
+            AMSSketch.from_state(state)
+
+    def test_short_sums_raise(self):
+        state = self._state()
+        state["payload"]["sums"] = state["payload"]["sums"][:-1]
+        with pytest.raises(ValueError, match="'sums'"):
+            AMSSketch.from_state(state)
+
+    def test_long_sums_raise(self):
+        state = self._state()
+        state["payload"]["sums"] += [0]
+        with pytest.raises(ValueError, match="'sums'"):
+            AMSSketch.from_state(state)
+
+
 class TestAMS:
     def test_f2_accuracy(self):
         stream = zipf_stream(200, 3000, seed=14)

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from repro import registry
 from repro.api import Engine
 from repro.core import fp_pstable
-from repro.core.sample_and_hold import SampleAndHold, SampleAndHoldParams
+from repro.core import sample_and_hold
+from repro.core.sample_and_hold import ChunkSettle, SampleAndHold, SampleAndHoldParams
 from repro.query import (
     AllEstimates,
     Distinct,
@@ -225,16 +226,18 @@ class TestRandomizedFamiliesV2:
 
 def sample_and_hold_leaves(sketch) -> list[SampleAndHold]:
     """The SampleAndHold instances of a bare SampleAndHold, a
-    sample-and-hold (one grid) or heavy-hitters (a grid per universe
-    level and copy) sketch."""
+    sample-and-hold (one grid), adaptive-sample-and-hold (a grid per
+    epoch) or heavy-hitters (a grid per universe level and copy)
+    sketch."""
     if isinstance(sketch, SampleAndHold):
         return [sketch]
-    grids = (
-        [sketch]
-        if hasattr(sketch, "_instances")
-        else [grid for row in sketch._fp._backends for grid in row]
-    )
-    return [leaf for grid in grids for row in grid._instances for leaf in row]
+    if hasattr(sketch, "_instances"):
+        grids = [sketch]
+    elif hasattr(sketch, "_epochs"):
+        grids = sketch._epochs
+    else:
+        grids = [grid for row in sketch._fp._backends for grid in row]
+    return [leaf for grid in grids for leaf in grid.leaves()]
 
 
 PRUNE_N, PRUNE_M = 512, 20_000
@@ -251,11 +254,15 @@ ABLATION_LEAVES = {
 }
 
 #: (sketch, chunk size) pairs of the prune sweep.
-PRUNE_CASES = [
-    (name, size)
-    for name in ("heavy-hitters", "sample-and-hold")
-    for size in (1, 37, 4096, PRUNE_M)
-] + [(name, size) for name in ABLATION_LEAVES for size in (37, 4096)]
+PRUNE_CASES = (
+    [
+        (name, size)
+        for name in ("heavy-hitters", "sample-and-hold")
+        for size in (1, 37, 4096, PRUNE_M)
+    ]
+    + [(name, size) for name in ABLATION_LEAVES for size in (37, 4096)]
+    + [("adaptive-sample-and-hold", size) for size in (37, 4096)]
+)
 
 
 def build_pruning(name: str, mode: str):
@@ -276,14 +283,13 @@ def build_pruning(name: str, mode: str):
 
 class TestSampleAndHoldPrunes:
     """The shared settle of the sample-and-hold stack on a stream that
-    prunes: held counters count their arrivals in deferred waves, so a
-    prune inside the chunk must first absorb its leaf's deferred
-    arrivals up to its position, and the evicted items' later arrivals
-    must settle in the scalar order again -- both for items held when
-    the chunk was screened (handed back from the deferred set) and for
-    items opened inside it (still ahead in the event order).  The A1
-    and A2 ablation leaves -- exact counters, dyadic and global
-    eviction -- take the same prunes."""
+    prunes: held counters count their arrivals in waves, so a prune
+    inside the chunk must first absorb its leaf's counting arrivals up
+    to its position, and the evicted items' later arrivals must resolve
+    again from the pruned state -- both for items held when the chunk
+    began and for items opened inside it.  The A1 and A2 ablation
+    leaves -- exact counters, dyadic and global eviction -- and the
+    adaptive epochs take the same prunes."""
 
     @pytest.mark.parametrize("mode", ["aggregate", "trace"])
     @pytest.mark.parametrize("name,size", PRUNE_CASES)
@@ -297,25 +303,26 @@ class TestSampleAndHoldPrunes:
             _PRUNE_REFERENCE[key] = fingerprint(scalar)
 
         # A held counter was opened before the chunk iff its creation
-        # clock is at most the leaf's clock when the chunk was screened.
+        # clock is at most the leaf's clock when the chunk began.
         screened_at: dict[int, int] = {}
         evicted_inside = 0  # held before the chunk, evicted inside it
         opened_inside = 0  # opened and evicted inside one chunk
-        screen = SampleAndHold._screen
+        settle_init = ChunkSettle.__init__
         prune = SampleAndHold._prune_counters
 
-        def recording_screen(self, ranks, distinct):
-            screened_at[id(self)] = self._t
-            return screen(self, ranks, distinct)
+        def recording_init(self, chunk, routes, audit):
+            for leaf, _ in routes:
+                screened_at[id(leaf)] = leaf._t
+            settle_init(self, chunk, routes, audit)
 
-        def recording_prune(self, now, settle=None, position=0):
+        def recording_prune(self, now, audit=None, position=0):
             nonlocal evicted_inside, opened_inside
             before = {
                 item: int(self._table.created_at[row])
                 for item, row in self._held.items()
             }
-            prune(self, now, settle, position)
-            if settle is not None:
+            prune(self, now, audit, position)
+            if audit is not None:
                 for item, created in before.items():
                     if item not in self._held:
                         if created <= screened_at[id(self)]:
@@ -323,7 +330,7 @@ class TestSampleAndHoldPrunes:
                         else:
                             opened_inside += 1
 
-        monkeypatch.setattr(SampleAndHold, "_screen", recording_screen)
+        monkeypatch.setattr(ChunkSettle, "__init__", recording_init)
         monkeypatch.setattr(SampleAndHold, "_prune_counters", recording_prune)
         sketch = build_pruning(name, mode)
         for low in range(0, PRUNE_M, size):
@@ -335,6 +342,57 @@ class TestSampleAndHoldPrunes:
             assert evicted_inside > 0
         if size >= 4096:  # long enough to open and evict inside a chunk
             assert opened_inside > 0
+
+
+#: A bare leaf whose every coin hits and whose budget is a few dozen
+#: slots, on a stream of five times as many distinct items: reservoir
+#: writes evict each other in chains long enough that a resolution
+#: stopped after two passes keeps writes the scalar loop never makes,
+#: and prunes follow the chains inside one chunk.
+DEPTH_M = 3_000
+DEPTH_ARR = np.random.default_rng(11).integers(0, 100, DEPTH_M)
+DEPTH_PARAMS = SampleAndHoldParams(
+    sample_probability=1.0, kappa=4, budget_low=20, budget_high=22, counter_a=0.125
+)
+_DEPTH_REFERENCE: dict = {}
+
+
+class TestResolutionDepth:
+    """The settle's write resolution is a fixed point found in passes;
+    on eviction chains it needs several, and stopping early would keep
+    writes the scalar loop never makes."""
+
+    @pytest.mark.parametrize("mode", ["aggregate", "trace"])
+    @pytest.mark.parametrize("size", [1, 37, 4096])
+    def test_chains_resolve_as_the_scalar_loop(self, monkeypatch, size, mode):
+        if mode not in _DEPTH_REFERENCE:
+            scalar = SampleAndHold(DEPTH_PARAMS, seed=5, tracker=make_tracker(mode))
+            scalar.process_many(DEPTH_ARR.tolist())
+            _DEPTH_REFERENCE[mode] = fingerprint(scalar)
+
+        # Passes per resolution: one _open_times call each.
+        passes: list[int] = []
+        resolve = ChunkSettle._resolve_chain
+        open_times = sample_and_hold._open_times
+
+        def counting_resolve(self, *args):
+            passes.append(0)
+            return resolve(self, *args)
+
+        def counting_open_times(*args):
+            passes[-1] += 1
+            return open_times(*args)
+
+        monkeypatch.setattr(ChunkSettle, "_resolve_chain", counting_resolve)
+        monkeypatch.setattr(sample_and_hold, "_open_times", counting_open_times)
+        sketch = SampleAndHold(DEPTH_PARAMS, seed=5, tracker=make_tracker(mode))
+        for low in range(0, DEPTH_M, size):
+            sketch.process_chunk(DEPTH_ARR[low:low + size])
+
+        assert fingerprint(sketch) == _DEPTH_REFERENCE[mode]
+        assert sketch.num_prunes > 0
+        if size > 1:  # a one-item chunk needs at most two passes
+            assert max(passes) >= 3
 
 
 WAVE_N, WAVE_M = 512, 20_000
