@@ -78,6 +78,10 @@ from repro.state.report import StateChangeReport
 from repro.state.tracker import TRACKING_MODES, BudgetBackend
 from repro.workloads import Workload
 
+#: Wear-leveling policy of the NVM device a priced run attaches (an
+#: ideal remapping layer; see :mod:`repro.nvm.device`).
+NVM_WEAR_LEVELING = "round-robin"
+
 #: Parameter-free query constructors, in presentation order (point
 #: queries need an item, so they cannot be defaulted).
 _DEFAULT_QUERIES: tuple[tuple[QueryKind, type], ...] = (
@@ -303,7 +307,6 @@ class Engine:
         budget_split: str = "even",
         nvm: str | NVMCostModel | None = None,
         nvm_cells: int = 1024,
-        nvm_wear_leveling: str = "round-robin",
         chunk_size: int | None = None,
     ) -> RunReport:
         """Ingest a stream, merge-reduce, answer ``queries``.
@@ -331,7 +334,8 @@ class Engine:
         memory technology (``"pcm"``/``"nand"``/``"dram"`` or an
         :class:`~repro.nvm.NVMCostModel`) by attaching an
         :class:`~repro.nvm.NVMDevice` of ``nvm_cells`` physical cells
-        to every shard's write trace — which requires the trace
+        (wear-leveled per :data:`NVM_WEAR_LEVELING`) to every shard's
+        write trace — which requires the trace
         backend (implied) and the serial executor (listeners cannot
         cross a process pool), and is incompatible with a budget.
 
@@ -378,7 +382,7 @@ class Engine:
             device = NVMDevice(
                 nvm_cells,
                 nvm_model,
-                wear_leveling=nvm_wear_leveling,
+                wear_leveling=NVM_WEAR_LEVELING,
                 seed=self.seed,
             )
         if budget is not None:

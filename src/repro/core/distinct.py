@@ -175,4 +175,18 @@ class KMVDistinctElements(StreamAlgorithm):
         return {"minima": [v for v in self._minima if v < 1.0]}
 
     def _load_payload(self, payload: dict) -> None:
-        self._load_minima(sorted(float(v) for v in payload["minima"]))
+        """Restore the minima as :meth:`_payload_state` writes them: at
+        most ``k`` floats in ``[0, 1)``, strictly increasing; a
+        ``ValueError`` naming the field otherwise."""
+        minima = payload.get("minima")
+        if not (
+            isinstance(minima, list)
+            and len(minima) <= self.k
+            and all(isinstance(v, float) and 0.0 <= v < 1.0 for v in minima)
+            and all(low < high for low, high in zip(minima, minima[1:]))
+        ):
+            raise ValueError(
+                f"payload field 'minima': not at most {self.k} strictly "
+                "increasing floats in [0, 1)"
+            )
+        self._load_minima(list(minima))

@@ -18,19 +18,18 @@ because ``F'(1) = sum_i f_i ln f_i`` and ``H = log2 m - F'(1)/(m ln 2)``
 with ``F(1) = m``.  We interpolate ``G`` at the nodes (degree-``k``
 Lagrange polynomial) and differentiate the interpolant at 1 — the
 numerically-stable equivalent of the paper's ``2^{P(0)}`` evaluation
-(docs/ARCHITECTURE.md §2, deviation 3).
+(docs/ARCHITECTURE.md §2, deviation 3).  That step is
+:func:`hno08_entropy`, a function of the node moments and a stream
+length.
 
-Backends:
-
-* ``"pstable"`` — per-node :class:`~repro.core.fp_pstable.PStableFpEstimator`
-  (the streaming estimator of Theorem 3.8; state-change frugal).
-  Differentiating noisy data amplifies the per-moment relative error by
-  roughly ``1/width``, so the default streaming configuration widens
-  the node cluster (``node_width``) beyond the paper's asymptotic
-  ``ell``; experiment E6 (docs/ARCHITECTURE.md §5) measures the
-  resulting accuracy.
-* ``"oracle"`` — exact moments from a tracked frequency table; isolates
-  and validates the interpolation machinery (not write-frugal).
+The estimator reads its moments from per-node
+:class:`~repro.core.fp_pstable.PStableFpEstimator` sketches (the
+streaming estimator of Theorem 3.8; state-change frugal).
+Differentiating noisy data amplifies the per-moment relative error by
+roughly ``1/width``, so the default streaming configuration widens the
+node cluster (``node_width``) beyond the paper's asymptotic ``ell``;
+experiment E6 (docs/ARCHITECTURE.md §5) measures the resulting
+accuracy, and checks the step alone on the ``exact`` family's moments.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from repro.core.fp_pstable import (
 from repro.hashing.coins import stream_key
 from repro.query import Entropy, QueryKind, ScalarAnswer
 from repro.state.algorithm import ChunkAudit, StreamAlgorithm
-from repro.state.registers import TrackedDict
 from repro.state.tracker import StateTracker
 
 
@@ -71,6 +69,18 @@ def hno08_nodes(k: int, log_m: float, node_width: float | None = None) -> list[f
         g = ell * (k2 * (z - 1.0) + 1.0) / (2.0 * k2 + 1.0)
         nodes.append(1.0 + g)
     return nodes
+
+
+def entropy_nodes(
+    m: int, epsilon: float, k: int | None = None, node_width: float | None = None
+) -> list[float]:
+    """:class:`EntropyEstimator`'s nodes for stream-length hint ``m``:
+    :func:`hno08_nodes` with ``k = ceil(log2(1/eps) + log2 log2 m)``
+    (at least 2) unless ``k`` is given."""
+    log_m = math.log2(m)
+    if k is None:
+        k = max(2, math.ceil(math.log2(1.0 / epsilon) + math.log2(max(2.0, log_m))))
+    return hno08_nodes(k, log_m, node_width)
 
 
 def lagrange_derivative_at(
@@ -107,6 +117,46 @@ def lagrange_derivative_at(
     return total
 
 
+def hno08_entropy(
+    nodes: list[float], moments: list[float], length: float
+) -> float:
+    """Entropy (bits) from the moments ``F_p`` at the HNO08 ``nodes``
+    and the stream ``length`` (floored at 2).
+
+    ``G = ln F_p`` at the nodes, ``H = log2(length) - G'(1) / ln 2``
+    through :func:`lagrange_derivative_at`, clamped to the valid range
+    ``[0, log2 length]``; 0 when a moment is not positive.
+    """
+    length = max(2.0, length)
+    if min(moments) <= 0:
+        return 0.0
+    values = [math.log(moment) for moment in moments]
+    g_prime = lagrange_derivative_at(nodes, values, 1.0)
+    entropy = math.log2(length) - g_prime / math.log(2.0)
+    return min(max(entropy, 0.0), math.log2(length))
+
+
+def length_counter(
+    tracker: StateTracker, seed: int | None
+) -> tuple[HeldTable, int]:
+    """The Morris counter that supplies entropy's stream length
+    (``G(1) = ln m`` and the ``log2(m)`` offset) with few writes: one
+    :class:`~repro.core.counters.HeldTable` row on its own indexed coin
+    stream, so a chunk's arrivals settle in one batch.  Returns the
+    table and the row."""
+    table = HeldTable(tracker, 0.001)
+    row = table.open(stream_key(0 if seed is None else seed, "entropy.len"), 0)
+    return table, row
+
+
+def count_arrivals(
+    table: HeldTable, row: int, arrivals: int, audit: ChunkAudit
+) -> None:
+    """Settle ``arrivals`` consecutive arrivals (audit positions
+    ``0..arrivals-1``) on the length counter's ``row`` in one batch."""
+    table.settle(np.full(arrivals, row), np.arange(arrivals), audit)
+
+
 class EntropyEstimator(StreamAlgorithm):
     """Additive-``epsilon`` Shannon entropy in one pass (Theorem 3.8).
 
@@ -121,9 +171,6 @@ class EntropyEstimator(StreamAlgorithm):
         Explicit override of the number of interpolation intervals.
     node_width:
         Override of the node cluster width (see module docstring).
-    backend:
-        ``"pstable"`` (streaming, Theorem 3.8) or ``"oracle"``
-        (exact moments; validation only).
     """
 
     name = "EntropyEstimator"
@@ -136,7 +183,6 @@ class EntropyEstimator(StreamAlgorithm):
         epsilon: float = 0.25,
         k: int | None = None,
         node_width: float | None = None,
-        backend: str = "pstable",
         num_rows: int | None = None,
         morris_a: float = 0.02,
         seed: int | None = None,
@@ -146,62 +192,38 @@ class EntropyEstimator(StreamAlgorithm):
             raise ValueError(f"stream-length hint must be >= 2: {m}")
         if not 0 < epsilon <= 1:
             raise ValueError(f"epsilon must be in (0, 1]: {epsilon}")
-        if backend not in ("pstable", "oracle"):
-            raise ValueError(f"unknown backend: {backend!r}")
         super().__init__(tracker)
         self.m = m
         self.epsilon = epsilon
-        self.backend_kind = backend
-        self._chunk_kernel_enabled = backend == "pstable"
-        log_m = math.log2(m)
-        if k is None:
-            k = max(2, int(math.ceil(math.log2(1.0 / epsilon) + math.log2(max(2.0, log_m)))))
-        self.k = k
-        self.nodes = hno08_nodes(k, log_m, node_width)
+        self.nodes = entropy_nodes(m, epsilon, k, node_width)
+        self.k = len(self.nodes) - 1
 
-        self._sketches: list[PStableFpEstimator] = []
-        self._oracle: TrackedDict[int, int] | None = None
-        if backend == "pstable":
-            base_seed = 0 if seed is None else seed
-            # All node sketches share one variate seed (common random
-            # numbers): their errors are correlated across p, which is
-            # what keeps the numerical derivative G'(1) stable.
-            self._sketches = [
-                PStableFpEstimator(
-                    p=node,
-                    epsilon=epsilon,
-                    num_rows=num_rows,
-                    morris_a=morris_a,
-                    seed=base_seed + 7919 * i,
-                    variate_seed=base_seed,
-                    tracker=self.tracker,
-                )
-                for i, node in enumerate(self.nodes)
-            ]
-            # ... and so one table of regenerated columns, drawn once
-            # per item for every node order.
-            table = VariateTable(
-                base_seed, self._sketches[0].num_rows, self.nodes
+        base_seed = 0 if seed is None else seed
+        # All node sketches share one variate seed (common random
+        # numbers): their errors are correlated across p, which is
+        # what keeps the numerical derivative G'(1) stable.
+        self._sketches = [
+            PStableFpEstimator(
+                p=node,
+                epsilon=epsilon,
+                num_rows=num_rows,
+                morris_a=morris_a,
+                seed=base_seed + 7919 * i,
+                variate_seed=base_seed,
+                tracker=self.tracker,
             )
-            for sketch in self._sketches:
-                sketch._table = table
-        else:
-            self._oracle = TrackedDict(self.tracker, "entropy-oracle")
-        # A Morris counter supplies the stream length (G(1) = ln m and
-        # the log2(m) offset) with few writes: one table row, riding its
-        # own indexed coin stream so the chunk kernel can batch-absorb
-        # arrivals.
-        self._length = HeldTable(self.tracker, 0.001)
-        self._length_row = self._length.open(
-            stream_key(0 if seed is None else seed, "entropy.len"), 0
-        )
+            for i, node in enumerate(self.nodes)
+        ]
+        # ... and so one table of regenerated columns, drawn once per
+        # item for every node order.
+        table = VariateTable(base_seed, self._sketches[0].num_rows, self.nodes)
+        for sketch in self._sketches:
+            sketch._table = table
+        self._length, self._length_row = length_counter(self.tracker, seed)
 
     def _update(self, item: int) -> None:
-        if self._oracle is not None:
-            self._oracle[item] = self._oracle.get(item, 0) + 1
-        else:
-            for sketch in self._sketches:
-                sketch._update(item)
+        for sketch in self._sketches:
+            sketch._update(item)
         self._length.add(self._length_row)
 
     def _update_chunk(self, chunk: np.ndarray) -> None:
@@ -211,19 +233,8 @@ class EntropyEstimator(StreamAlgorithm):
         # have ticked it.
         audit = ChunkAudit(len(chunk), self.tracker.needs_cell_ids)
         absorb_chunk(self._sketches, chunk, audit)
-        n = len(chunk)
-        self._length.settle(np.full(n, self._length_row), np.arange(n), audit)
+        count_arrivals(self._length, self._length_row, len(chunk), audit)
         audit.commit(self.tracker, len(chunk))
-
-    # ------------------------------------------------------------------
-    # Moment access
-    # ------------------------------------------------------------------
-    def _moment(self, index: int) -> float:
-        """``F_{p_index}`` from the configured backend."""
-        if self._oracle is not None:
-            p = self.nodes[index]
-            return sum(count**p for count in self._oracle.values())
-        return self._sketches[index].fp_estimate(estimator="log-mean")
 
     # ------------------------------------------------------------------
     # Entropy
@@ -234,16 +245,8 @@ class EntropyEstimator(StreamAlgorithm):
 
     def _answer_entropy(self, q: Entropy) -> ScalarAnswer:
         """Estimated Shannon entropy (bits) of the stream so far."""
-        length = max(2.0, self._length.estimate(self._length_row))
-        values = []
-        for index in range(len(self.nodes)):
-            moment = self._moment(index)
-            if moment <= 0:
-                return ScalarAnswer(QueryKind.ENTROPY, 0.0)
-            values.append(math.log(moment))
-        g_prime = lagrange_derivative_at(self.nodes, values, 1.0)
-        entropy = math.log2(length) - g_prime / math.log(2.0)
-        # Clamp to the valid entropy range [0, log2 m].
+        moments = [s.fp_estimate(estimator="log-mean") for s in self._sketches]
+        length = self._length.estimate(self._length_row)
         return ScalarAnswer(
-            QueryKind.ENTROPY, min(max(entropy, 0.0), math.log2(length))
+            QueryKind.ENTROPY, hno08_entropy(self.nodes, moments, length)
         )

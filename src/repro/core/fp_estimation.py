@@ -19,10 +19,9 @@ The estimator follows the [IW05] level-set framework (Section 3.2):
    ``C_i = (1/p_l) * median_r sum (fhat_j)^p`` (Algorithm 3 line 13).
 4. **Sum.**  ``Fp_hat = sum_i C_i`` (line 14).
 
-A ``backend="oracle"`` mode replaces step 2 with exact per-level
-frequency tables; it isolates the level-set machinery from sampling
-noise and is used by the test suite to validate step 3/4 independently
-(it is *not* state-change frugal).
+Steps 3-4 are :class:`LevelSets`, which takes the per-level estimates
+as an input: fed the ``exact`` family's counts, it checks the level-set
+machinery apart from sampling noise (the tests and E3's oracle arm).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from typing import Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -46,36 +45,98 @@ from repro.core.sample_and_hold import (
 from repro.hashing.subsample import NestedUniverseSampler
 from repro.query import Moment, MomentAnswer, QueryKind
 from repro.state.algorithm import ChunkAudit, StreamAlgorithm
-from repro.state.registers import TrackedDict
 from repro.state.tracker import StateTracker
 
-
-class FrequencyBackend(Protocol):
-    """Per-level heavy-hitter estimator plugged into Algorithm 3."""
-
-    def _update(self, item: int) -> None: ...
-
-    def estimates(
-        self, level_rule: str | None = None
-    ) -> dict[int, float]: ...
+#: Constant ``c`` in the band-to-level offset ``floor(log2(c * log2(nm)
+#: / eps^2))``: the practical stand-in for Algorithm 3 line 12's
+#: ``gamma^2 log(nm)/eps^2`` (docs/ARCHITECTURE.md §2, deviation 1).
+OFFSET_SCALE = 1.0
 
 
-class _OracleBackend:
-    """Exact per-level frequencies (testing/ablation only).
+class LevelSets:
+    """Algorithm 3 lines 8-14: ``Fp`` from per-level frequency
+    estimates, ``Fp_hat = sum_i C_i`` over :meth:`contributions`.
 
-    Writes on every update, so it deliberately does **not** have few
-    state changes; it exists to validate the level-set estimator in
-    isolation.
+    Draws Definition 3.3's boundary ``lambda``, then one
+    universe-sampler seed per copy, from ``rng``; :class:`FpEstimator`
+    draws its grid seeds next, so ``LevelSets(..., random.Random(seed))``
+    has the estimator's ``lambda`` and samplers for the same ``seed``.
+    The arguments are the estimator's.
     """
 
-    def __init__(self, tracker: StateTracker, name: str) -> None:
-        self._counts: TrackedDict[int, int] = TrackedDict(tracker, name)
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        p: float,
+        epsilon: float,
+        rng: random.Random,
+        repetitions: int,
+        num_levels: int | None = None,
+    ) -> None:
+        self.m = m
+        self.p = p
+        if repetitions % 2 == 0:
+            repetitions += 1
+        self.repetitions = repetitions
+        # Definition 3.3's randomized boundary.
+        self._lambda = rng.uniform(0.5, 1.0)
+        if num_levels is None:
+            num_levels = max(1, int(math.ceil(math.log2(max(2, n)))) + 1)
+        self.num_levels = num_levels
+        log_nm = math.log2(2 + n * m)
+        self._offset = max(
+            0, int(math.floor(math.log2(OFFSET_SCALE * log_nm / epsilon**2)))
+        )
+        self.samplers = [
+            NestedUniverseSampler(num_levels, seed=rng.randrange(2**62))
+            for _ in range(repetitions)
+        ]
 
-    def _update(self, item: int) -> None:
-        self._counts[item] = self._counts.get(item, 0) + 1
+    def _band_of(self, value_p: float, m_tilde: float) -> int | None:
+        """Band index ``i >= 1`` with ``value_p`` in
+        ``[lambda*M/2^i, 2*lambda*M/2^i)``; None if out of range."""
+        if value_p <= 0:
+            return None
+        top = 2.0 * self._lambda * m_tilde
+        if value_p >= top:
+            return 1  # clamp overshoots into the first band
+        i = int(math.floor(math.log2(top / value_p)))
+        return max(1, i)
 
-    def estimates(self, level_rule: str | None = None) -> dict[int, float]:
-        return {item: float(c) for item, c in self._counts.items()}
+    def level_for_band(self, band: int) -> int:
+        """Algorithm 3 line 12: subsampling level read by band ``i``."""
+        return min(self.num_levels, max(1, band - self._offset))
+
+    def contributions(
+        self, level_estimates: Callable[[int, int], dict[int, float]]
+    ) -> dict[int, float]:
+        """Per-band contribution estimates ``C_i`` (line 13).
+
+        ``level_estimates(r, level)`` is copy ``r``'s frequency
+        estimates at universe level ``level``; it is called once per
+        (copy, level) a band reads, and its order is the summation
+        order.
+        """
+        m_tilde = 2.0 ** math.ceil(self.p * math.log2(max(2, self.m)))
+        num_bands = int(math.ceil(math.log2(m_tilde))) + 2
+        cache: dict[tuple[int, int], dict[int, float]] = {}
+        contributions: dict[int, float] = {}
+        for band in range(1, num_bands + 1):
+            level = self.level_for_band(band)
+            rate = min(1.0, 2.0 ** (1 - level))
+            per_copy = []
+            for r in range(self.repetitions):
+                if (r, level) not in cache:
+                    cache[r, level] = level_estimates(r, level)
+                total = 0.0
+                for fhat in cache[r, level].values():
+                    value_p = fhat**self.p
+                    if self._band_of(value_p, m_tilde) == band:
+                        total += value_p
+                per_copy.append(total / rate)
+            contributions[band] = float(statistics.median(per_copy))
+        return contributions
 
 
 class FpEstimator(StreamAlgorithm):
@@ -89,13 +150,6 @@ class FpEstimator(StreamAlgorithm):
     repetitions:
         Outer repetitions ``R`` (median over universe-subsampling
         copies); odd.  Default 3.
-    backend:
-        ``"sample-hold"`` (the paper's FullSampleAndHold) or
-        ``"oracle"`` (exact tables; testing only).
-    offset_scale:
-        Constant ``c`` in the band-to-level offset
-        ``floor(log2(c * log2(nm) / eps^2))`` — the practical stand-in
-        for Algorithm 3 line 12's ``gamma^2 log(nm)/eps^2``.
     inner_kwargs:
         Extra keyword arguments forwarded to each inner
         :class:`FullSampleAndHold`.
@@ -117,8 +171,6 @@ class FpEstimator(StreamAlgorithm):
         p: float,
         epsilon: float,
         repetitions: int = 3,
-        backend: str = "sample-hold",
-        offset_scale: float = 1.0,
         num_levels: int | None = None,
         seed: int | None = None,
         tracker: StateTracker | None = None,
@@ -130,41 +182,19 @@ class FpEstimator(StreamAlgorithm):
             )
         if not 0 < epsilon <= 1:
             raise ValueError(f"epsilon must be in (0, 1]: {epsilon}")
-        if backend not in ("sample-hold", "oracle"):
-            raise ValueError(f"unknown backend: {backend!r}")
         super().__init__(tracker)
         self.n = n
         self.m = m
         self.p = p
         self.epsilon = epsilon
-        if repetitions % 2 == 0:
-            repetitions += 1
-        self.repetitions = repetitions
-        self.backend_kind = backend
-        self._chunk_kernel_enabled = backend == "sample-hold"
-
-        self._rng = random.Random(seed)
-        # Definition 3.3's randomized boundary.
-        self._lambda = self._rng.uniform(0.5, 1.0)
-        if num_levels is None:
-            num_levels = max(1, int(math.ceil(math.log2(max(2, n)))) + 1)
-        self.num_levels = num_levels
-
-        log_nm = math.log2(2 + n * m)
-        self._offset = max(
-            0, int(math.floor(math.log2(offset_scale * log_nm / epsilon**2)))
-        )
-
-        self._samplers = [
-            NestedUniverseSampler(
-                num_levels, seed=self._rng.randrange(2**62)
-            )
-            for _ in range(repetitions)
-        ]
+        rng = random.Random(seed)
+        self._levels = LevelSets(n, m, p, epsilon, rng, repetitions, num_levels)
+        self.repetitions = self._levels.repetitions
+        self.num_levels = self._levels.num_levels
         # Per sampler, the universe level of items chunks have routed (a
         # cache of the pure ``level_of``, bounded by LEVEL_CACHE).
-        self._item_levels: list[dict[int, int]] = [{} for _ in range(repetitions)]
-        # Arrival clock, advanced before each update reaches a backend,
+        self._item_levels: list[dict[int, int]] = [{} for _ in range(self.repetitions)]
+        # Arrival clock, advanced before each update reaches a grid,
         # and the band contributions with the clock they were built at.
         self._t = 0
         self._contributions: tuple[int, dict[int, float]] | None = None
@@ -175,44 +205,34 @@ class FpEstimator(StreamAlgorithm):
         # min-length rule selects needlessly deep (noisy) levels at
         # laptop scale.  Heavy-hitter point queries override to "max".
         inner_kwargs.setdefault("level_rule", "shallowest")
-        self._backends: list[list[FrequencyBackend]] = []
-        for r in range(repetitions):
-            row: list[FrequencyBackend] = []
-            for level in range(1, num_levels + 1):
-                if backend == "oracle":
-                    row.append(
-                        _OracleBackend(self.tracker, f"oracle[{r},{level}]")
-                    )
-                else:
-                    expected_m = max(
-                        1, int(round(m * min(1.0, 2.0 ** (1 - level))))
-                    )
-                    row.append(
-                        FullSampleAndHold(
-                            n=max(2, n >> (level - 1)),
-                            m=expected_m,
-                            p=p,
-                            epsilon=epsilon,
-                            seed=self._rng.randrange(2**62),
-                            tracker=self.tracker,
-                            **inner_kwargs,
-                        )
-                    )
-            self._backends.append(row)
-        if backend == "sample-hold":
-            # Every grid's instances hold their counters in one table,
-            # and every grid's length counters are rows of another: the
-            # chunk kernel settles each table at once.
-            grids = [grid for row in self._backends for grid in row]
-            share_held_table([leaf for grid in grids for leaf in grid.leaves()])
-            share_length_table(grids)
+        self._backends: list[list[FullSampleAndHold]] = [
+            [
+                FullSampleAndHold(
+                    n=max(2, n >> (level - 1)),
+                    m=max(1, int(round(m * min(1.0, 2.0 ** (1 - level))))),
+                    p=p,
+                    epsilon=epsilon,
+                    seed=rng.randrange(2**62),
+                    tracker=self.tracker,
+                    **inner_kwargs,
+                )
+                for level in range(1, self.num_levels + 1)
+            ]
+            for _ in range(self.repetitions)
+        ]
+        # Every grid's instances hold their counters in one table, and
+        # every grid's length counters are rows of another: the chunk
+        # kernel settles each table at once.
+        grids = [grid for row in self._backends for grid in row]
+        share_held_table([leaf for grid in grids for leaf in grid.leaves()])
+        share_length_table(grids)
 
     # ------------------------------------------------------------------
     # Stream processing (Algorithm 3 lines 2-7)
     # ------------------------------------------------------------------
     def _update(self, item: int) -> None:
         self._t += 1
-        for r, sampler in enumerate(self._samplers):
+        for r, sampler in enumerate(self._levels.samplers):
             deepest = sampler.level_of(item)
             row = self._backends[r]
             for level_index in range(min(deepest, self.num_levels)):
@@ -244,7 +264,7 @@ class FpEstimator(StreamAlgorithm):
         routes: list[tuple[SampleAndHold, np.ndarray]] = []
         lengths: list[tuple[np.ndarray, np.ndarray]] = []
         for sampler, known, row in zip(
-            self._samplers, self._item_levels, self._backends
+            self._levels.samplers, self._item_levels, self._backends
         ):
             levels = []
             for item in items:
@@ -268,21 +288,6 @@ class FpEstimator(StreamAlgorithm):
     # ------------------------------------------------------------------
     # Level-set estimation (Algorithm 3 lines 8-14)
     # ------------------------------------------------------------------
-    def _band_of(self, value_p: float, m_tilde: float) -> int | None:
-        """Band index ``i >= 1`` with ``value_p`` in
-        ``[lambda*M/2^i, 2*lambda*M/2^i)``; None if out of range."""
-        if value_p <= 0:
-            return None
-        top = 2.0 * self._lambda * m_tilde
-        if value_p >= top:
-            return 1  # clamp overshoots into the first band
-        i = int(math.floor(math.log2(top / value_p)))
-        return max(1, i)
-
-    def level_for_band(self, band: int) -> int:
-        """Algorithm 3 line 12: subsampling level read by band ``i``."""
-        return min(self.num_levels, max(1, band - self._offset))
-
     def contributions(self) -> dict[int, float]:
         """Per-band contribution estimates ``C_i`` (line 13), built once
         per arrival clock."""
@@ -292,33 +297,9 @@ class FpEstimator(StreamAlgorithm):
         return dict(built[1])
 
     def _build_contributions(self) -> dict[int, float]:
-        m_tilde = 2.0 ** math.ceil(self.p * math.log2(max(2, self.m)))
-        num_bands = int(math.ceil(math.log2(m_tilde))) + 2
-
-        # Each backend's estimates are computed once and shared across
-        # all bands that read its level.
-        cache: dict[tuple[int, int], dict[int, float]] = {}
-
-        def level_estimates(r: int, level: int) -> dict[int, float]:
-            key = (r, level)
-            if key not in cache:
-                cache[key] = self._backends[r][level - 1].estimates()
-            return cache[key]
-
-        contributions: dict[int, float] = {}
-        for band in range(1, num_bands + 1):
-            level = self.level_for_band(band)
-            rate = min(1.0, 2.0 ** (1 - level))
-            per_copy = []
-            for r in range(self.repetitions):
-                total = 0.0
-                for fhat in level_estimates(r, level).values():
-                    value_p = fhat**self.p
-                    if self._band_of(value_p, m_tilde) == band:
-                        total += value_p
-                per_copy.append(total / rate)
-            contributions[band] = float(statistics.median(per_copy))
-        return contributions
+        return self._levels.contributions(
+            lambda r, level: self._backends[r][level - 1].estimates()
+        )
 
     def _answer_moment(self, q: Moment) -> MomentAnswer:
         """``Fp_hat = sum_i C_i`` (Algorithm 3 line 14)."""

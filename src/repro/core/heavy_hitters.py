@@ -1,6 +1,6 @@
 """Public ``Lp``-heavy-hitter API (Theorem 1.1).
 
-Wraps the Algorithm 3 stack: the level-1 (unsampled) FullSampleAndHold
+Reads the Algorithm 3 stack: the level-1 (unsampled) FullSampleAndHold
 copies provide one-sided frequency estimates for every candidate item,
 and the level-set machinery provides the ``Fp`` estimate whose ``p``-th
 root is the ``||f||_p`` threshold scale.  Since both live in the same
@@ -9,7 +9,7 @@ stream answers both queries with ``Õ(n^{1-1/p})`` state changes.
 
 Reporting rule: with a ``2``-approximation of ``||f||_p`` and one-sided
 frequency estimates, returning every item with
-``fhat_j >= (epsilon/2) * norm_estimate`` reports all true
+``fhat_j >= (epsilon/2) * lp_norm_estimate`` reports all true
 ``epsilon``-heavy hitters and nothing below ``(epsilon/4) * ||f||_p``
 (the guarantee discussed below Theorem 1.1).
 """
@@ -18,28 +18,22 @@ from __future__ import annotations
 
 import statistics
 
-import numpy as np
-
 from repro.core.fp_estimation import FpEstimator
 from repro.query import (
     AllEstimates,
     MapAnswer,
     MultiPointQuery,
-    Moment,
-    MomentAnswer,
     PointQuery,
     QueryKind,
     ScalarAnswer,
 )
 from repro.query import HeavyHitters as HeavyHittersQuery
-from repro.state.algorithm import StreamAlgorithm
-from repro.state.tracker import StateTracker
 
 
-class HeavyHitters(StreamAlgorithm):
+class HeavyHitters(FpEstimator):
     """One-pass ``Lp``-heavy hitters with few state changes.
 
-    Parameters mirror :class:`~repro.core.fp_estimation.FpEstimator`;
+    Parameters are :class:`~repro.core.fp_estimation.FpEstimator`'s;
     ``epsilon`` doubles as the default report threshold.
     """
 
@@ -52,44 +46,9 @@ class HeavyHitters(StreamAlgorithm):
             QueryKind.MOMENT,
         }
     )
-    draws_coins = True
 
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        p: float,
-        epsilon: float,
-        repetitions: int = 3,
-        seed: int | None = None,
-        tracker: StateTracker | None = None,
-        **fp_kwargs,
-    ) -> None:
-        super().__init__(tracker)
-        self.n = n
-        self.m = m
-        self.p = p
-        self.epsilon = epsilon
-        self._fp = FpEstimator(
-            n=n,
-            m=m,
-            p=p,
-            epsilon=epsilon,
-            repetitions=repetitions,
-            seed=seed,
-            tracker=self.tracker,
-            **fp_kwargs,
-        )
-        self._chunk_kernel_enabled = self._fp._chunk_kernel_enabled
-        # The median-of-copies map and the estimator's arrival clock it
-        # was built at.
-        self._estimate_map: tuple[int, dict[int, float]] | None = None
-
-    def _update(self, item: int) -> None:
-        self._fp._update(item)
-
-    def _update_chunk(self, chunk: np.ndarray) -> None:
-        self._fp._update_chunk(chunk)
+    #: The median-of-copies map and the arrival clock it was built at.
+    _estimate_map: tuple[int, dict[int, float]] | None = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -109,8 +68,8 @@ class HeavyHitters(StreamAlgorithm):
         estimator (state changes only as it advances); callers that
         hand it out copy it."""
         built = self._estimate_map
-        if built is None or built[0] != self._fp._t:
-            built = self._estimate_map = (self._fp._t, self._build_estimates())
+        if built is None or built[0] != self._t:
+            built = self._estimate_map = (self._t, self._build_estimates())
         return built[1]
 
     def _build_estimates(self) -> dict[int, float]:
@@ -121,10 +80,10 @@ class HeavyHitters(StreamAlgorithm):
         # that level-1 counters churn (the regime Algorithm 2's deeper
         # levels exist for), it is the lowest-variance choice; callers
         # needing the paper's one-sided fallback can query the
-        # underlying FpEstimator with level_rule="max".
+        # per-level estimates with level_rule="max".
         per_copy = [
-            self._fp.level_estimates(r, 1, level_rule="shallowest")
-            for r in range(self._fp.repetitions)
+            self.level_estimates(r, 1, level_rule="shallowest")
+            for r in range(self.repetitions)
         ]
         for estimates in per_copy:
             candidates.update(estimates)
@@ -152,7 +111,7 @@ class HeavyHitters(StreamAlgorithm):
         )
 
     def _answer_heavy_hitters(self, q: HeavyHittersQuery) -> MapAnswer:
-        """Items with ``fhat_j >= (phi/2) * norm_estimate``.
+        """Items with ``fhat_j >= (phi/2) * lp_norm_estimate``.
 
         Contains every true ``phi``-heavy hitter (with the theorem's
         probability) and no item below ``phi/4`` of the true norm when
@@ -161,7 +120,7 @@ class HeavyHitters(StreamAlgorithm):
         phi = self.epsilon if q.phi is None else q.phi
         if not 0 < phi <= 1:
             raise ValueError(f"phi must be in (0, 1]: {phi}")
-        threshold = 0.5 * phi * self.norm_estimate()
+        threshold = 0.5 * phi * self.lp_norm_estimate()
         return MapAnswer(
             QueryKind.HEAVY_HITTERS,
             {
@@ -169,16 +128,6 @@ class HeavyHitters(StreamAlgorithm):
                 for item, fhat in self._estimates().items()
                 if fhat >= threshold
             },
-        )
-
-    def _answer_moment(self, q: Moment) -> MomentAnswer:
-        """The underlying ``Fp`` estimate (Theorem 1.3)."""
-        if q.p is not None and q.p != self.p:
-            raise ValueError(
-                f"this sketch is configured for p={self.p}, not p={q.p}"
-            )
-        return MomentAnswer(
-            QueryKind.MOMENT, self._fp.fp_estimate(), p=self.p
         )
 
     def estimates(self) -> dict[int, float]:
@@ -190,14 +139,6 @@ class HeavyHitters(StreamAlgorithm):
         """Frequency estimate for one item (0 when never held)."""
         return self.query(PointQuery(item)).value
 
-    def norm_estimate(self) -> float:
-        """``||f||_p`` estimate from the level-set machinery."""
-        return self._fp.lp_norm_estimate()
-
     def heavy_hitters(self, epsilon: float | None = None) -> dict[int, float]:
-        """Items with ``fhat_j >= (epsilon/2) * norm_estimate``."""
+        """Items with ``fhat_j >= (epsilon/2) * lp_norm_estimate``."""
         return dict(self.query(HeavyHittersQuery(epsilon)).values)
-
-    def fp_estimate(self) -> float:
-        """The underlying ``Fp`` estimate (Theorem 1.3)."""
-        return self.query(Moment()).value

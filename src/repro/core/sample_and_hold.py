@@ -22,8 +22,8 @@ State-change accounting: reservoir writes happen at rate ``rho``
 Deviation from the paper's constants: the theoretical multipliers
 (``gamma = 2^{20p}``, ``kappa ~ log^{11+3p}(nm)/eps^{4+4p}``) exceed any
 laptop-scale stream; :class:`SampleAndHoldParams` keeps every
-*functional form* but exposes the leading constants, with defaults
-calibrated so the asymptotic shapes are measurable at
+*functional form* but replaces the leading constants with the module
+constants below, calibrated so the asymptotic shapes are measurable at
 ``n in [2^10, 2^20]`` (see docs/ARCHITECTURE.md §2, deviation 1).
 """
 
@@ -48,6 +48,13 @@ from repro.query import (
 from repro.state.algorithm import ChunkAudit, StreamAlgorithm
 from repro.state.registers import TrackedArray
 from repro.state.tracker import StateTracker
+
+#: Leading constant of the sampling probability ``rho``.
+SAMPLE_SCALE = 1.0
+#: Leading constant of the reservoir/counter unit ``kappa``.
+KAPPA_SCALE = 4.0
+#: Leading constant of the counter budget ``k ~ p * kappa * log(nm)``.
+BUDGET_SCALE = 0.5
 
 
 @dataclass(frozen=True)
@@ -80,17 +87,15 @@ class SampleAndHoldParams:
         m: int,
         p: float,
         epsilon: float,
-        sample_scale: float = 1.0,
-        kappa_scale: float = 4.0,
-        budget_scale: float = 0.5,
         counter_epsilon: float = 0.5,
         counter_delta: float = 0.25,
     ) -> "SampleAndHoldParams":
         """Derive practical parameters from the problem dimensions.
 
-        ``sample_scale``, ``kappa_scale`` and ``budget_scale`` replace
-        the paper's impractically-large theoretical constants while
-        preserving every exponent and logarithmic factor.
+        :data:`SAMPLE_SCALE`, :data:`KAPPA_SCALE` and
+        :data:`BUDGET_SCALE` replace the paper's impractically-large
+        theoretical constants while preserving every exponent and
+        logarithmic factor.
 
         The default Morris accuracy (``counter_epsilon = 0.5``,
         ``counter_delta = 0.25``, i.e. ``a = 0.125``) is deliberately
@@ -110,7 +115,7 @@ class SampleAndHoldParams:
         log_nm = math.log2(2 + n * m)
         rho = min(
             1.0,
-            sample_scale
+            SAMPLE_SCALE
             * scale ** (1.0 - 1.0 / p)
             * log_nm
             / (epsilon**2 * m),
@@ -119,9 +124,9 @@ class SampleAndHoldParams:
             kappa_base = scale ** (1.0 - 2.0 / p)
         else:
             kappa_base = 1.0
-        kappa = max(4, int(round(kappa_scale * kappa_base / epsilon**2)))
+        kappa = max(4, int(round(KAPPA_SCALE * kappa_base / epsilon**2)))
         budget_low = max(
-            2 * kappa, int(round(budget_scale * p * kappa * log_nm))
+            2 * kappa, int(round(BUDGET_SCALE * p * kappa * log_nm))
         )
         budget_high = max(budget_low + 1, int(round(1.01 * budget_low)))
 

@@ -9,16 +9,27 @@ distribution, which is the measurable counterpart of the guarantee.
 from __future__ import annotations
 
 import math
+import random
 import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import registry
+from repro.baselines import ExactFrequencyCounter
 from repro.core import FpEstimator, HeavyHitters
 from repro.core.counters import HeldTable
-from repro.core.entropy import EntropyEstimator
+from repro.core.entropy import (
+    EntropyEstimator,
+    count_arrivals,
+    entropy_nodes,
+    hno08_entropy,
+    length_counter,
+)
+from repro.core.fp_estimation import LevelSets
 from repro.core.fp_pstable import PStableFpEstimator
 from repro.hashing.coins import stream_key
+from repro.query import Moment
 from repro.state import StateTracker
 from repro.state.algorithm import ChunkAudit
 from repro.streams import FrequencyVector, planted_heavy_hitter_stream, zipf_stream
@@ -112,6 +123,22 @@ def heavy_hitter_accuracy(
     )
 
 
+def level_set_estimate(levels: LevelSets, counts: dict[int, float]) -> float:
+    """Algorithm 3's level-set step (lines 8-14) fed exact ``counts``:
+    copy ``r``'s level ``l`` holds every counted item its universe
+    sampler keeps at ``l``, in the counts' (first-arrival) order."""
+    deepest = [
+        {item: sampler.level_of(item) for item in counts}
+        for sampler in levels.samplers
+    ]
+    contributions = levels.contributions(
+        lambda r, level: {
+            item: count for item, count in counts.items() if deepest[r][item] >= level
+        }
+    )
+    return sum(contributions.values())
+
+
 def fp_accuracy(
     n: int = 1024,
     m: int = 8192,
@@ -121,23 +148,29 @@ def fp_accuracy(
     backend: str = "sample-hold",
     seed: int = 0,
 ) -> TrialStats:
-    """E3: is ``|Fp_hat - Fp| <= eps * Fp`` (Thm 1.3)?"""
+    """E3: is ``|Fp_hat - Fp| <= eps * Fp`` (Thm 1.3)?  The oracle arm
+    feeds the estimator's level-set step the ``exact`` family's counts."""
+    if backend not in ("sample-hold", "oracle"):
+        raise ValueError(f"unknown backend: {backend!r}")
+    # Both arms are built from one shape, so they cannot drift apart.
+    shape = {"n": n, "m": m, "p": p, "epsilon": epsilon_target, "repetitions": 3}
     errors, state_changes = [], []
     successes = 0
     for t in range(trials):
         stream = zipf_stream(n, m, skew=1.3, seed=seed + t)
         truth = FrequencyVector.from_stream(stream).fp_moment(p)
-        algo = FpEstimator(
-            n=n,
-            m=m,
-            p=p,
-            epsilon=epsilon_target,
-            backend=backend,
-            seed=seed + 100 + t,
-            inner_kwargs={"repetitions": 1} if backend == "sample-hold" else None,
-        )
-        algo.process_stream(stream)
-        rel = abs(algo.fp_estimate() - truth) / truth
+        if backend == "oracle":
+            algo = registry.create("exact")
+            algo.process_stream(stream)
+            levels = LevelSets(**shape, rng=random.Random(seed + 100 + t))
+            estimate = level_set_estimate(levels, algo.estimates())
+        else:
+            algo = FpEstimator(
+                **shape, seed=seed + 100 + t, inner_kwargs={"repetitions": 1}
+            )
+            algo.process_stream(stream)
+            estimate = algo.fp_estimate()
+        rel = abs(estimate - truth) / truth
         errors.append(rel)
         successes += rel <= epsilon_target
         state_changes.append(algo.state_changes)
@@ -170,6 +203,21 @@ def pstable_accuracy(
     return _stats(f"E5 p-stable Fp p={p}", errors, successes, state_changes)
 
 
+def exact_entropy(
+    exact: ExactFrequencyCounter, nodes: list[float], seed: int
+) -> float:
+    """Theorem 3.8's interpolation step fed the ``exact`` sketch's
+    moments at ``nodes`` and the Morris stream length an
+    :class:`EntropyEstimator` with ``seed`` would read over the same
+    stream."""
+    moments = [exact.query(Moment(p)).value for p in nodes]
+    table, row = length_counter(StateTracker(), seed)
+    arrivals = exact.items_processed
+    audit = ChunkAudit(arrivals, needs_cell_ids=False)  # never committed
+    count_arrivals(table, row, arrivals, audit)
+    return hno08_entropy(nodes, moments, table.estimate(row))
+
+
 def entropy_accuracy(
     n: int = 256,
     m: int = 6000,
@@ -180,26 +228,31 @@ def entropy_accuracy(
     backend: str = "pstable",
     seed: int = 0,
 ) -> TrialStats:
-    """E6: additive entropy error of the HNO08 estimator (Thm 3.8).
+    """E6: additive entropy error of the HNO08 estimator (Thm 3.8); the
+    oracle arm feeds its interpolation step exact moments.
 
     Errors here are *absolute* (bits), reported in the rel-error fields.
     """
+    if backend not in ("pstable", "oracle"):
+        raise ValueError(f"unknown backend: {backend!r}")
+    # Both arms are built from one shape, so they cannot drift apart.
+    shape = {"m": m, "epsilon": 0.25, "k": 2, "node_width": 0.4}
     errors, state_changes = [], []
     successes = 0
     for t in range(trials):
         stream = zipf_stream(n, m, skew=skew, seed=seed + t)
         truth = FrequencyVector.from_stream(stream).shannon_entropy()
-        algo = EntropyEstimator(
-            m=m,
-            k=2,
-            node_width=0.4,
-            num_rows=num_rows,
-            morris_a=0.008,
-            backend=backend,
-            seed=seed + 100 + t,
-        )
-        algo.process_stream(stream)
-        err = abs(algo.entropy_estimate() - truth)
+        if backend == "oracle":
+            algo = registry.create("exact")
+            algo.process_stream(stream)
+            estimate = exact_entropy(algo, entropy_nodes(**shape), seed + 100 + t)
+        else:
+            algo = EntropyEstimator(
+                **shape, num_rows=num_rows, morris_a=0.008, seed=seed + 100 + t
+            )
+            algo.process_stream(stream)
+            estimate = algo.entropy_estimate()
+        err = abs(estimate - truth)
         errors.append(err)
         successes += err <= additive_target
         state_changes.append(algo.state_changes)

@@ -222,12 +222,6 @@ class Sketch(abc.ABC):
     #: :attr:`supports` (see ``__init_subclass__``).
     _query_handlers: ClassVar[dict[QueryKind, Any]] = {}
 
-    #: Instance-level kernel gate.  Families whose ``_update_chunk``
-    #: only supports some configurations (the estimators' oracle
-    #: backends have no kernel) set this False on instances that must
-    #: take the scalar fallback.
-    _chunk_kernel_enabled: bool = True
-
     #: Whether the class draws stream-time coins.  Coin classes draw
     #: them from indexed Philox streams (:data:`COIN_PROTOCOL`) and tag
     #: their snapshots with the protocol (see :meth:`to_state`).
@@ -330,12 +324,13 @@ class Sketch(abc.ABC):
 
         Families with a vectorized kernel override
         :meth:`_update_chunk` and account each sub-chunk in bulk
-        (:meth:`~repro.state.tracker.TrackerBackend.record_chunk`);
-        everything else — and every run with write listeners attached,
-        whose per-write callbacks a bulk kernel cannot replay — falls
-        back to the scalar loop, coercing items to Python ints at this
-        boundary so downstream hashes and dict keys never see
-        ``np.int64``.
+        (:meth:`~repro.state.tracker.TrackerBackend.record_chunk`).
+        Three cases take the scalar loop instead: a class without a
+        kernel, a run with write listeners attached (a bulk kernel
+        cannot replay per-write callbacks), and the rest of a chunk
+        once a write budget is spent (below).  The loop coerces items to
+        Python ints at this boundary, so downstream hashes and dict keys
+        never see ``np.int64``.
 
         Budget backends gate the kernel through
         :meth:`~repro.state.tracker.TrackerBackend.bulk_admit`: the
@@ -349,11 +344,7 @@ class Sketch(abc.ABC):
         if total == 0:
             return 0
         tracker = self.tracker
-        if (
-            type(self)._update_chunk is Sketch._update_chunk
-            or not self._chunk_kernel_enabled
-            or tracker.has_listeners
-        ):
+        if type(self)._update_chunk is Sketch._update_chunk or tracker.has_listeners:
             return self.process_many(chunk.tolist())
         consumed = 0
         while consumed < total:

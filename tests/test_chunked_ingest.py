@@ -201,6 +201,25 @@ class TestChunkScalarEquivalence:
         scalar.process_many(ITEMS[:50])
         assert events and events == scalar_events
 
+    @pytest.mark.parametrize("mode", ["aggregate", "trace"])
+    def test_no_instance_opts_out_of_its_kernel(self, monkeypatch, mode):
+        """Without listeners or a budget, every family with a kernel
+        ingests a chunk without the scalar loop: whether a kernel runs
+        is a property of the class, never of one configuration."""
+        kernels = [
+            name for name in registry.names()
+            if registry.spec(name).cls._update_chunk is not Sketch._update_chunk
+        ]
+        assert set(registry.names()) - set(kernels) == {"support-recovery"}
+        sketches = [build(name, mode) for name in kernels]
+
+        def scalar_loop(self, items):
+            raise AssertionError(f"{type(self).__name__} took the scalar loop")
+
+        monkeypatch.setattr(Sketch, "process_many", scalar_loop)
+        for sketch in sketches:
+            assert sketch.process_chunk(ARR) == M
+
 
 class TestRandomizedFamiliesV2:
     """Every coin is a pure function of its global update index, so the
@@ -236,7 +255,7 @@ def sample_and_hold_leaves(sketch) -> list[SampleAndHold]:
     elif hasattr(sketch, "_epochs"):
         grids = sketch._epochs
     else:
-        grids = [grid for row in sketch._fp._backends for grid in row]
+        grids = [grid for row in sketch._backends for grid in row]
     return [leaf for grid in grids for leaf in grid.leaves()]
 
 

@@ -97,3 +97,37 @@ class TestInvariants:
         b.process_stream(stream)
         assert a.f0_estimate() == b.f0_estimate()
         assert a.state_changes == b.state_changes
+
+class TestSnapshotMinima:
+    """Minima restore only as the sketch writes them: at most ``k``
+    floats in [0, 1), strictly increasing."""
+
+    @staticmethod
+    def _state():
+        sketch = KMVDistinctElements.for_accuracy(0.125, seed=1)
+        sketch.process_many(range(40))
+        return sketch.to_state()
+
+    def test_fitting_minima_restore(self):
+        state = self._state()
+        restored = KMVDistinctElements.from_state(state)
+        assert restored.to_state() == state
+        assert restored.f0_estimate() == 40.0
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # Restored unchecked, this sketch answered 8.0 for 40 items.
+            lambda minima: [0.5, 0.5, -3.0, 7.0] + minima[:5],
+            lambda minima: minima[::-1],
+            lambda minima: minima + [0.999] * 64,
+            lambda minima: minima[:-1] + [float("nan")],
+            lambda minima: [0] + minima[1:],
+        ],
+        ids=["duplicates-out-of-range", "decreasing", "more-than-k", "nan", "int"],
+    )
+    def test_corrupt_minima_raise(self, corrupt):
+        state = self._state()
+        state["payload"]["minima"] = corrupt(state["payload"]["minima"])
+        with pytest.raises(ValueError, match="'minima'"):
+            KMVDistinctElements.from_state(state)

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.core import counters, fp_pstable
 from repro.core.entropy import (
     EntropyEstimator,
+    entropy_nodes,
     hno08_nodes,
     lagrange_derivative_at,
 )
+from repro.experiments.accuracy import exact_entropy
 from repro.streams import FrequencyVector, uniform_stream, zipf_stream
 
 
@@ -64,6 +67,15 @@ class TestLagrangeDerivative:
             lagrange_derivative_at([1.0, 1.0], [1.0, 2.0], 0.5)
 
 
+def oracle_entropy(stream, seed) -> float:
+    """The interpolation step of ``EntropyEstimator(m=len(stream),
+    epsilon=0.25, seed=seed)`` fed the exact family's moments of
+    ``stream``."""
+    exact = registry.create("exact")
+    exact.process_stream(stream)
+    return exact_entropy(exact, entropy_nodes(len(stream), epsilon=0.25), seed)
+
+
 class TestOracleBackend:
     """Exact moments isolate the interpolation machinery."""
 
@@ -78,17 +90,13 @@ class TestOracleBackend:
     def test_entropy_close_to_truth(self, make_stream, name):
         stream = make_stream()
         truth = FrequencyVector.from_stream(stream).shannon_entropy()
-        algo = EntropyEstimator(m=len(stream), backend="oracle", seed=0)
-        algo.process_stream(stream)
-        assert algo.entropy_estimate() == pytest.approx(truth, abs=0.15)
+        assert oracle_entropy(stream, seed=0) == pytest.approx(truth, abs=0.15)
 
     def test_uniform_entropy_is_log_n(self):
         # Each item exactly once: H = log2(m).
         m = 4096
         stream = list(range(m))
-        algo = EntropyEstimator(m=m, backend="oracle", seed=1)
-        algo.process_stream(stream)
-        assert algo.entropy_estimate() == pytest.approx(math.log2(m), abs=0.1)
+        assert oracle_entropy(stream, seed=1) == pytest.approx(math.log2(m), abs=0.1)
 
 
 class TestPStableBackend:
@@ -147,8 +155,6 @@ class TestValidation:
             EntropyEstimator(m=1)
         with pytest.raises(ValueError):
             EntropyEstimator(m=100, epsilon=0)
-        with pytest.raises(ValueError):
-            EntropyEstimator(m=100, backend="count")
 
 
 class TestSurvivalCache:

@@ -1,9 +1,13 @@
 """Tests for the experiment harness (small parameterizations)."""
 
 import math
+import random
 
 import pytest
 
+from repro import registry
+from repro.core.entropy import entropy_nodes
+from repro.core.fp_estimation import LevelSets
 from repro.experiments import (
     budget_advantage_curve,
     counter_ablation,
@@ -20,6 +24,13 @@ from repro.experiments import (
     nvm_wear_comparison,
     run_table1,
 )
+from repro.experiments.accuracy import (
+    entropy_accuracy,
+    exact_entropy,
+    fp_accuracy,
+    level_set_estimate,
+)
+from repro.streams import FrequencyVector, zipf_stream
 
 
 class TestLogLogSlope:
@@ -106,6 +117,47 @@ class TestMorrisTradeoff:
         assert row.sd_rel_error > 0
         (other,) = morris_tradeoff(count=3000, a_values=(0.03,), trials=6, seed=8)
         assert other.signed_mean_rel_error != row.signed_mean_rel_error
+
+
+class TestOracleArms:
+    """E3's and E6's oracle arms (the ``exact`` family's counts through
+    the estimators' own steps) equal what the estimators' former
+    ``backend="oracle"`` modes gave on the bench configurations."""
+
+    def test_e3_level_sets_on_exact_counts(self):
+        pinned = {100: 7086278.0, 101: 7477199.0, 102: 6721403.0}
+        for t, (seed, expected) in enumerate(pinned.items()):
+            exact = registry.create("exact")
+            exact.process_stream(zipf_stream(1024, 8192, skew=1.3, seed=t))
+            levels = LevelSets(1024, 8192, 2.0, 0.5, random.Random(seed), 3)
+            assert level_set_estimate(levels, exact.estimates()) == expected
+
+    def test_e6_interpolation_on_exact_moments(self):
+        pinned = {100: 3.8007839458206583, 101: 3.803831077169873}
+        nodes = entropy_nodes(4000, epsilon=0.25, k=2, node_width=0.4)
+        for t, (seed, expected) in enumerate(pinned.items()):
+            exact = registry.create("exact")
+            exact.process_stream(zipf_stream(256, 4000, skew=1.5, seed=t))
+            assert exact_entropy(exact, nodes, seed) == expected
+
+    def test_e3_oracle_arm(self):
+        """One trial of the arm is the seed-100 pin's error."""
+        stream = zipf_stream(1024, 8192, skew=1.3, seed=0)
+        truth = FrequencyVector.from_stream(stream).fp_moment(2.0)
+        stats = fp_accuracy(trials=1, backend="oracle")
+        assert stats.max_rel_error == abs(7086278.0 - truth) / truth
+
+    def test_e6_oracle_arm(self):
+        """One trial of the arm is the seed-100 pin's error."""
+        stream = zipf_stream(256, 4000, skew=1.5, seed=0)
+        truth = FrequencyVector.from_stream(stream).shannon_entropy()
+        stats = entropy_accuracy(m=4000, trials=1, backend="oracle")
+        assert stats.max_rel_error == abs(3.8007839458206583 - truth)
+
+    @pytest.mark.parametrize("arm", [fp_accuracy, entropy_accuracy])
+    def test_unknown_backend_raises(self, arm):
+        with pytest.raises(ValueError, match="unknown backend: 'count'"):
+            arm(trials=1, backend="count")
 
 
 class TestLowerBoundCurve:

@@ -1,9 +1,14 @@
 """Tests for Algorithm 3 (FpEstimator) and the heavy-hitter API."""
 
+import random
+
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.core import FpEstimator, HeavyHitters
+from repro.core.fp_estimation import LevelSets
+from repro.experiments.accuracy import level_set_estimate
 from repro.query import Moment
 from repro.streams import (
     FrequencyVector,
@@ -22,54 +27,49 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FpEstimator(n=10, m=10, p=2, epsilon=0)
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            FpEstimator(n=10, m=10, p=2, epsilon=0.5, backend="magic")
-
     def test_even_repetitions_rounded_up(self):
-        algo = FpEstimator(
-            n=100, m=100, p=2, epsilon=0.5, repetitions=2, backend="oracle"
-        )
+        algo = FpEstimator(n=100, m=100, p=2, epsilon=0.5, repetitions=2)
         assert algo.repetitions == 3
 
 
+def exact_fp(stream, n, m, p, epsilon, seed) -> float:
+    """The level-set step of ``FpEstimator(..., repetitions=3,
+    seed=seed)`` fed the exact family's counts of ``stream``."""
+    exact = registry.create("exact")
+    exact.process_stream(stream)
+    levels = LevelSets(n, m, p, epsilon, random.Random(seed), repetitions=3)
+    return level_set_estimate(levels, exact.estimates())
+
+
 class TestOracleBackend:
-    """Validates the level-set machinery with exact per-level tables."""
+    """Validates the level-set machinery with exact per-level tables:
+    the exact family's counts, split by the estimator's samplers."""
 
     def test_single_dominant_item_exact_band(self):
         m = 4096
-        algo = FpEstimator(
-            n=64, m=m, p=2, epsilon=0.5, backend="oracle", seed=0
-        )
-        algo.process_stream([5] * m)
-        assert algo.fp_estimate() == pytest.approx(float(m) ** 2, rel=0.01)
+        estimate = exact_fp([5] * m, n=64, m=m, p=2, epsilon=0.5, seed=0)
+        assert estimate == pytest.approx(float(m) ** 2, rel=0.01)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_zipf_accuracy(self, p):
         n, m = 2048, 16384
         stream = zipf_stream(n, m, skew=1.1, seed=1)
         truth = FrequencyVector.from_stream(stream).fp_moment(p)
-        algo = FpEstimator(
-            n=n, m=m, p=p, epsilon=0.5, backend="oracle", seed=1
-        )
-        algo.process_stream(stream)
-        assert algo.fp_estimate() == pytest.approx(truth, rel=0.5)
+        estimate = exact_fp(stream, n=n, m=m, p=p, epsilon=0.5, seed=1)
+        assert estimate == pytest.approx(truth, rel=0.5)
 
     def test_f1_on_uniform(self):
         n, m = 1024, 8192
         stream = uniform_stream(n, m, seed=2)
-        algo = FpEstimator(
-            n=n, m=m, p=1, epsilon=0.5, backend="oracle", seed=2
-        )
-        algo.process_stream(stream)
         # F1 = m exactly.
-        assert algo.fp_estimate() == pytest.approx(m, rel=0.5)
+        estimate = exact_fp(stream, n=n, m=m, p=1, epsilon=0.5, seed=2)
+        assert estimate == pytest.approx(m, rel=0.5)
 
     def test_band_levels_monotone(self):
-        algo = FpEstimator(
-            n=256, m=256, p=2, epsilon=0.5, backend="oracle", seed=3
+        level_sets = LevelSets(
+            n=256, m=256, p=2, epsilon=0.5, rng=random.Random(3), repetitions=3
         )
-        levels = [algo.level_for_band(i) for i in range(1, 20)]
+        levels = [level_sets.level_for_band(i) for i in range(1, 20)]
         assert levels == sorted(levels)
         assert levels[0] == 1
 
@@ -108,9 +108,7 @@ class TestSampleHoldBackend:
         assert algo.state_changes < m
 
     def test_lp_norm_is_root_of_moment(self):
-        algo = FpEstimator(
-            n=64, m=1000, p=2, epsilon=0.5, backend="oracle", seed=6
-        )
+        algo = FpEstimator(n=64, m=1000, p=2, epsilon=0.5, seed=6)
         algo.process_stream([3] * 1000)
         assert algo.lp_norm_estimate() == pytest.approx(
             algo.fp_estimate() ** 0.5
@@ -174,7 +172,7 @@ class TestHeavyHittersAPI:
 
     def test_norm_estimate_within_factor(self, planted):
         algo, f, heavy = planted
-        assert f.lp_norm(2) / 3 <= algo.norm_estimate() <= 3 * f.lp_norm(2)
+        assert f.lp_norm(2) / 3 <= algo.lp_norm_estimate() <= 3 * f.lp_norm(2)
 
     def test_estimates_accurate_for_heavy(self, planted):
         algo, f, heavy = planted

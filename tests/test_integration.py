@@ -45,7 +45,7 @@ class TestOnePassManyAnswers:
 
     def test_moment_and_norm_consistent(self, pipeline):
         algo, f = pipeline
-        assert algo.norm_estimate() == pytest.approx(
+        assert algo.lp_norm_estimate() == pytest.approx(
             algo.fp_estimate() ** 0.5
         )
         assert algo.fp_estimate() == pytest.approx(f.fp_moment(2), rel=0.8)

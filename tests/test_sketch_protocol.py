@@ -23,6 +23,7 @@ from repro.state import (
     StateChangeReport,
     StateTracker,
 )
+from repro.state.algorithm import Sketch
 from repro.streams import FrequencyVector, zipf_stream
 
 N = 1024
@@ -245,6 +246,48 @@ class TestSerialization:
                                  repetitions=1)
         with pytest.raises(NotSerializableError):
             algo.to_state()
+
+
+#: The registry families with snapshot hooks.
+SERIALIZABLE = [
+    name for name in registry.names()
+    if registry.spec(name).cls._config_state is not Sketch._config_state
+]
+
+
+class TestPayloadChecks:
+    """Every list field of every serializable family's payload restores
+    only in the shape and range the family writes it: nested in an
+    extra list, or with its first entry out of type (1.5 in an integer
+    field) or out of range (-3.0 in a float field), it raises a
+    ``ValueError`` naming the field."""
+
+    def test_every_serializable_family_is_swept(self):
+        assert SERIALIZABLE == MERGEABLE
+
+    @pytest.mark.parametrize("name", SERIALIZABLE)
+    def test_corrupt_list_fields_raise(self, name):
+        sketch = make(name, seed=18)
+        sketch.process_many(case_stream(name, seed=18)[:512])
+        state = json.loads(json.dumps(sketch.to_state()))
+        cls = registry.sketch_class(state["algorithm"])
+        fields = [
+            field for field, value in state["payload"].items()
+            if isinstance(value, list)
+        ]
+        assert fields
+        for field in fields:
+            nested = json.loads(json.dumps(state))
+            nested["payload"][field] = [nested["payload"][field]]
+            with pytest.raises(ValueError, match=repr(field)):
+                cls.from_state(nested)
+            corrupt = json.loads(json.dumps(state))
+            entries = corrupt["payload"][field]
+            while isinstance(entries[0], list):
+                entries = entries[0]
+            entries[0] = -3.0 if isinstance(entries[0], float) else 1.5
+            with pytest.raises(ValueError, match=repr(field)):
+                cls.from_state(corrupt)
 
 
 class TestExternalTrackerRestore:
