@@ -34,7 +34,6 @@ levels agree bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -67,6 +66,12 @@ def weighted_morris_step(
     uniform)``.  Zero-weight positions never change and consume no coin
     semantics.
 
+    When no lane climbs a whole level -- the closed form gives ``d = 0``
+    everywhere and no weight reaches its first level's cost -- the
+    fix-ups leave ``d = 0`` and the remainder is the weight itself, so
+    the step is the coin ``u * gap < w`` alone; that case skips the
+    fix-up rounds.
+
     Both the scalar update and the chunk kernels call *this*
     function, so chunked ≡ scalar holds bit for bit by construction.
     """
@@ -79,6 +84,10 @@ def weighted_morris_step(
     ratio = np.divide(a * w, gap, out=np.zeros_like(w), where=positive)
     d = np.floor(np.log1p(ratio) / la)
     d = np.where(positive, np.maximum(d, 0.0), 0.0)
+    if not d.any():
+        consumed_next = gap * np.expm1((d + 1.0) * la) / a
+        if not (positive & (consumed_next <= w)).any():
+            return levels + (positive & (u * gap < w))
     # consumed(d) <= w < consumed(d+1) must hold exactly; the closed
     # form can be off by one ulp-driven step in either direction.
     for _ in range(2):
@@ -94,17 +103,31 @@ def weighted_morris_step(
     return new_levels + coin.astype(np.int64)
 
 
-#: Levels whose survival log :func:`_survival_log` keeps: more than a
-#: long run climbs -- entropy's length counter (``a = 0.001``) alone
-#: climbs ~4,200 levels in 65,536 arrivals -- so repeated runs hit it.
-_SURVIVAL_CACHE = 1 << 15
+#: Survival logs by Morris parameter: entry ``L`` of ``_SURVIVAL[a]`` is
+#: ``log1p(-(1+a)^-L)``, the log of the probability that level ``L``
+#: survives one arrival (entry 0, never read, is NaN).  Each table is
+#: filled on first use and grows by doubling, so levels that one run
+#: climbs -- entropy's length counter (``a = 0.001``) alone climbs
+#: ~4,200 in 65,536 arrivals -- are computed once per process.
+_SURVIVAL: dict[float, np.ndarray] = {}
 
 
-@functools.lru_cache(maxsize=_SURVIVAL_CACHE)
-def _survival_log(a: float, level: int) -> float:
-    """``log1p(-(1+a)^-level)``: the log of the probability that level
-    ``level`` survives one arrival."""
-    return math.log1p(-((1.0 + a) ** (-level)))
+def _survival_logs(a: float, top: int) -> np.ndarray:
+    """``a``'s survival-log table, holding at least levels ``0..top``.
+
+    The logs are libm's (``math.log1p`` of ``**``), one level at a time,
+    as :func:`geometric_threshold` has always inverted them."""
+    table = _SURVIVAL.get(a)
+    if table is None or top >= len(table):
+        known = 0 if table is None else len(table)
+        grown = np.empty(max(64, 2 * known, top + 1))
+        grown[:known] = table
+        grown[known:] = [
+            math.log1p(-((1.0 + a) ** (-level))) if level else math.nan
+            for level in range(known, len(grown))
+        ]
+        _SURVIVAL[a] = table = grown
+    return table
 
 
 def geometric_threshold(a: float, level: int, u: float) -> int:
@@ -114,11 +137,11 @@ def geometric_threshold(a: float, level: int, u: float) -> int:
     The logarithms and the power are libm's (``math`` and ``**``), not
     numpy's: numpy's SIMD ``log1p`` and ``power`` can differ from libm
     in the last ulp, which would move a threshold.
-    :func:`skip_morris_step` inverts its lanes with the same libm calls;
-    only the division, ``ceil`` and clipping -- exact in both -- run
-    in numpy there.
+    :func:`skip_morris_step` inverts its lanes with the same libm calls
+    and the same survival-log table; only the division, ``ceil`` and
+    clipping -- exact in both -- run in numpy there.
     """
-    g = math.ceil(math.log1p(-u) / _survival_log(a, level))
+    g = math.ceil(math.log1p(-u) / float(_survival_logs(a, level)[level]))
     return min(max(1, int(g)), _MAX_THRESHOLD)
 
 
@@ -223,9 +246,9 @@ def skip_morris_step(
             cached[fetch] = block[stale]
         # geometric_threshold, lane-wise: libm logs, exact numpy rest.
         u = coins[level & 3, active]
-        survival = [_survival_log(a, x) for x in level.tolist()]
+        survival = _survival_logs(a, int(level.max()))[level]
         logs = np.fromiter(map(math.log1p, (-u).tolist()), float, len(u))
-        g = np.ceil(logs / np.array(survival))
+        g = np.ceil(logs / survival)
         threshold = np.minimum(np.maximum(g, 1.0), float(_MAX_THRESHOLD)).astype(
             np.int64
         )

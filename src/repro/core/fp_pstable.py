@@ -34,13 +34,16 @@ climb draws from an indexed Philox stream — update ``t`` row ``i``
 consumes the coin at flat index ``t * num_rows + i`` — through the
 shared :func:`~repro.core.counters.weighted_morris_step` kernel.  The
 chunk kernel exploits that the climb condition is *monotone decreasing
-in the level*: a screen computed against chunk-start levels is
+in the level*: a screen computed against block-start levels is
 conservative, so the (increasingly rare, as gaps outgrow the variate
-magnitudes) flagged positions are settled row-vectorized while
-everything else is provably a no-op — bit-identical to the scalar loop
-by construction.  The kernel (:func:`absorb_chunk`) settles any set of
+magnitudes) flagged cells are settled row-vectorized while everything
+else is provably a no-op — bit-identical to the scalar loop by
+construction.  The kernel (:func:`absorb_chunk`) settles any set of
 sketches over one table at once — a single sketch, or the entropy
-estimator's node sketches — in one sequence of waves.
+estimator's node sketches: one column draw per chunk, then blocks of
+up to 1,024 positions (shorter at the stream head, where levels climb
+fastest), each screened per distinct item (:func:`screen_thresholds`)
+and settled in waves.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np
 from repro.core.counters import weighted_morris_step
 from repro.hashing.coins import PhiloxCoins, seeded_uniforms
 from repro.hashing.pstable import (
-    cms_transform,
+    cms_transforms,
     stable_abs_median,
     stable_log_abs_mean,
 )
@@ -77,7 +80,8 @@ class VariateTable:
     order, drawing the new ones' uniforms once -- every new item's in
     one lane-wise :func:`~repro.hashing.coins.seeded_uniforms` call --
     and filling every order's columns with one elementwise
-    :func:`~repro.hashing.pstable.cms_transform` call; the sketches
+    :func:`~repro.hashing.pstable.cms_transforms` call, which computes
+    ``cos(theta)`` and ``-log(r)`` once for all orders; the sketches
     then gather ``columns(p)[slots]``.
 
     The table is a cache: reads are free in the cost model and every
@@ -130,12 +134,14 @@ class VariateTable:
         theta = -_HALF_PI + (_HALF_PI - -_HALF_PI) * uniforms[:, :rows]
         r = uniforms[:, rows:]
         self._slots.update(zip(items, range(start, stop)))
-        for p, columns in self._columns.items():
+        orders = list(self._columns)
+        for p, variates in zip(orders, cms_transforms(orders, theta, r)):
+            columns = self._columns[p]
             if stop > len(columns):
                 grown = np.empty((max(stop, 2 * len(columns), 64), rows))
                 grown[:start] = columns[:start]
                 self._columns[p] = columns = grown
-            columns[start:stop] = cms_transform(p, theta, r)
+            columns[start:stop] = variates
 
 
 class PStableFpEstimator(StreamAlgorithm):
@@ -404,12 +410,38 @@ class PStableFpEstimator(StreamAlgorithm):
         self._merge_draws = int(payload_counts(payload, "merge_draws", ()))
 
 
-#: Screening-block length: the no-op screen freezes its gaps at block
-#: start, so blocks bound how stale the gaps can get.  Levels climb
-#: fastest early in a stream — a whole-stream chunk screened once
-#: against level-0 gaps flags *every* position — while per-block
-#: refreshes let the screen tighten as the levels rise.
+#: Screening-block length once the sketches have absorbed that many
+#: arrivals.  The screen freezes its gaps at block start, so blocks
+#: bound how stale the gaps can get, while a block's fixed cost (its
+#: coin blocks, its column gather, its wave sort) is paid per block.
 _SCREEN_BLOCK = 1024
+
+#: Shortest screening block.  Levels climb fastest at the stream head,
+#: where a block screened against level-0 gaps flags nearly every
+#: cell; so a block is never longer than the arrivals the sketches
+#: have absorbed before it (16, 16, 32, 64, ... from a fresh sketch),
+#: and the screen tightens as the levels rise.
+_HEAD_BLOCK = 16
+
+#: The screen's relative slack: thresholds are rounded, and a rounding
+#: must never unflag a cell that moves.  False positives settle as
+#: no-ops in their waves.
+_SCREEN_SLACK = 1.0 + 2.0**-40
+
+
+def screen_thresholds(weights: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Each cell's screening threshold: a cell whose uniform ``u`` is
+    above it is a no-op of :func:`weighted_morris_step` at any level
+    whose gap is at least ``gaps``.
+
+    The step moves a level only if its coin comes up (``u * gap < w``)
+    or the weight climbs a whole level (``w`` at least about ``gap``,
+    where any ``u < 1`` passes too), so ``u <= w / gap`` -- with slack
+    for the rounding of the division -- flags every cell that moves.
+    Gaps only grow with the level, so thresholds against block-start
+    gaps stay conservative for the whole block.
+    """
+    return weights / gaps * _SCREEN_SLACK
 
 
 def absorb_chunk(
@@ -424,50 +456,91 @@ def absorb_chunk(
     sketches); each consumes its own coins.  Writes are charged to
     ``audit`` at their chunk positions, so a position is dirty iff any
     sketch mutated on that arrival.
+
+    The chunk's distinct items take one :meth:`VariateTable.slots`
+    call; a chunk with more distinct items than the table holds
+    settles in pieces of :attr:`VariateTable.CAPACITY` positions, one
+    call each.
     """
-    for start in range(0, len(chunk), _SCREEN_BLOCK):
-        _absorb_block(
-            sketches, chunk[start:start + _SCREEN_BLOCK], audit, start
+    items, inverse = np.unique(chunk, return_inverse=True)
+    capacity = VariateTable.CAPACITY
+    if len(items) <= capacity:
+        _absorb_piece(sketches, items, inverse, audit, 0)
+        return
+    for low in range(0, len(chunk), capacity):
+        items, inverse = np.unique(
+            chunk[low:low + capacity], return_inverse=True
         )
+        _absorb_piece(sketches, items, inverse, audit, low)
+
+
+def _absorb_piece(
+    sketches: Sequence[PStableFpEstimator],
+    items: np.ndarray,
+    inverse: np.ndarray,
+    audit: ChunkAudit,
+    offset: int,
+) -> None:
+    """Settle the positions ``inverse`` (indices into the distinct
+    ``items``, chunk positions from ``offset``) block by block, over
+    one column draw.  Any block partition settles the same levels."""
+    first = sketches[0]
+    table = first._table
+    slots = np.asarray(table.slots(items.tolist()), dtype=np.intp)
+    columns = [table.columns(sketch.p) for sketch in sketches]
+    low, n = 0, len(inverse)
+    while low < n:
+        length = min(_SCREEN_BLOCK, max(_HEAD_BLOCK, first._updates))
+        high = min(n, low + length)
+        block = inverse[low:high]
+        block_slots = slots
+        if high - low < n:
+            # The block's own distinct items, renumbered in order.
+            present = np.zeros(len(items), dtype=bool)
+            present[block] = True
+            block_slots = slots[present]
+            block = (np.cumsum(present) - 1)[block]
+        _absorb_block(sketches, columns, block_slots, block, audit, offset + low)
+        low = high
 
 
 def _absorb_block(
     sketches: Sequence[PStableFpEstimator],
-    chunk: np.ndarray,
+    columns: Sequence[np.ndarray],
+    slots: np.ndarray,
+    inverse: np.ndarray,
     audit: ChunkAudit,
     offset: int,
 ) -> None:
     """One screening block of the chunk kernel, settled in waves.
 
-    The screen against block-start gaps is conservative: the climb
-    condition ``(w >= gap) | (u * gap < w)`` is monotone decreasing in
-    the level, and levels only rise mid-block, so an unflagged cell
-    stays a no-op under any later levels.  Each sketch has ``2 * rows``
-    (row, sign) counters, numbered ``sketch * 2 * rows + counter``
-    across the set; they are independent — each cell feeds exactly one
-    of them — so only flagged *cells* settle: sorted by (counter,
-    position), wave ``k`` steps the ``k``-th flagged cell of every
-    counter at once through the lane-wise :func:`weighted_morris_step`
-    (each counter sees the same steps in the same order as it would
-    alone), and each changed cell is charged at its own position.
+    The block's positions hold the items whose table slots are
+    ``slots[inverse]``.  The screen reads each (sketch, distinct item,
+    row) variate once: its magnitude ``|X|`` is the weight of the
+    (row, sign) counter its sign picks, and its threshold
+    :func:`screen_thresholds` against that counter's block-start gap.
+    A position's cell is flagged iff its uniform is at most its item's
+    threshold; the climb condition is monotone decreasing in the level
+    and levels only rise mid-block, so an unflagged cell stays a no-op
+    under any later levels.  Each sketch has ``2 * rows`` (row, sign)
+    counters, numbered ``sketch * 2 * rows + counter`` across the set;
+    they are independent -- each cell feeds exactly one of them -- so
+    only flagged *cells* settle: sorted by (counter, position), wave
+    ``k`` steps the ``k``-th flagged cell of every counter at once
+    through the lane-wise :func:`weighted_morris_step` (each counter
+    sees the same steps in the same order as it would alone), and each
+    changed cell is charged at its own position.
     """
     first = sketches[0]
-    table, a, rows = first._table, first.morris_a, first.num_rows
-    width = 2 * rows
-    n = len(chunk)
-    uniq, inverse = np.unique(chunk, return_inverse=True)
-    slots = np.asarray(table.slots(uniq.tolist()), dtype=np.intp)[inverse]
-    uniforms = np.empty((len(sketches), n, rows))
-    variates = np.empty((len(sketches), n, rows))
-    for index, sketch in enumerate(sketches):
-        t0 = sketch._updates
-        sketch._updates = t0 + n
-        uniforms[index] = sketch._coins.uniform_block(
-            t0 * rows, n * rows
-        ).reshape(n, rows)
-        np.take(table.columns(sketch.p), slots, axis=0, out=variates[index])
-    magnitudes = np.abs(variates)
+    a, rows = first.morris_a, first.num_rows
+    count, width, n = len(sketches), 2 * rows, len(inverse)
+    # Every index is in range: mode="clip" only spares take() the
+    # buffered copy that bounds checking makes of ``out``.
+    variates = np.empty((count, len(slots), rows))
+    for index, table_columns in enumerate(columns):
+        np.take(table_columns, slots, axis=0, out=variates[index], mode="clip")
     negative = variates < 0.0
+    magnitudes = np.abs(variates, out=variates)
     # Counter c of sketch s is row c's positive half when c < rows and
     # row (c - rows)'s negative half otherwise; its number is
     # s * width + c.
@@ -479,30 +552,60 @@ def _absorb_block(
         ]
     )
     gaps = np.power(1.0 + a, levels.astype(np.float64)).reshape(
-        len(sketches), 2, 1, rows
+        count, 2, 1, rows
     )
-    gaps = np.where(negative, gaps[:, 1], gaps[:, 0])
-    flagged = (magnitudes >= gaps) | (uniforms * gaps < magnitudes)
-    which, local, row = np.nonzero(flagged)  # sketch-, then position-major
-    if len(local) == 0:
+    thresholds = screen_thresholds(
+        magnitudes, np.where(negative, gaps[:, 1], gaps[:, 0])
+    )
+    # Each sketch's coin block is screened where it lies, against its
+    # items' thresholds gathered to positions.
+    flags = np.empty((count, n, rows), dtype=bool)
+    screen = np.empty((n, rows))
+    blocks = []
+    for index, sketch in enumerate(sketches):
+        t0 = sketch._updates
+        sketch._updates = t0 + n
+        block = sketch._coins.uniform_block(t0 * rows, n * rows)
+        np.take(thresholds[index], inverse, axis=0, out=screen, mode="clip")
+        np.less_equal(block.reshape(n, rows), screen, out=flags[index])
+        blocks.append(block)
+    flagged = np.flatnonzero(flags)  # sketch-, then position-major
+    if len(flagged) == 0:
         return
-    cells = which * width + row + rows * negative[which, local, row]
-    # Stable sorts: by counter (positions stay ascending), then by
-    # each cell's rank among its counter's cells — its wave.
-    order = np.argsort(cells, kind="stable")
-    grouped = cells[order]
-    firsts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    wave = np.arange(len(cells)) - np.repeat(
-        firsts, np.diff(np.r_[firsts, len(cells)])
+    # Each flagged cell's sketch and its index in that sketch's block.
+    which, flat = np.divmod(flagged, n * rows)
+    by_sketch = np.searchsorted(which, np.arange(count + 1)).tolist()
+    coins = np.concatenate(
+        [
+            block[flat[low:high]]
+            for block, low, high in zip(blocks, by_sketch, by_sketch[1:])
+        ]
     )
-    order = order[np.argsort(wave, kind="stable")]
-    which, local, row = which[order], local[order], row[order]
+    local, row = np.divmod(flat, rows)
+    item = inverse[local]
+    cells = which * width + row + rows * negative[which, item, row]
+    # Stable sorts: by counter (positions stay ascending), then by
+    # each cell's rank among its counter's cells -- its wave.  Both
+    # keys take the narrowest unsigned type that holds them: numpy's
+    # stable sort of 8- and 16-bit keys is a radix sort.
+    order = np.argsort(
+        cells.astype(np.min_scalar_type(count * width)), kind="stable"
+    )
+    grouped = cells[order]
+    # Where each counter's run of cells starts, and where the last ends.
+    edge = np.ones(len(cells) + 1, dtype=bool)
+    np.not_equal(grouped[1:], grouped[:-1], out=edge[1:-1])
+    edges = np.flatnonzero(edge)
+    wave = np.arange(len(cells)) - np.repeat(edges[:-1], np.diff(edges))
+    order = order[
+        np.argsort(wave.astype(np.min_scalar_type(n)), kind="stable")
+    ]
     cells = cells[order]
-    weights = magnitudes[which, local, row]
-    coins = uniforms[which, local, row]
-    positions = local + offset
+    weights = magnitudes[which, item, row][order]
+    coins = coins[order]
+    positions = local[order] + offset
     moved_cells, moved_positions = [], []
-    bounds = np.r_[0, np.cumsum(np.bincount(wave))].tolist()
+    bounds = [0, *np.cumsum(np.bincount(wave)).tolist()]
     for low, high in zip(bounds, bounds[1:]):
         counter = cells[low:high]
         before = levels[counter]

@@ -60,14 +60,32 @@ def cms_transform(p: float, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
     estimates, which is what makes numerical differentiation across
     ``p`` (the entropy estimator, Theorem 3.8) stable.
     """
-    if not 0.0 < p <= 2.0:
-        raise ValueError(f"stability index p must be in (0, 2]: {p}")
-    if p == 1.0:
-        return np.tan(theta)
-    numerator = np.sin(p * theta)
-    denominator = np.cos(theta) ** (1.0 / p)
-    correction = (np.cos(theta * (1.0 - p)) / -np.log(r)) ** (1.0 / p - 1.0)
-    return numerator / denominator * correction
+    (variates,) = cms_transforms((p,), theta, r)
+    return variates
+
+
+def cms_transforms(
+    orders, theta: np.ndarray, r: np.ndarray
+) -> list[np.ndarray]:
+    """:func:`cms_transform` at each stability index of ``orders``, over
+    one ``(theta, r)`` draw.  ``cos(theta)`` and ``-log(r)`` do not
+    depend on ``p``, so they are computed once for all orders; every
+    elementwise value is the one a lone :func:`cms_transform` gives."""
+    variates = []
+    cos_theta = neg_log_r = None
+    for p in orders:
+        if not 0.0 < p <= 2.0:
+            raise ValueError(f"stability index p must be in (0, 2]: {p}")
+        if p == 1.0:
+            variates.append(np.tan(theta))
+            continue
+        if cos_theta is None:
+            cos_theta, neg_log_r = np.cos(theta), -np.log(r)
+        numerator = np.sin(p * theta)
+        denominator = cos_theta ** (1.0 / p)
+        correction = (np.cos(theta * (1.0 - p)) / neg_log_r) ** (1.0 / p - 1.0)
+        variates.append(numerator / denominator * correction)
+    return variates
 
 
 def sample_pstable_array(

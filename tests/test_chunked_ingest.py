@@ -435,21 +435,31 @@ def wave_fingerprint(sketch) -> tuple:
     )
 
 
+def wave_reference(name: str, mode: str) -> tuple:
+    """The scalar loop's fingerprint over the whole wave stream."""
+    key = (name, mode)
+    if key not in _WAVE_REFERENCE:
+        scalar = build_waves(name, mode)
+        scalar.process_many(WAVE_ARR.tolist())
+        _WAVE_REFERENCE[key] = wave_fingerprint(scalar)
+    return _WAVE_REFERENCE[key]
+
+
 class TestPStableWavesAtScale:
     """The p-stable wave settle on a stream long enough for blocks to
     settle several waves (the 240-item sweeps above rarely get past
     one): entropy's node sketches settle as one set, pstable-fp alone,
-    and both match the scalar loop bit for bit at every chunk size."""
+    and both match the scalar loop bit for bit at every chunk size --
+    sizes 15 to 48 and 1023 to 1025 straddle the short head blocks
+    (16, 16, 32, ...) and the 1024-position blocks after them."""
 
     @pytest.mark.parametrize("mode", ["aggregate", "trace"])
-    @pytest.mark.parametrize("size", [1, 37, 1024, 4096, WAVE_M])
+    @pytest.mark.parametrize(
+        "size", [1, 15, 17, 37, 48, 1023, 1024, 1025, 4096, WAVE_M]
+    )
     @pytest.mark.parametrize("name", ["entropy", "pstable-fp"])
     def test_chunked_equals_scalar(self, monkeypatch, name, size, mode):
-        key = (name, mode)
-        if key not in _WAVE_REFERENCE:
-            scalar = build_waves(name, mode)
-            scalar.process_many(WAVE_ARR.tolist())
-            _WAVE_REFERENCE[key] = wave_fingerprint(scalar)
+        reference = wave_reference(name, mode)
 
         # Waves settled per screening block.
         waves: list[int] = []
@@ -470,9 +480,23 @@ class TestPStableWavesAtScale:
         for low in range(0, WAVE_M, size):
             sketch.process_chunk(WAVE_ARR[low:low + size])
 
-        assert wave_fingerprint(sketch) == _WAVE_REFERENCE[key]
+        assert wave_fingerprint(sketch) == reference
         if size > 1:  # a one-item block settles at most one wave
             assert max(waves) >= 2
+
+    @pytest.mark.parametrize("mode", ["aggregate", "trace"])
+    @pytest.mark.parametrize("size", [15, 1024])
+    def test_restored_sketch_resumes_chunked(self, mode, size):
+        """A pstable-fp sketch restored through ``to_state`` /
+        ``from_state`` after 37 items -- a fresh variate table, and head
+        blocks sized from the restored update count -- then chunk-fed
+        the rest equals the uninterrupted scalar run."""
+        head = build_waves("pstable-fp", mode)
+        head.process_chunk(WAVE_ARR[:37])
+        sketch = type(head).from_state(head.to_state())
+        for low in range(37, WAVE_M, size):
+            sketch.process_chunk(WAVE_ARR[low:low + size])
+        assert wave_fingerprint(sketch) == wave_reference("pstable-fp", mode)
 
 
 class TestBudgetChunkBoundaries:

@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.counters import weighted_morris_step
 from repro.core.entropy import EntropyEstimator
-from repro.core.fp_pstable import PStableFpEstimator, VariateTable
+from repro.core.fp_pstable import (
+    PStableFpEstimator,
+    VariateTable,
+    screen_thresholds,
+)
 from repro.hashing.pstable import cms_transform
 from repro.streams import FrequencyVector, uniform_stream, zipf_stream
 
@@ -156,6 +162,123 @@ class TestVariateTable:
             assert columns[slots[0]].tolist() == reference_column(
                 5, 10**6, rows, p
             )
+
+    def test_chunk_past_capacity_draws_in_pieces(self, monkeypatch):
+        """One chunk with more distinct items than the table holds
+        settles the same levels as the same items over several chunks,
+        and the table never holds more than ``CAPACITY`` items."""
+        capacity = VariateTable.CAPACITY
+        items = np.random.default_rng(4).permutation(capacity + 1500)
+        chunk = np.concatenate((items, items[:700]))  # repeats too
+        held = []
+        draw = VariateTable._draw
+
+        def recording_draw(table, new):
+            draw(table, new)
+            held.append(len(table._slots))
+
+        monkeypatch.setattr(VariateTable, "_draw", recording_draw)
+        whole = PStableFpEstimator(p=0.5, num_rows=8, seed=6)
+        whole.process_chunk(chunk)
+        assert len(held) >= 2  # the one chunk drew in pieces
+        split = PStableFpEstimator(p=0.5, num_rows=8, seed=6)
+        for low in range(0, len(chunk), 1000):
+            split.process_chunk(chunk[low:low + 1000])
+        assert max(held) <= capacity
+        assert whole._pos_levels.tolist() == split._pos_levels.tolist()
+        assert whole._neg_levels.tolist() == split._neg_levels.tolist()
+        assert whole.report().state_changes == split.report().state_changes
+
+
+def _lane_weight(a: float, level: int, kind: str, value: float) -> float:
+    """A weight of the given kind at ``level``'s gap: zero, a multiple
+    of the gap (``value`` is the factor), a step off the first level's
+    cost as the step computes it -- which can round an ulp below the
+    gap -- (``value`` is the number of ulps), or a Cauchy-tailed
+    magnitude independent of the gap (``value`` is its uniform)."""
+    if kind == "zero":
+        return 0.0
+    gap = float(np.power(1.0 + a, np.array([float(level)]))[0])
+    if kind == "gap":
+        return gap * value
+    if kind == "first":
+        la = np.array([math.log1p(a)])
+        cost = float(gap * np.expm1(la)[0] / a)
+        return cost + value * math.ulp(cost)
+    return abs(math.tan(math.pi * (value - 0.5)))
+
+
+#: Uniforms at and next to the ends of [0, 1), plus any in between.
+_UNIFORMS = st.one_of(
+    st.sampled_from([0.0, 2.0**-53, 1e-300, 0.5, 1.0 - 2.0**-53]),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+#: Levels up to 1,000 keep every gap (and a million times it) finite
+#: at a = 0.5.
+_LANES = st.lists(
+    st.tuples(
+        st.integers(0, 1000),
+        st.one_of(
+            st.tuples(st.just("zero"), st.just(0.0)),
+            # Around the first level's cost, and far past it.
+            st.tuples(
+                st.just("gap"),
+                st.one_of(
+                    st.sampled_from(
+                        [1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 1e-300]
+                    ),
+                    st.floats(0.0, 2.0),
+                    st.floats(2.0, 1e6),
+                ),
+            ),
+            st.tuples(st.just("first"), st.sampled_from([-2.0, -1.0, 0.0, 1.0])),
+            st.tuples(st.just("cauchy"), st.floats(0.0, 1.0)),
+        ),
+        _UNIFORMS,
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestScreen:
+    @given(
+        a=st.sampled_from([0.001, 0.02, 0.125, 0.5]),
+        lanes=_LANES,
+        climb=st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_moving_cell_is_flagged(self, a, lanes, climb):
+        """The chunk kernel's screen is conservative: every cell that
+        :func:`weighted_morris_step` moves -- at the block-start level,
+        or at any level the counter climbs to later in the block -- has
+        its uniform at most its threshold against the block-start gap."""
+        levels = np.array([level for level, _, _ in lanes], dtype=np.int64)
+        weights = np.array(
+            [_lane_weight(a, level, *weight) for level, weight, _ in lanes]
+        )
+        uniforms = np.array([u for _, _, u in lanes])
+        gaps = np.power(1.0 + a, levels.astype(np.float64))
+        flagged = uniforms <= screen_thresholds(weights, gaps)
+        for later in (levels, levels + climb):
+            moved = weighted_morris_step(a, later, weights, uniforms) != later
+            assert not (moved & ~flagged).any()
+
+    @pytest.mark.parametrize("a", [0.001, 0.02, 0.125, 0.3, 0.5])
+    def test_first_level_cost_is_flagged_at_every_level(self, a):
+        """Weights within two ulps of the first level's cost, which the
+        step can round an ulp below the gap, at every level up to 1,000
+        and the largest uniform: each one that climbs is flagged."""
+        levels = np.repeat(np.arange(1001), 5)
+        gaps = np.power(1.0 + a, levels.astype(np.float64))
+        cost = gaps * np.expm1(np.full(len(levels), math.log1p(a))) / a
+        weights = cost + np.tile(np.arange(-2.0, 3.0), 1001) * np.spacing(cost)
+        uniforms = np.full(len(levels), 1.0 - 2.0**-53)
+        moved = weighted_morris_step(a, levels, weights, uniforms) != levels
+        assert moved.any()
+        flagged = uniforms <= screen_thresholds(weights, gaps)
+        assert not (moved & ~flagged).any()
 
 
 def _merge_row_by_row(sketch, other):
