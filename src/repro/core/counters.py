@@ -46,6 +46,13 @@ from repro.state.tracker import StateTracker
 #: left within any feasible stream.
 _MAX_THRESHOLD = 1 << 62
 
+#: The least climb probability ``(1+a)^-L`` of a level a row can hold.
+#: No feasible stream climbs past a level this unlikely to be left, and
+#: a level below it has a survival log too small to invert (a zero one
+#: once the power underflows), so :meth:`HeldTable.restore` refuses it
+#: before a survival-log table grows to reach it.
+_LEAST_CLIMB = 2.0**-1000
+
 
 def weighted_morris_step(
     a: float,
@@ -66,12 +73,6 @@ def weighted_morris_step(
     uniform)``.  Zero-weight positions never change and consume no coin
     semantics.
 
-    When no lane climbs a whole level -- the closed form gives ``d = 0``
-    everywhere and no weight reaches its first level's cost -- the
-    fix-ups leave ``d = 0`` and the remainder is the weight itself, so
-    the step is the coin ``u * gap < w`` alone; that case skips the
-    fix-up rounds.
-
     Both the scalar update and the chunk kernels call *this*
     function, so chunked ≡ scalar holds bit for bit by construction.
     """
@@ -84,10 +85,6 @@ def weighted_morris_step(
     ratio = np.divide(a * w, gap, out=np.zeros_like(w), where=positive)
     d = np.floor(np.log1p(ratio) / la)
     d = np.where(positive, np.maximum(d, 0.0), 0.0)
-    if not d.any():
-        consumed_next = gap * np.expm1((d + 1.0) * la) / a
-        if not (positive & (consumed_next <= w)).any():
-            return levels + (positive & (u * gap < w))
     # consumed(d) <= w < consumed(d+1) must hold exactly; the closed
     # form can be off by one ulp-driven step in either direction.
     for _ in range(2):
@@ -527,9 +524,17 @@ class HeldTable:
         self, rows: np.ndarray, levels: np.ndarray, since: np.ndarray | int
     ) -> None:
         """Load ``(level, since)`` pairs into ``rows``, untracked; each
-        threshold is drawn from its level's coin (1 at level 0)."""
+        threshold is drawn from its level's coin (1 at level 0).  A
+        level whose climb probability is below ``_LEAST_CLIMB`` raises
+        a ``ValueError`` naming ``'levels'``."""
         rows = np.asarray(rows, dtype=np.int64)
         levels = np.asarray(levels, dtype=np.int64)
+        top = int(levels.max(initial=0))
+        if (1.0 + self.a) ** -top < _LEAST_CLIMB:
+            raise ValueError(
+                f"'levels': level {top} is past any level a Morris counter "
+                f"with a={self.a} reaches"
+            )
         self.level[rows] = levels
         self.since[rows] = since
         uniforms = lane_uniforms(self.key0[rows], self.key1[rows], levels)

@@ -67,6 +67,12 @@ from repro.state.tracker import StateTracker
 
 _HALF_PI = math.pi / 2.0
 
+#: Cells (items x rows) a column draw transforms at once: bigger draws
+#: go in pieces, so the transform's temporaries -- a few arrays of this
+#: many floats per order -- stay small at any row count.  At 20 rows up
+#: to 6,553 new items are one piece.
+_DRAW_CELLS = 1 << 17
+
 
 class VariateTable:
     """Regenerated columns ``D[:, item]`` of one ``(variate_seed,
@@ -77,12 +83,12 @@ class VariateTable:
     j)) & 0x7FFFFFFF`` (``theta`` scaled as ``Generator.uniform`` scales
     it); they do not depend on ``p``, so one draw serves every order
     (common random numbers).  :meth:`slots` numbers items in first-seen
-    order, drawing the new ones' uniforms once -- every new item's in
-    one lane-wise :func:`~repro.hashing.coins.seeded_uniforms` call --
-    and filling every order's columns with one elementwise
-    :func:`~repro.hashing.pstable.cms_transforms` call, which computes
-    ``cos(theta)`` and ``-log(r)`` once for all orders; the sketches
-    then gather ``columns(p)[slots]``.
+    order, drawing the new ones' uniforms once -- in one lane-wise
+    :func:`~repro.hashing.coins.seeded_uniforms` call per piece of at
+    most ``_DRAW_CELLS`` cells -- and filling every order's columns
+    with one elementwise :func:`~repro.hashing.pstable.cms_transforms`
+    pass per piece, which computes ``cos(theta)`` and ``-log(r)`` once
+    for all orders; the sketches then gather ``columns(p)[slots]``.
 
     The table is a cache: reads are free in the cost model and every
     column regenerates identically, so it starts over (rather than
@@ -126,22 +132,29 @@ class VariateTable:
         rows = self.rows
         start = len(self._slots)
         stop = start + len(items)
-        uniforms = seeded_uniforms(
-            [hash((self.variate_seed, item)) & 0x7FFFFFFF for item in items],
-            2 * rows,
-        )
-        # Generator.uniform(low, high): low + (high - low) * u.
-        theta = -_HALF_PI + (_HALF_PI - -_HALF_PI) * uniforms[:, :rows]
-        r = uniforms[:, rows:]
         self._slots.update(zip(items, range(start, stop)))
         orders = list(self._columns)
-        for p, variates in zip(orders, cms_transforms(orders, theta, r)):
+        for p in orders:
             columns = self._columns[p]
             if stop > len(columns):
                 grown = np.empty((max(stop, 2 * len(columns), 64), rows))
                 grown[:start] = columns[:start]
-                self._columns[p] = columns = grown
-            columns[start:stop] = variates
+                self._columns[p] = grown
+        step = max(1, _DRAW_CELLS // rows)
+        for first in range(start, stop, step):
+            last = min(stop, first + step)
+            uniforms = seeded_uniforms(
+                [
+                    hash((self.variate_seed, item)) & 0x7FFFFFFF
+                    for item in items[first - start:last - start]
+                ],
+                2 * rows,
+            )
+            # Generator.uniform(low, high): low + (high - low) * u.
+            theta = -_HALF_PI + (_HALF_PI - -_HALF_PI) * uniforms[:, :rows]
+            r = uniforms[:, rows:]
+            for p, variates in zip(orders, cms_transforms(orders, theta, r)):
+                self._columns[p][first:last] = variates
 
 
 class PStableFpEstimator(StreamAlgorithm):
@@ -457,16 +470,12 @@ def absorb_chunk(
     ``audit`` at their chunk positions, so a position is dirty iff any
     sketch mutated on that arrival.
 
-    The chunk's distinct items take one :meth:`VariateTable.slots`
-    call; a chunk with more distinct items than the table holds
-    settles in pieces of :attr:`VariateTable.CAPACITY` positions, one
-    call each.
+    The chunk settles in pieces of :attr:`VariateTable.CAPACITY`
+    positions (a chunk no longer than that is one piece), so each
+    piece's distinct items fit the table and take one
+    :meth:`VariateTable.slots` call.
     """
-    items, inverse = np.unique(chunk, return_inverse=True)
     capacity = VariateTable.CAPACITY
-    if len(items) <= capacity:
-        _absorb_piece(sketches, items, inverse, audit, 0)
-        return
     for low in range(0, len(chunk), capacity):
         items, inverse = np.unique(
             chunk[low:low + capacity], return_inverse=True

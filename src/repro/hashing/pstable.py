@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -65,27 +66,27 @@ def cms_transform(p: float, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def cms_transforms(
-    orders, theta: np.ndarray, r: np.ndarray
-) -> list[np.ndarray]:
+    orders: Iterable[float], theta: np.ndarray, r: np.ndarray
+) -> Iterator[np.ndarray]:
     """:func:`cms_transform` at each stability index of ``orders``, over
-    one ``(theta, r)`` draw.  ``cos(theta)`` and ``-log(r)`` do not
-    depend on ``p``, so they are computed once for all orders; every
-    elementwise value is the one a lone :func:`cms_transform` gives."""
-    variates = []
+    one ``(theta, r)`` draw, yielded one order at a time (a caller that
+    stores each before taking the next holds one order's temporaries).
+    ``cos(theta)`` and ``-log(r)`` do not depend on ``p``, so they are
+    computed once for all orders; every elementwise value is the one a
+    lone :func:`cms_transform` gives."""
     cos_theta = neg_log_r = None
     for p in orders:
         if not 0.0 < p <= 2.0:
             raise ValueError(f"stability index p must be in (0, 2]: {p}")
         if p == 1.0:
-            variates.append(np.tan(theta))
+            yield np.tan(theta)
             continue
         if cos_theta is None:
             cos_theta, neg_log_r = np.cos(theta), -np.log(r)
         numerator = np.sin(p * theta)
         denominator = cos_theta ** (1.0 / p)
         correction = (np.cos(theta * (1.0 - p)) / neg_log_r) ** (1.0 / p - 1.0)
-        variates.append(numerator / denominator * correction)
-    return variates
+        yield numerator / denominator * correction
 
 
 def sample_pstable_array(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.count_min_morris import CountMinMorris
+from repro.core import counters
 from repro.state.tracker import make_tracker
 from repro.streams import FrequencyVector, uniform_stream, zipf_stream
 
@@ -128,6 +129,24 @@ class TestSnapshotGeometry:
         state["payload"][field][2][3] = -1
         with pytest.raises(ValueError, match=f"{field!r}.*negative"):
             CountMinMorris.from_state(state)
+
+    @pytest.mark.parametrize("past", [0, 10**9])
+    def test_unreachable_level_raises(self, past):
+        """A level whose climb probability is below 2^-1000 (the
+        default a = 0.125 reaches 5,884 at most) is refused before any
+        survival log is computed for it."""
+        sketch, state = _snapshot()
+        top = max(
+            level for level in range(6000) if 1.125**-level >= 2.0**-1000
+        )
+        state["payload"]["levels"][1][4] = top
+        restored = CountMinMorris.from_state(state)
+        restored.process_chunk(np.arange(64))
+        state["payload"]["levels"][1][4] = top + 1 + past
+        with pytest.raises(ValueError, match=f"'levels'.* {top + 1 + past} "):
+            CountMinMorris.from_state(state)
+        # The survival-log table grew only toward levels rows hold.
+        assert len(counters._SURVIVAL[sketch.a]) <= 2 * (top + 2)
 
     def test_negative_merge_draws_raise(self):
         """A negative merge-coin index would fail only at the next

@@ -1,7 +1,5 @@
 """Tests for the Morris counter kernels and table rows (Theorem 1.5)."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,33 +126,6 @@ class SkipMorrisCounter:
         self._level.release()
 
 
-def four_round_step(a, levels, weights, uniforms):
-    """:func:`weighted_morris_step`'s general formula, without its
-    shortcut for calls where nothing climbs a whole level: the closed
-    form, two fix-up rounds down and two up, then the remainder's coin.
-    The oracle of the shortcut."""
-    levels = np.asarray(levels, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64)
-    u = np.asarray(uniforms, dtype=np.float64)
-    la = math.log1p(a)
-    gap = np.power(1.0 + a, levels.astype(np.float64))
-    positive = w > 0.0
-    ratio = np.divide(a * w, gap, out=np.zeros_like(w), where=positive)
-    d = np.floor(np.log1p(ratio) / la)
-    d = np.where(positive, np.maximum(d, 0.0), 0.0)
-    for _ in range(2):
-        consumed = gap * np.expm1(d * la) / a
-        d = np.where((consumed > w) & (d > 0.0), d - 1.0, d)
-    for _ in range(2):
-        consumed_next = gap * np.expm1((d + 1.0) * la) / a
-        d = np.where(positive & (consumed_next <= w), d + 1.0, d)
-    remainder = w - gap * np.expm1(d * la) / a
-    new_levels = levels + d.astype(np.int64)
-    new_gap = np.power(1.0 + a, new_levels.astype(np.float64))
-    coin = positive & (remainder > 0.0) & (u * new_gap < remainder)
-    return new_levels + coin.astype(np.int64)
-
-
 class TestWeightedMorrisStep:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -179,42 +150,6 @@ class TestWeightedMorrisStep:
             for i in range(length)
         ]
         assert stepped.tolist() == alone
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        length=st.integers(min_value=1, max_value=300),
-        a=st.sampled_from([0.001, 0.02, 0.125, 0.5]),
-        climbing=st.sampled_from([0.0, 0.05, 0.5]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_equals_the_four_round_formula(self, seed, length, a, climbing):
-        """The step equals its general formula on every lane: a call in
-        which no lane climbs a whole level takes the shortcut, a call
-        with climbing lanes the general formula, and lanes stepped alone
-        take the branch of their own kind."""
-        rng = np.random.default_rng(seed)
-        levels = rng.integers(0, 400, length)
-        gaps = (1.0 + a) ** levels.astype(np.float64)
-        # Zero and sub-gap weights (no whole-level climb), and a share
-        # ``climbing`` of weights up to a thousand gaps.
-        weights = gaps * np.where(
-            rng.random(length) < climbing,
-            10.0 ** rng.uniform(0, 3, length),
-            rng.uniform(0.0, 0.99, length) * (rng.random(length) > 0.1),
-        )
-        uniforms = rng.random(length)
-        expected = four_round_step(a, levels, weights, uniforms)
-        stepped = weighted_morris_step(a, levels, weights, uniforms)
-        assert stepped.tolist() == expected.tolist()
-        whole = weights >= gaps  # climbs at least one whole level
-        if climbing == 0.0:
-            assert not whole.any()
-        lanes = np.r_[np.flatnonzero(whole)[:10], np.flatnonzero(~whole)[:10]]
-        for i in lanes.tolist():
-            alone = slice(i, i + 1)
-            assert weighted_morris_step(
-                a, levels[alone], weights[alone], uniforms[alone]
-            ).tolist() == expected[alone].tolist()
 
     @pytest.mark.parametrize(
         "a,level,weight",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import fp_pstable
 from repro.core.counters import weighted_morris_step
 from repro.core.entropy import EntropyEstimator
 from repro.core.fp_pstable import (
@@ -139,6 +140,22 @@ class TestVariateTable:
             for item, slot in zip(items.tolist(), slots):
                 assert columns[slot].tolist() == reference_column(
                     7, item, rows, p
+                )
+
+    def test_wide_draw_in_pieces_matches_per_item_draws(self):
+        """At 400 rows one draw of 1,500 new items transforms them in
+        pieces of ``_DRAW_CELLS`` cells; every column still equals its
+        item's own draw."""
+        rows = 400
+        table = VariateTable(11, rows, ORDERS)
+        items = np.random.default_rng(2).choice(10**6, 1500, replace=False)
+        assert len(items) * rows > 2 * fp_pstable._DRAW_CELLS
+        slots = table.slots(items.tolist())
+        for p in ORDERS:
+            columns = table.columns(p)
+            for item, slot in zip(items.tolist(), slots):
+                assert columns[slot].tolist() == reference_column(
+                    11, item, rows, p
                 )
 
     def test_known_items_keep_their_slots(self):
