@@ -15,7 +15,7 @@ import statistics
 import numpy as np
 
 from repro.baselines._merge_kernels import add_cells
-from repro.hashing.prime_field import KWiseHash
+from repro.hashing.prime_field import PIECE_CELLS, HashStack, KWiseHash
 from repro.query import Moment, MomentAnswer, QueryKind
 from repro.state.algorithm import StreamAlgorithm, payload_array
 from repro.state.registers import TrackedArray
@@ -53,6 +53,7 @@ class AMSSketch(StreamAlgorithm):
         self._signs = [
             KWiseHash(4, seed=self.seed + 37 * c) for c in range(total)
         ]
+        self._stack = HashStack(self._signs)
         self.tracker.allocate(sum(h.description_words for h in self._signs))
 
     @classmethod
@@ -74,13 +75,20 @@ class AMSSketch(StreamAlgorithm):
 
     def _update_chunk(self, chunk: np.ndarray) -> None:
         # Vectorized kernel: each counter's delta is the sum of its ±1
-        # signs over the chunk.  Every update writes every counter (a
-        # ±1 add is never silent), so the chunk costs
-        # k * num_counters mutating writes and k state changes.
+        # signs over the chunk, hashed a stacked piece of counters at a
+        # time.  Every update writes every counter (a ±1 add is never
+        # silent), so the chunk costs k * num_counters mutating writes
+        # and k state changes.
         k = len(chunk)
         tracker = self.tracker
-        deltas = [int(h.sign_many(chunk).sum()) for h in self._signs]
-        self._sums.load([z + d for z, d in zip(self._sums, deltas)])
+        step = max(1, PIECE_CELLS // k)
+        deltas = np.concatenate(
+            [
+                self._stack[c:c + step].sign_many(chunk).sum(axis=1)
+                for c in range(0, len(self._signs), step)
+            ]
+        )
+        self._sums.load([z + d for z, d in zip(self._sums, deltas.tolist())])
         cells = None
         if tracker.needs_cell_ids:
             cells = {f"ams[{c}]": k for c in range(len(self._signs))}

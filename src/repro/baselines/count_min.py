@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.baselines._merge_kernels import add_cells
-from repro.hashing.prime_field import KWiseHash
+from repro.hashing.prime_field import HashStack, KWiseHash
 from repro.query import MultiPointQuery, PointQuery, QueryKind, ScalarAnswer
 from repro.state.algorithm import StreamAlgorithm, payload_counts
 from repro.state.registers import TrackedArray
@@ -54,6 +54,7 @@ class CountMin(StreamAlgorithm):
         self._hashes = [
             KWiseHash(2, seed=self.seed + 1000 * r) for r in range(depth)
         ]
+        self._stack = HashStack(self._hashes)
         # Hash descriptions occupy memory too.
         self.tracker.allocate(sum(h.description_words for h in self._hashes))
 
@@ -76,18 +77,22 @@ class CountMin(StreamAlgorithm):
             row[bucket] = row[bucket] + 1
 
     def _update_chunk(self, chunk: np.ndarray) -> None:
-        # Vectorized kernel: one row hash + bincount per row, cells
-        # merged through the untracked load path.  Every update
-        # increments depth cells (increments are never silent), so the
-        # bulk audit is exact: k updates = k state changes and
-        # k * depth mutating writes.
+        # Vectorized kernel: one stacked hash of every row, one bincount
+        # over row-offset buckets, cells merged through the untracked
+        # load path.  Every update increments depth cells (increments
+        # are never silent), so the bulk audit is exact: k updates = k
+        # state changes and k * depth mutating writes.
         k = len(chunk)
         tracker = self.tracker
         cells = {} if tracker.needs_cell_ids else None
-        for r, (row, h) in enumerate(zip(self._rows, self._hashes)):
-            counts = np.bincount(h.bucket_many(chunk, self.width))
-            touched = np.flatnonzero(counts)
-            deltas = counts[touched].tolist()
+        buckets = self._stack.bucket_many(chunk, self.width)
+        buckets += np.arange(0, self.depth * self.width, self.width)[:, None]
+        counts = np.bincount(
+            buckets.ravel(), minlength=self.depth * self.width
+        ).reshape(self.depth, self.width)
+        for r, (row, row_counts) in enumerate(zip(self._rows, counts)):
+            touched = np.flatnonzero(row_counts)
+            deltas = row_counts[touched].tolist()
             touched = touched.tolist()
             row.add_at(touched, deltas)
             if cells is not None:
@@ -115,9 +120,9 @@ class CountMin(StreamAlgorithm):
     def _answer_point_many(
         self, q: MultiPointQuery
     ) -> tuple[ScalarAnswer, ...]:
-        """Batch point queries: one chunked hash per row, gathered.
+        """Batch point queries: one stacked hash of every row, gathered.
 
-        Evaluates each row's polynomial once for the whole batch
+        Evaluates every row's polynomial once for the whole batch
         (:meth:`~repro.hashing.prime_field.KWiseHash.bucket_many` is
         bit-identical to the scalar hash), gathers the cells, and
         reduces with ``np.minimum`` — the same integer minima the
@@ -130,11 +135,13 @@ class CountMin(StreamAlgorithm):
             # costs more than the scalar hashes it saves.
             return super()._answer_point_many(q)
         items = np.asarray(q.items, dtype=np.int64)
-        best: np.ndarray | None = None
-        for row, h in zip(self._rows, self._hashes):
-            cells = np.fromiter(row, dtype=np.int64, count=self.width)
-            values = cells[h.bucket_many(items, self.width)]
-            best = values if best is None else np.minimum(best, values)
+        buckets = self._stack.bucket_many(items, self.width)
+        best = np.minimum.reduce(
+            [
+                np.fromiter(row, dtype=np.int64, count=self.width)[row_buckets]
+                for row, row_buckets in zip(self._rows, buckets)
+            ]
+        )
         return tuple(
             ScalarAnswer(QueryKind.POINT, float(value))
             for value in best.tolist()

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.counters import HeldTable
 from repro.hashing.coins import PhiloxCoins, stream_key
-from repro.hashing.prime_field import KWiseHash
+from repro.hashing.prime_field import HashStack, KWiseHash
 from repro.query import MultiPointQuery, PointQuery, QueryKind, ScalarAnswer
 from repro.state.algorithm import ChunkAudit, StreamAlgorithm, payload_counts
 from repro.state.tracker import StateTracker
@@ -94,6 +94,7 @@ class CountMinMorris(StreamAlgorithm):
         self._merge_coins = PhiloxCoins(base, "cmm.merge")
         self._merge_draws = 0
         self._hashes = [KWiseHash(2, seed=base + 1000 * r) for r in range(depth)]
+        self._stack = HashStack(self._hashes)
         self.tracker.allocate(sum(h.description_words for h in self._hashes))
 
     @classmethod
@@ -118,13 +119,11 @@ class CountMinMorris(StreamAlgorithm):
         n = len(chunk)
         audit = ChunkAudit(n, self.tracker.needs_cell_ids)
         # Every row's arrivals, row by row and each in stream order.
-        cells = np.concatenate(
-            [
-                offset + h.bucket_many(chunk, self.width)
-                for offset, h in zip(self._offsets, self._hashes)
-            ]
+        cells = self._stack.bucket_many(chunk, self.width)
+        cells += np.array(self._offsets)[:, None]
+        self._cells.settle(
+            cells.ravel(), np.tile(np.arange(n), self.depth), audit
         )
-        self._cells.settle(cells, np.tile(np.arange(n), self.depth), audit)
         audit.commit(self.tracker, n)
 
     @property
@@ -148,8 +147,9 @@ class CountMinMorris(StreamAlgorithm):
     def _answer_point_many(
         self, q: MultiPointQuery
     ) -> tuple[ScalarAnswer, ...]:
-        """Batch point queries: one chunked hash per row and one table
-        gather per row, each distinct level's estimate computed once.
+        """Batch point queries: one stacked hash of every row and one
+        table gather per row, each distinct level's estimate computed
+        once.
 
         The per-cell estimate is a pure function of the counter level,
         so the gathered estimates reproduce the scalar min over rows
@@ -158,10 +158,13 @@ class CountMinMorris(StreamAlgorithm):
         if not q.items:
             return ()
         items = np.asarray(q.items, dtype=np.int64)
-        best: np.ndarray | None = None
-        for offset, h in zip(self._offsets, self._hashes):
-            values = self._cells.estimates(offset + h.bucket_many(items, self.width))
-            best = values if best is None else np.minimum(best, values)
+        buckets = self._stack.bucket_many(items, self.width)
+        best = np.minimum.reduce(
+            [
+                self._cells.estimates(offset + row_buckets)
+                for offset, row_buckets in zip(self._offsets, buckets)
+            ]
+        )
         return tuple(
             ScalarAnswer(QueryKind.POINT, value)
             for value in best.tolist()

@@ -15,7 +15,7 @@ import statistics
 import numpy as np
 
 from repro.baselines._merge_kernels import add_cells
-from repro.hashing.prime_field import KWiseHash
+from repro.hashing.prime_field import HashStack, KWiseHash
 from repro.query import (
     Moment,
     MomentAnswer,
@@ -64,6 +64,8 @@ class CountSketch(StreamAlgorithm):
         self._sign_hashes = [
             KWiseHash(4, seed=base + 1000 * r + 500) for r in range(depth)
         ]
+        self._bucket_stack = HashStack(self._bucket_hashes)
+        self._sign_stack = HashStack(self._sign_hashes)
         self.tracker.allocate(
             sum(h.description_words for h in self._bucket_hashes)
             + sum(h.description_words for h in self._sign_hashes)
@@ -92,27 +94,32 @@ class CountSketch(StreamAlgorithm):
             row[bucket] = row[bucket] + sign_hash.sign(item)
 
     def _update_chunk(self, chunk: np.ndarray) -> None:
-        # Vectorized kernel: bucket + sign hashes per row, the signed
-        # deltas scattered with np.add.at.  Every update writes ±1 to
-        # depth cells — each write mutates even when per-bucket deltas
-        # net to zero across the chunk, so the audit charges one write
-        # per (update, row), exactly like the scalar loop.
+        # Vectorized kernel: every row's buckets and every row's signs
+        # from one stacked hash each, the signed deltas scattered with
+        # one np.add.at over row-offset buckets.  Every update writes
+        # ±1 to depth cells — each write mutates even when per-bucket
+        # deltas net to zero across the chunk, so the audit charges one
+        # write per (update, row), exactly like the scalar loop.
         k = len(chunk)
         tracker = self.tracker
         cells = {} if tracker.needs_cell_ids else None
-        for r, (row, bucket_hash, sign_hash) in enumerate(
-            zip(self._rows, self._bucket_hashes, self._sign_hashes)
-        ):
-            buckets = bucket_hash.bucket_many(chunk, self.width)
-            delta = np.zeros(self.width, dtype=np.int64)
-            np.add.at(delta, buckets, sign_hash.sign_many(chunk))
+        buckets = self._bucket_stack.bucket_many(chunk, self.width)
+        cell_count = self.depth * self.width
+        delta = np.zeros(cell_count, dtype=np.int64)
+        np.add.at(
+            delta,
+            (buckets + np.arange(0, cell_count, self.width)[:, None]).ravel(),
+            self._sign_stack.sign_many(chunk).ravel(),
+        )
+        delta = delta.reshape(self.depth, self.width)
+        for r, (row, row_delta) in enumerate(zip(self._rows, delta)):
             # Touching only the net-nonzero cells is exact: a bucket
             # whose ±1s cancel keeps its value either way (the writes
             # are still charged above, like the scalar loop's).
-            touched = np.flatnonzero(delta)
-            row.add_at(touched.tolist(), delta[touched].tolist())
+            touched = np.flatnonzero(row_delta)
+            row.add_at(touched.tolist(), row_delta[touched].tolist())
             if cells is not None:
-                counts = np.bincount(buckets, minlength=self.width)
+                counts = np.bincount(buckets[r], minlength=self.width)
                 for bucket in np.flatnonzero(counts).tolist():
                     cells[f"cs[{r}][{bucket}]"] = int(counts[bucket])
         writes = k * self.depth
@@ -138,8 +145,8 @@ class CountSketch(StreamAlgorithm):
         """Batch point queries: chunked bucket + sign hashes, exact
         integer median.
 
-        One ``bucket_many``/``sign_many`` evaluation per row builds a
-        ``depth x batch`` vote matrix; the median is taken per column
+        One stacked ``bucket_many`` and one stacked ``sign_many`` build
+        a ``depth x batch`` vote matrix; the median is taken per column
         on sorted int64 votes — the middle element for odd depth, the
         exact integer midpoint sum divided by 2 for even depth — which
         reproduces ``statistics.median`` of the scalar loop's Python
@@ -153,14 +160,11 @@ class CountSketch(StreamAlgorithm):
             # costs more than the scalar hashes it saves.
             return super()._answer_point_many(q)
         items = np.asarray(q.items, dtype=np.int64)
-        votes = np.empty((self.depth, len(items)), dtype=np.int64)
-        for r, (row, bucket_hash, sign_hash) in enumerate(
-            zip(self._rows, self._bucket_hashes, self._sign_hashes)
-        ):
+        buckets = self._bucket_stack.bucket_many(items, self.width)
+        votes = self._sign_stack.sign_many(items)
+        for row, row_buckets, row_votes in zip(self._rows, buckets, votes):
             cells = np.fromiter(row, dtype=np.int64, count=self.width)
-            votes[r] = sign_hash.sign_many(items) * (
-                cells[bucket_hash.bucket_many(items, self.width)]
-            )
+            row_votes *= cells[row_buckets]
         votes.sort(axis=0)
         mid = self.depth // 2
         if self.depth % 2:

@@ -159,11 +159,6 @@ class FpEstimator(StreamAlgorithm):
     supports = frozenset({QueryKind.MOMENT})
     draws_coins = True
 
-    #: Items a sampler's level cache holds before it starts over.
-    #: Levels are a pure function of the item, so the cache only saves
-    #: hashing; it holds a default chunk's items many times over.
-    LEVEL_CACHE = 1 << 16
-
     def __init__(
         self,
         n: int,
@@ -191,9 +186,6 @@ class FpEstimator(StreamAlgorithm):
         self._levels = LevelSets(n, m, p, epsilon, rng, repetitions, num_levels)
         self.repetitions = self._levels.repetitions
         self.num_levels = self._levels.num_levels
-        # Per sampler, the universe level of items chunks have routed (a
-        # cache of the pure ``level_of``, bounded by LEVEL_CACHE).
-        self._item_levels: list[dict[int, int]] = [{} for _ in range(self.repetitions)]
         # Arrival clock, advanced before each update reaches a grid,
         # and the band contributions with the clock they were built at.
         self._t = 0
@@ -255,26 +247,14 @@ class FpEstimator(StreamAlgorithm):
         their shared table, and their arrays are freed before the
         instances settle.
 
-        Universe levels come from the scalar ``level_of``, cached per
-        distinct item, so a level boundary never moves by the last-ulp
-        difference a vectorized unit hash could make.
+        Universe levels come from one ``levels_many`` per copy over the
+        chunk's distinct items, equal to the scalar ``level_of``.
         """
         distinct, inverse = np.unique(chunk, return_inverse=True)
-        items = distinct.tolist()
         routes: list[tuple[SampleAndHold, np.ndarray]] = []
         lengths: list[tuple[np.ndarray, np.ndarray]] = []
-        for sampler, known, row in zip(
-            self._levels.samplers, self._item_levels, self._backends
-        ):
-            levels = []
-            for item in items:
-                level = known.get(item)
-                if level is None:
-                    if len(known) >= self.LEVEL_CACHE:
-                        known.clear()
-                    level = known[item] = sampler.level_of(item)
-                levels.append(level)
-            deepest = np.array(levels, dtype=np.int64)[inverse]
+        for sampler, row in zip(self._levels.samplers, self._backends):
+            deepest = sampler.levels_many(distinct)[inverse]
             for level_index, backend in enumerate(row):
                 positions = np.flatnonzero(deepest > level_index)
                 if len(positions) == 0:

@@ -9,7 +9,7 @@
   (:mod:`repro.hashing.coins`).
 """
 
-from repro.hashing.prime_field import MERSENNE_P, KWiseHash, hash_to_unit
+from repro.hashing.prime_field import MERSENNE_P, HashStack, KWiseHash
 from repro.hashing.pstable import (
     sample_pstable,
     sample_pstable_array,
@@ -20,7 +20,7 @@ from repro.hashing.subsample import NestedUniverseSampler
 __all__ = [
     "MERSENNE_P",
     "KWiseHash",
-    "hash_to_unit",
+    "HashStack",
     "sample_pstable",
     "sample_pstable_array",
     "stable_abs_median",

@@ -2,14 +2,12 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro import registry
 from repro.core import FpEstimator, HeavyHitters
 from repro.core.fp_estimation import LevelSets
 from repro.experiments.accuracy import level_set_estimate
-from repro.query import Moment
 from repro.streams import (
     FrequencyVector,
     planted_heavy_hitter_stream,
@@ -113,30 +111,6 @@ class TestSampleHoldBackend:
         assert algo.lp_norm_estimate() == pytest.approx(
             algo.fp_estimate() ** 0.5
         )
-
-
-class TestLevelCache:
-    def test_bounded_cache_matches_the_scalar_run(self, monkeypatch):
-        """More distinct items than the level cache holds: every
-        sampler's cache starts over within its bound, and the chunked
-        run still equals the scalar one."""
-        monkeypatch.setattr(FpEstimator, "LEVEL_CACHE", 64)
-        stream = np.random.default_rng(4).integers(0, 1024, 3000)
-
-        def build():
-            return FpEstimator(n=1024, m=3000, p=2, epsilon=1.0, seed=2)
-
-        scalar = build()
-        scalar.process_many(stream.tolist())
-        chunked = build()
-        distinct = set()
-        for low in range(0, len(stream), 500):
-            chunked.process_chunk(stream[low:low + 500])
-            distinct.update(stream[low:low + 500].tolist())
-            assert all(len(known) <= 64 for known in chunked._item_levels)
-        assert len(distinct) > 64
-        assert chunked.query(Moment()) == scalar.query(Moment())
-        assert chunked.report() == scalar.report()
 
 
 class TestHeavyHittersAPI:

@@ -9,9 +9,18 @@ from hypothesis import strategies as st
 
 from repro.hashing import (
     MERSENNE_P,
+    HashStack,
     KWiseHash,
     NestedUniverseSampler,
-    hash_to_unit,
+)
+from repro.hashing.prime_field import PIECE_CELLS
+
+#: Items on the kernel's 32-bit path, and items that force the general
+#: path (at or past 2^32, or negative).
+SMALL_ITEMS = st.integers(min_value=0, max_value=2**32 - 1)
+WIDE_ITEMS = st.one_of(
+    st.integers(min_value=2**32, max_value=2**63 - 1),
+    st.integers(min_value=-(2**63), max_value=-1),
 )
 
 
@@ -70,46 +79,65 @@ class TestKWiseHash:
 
     @given(
         k=st.integers(min_value=1, max_value=7),
-        seed=st.integers(min_value=0, max_value=2**32),
-        items=st.lists(
-            st.integers(min_value=-(2**63), max_value=2**63 - 1),
-            min_size=1,
-            max_size=40,
+        seeds=st.lists(
+            st.integers(min_value=0, max_value=2**32), min_size=1, max_size=5
+        ),
+        items=st.one_of(
+            st.lists(SMALL_ITEMS, max_size=40),
+            st.tuples(
+                st.lists(SMALL_ITEMS, max_size=20),
+                st.lists(WIDE_ITEMS, min_size=1, max_size=20),
+            ).flatmap(lambda parts: st.permutations(parts[0] + parts[1])),
+        ),
+        length=st.sampled_from(
+            [None, PIECE_CELLS // 3, PIECE_CELLS // 3 + 1, PIECE_CELLS + 1]
         ),
     )
     @example(
-        k=2, seed=0,
+        k=2, seeds=[0],
         items=[-(2**63), -5, -1, 0, 1, MERSENNE_P - 1, MERSENNE_P,
                2**62, 2**63 - 1],
+        length=None,
     )
+    @example(k=2, seeds=[0, 1, 2], items=[0, 1, 2**32 - 1], length=PIECE_CELLS // 3 + 1)
+    @example(k=4, seeds=[5, 6], items=[], length=None)
     @settings(max_examples=200, deadline=None)
-    def test_vectorized_hashes_equal_scalar_over_int64(self, k, seed, items):
-        """``many`` and its derived kernels equal the scalar hash on
-        every ``int64`` item — negatives and values >= 2^61 included."""
-        h = KWiseHash(k, seed=seed)
-        xs = np.asarray(items, dtype=np.int64)
-        assert h.many(xs).tolist() == [h(x) for x in items]
-        assert h.bucket_many(xs, 13).tolist() == [
-            h.bucket(x, 13) for x in items
-        ]
-        assert h.sign_many(xs).tolist() == [h.sign(x) for x in items]
-        # unit_many rounds uint64 -> float64 before dividing, so it may
-        # differ from the correctly rounded int / int by an ulp.
-        for got, x in zip(h.unit_many(xs).tolist(), items):
-            assert math.isclose(got, h.unit(x), rel_tol=1e-15, abs_tol=0)
+    def test_vectorized_hashes_equal_scalar_over_int64(
+        self, k, seeds, items, length
+    ):
+        """Each row of a stack's ``many``, ``bucket_many``,
+        ``sign_many`` and ``unit_many`` equals its own hash — scalar and
+        vectorized — on every ``int64`` item: chunks all in
+        ``[0, 2^32)``, chunks mixing them with items past it or
+        negative, and empty chunks, at lengths on both sides of the
+        piece budget (the drawn items repeated)."""
+        hashes = [KWiseHash(k, seed=seed) for seed in seeds]
+        stack = HashStack(hashes)
+        n = len(items) if length is None or not items else length
+        xs = np.resize(np.asarray(items, dtype=np.int64), n)
 
+        def tiled(values):
+            return [values[i % len(values)] for i in range(n)]
 
-class TestHashToUnit:
-    def test_deterministic(self):
-        assert hash_to_unit(1, 2, 3) == hash_to_unit(1, 2, 3)
-
-    def test_varies_with_parts(self):
-        values = {hash_to_unit(0, i) for i in range(100)}
-        assert len(values) == 100
-
-    def test_in_unit_interval(self):
-        for i in range(200):
-            assert 0.0 <= hash_to_unit(9, i) < 1.0
+        many = stack.many(xs)
+        units = stack.unit_many(xs)
+        signs = stack.sign_many(xs)
+        assert many.shape == units.shape == signs.shape == (len(hashes), n)
+        for buckets in (1, 8, 13):
+            rows = stack.bucket_many(xs, buckets)
+            for row, h in zip(rows.tolist(), hashes):
+                assert row == tiled([h.bucket(x, buckets) for x in items])
+                assert h.bucket_many(xs, buckets).tolist() == row
+        for r, h in enumerate(hashes):
+            assert many[r].tolist() == tiled([h(x) for x in items])
+            assert h.many(xs).tolist() == many[r].tolist()
+            assert signs[r].tolist() == tiled([h.sign(x) for x in items])
+            assert h.sign_many(xs).tolist() == signs[r].tolist()
+            # unit_many rounds uint64 -> float64 before dividing, so it
+            # may differ from the correctly rounded int / int by an ulp.
+            scalar = tiled([h.unit(x) for x in items])
+            for got, want in zip(units[r].tolist(), scalar):
+                assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0)
 
 
 class TestNestedUniverseSampler:
@@ -138,6 +166,32 @@ class TestNestedUniverseSampler:
         sampler = NestedUniverseSampler(num_levels=8, seed=3)
         assert [sampler.level_of(j) for j in range(100)] == [
             sampler.level_of(j) for j in range(100)
+        ]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_levels_many_equals_level_of(self, seed):
+        """The vectorized levels equal the scalar ones on items whose
+        hash lands within ±4 of ``⌊P/2^j⌋`` for every ``j`` — where a
+        float quotient can round across a level boundary — and on
+        ordinary items."""
+        sampler = NestedUniverseSampler(num_levels=14, seed=seed)
+        c0, c1 = sampler._hash._coeffs
+        inverse = pow(c1, -1, MERSENNE_P)
+        targets = [
+            (MERSENNE_P >> j) + d for j in range(62) for d in range(-4, 5)
+        ]
+        items = [
+            (t - c0) * inverse % MERSENNE_P
+            for t in targets
+            if 0 <= t < MERSENNE_P
+        ]
+        assert [sampler._hash(x) for x in items] == [
+            t for t in targets if 0 <= t < MERSENNE_P
+        ]
+        items += range(1000)
+        xs = np.asarray(items, dtype=np.int64)
+        assert sampler.levels_many(xs).tolist() == [
+            sampler.level_of(x) for x in items
         ]
 
     def test_rate(self):
