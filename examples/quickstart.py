@@ -147,7 +147,7 @@ def main() -> None:
     # --- batch queries: one consistent cut, vectorized ---------------
     # query_batch answers a whole item list through the family's
     # query_many kernel — bit-identical to a loop of scalar queries,
-    # but one snapshot capture, one hash pass per row, and one answer
+    # but one snapshot capture, one hash pass for all rows, and one answer
     # cache entry.  Every answer shares the batch's staleness.
     top = sorted(set(int(item) for item in stream[:50]))[:8]
     answers = live.query_batch(top)

@@ -25,8 +25,8 @@ MERSENNE_P = (1 << 61) - 1
 PIECE_CELLS = 8192
 
 _P64 = np.uint64(MERSENNE_P)
-_MASK29 = np.uint64((1 << 29) - 1)
 _MASK32 = np.uint64((1 << 32) - 1)
+_MASK29 = np.uint64((1 << 29) - 1)
 _U1 = np.uint64(1)
 _U3 = np.uint64(3)
 _U29 = np.uint64(29)
@@ -192,7 +192,8 @@ class KWiseHash:
         coeffs = [rng.randrange(MERSENNE_P) for _ in range(k - 1)]
         coeffs.append(rng.randrange(1, MERSENNE_P))
         self._coeffs: Sequence[int] = tuple(coeffs)
-        # The vectorized kernel's coefficients: leading first, one row.
+        # The vectorized kernel's coefficients, (k, rows, 1): leading
+        # first, one row per hash (one here).
         self._columns = np.array(coeffs[::-1], dtype=np.uint64).reshape(k, 1, 1)
 
     def __call__(self, x: int) -> int:
@@ -292,6 +293,7 @@ class HashStack(KWiseHash):
         raise TypeError("a HashStack hashes chunks only; call one of its hashes")
 
     def __getitem__(self, rows: slice) -> "HashStack":
+        """The stack of the hashes in ``rows``."""
         part = HashStack.__new__(HashStack)
         part.k, part._coeffs, part._columns = self.k, (), self._columns[:, rows]
         return part

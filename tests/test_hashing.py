@@ -123,6 +123,7 @@ class TestKWiseHash:
         units = stack.unit_many(xs)
         signs = stack.sign_many(xs)
         assert many.shape == units.shape == signs.shape == (len(hashes), n)
+        assert stack[1:].many(xs).tolist() == many[1:].tolist()
         for buckets in (1, 8, 13):
             rows = stack.bucket_many(xs, buckets)
             for row, h in zip(rows.tolist(), hashes):
