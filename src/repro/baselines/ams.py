@@ -54,7 +54,7 @@ class AMSSketch(StreamAlgorithm):
             KWiseHash(4, seed=self.seed + 37 * c) for c in range(total)
         ]
         self._stack = HashStack(self._signs)
-        self.tracker.allocate(sum(h.description_words for h in self._signs))
+        self.tracker.allocate(self._stack.description_words)
 
     @classmethod
     def for_accuracy(

@@ -56,7 +56,7 @@ class CountMin(StreamAlgorithm):
         ]
         self._stack = HashStack(self._hashes)
         # Hash descriptions occupy memory too.
-        self.tracker.allocate(sum(h.description_words for h in self._hashes))
+        self.tracker.allocate(self._stack.description_words)
 
     @classmethod
     def for_accuracy(

@@ -95,7 +95,7 @@ class CountMinMorris(StreamAlgorithm):
         self._merge_draws = 0
         self._hashes = [KWiseHash(2, seed=base + 1000 * r) for r in range(depth)]
         self._stack = HashStack(self._hashes)
-        self.tracker.allocate(sum(h.description_words for h in self._hashes))
+        self.tracker.allocate(self._stack.description_words)
 
     @classmethod
     def for_accuracy(

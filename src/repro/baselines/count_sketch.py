@@ -67,8 +67,8 @@ class CountSketch(StreamAlgorithm):
         self._bucket_stack = HashStack(self._bucket_hashes)
         self._sign_stack = HashStack(self._sign_hashes)
         self.tracker.allocate(
-            sum(h.description_words for h in self._bucket_hashes)
-            + sum(h.description_words for h in self._sign_hashes)
+            self._bucket_stack.description_words
+            + self._sign_stack.description_words
         )
 
     @classmethod

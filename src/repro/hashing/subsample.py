@@ -33,12 +33,6 @@ from repro.hashing.prime_field import KWiseHash
 #: Both err by a few ulps (~2^-50 relative), far inside this band.
 _LEVEL_BAND = 2.0**-40
 
-#: Fewer items than this take the scalar ``level_of`` one by one: on a
-#: 2-CPU container the vectorized pass costs ~30-40 µs at any length up
-#: to a few hundred items, and ``level_of`` ~2-3 µs per item, so a
-#: one-item chunk would pay ten times the scalar cost.
-_FEW_ITEMS = 16
-
 
 class NestedUniverseSampler:
     """Hash-based nested subsets ``I_1 ⊇ I_2 ⊇ ... ⊇ I_L`` of ``[n]``.
@@ -86,13 +80,8 @@ class NestedUniverseSampler:
         With ``u = m * 2^e`` (``frexp``, ``m`` in ``[0.5, 1)``), the
         deepest level is ``1 - e`` unless ``u`` is a power of two.  Items
         whose ``u`` lies within :data:`_LEVEL_BAND` of one (``u = 0``
-        included) take the scalar ``level_of``, and so do all items of
-        a call with fewer than :data:`_FEW_ITEMS`.
+        included) take the scalar ``level_of``.
         """
-        if len(items) < _FEW_ITEMS:
-            return np.array(
-                [self.level_of(item) for item in items.tolist()], dtype=np.int64
-            )
         mantissas, exponents = np.frexp(self._hash.unit_many(items))
         levels = np.clip(1 - exponents.astype(np.int64), 1, self.num_levels)
         near = np.flatnonzero(

@@ -124,6 +124,9 @@ class TestKWiseHash:
         signs = stack.sign_many(xs)
         assert many.shape == units.shape == signs.shape == (len(hashes), n)
         assert stack[1:].many(xs).tolist() == many[1:].tolist()
+        assert stack.description_words == sum(
+            h.description_words for h in hashes
+        )
         for buckets in (1, 8, 13):
             rows = stack.bucket_many(xs, buckets)
             for row, h in zip(rows.tolist(), hashes):
