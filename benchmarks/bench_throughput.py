@@ -481,7 +481,7 @@ def run_sharded_throughput(
 ) -> dict:
     """Serial vs process-pool sharded ingestion on one Zipf stream.
 
-    Both runners see the identical stream, partitioner seed, and sketch
+    Both runners see the identical stream, routing seed, and sketch
     seeds, so the merged results must agree bit for bit; the dict
     records the throughput of each mode plus the equivalence checks.
     """
@@ -550,7 +550,7 @@ def run_parallel_pipeline(
     """Pipelined vs serial on one chunked stream.
 
     Both executors route the identical ``int64`` stream with the
-    identical partitioner, so merged states, per-shard audits, and
+    identical routing hash, so merged states, per-shard audits, and
     query answers must agree bit for bit — that equivalence is recorded
     (and asserted unconditionally by the test).  The timing side
     records each executor's end-to-end throughput (ingest + merge) and
@@ -577,8 +577,8 @@ def run_parallel_pipeline(
             executor=executor, chunk_size=chunk_size,
         )
         start = time.perf_counter()
-        runner.ingest(ChunkedStream(arr))
-        reports = runner.shard_reports()  # finishes the pipelined pool
+        runner.ingest(ChunkedStream(arr))  # finishes the pipelined pool
+        reports = runner.shard_reports()
         merged = runner.merge()
         total_seconds = time.perf_counter() - start
         results[mode] = {

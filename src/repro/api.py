@@ -16,13 +16,15 @@ protocol (:mod:`repro.query`)::
     report.audit.state_changes              # the paper's sum_t X_t
     report.wall_time_s                      # ingest + reduce wall time
 
-``shards=K`` switches ingestion to the sharded runtime transparently;
-answers still come from one merged sketch, and ``executor="process"``
+``shards=K`` switches ingestion to the sharded runtime transparently
+(items are routed to shards by a hash of their identity); answers
+still come from one merged sketch, and ``executor="process"``
 additionally fans the shards out over the pipelined shared-memory
-``multiprocessing`` pool, with bit-identical results.  One ``seed``
-drives the registry factory (sketch randomness), the shard
-partitioner, and the stream-independent RNGs, so two engines built
-with the same arguments produce identical reports end to end.
+``multiprocessing`` pool (one worker per shard, capped by the usable
+CPUs), with bit-identical results.  One ``seed`` drives the registry
+factory (sketch randomness), the routing hash, and the
+stream-independent RNGs, so two engines built with the same arguments
+produce identical reports end to end.
 
 Streams can be passed explicitly or named: ``run(workload="bursty")``
 materializes a registered scenario (:mod:`repro.workloads`) sized by
@@ -70,12 +72,11 @@ from repro.query import (
     QueryKind,
     UnsupportedQueryError,
 )
-from repro.runtime.parallel import resolve_start_method
-from repro.runtime.sharded import ShardedRunner, check_partition_and_executor
+from repro.runtime.sharded import ShardedRunner, check_executor
 from repro.state.algorithm import Sketch, check_coin_protocol
 from repro.state.budget import BudgetReport, WriteBudget
 from repro.state.report import StateChangeReport
-from repro.state.tracker import TRACKING_MODES, BudgetBackend
+from repro.state.tracker import BudgetBackend, resolve_tracking
 from repro.workloads import Workload
 
 #: Wear-leveling policy of the NVM device a priced run attaches (an
@@ -101,7 +102,7 @@ class RunReport:
     ----------
     sketch:
         Registry name of the algorithm that ran.
-    num_shards / partition / seed:
+    num_shards / seed:
         The ingestion configuration, echoed for provenance.
     items_processed:
         Stream updates consumed.
@@ -137,7 +138,6 @@ class RunReport:
 
     sketch: str
     num_shards: int
-    partition: str
     seed: int
     items_processed: int
     wall_time_s: float
@@ -170,7 +170,7 @@ class RunReport:
         nvm = f" [{self.nvm.summary()}]" if self.nvm else ""
         return (
             f"{self.sketch}: items={self.items_processed} "
-            f"shards={self.num_shards} ({self.partition}/{self.executor}) "
+            f"shards={self.num_shards} ({self.executor}) "
             f"state_changes={self.audit.state_changes} "
             f"peak_words={self.audit.peak_words} "
             f"wall={self.wall_time_s:.3f}s{workload}{budget}{nvm}"
@@ -189,26 +189,15 @@ class Engine:
     seed:
         The single randomness seed: it reaches the sketch factory of
         every shard (so shards share hash functions and merge
-        losslessly) and the shard partitioner.  Runs with equal
+        losslessly) and the shard routing hash.  Runs with equal
         arguments are reproducible end to end.
     shards:
         Number of ingestion shards ``K >= 1``; ``K > 1`` requires a
         mergeable sketch.
-    partition:
-        ``"hash"`` (default) or ``"round-robin"``; see
-        :class:`~repro.runtime.sharded.ShardedRunner`.
     executor:
         ``"serial"`` (default) or ``"process"`` (the pipelined
         shared-memory pool).  Results are bit-identical; only the
         wall-clock changes.
-    max_workers:
-        Pool size cap (``None``: one worker per shard, capped by the
-        CPUs the process may run on).
-    start_method:
-        Explicit ``multiprocessing`` start-method override (``"fork"``
-        / ``"forkserver"`` / ``"spawn"``); ``None`` applies the
-        thread-safety policy of
-        :func:`~repro.runtime.parallel.resolve_start_method`.
     coin_protocol:
         Optional check of the coin protocol (see
         :data:`~repro.state.algorithm.COIN_PROTOCOL`): ``"v2"``, the
@@ -226,11 +215,8 @@ class Engine:
         epsilon: float = 0.5,
         seed: int = 0,
         shards: int = 1,
-        partition: str = "hash",
         executor: str = "serial",
-        max_workers: int | None = None,
         coin_protocol: str | None = None,
-        start_method: str | None = None,
     ) -> None:
         self.spec = registry.spec(sketch)
         if shards < 1:
@@ -242,7 +228,7 @@ class Engine:
                     f"applies only to sketches that draw coins"
                 )
             check_coin_protocol(coin_protocol, f"Engine({sketch!r})")
-        check_partition_and_executor(partition, executor)
+        check_executor(executor)
         if executor == "process" and (
             self.spec.cls._config_state is Sketch._config_state
         ):
@@ -253,8 +239,6 @@ class Engine:
                 f"{sketch!r} does not support state serialization and "
                 f"cannot use the process executor; use executor='serial'"
             )
-        if start_method is not None:
-            resolve_start_method(start_method)  # validate eagerly
         if shards > 1 and not self.spec.mergeable:
             raise ValueError(
                 f"{sketch!r} is not mergeable and cannot be sharded; "
@@ -266,10 +250,7 @@ class Engine:
         self.epsilon = epsilon
         self.seed = seed
         self.shards = shards
-        self.partition = partition
         self.executor = executor
-        self.max_workers = max_workers
-        self.start_method = start_method
         self._merged: Sketch | None = None
 
     # ------------------------------------------------------------------
@@ -350,25 +331,12 @@ class Engine:
             raise ValueError(
                 "pass exactly one of stream= or workload= to Engine.run"
             )
-        if tracking not in TRACKING_MODES:
-            raise ValueError(
-                f"unknown tracking mode {tracking!r}; "
-                f"choose from {TRACKING_MODES}"
-            )
-        if budget is not None:
-            if tracking == "trace":
-                raise ValueError(
-                    "a write budget runs on the 'budget' backend, which "
-                    "keeps no per-cell trace; drop tracking= or pass "
-                    "tracking='budget'"
-                )
-            if not isinstance(budget, WriteBudget):
-                budget = WriteBudget(budget)
+        tracking = resolve_tracking(tracking, budget)
         device = None
         nvm_model = None
         if nvm is not None:
             nvm_model = resolve_nvm(nvm)
-            if budget is not None or tracking == "budget":
+            if tracking == "budget":
                 raise ValueError(
                     "nvm= needs the write trace of the trace backend; "
                     "it cannot be combined with a write budget"
@@ -385,8 +353,6 @@ class Engine:
                 wear_leveling=NVM_WEAR_LEVELING,
                 seed=self.seed,
             )
-        if budget is not None:
-            tracking = "budget"
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
         workload_name = None
@@ -404,14 +370,11 @@ class Engine:
             m=self.m,
             epsilon=self.epsilon,
             seed=self.seed,
-            partition=self.partition,
             executor=self.executor,
-            max_workers=self.max_workers,
             tracking=tracking,
             budget=budget,
             budget_split=budget_split,
             chunk_size=chunk_size,
-            start_method=self.start_method,
         )
         if device is not None:
             for shard in runner.shards:
@@ -435,7 +398,6 @@ class Engine:
         return RunReport(
             sketch=self.sketch_name,
             num_shards=self.shards,
-            partition=self.partition,
             seed=self.seed,
             items_processed=result.merged.items_processed,
             wall_time_s=wall_time_s,
@@ -471,7 +433,7 @@ class Engine:
     ):
         """A :class:`~repro.serve.LiveEngine` with this engine's config.
 
-        The live engine shares the sketch/sizing/seed/shard/partition
+        The live engine shares the sketch/sizing/seed/shard
         configuration, so a mid-stream snapshot it serves is
         bit-identical to what :meth:`run` would report over the same
         stream prefix.  The executor is always serial — live ingest is
@@ -487,7 +449,6 @@ class Engine:
             epsilon=self.epsilon,
             seed=self.seed,
             shards=self.shards,
-            partition=self.partition,
             snapshot_every=(
                 DEFAULT_SNAPSHOT_EVERY
                 if snapshot_every is None

@@ -44,7 +44,7 @@ from repro.query import (
     Moment,
     QueryKind,
 )
-from repro.runtime.sharded import EXECUTORS, PARTITIONS
+from repro.runtime.sharded import EXECUTORS
 from repro.state import (
     BUDGET_POLICIES,
     TRACKING_MODES,
@@ -109,6 +109,26 @@ def _generate_workload(args: argparse.Namespace) -> list[int]:
     except (ValueError, OSError) as error:
         # e.g. trace-replay without --trace, or an unreadable file.
         raise SystemExit(str(error)) from None
+
+
+def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
+    """The ``--budget``/``--budget-policy`` flags ``run`` and ``serve``
+    share (read back by :func:`_budget`)."""
+    parser.add_argument("--budget", type=int, default=None,
+                        help="cap on state changes (enforced by the "
+                             "budget backend)")
+    parser.add_argument("--budget-policy", default="raise",
+                        choices=list(BUDGET_POLICIES),
+                        help="what happens past the budget")
+
+
+def _budget(args: argparse.Namespace) -> WriteBudget | None:
+    """The ``--budget``/``--budget-policy`` pair as a budget, if any."""
+    if args.budget is None:
+        return None
+    if args.budget < 0:
+        raise SystemExit(f"--budget must be >= 0: {args.budget}")
+    return WriteBudget(args.budget, args.budget_policy)
 
 
 def _load_stream(args: argparse.Namespace) -> list[int]:
@@ -188,9 +208,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         seed=args.seed,
         shards=args.shards,
-        partition=args.partition,
         executor=args.executor,
-        start_method=args.start_method,
     )
     workload = workloads.Workload(
         args.workload,
@@ -199,16 +217,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         params=_workload_params(args),
     )
-    budget = None
-    if args.budget is not None:
-        if args.budget < 0:
-            raise SystemExit(f"--budget must be >= 0: {args.budget}")
-        budget = WriteBudget(args.budget, args.budget_policy)
     try:
         report = engine.run(
             workload=workload,
             tracking=args.tracking,
-            budget=budget,
+            budget=_budget(args),
             budget_split=args.budget_split,
             nvm=args.nvm,
             nvm_cells=args.nvm_cells,
@@ -291,7 +304,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
             m=args.m,
             epsilon=args.epsilon,
             skew=args.skew,
-            partition=args.partition,
             seed=args.seed,
             workload=args.workload,
             executor=args.executor,
@@ -301,7 +313,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as error:
         # e.g. trace-replay without --trace, or an unreadable file.
         raise SystemExit(str(error)) from None
-    print(format_shard_scaling(rows, args.sketch, args.partition))
+    print(format_shard_scaling(rows, args.sketch))
     return 0
 
 
@@ -309,13 +321,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the live serving engine behind the JSON-lines socket."""
     from repro.serve import LiveEngine, LiveSession
     from repro.serve.server import serve as serve_forever
-    from repro.state import WriteBudget as _WriteBudget
 
-    budget = None
-    if args.budget is not None:
-        if args.budget < 0:
-            raise SystemExit(f"--budget must be >= 0: {args.budget}")
-        budget = _WriteBudget(args.budget, args.budget_policy)
     try:
         engine = LiveEngine(
             args.algorithm,
@@ -324,10 +330,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             epsilon=args.epsilon,
             seed=args.seed,
             shards=args.shards,
-            partition=args.partition,
             snapshot_every=args.snapshot_every,
             tracking=args.tracking,
-            budget=budget,
+            budget=_budget(args),
             answer_cache=args.answer_cache,
         )
     except KeyError:
@@ -438,12 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shards", type=int, default=1)
     run.add_argument("--executor", default="serial",
                      choices=list(EXECUTORS))
-    run.add_argument("--start-method", default=None, dest="start_method",
-                     choices=["fork", "forkserver", "spawn"],
-                     help="multiprocessing start method (default: fork "
-                          "when single-threaded, else forkserver/spawn)")
-    run.add_argument("--partition", default="hash",
-                     choices=list(PARTITIONS))
     run.add_argument("--n", type=int, default=4096)
     run.add_argument("--m", type=int, default=65536)
     run.add_argument("--skew", type=float, default=None,
@@ -453,12 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tracking", default="aggregate",
                      choices=list(TRACKING_MODES),
                      help="state-accounting backend for the run")
-    run.add_argument("--budget", type=int, default=None,
-                     help="cap on state changes (enforced by the "
-                          "budget backend)")
-    run.add_argument("--budget-policy", default="raise",
-                     choices=list(BUDGET_POLICIES),
-                     help="what happens past the budget")
+    _add_budget_flags(run)
     run.add_argument("--budget-split", default="even",
                      choices=["even", "replicate"],
                      help="divide the budget across shards, or give "
@@ -481,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--sketch", default="count-min")
     shard.add_argument("--shards", default="1,2,4,8",
                        help="comma-separated shard counts")
-    shard.add_argument("--partition", default="hash",
-                       choices=list(PARTITIONS))
     shard.add_argument("--executor", default="serial",
                        choices=list(EXECUTORS))
     shard.add_argument("--workload", default="zipf",
@@ -509,8 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0: pick an ephemeral port and "
                             "print it)")
     serve.add_argument("--shards", type=int, default=1)
-    serve.add_argument("--partition", default="hash",
-                       choices=list(PARTITIONS))
     serve.add_argument("--snapshot-every", type=int, default=8192,
                        dest="snapshot_every",
                        help="snapshot cadence in updates (collector "
@@ -522,12 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--tracking", default="aggregate",
                        choices=list(TRACKING_MODES),
                        help="state-accounting backend for the live run")
-    serve.add_argument("--budget", type=int, default=None,
-                       help="cap on state changes (enforced by the "
-                            "budget backend)")
-    serve.add_argument("--budget-policy", default="raise",
-                       choices=list(BUDGET_POLICIES),
-                       help="what happens past the budget")
+    _add_budget_flags(serve)
     serve.add_argument("--answer-cache", type=int, default=256,
                        dest="answer_cache",
                        help="snapshot-keyed answer cache capacity "

@@ -117,21 +117,19 @@ def shard_scaling(
     m: int = 65536,
     epsilon: float = 0.1,
     skew: float = 1.2,
-    partition: str = "hash",
     top_k: int = 20,
     seed: int = 0,
     workload: str = "zipf",
     executor: str = "serial",
     workload_params: dict | None = None,
     chunk_size: int | None = None,
-    start_method: str | None = None,
 ) -> list[ShardScalingRow]:
     """Compare shard counts against the single-instance baseline.
 
     All runs (including the 1-shard baseline) share the same stream —
     any scenario registered in :mod:`repro.workloads` — and the same
     sketch seed, so differences are attributable to the
-    partition/merge pipeline alone.  ``executor="process"`` runs the
+    routing/merge pipeline alone.  ``executor="process"`` runs the
     multi-shard rows on the pipelined shared-memory pool; results are
     bit-identical to serial by construction, making this sweep a live
     equivalence audit.
@@ -155,9 +153,7 @@ def shard_scaling(
             epsilon=epsilon,
             seed=seed,
             shards=num_shards,
-            partition=partition,
             executor=executor if num_shards > 1 else "serial",
-            start_method=start_method,
         )
 
     kind = _scoring_kind(registry.spec(sketch).supports)
@@ -218,11 +214,11 @@ def shard_scaling(
 
 
 def format_shard_scaling(
-    rows: Sequence[ShardScalingRow], sketch: str, partition: str
+    rows: Sequence[ShardScalingRow], sketch: str
 ) -> str:
     """Render the scaling sweep as an aligned text table."""
     lines = [
-        f"Sharded ingestion scaling — {sketch} ({partition}-partitioned)",
+        f"Sharded ingestion scaling — {sketch} (hash-partitioned)",
         f"{'shards':>7}{'state chg':>12}{'sum(shards)':>13}"
         f"{'peak words':>12}{'skew':>7}{'mae(truth)':>12}{'dev(single)':>13}",
     ]

@@ -1,13 +1,15 @@
 """Distributed-ingestion runtime built on the mergeable sketch protocol.
 
-* :mod:`repro.runtime.sharded` — :class:`ShardedRunner`: partition a
-  stream over ``K`` sketch shards chunk by chunk, ingest (serially, or
-  on the pipelined shared-memory process pool via
-  ``executor="process"``), merge-reduce.
+* :mod:`repro.runtime.sharded` — :class:`ShardedRunner`: route a
+  stream over ``K`` sketch shards by item hash, chunk by chunk, ingest
+  (serially, or on the pipelined shared-memory process pool via
+  ``executor="process"``, which each ``ingest`` call starts and
+  finishes), merge-reduce.
 * :mod:`repro.runtime.parallel` — the process executor
-  (:class:`PipelinedShardPool`) and its sizing/start-method policy.
-  Worker failures carry shard context as
-  :class:`ShardIngestError`.
+  (:class:`PipelinedShardPool`) and its fixed policy: one worker per
+  shard capped by :func:`available_cpus`, started by
+  :func:`resolve_start_method`.  Worker failures carry shard context
+  as :class:`ShardIngestError`.
 * :mod:`repro.runtime.checkpoint` — :class:`Checkpoint`: JSON
   round-trips of sketch state (estimates + coin positions + audit).
 """

@@ -4,32 +4,32 @@ shared-memory pool and its worker-sizing policy.
 Two pieces live here:
 
 * :class:`PipelinedShardPool` — the zero-copy pipelined executor.  A
-  persistent set of worker processes is fed through per-shard
-  ``multiprocessing.shared_memory`` ring buffers: the router (the
-  parent, inside :meth:`~repro.runtime.sharded.ShardedRunner.ingest`)
-  writes partitioned ``int64`` chunks straight into a shard's shared
-  segment while the owning worker ingests earlier chunks concurrently,
-  so routing and ingest overlap instead of running back to back.
+  set of worker processes, persistent for one
+  :meth:`~repro.runtime.sharded.ShardedRunner.ingest` call, is fed
+  through per-shard ``multiprocessing.shared_memory`` ring buffers:
+  the router (the parent, inside ``ingest``) writes routed ``int64``
+  chunks straight into a shard's shared segment while the owning
+  worker ingests earlier chunks concurrently, so routing and ingest
+  overlap instead of running back to back.
   Only tiny slot descriptors cross a queue; the chunk payloads are
   never pickled.  Workers ingest each slot *in place* (a numpy view of
   the shared segment — no copy on either side) and release the slot's
   back-pressure semaphore only after the chunk is absorbed, so a slot
   is never overwritten while in use.  When the router signals the end
-  of the stream, each worker snapshots its shards and streams the
-  ``to_state`` payloads back incrementally, letting the parent restore
-  (the expensive half of the merge-reduce) while slower workers are
-  still ingesting.
+  of the stream, each worker snapshots the shards it ingested into and
+  streams the ``to_state`` payloads back incrementally, letting the
+  parent restore while slower workers are still ingesting.
 
-* The pool's sizing/start-method policy:
-  :func:`available_cpus` respects cgroup quotas and CPU affinity
-  (``os.process_cpu_count`` where available, ``sched_getaffinity``
-  otherwise — plain ``os.cpu_count`` oversubscribes 1-CPU containers),
-  and :func:`resolve_start_method` refuses to ``fork`` a
-  multi-threaded parent (a live ``LiveServer`` handler thread plus a
-  forked pool is a latent deadlock: the child inherits locks whose
-  owners do not exist in it), falling back to ``forkserver``/``spawn``.
-  Results are bit-identical across start methods — only safety and
-  start-up cost differ.
+* The pool's sizing/start-method policy, which has no overrides: one
+  worker per shard, capped by :func:`available_cpus`, which respects
+  cgroup quotas and CPU affinity (``os.process_cpu_count`` where
+  available, ``sched_getaffinity`` otherwise — plain ``os.cpu_count``
+  oversubscribes 1-CPU containers); and :func:`resolve_start_method`,
+  which refuses to ``fork`` a multi-threaded parent (a live
+  ``LiveServer`` handler thread plus a forked pool is a latent
+  deadlock: the child inherits locks whose owners do not exist in it),
+  falling back to ``forkserver``/``spawn``.  Results are bit-identical
+  across start methods — only safety and start-up cost differ.
 
 Worker failures carry their context: any exception inside a worker is
 wrapped in :class:`ShardIngestError` (shard index, items ingested when
@@ -62,9 +62,6 @@ from repro.streams.chunked import DEFAULT_CHUNK_SIZE
 
 #: One shard's result: ``(shard_index, ingested_state)``.
 ShardResult = tuple[int, dict[str, Any]]
-
-#: Start methods the override accepts, safest-first.
-START_METHODS = ("fork", "forkserver", "spawn")
 
 #: Ring-buffer depth: slots per shard the router may run ahead of the
 #: worker.  4 keeps the worker fed across routing hiccups while bounding
@@ -182,22 +179,14 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_workers(num_tasks: int, max_workers: int | None = None) -> int:
-    """Pool size for ``num_tasks`` shard tasks.
-
-    Defaults to one worker per task, capped by the CPUs the process
-    may run on (oversubscribing a CPU-bound pool only adds scheduling
-    overhead); an explicit ``max_workers`` overrides the core cap but
-    never exceeds the task count.
-    """
-    if max_workers is not None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1: {max_workers}")
-        return min(max_workers, num_tasks)
+def resolve_workers(num_tasks: int) -> int:
+    """Pool size for ``num_tasks`` shard tasks: one worker per task,
+    capped by the CPUs the process may run on (oversubscribing a
+    CPU-bound pool only adds scheduling overhead)."""
     return max(1, min(num_tasks, available_cpus()))
 
 
-def resolve_start_method(override: str | None = None) -> str:
+def resolve_start_method() -> str:
     """The start method a pool about to launch should use.
 
     ``fork`` is the cheap default (no re-import), but forking a
@@ -206,24 +195,11 @@ def resolve_start_method(override: str | None = None) -> str:
     (:class:`repro.serve.server.LiveServer`) holding the engine lock at
     fork time deadlocks the worker.  So ``fork`` is only picked when
     the process is single-threaded; otherwise ``forkserver`` (clean
-    single-threaded template process) and finally ``spawn``.  An
-    explicit ``override`` skips the detection — results are
-    bit-identical across methods, so the choice is purely about
+    single-threaded template process) and finally ``spawn``.  Results
+    are bit-identical across methods, so the choice is purely about
     safety and start-up cost.
     """
     methods = multiprocessing.get_all_start_methods()
-    if override is not None:
-        if override not in START_METHODS:
-            raise ValueError(
-                f"unknown start method {override!r}; "
-                f"choose from {START_METHODS}"
-            )
-        if override not in methods:
-            raise ValueError(
-                f"start method {override!r} is unavailable on this "
-                f"platform; available: {tuple(methods)}"
-            )
-        return override
     if "fork" in methods and threading.active_count() == 1:
         return "fork"
     if "forkserver" in methods:
@@ -266,14 +242,15 @@ def _pipeline_worker(
 ) -> None:
     """Persistent worker: ingest ring-buffer chunks for its shards.
 
-    Rebuilds each owned shard from its empty snapshot, then loops on
-    slot descriptors ``(shard, slot, length)``: the chunk is ingested
-    *in place* from a numpy view of the shard's shared segment, and the
-    slot's semaphore is released only after ``process_chunk`` returns —
-    the router can never overwrite a slot still being read.  On the
-    ``None`` sentinel the worker snapshots each ingested shard and
-    streams the states back one by one (the parent restores them while
-    other workers are still ingesting), then reports ``done``.
+    Rebuilds each owned shard from the snapshot it was handed, then
+    loops on slot descriptors ``(shard, slot, length)``: the chunk is
+    ingested *in place* from a numpy view of the shard's shared
+    segment, and the slot's semaphore is released only after
+    ``process_chunk`` returns — the router can never overwrite a slot
+    still being read.  On the ``None`` sentinel the worker snapshots
+    each shard it ingested into and streams the states back one by one
+    (the parent restores them while other workers are still
+    ingesting), then reports ``done``.
 
     Any ingest failure is wrapped with its shard context, reported on
     the result queue, and mirrored in the shared ``failed`` event so a
@@ -293,12 +270,14 @@ def _pipeline_worker(
         )
         for index, segment in segments.items()
     }
+    fed: set[int] = set()
     try:
         while True:
             message = task_queue.get()
             if message is None:
                 break
             index, slot, length = message
+            fed.add(index)
             view = views[index]
             chunk = view[slot * slot_items: slot * slot_items + length]
             try:
@@ -312,7 +291,7 @@ def _pipeline_worker(
             finally:
                 free_slots[index].release()
         for index, shard in shards.items():
-            if shard.items_processed:
+            if index in fed:
                 result_queue.put(("state", index, shard.to_state()))
         result_queue.put(("done", worker_id))
     finally:
@@ -329,8 +308,9 @@ class PipelinedShardPool:
     Parameters
     ----------
     states:
-        ``(shard_index, empty_state)`` for every shard; shard ``i`` is
-        owned by worker ``i % workers``.
+        ``(shard_index, state)`` for every shard; the shard at position
+        ``i`` is owned by worker ``i % workers``, where ``workers`` is
+        :func:`resolve_workers` of the shard count.
     slot_items:
         ``int64`` capacity of one ring slot; larger routed parts are
         split across consecutive slots (chunk-boundary invariance makes
@@ -339,12 +319,8 @@ class PipelinedShardPool:
         Slots per shard ring — how far the router may run ahead of the
         worker before back-pressure blocks it (tests shrink it to force
         back-pressure).
-    max_workers:
-        Worker-count cap (``None``: one per shard, capped by
-        :func:`available_cpus`).
-    start_method:
-        Explicit start-method override (``None``: the
-        :func:`resolve_start_method` policy).
+
+    Workers start with the :func:`resolve_start_method` policy.
     """
 
     def __init__(
@@ -353,8 +329,6 @@ class PipelinedShardPool:
         *,
         slot_items: int = DEFAULT_CHUNK_SIZE,
         depth: int = PIPELINE_DEPTH,
-        max_workers: int | None = None,
-        start_method: str | None = None,
     ) -> None:
         if depth < 1:
             raise ValueError(f"pipeline depth must be >= 1: {depth}")
@@ -362,10 +336,8 @@ class PipelinedShardPool:
             raise ValueError(f"slot_items must be >= 1: {slot_items}")
         self._slot_items = int(slot_items)
         self._depth = int(depth)
-        context = multiprocessing.get_context(
-            resolve_start_method(start_method)
-        )
-        self._workers_n = resolve_workers(max(1, len(states)), max_workers)
+        context = multiprocessing.get_context(resolve_start_method())
+        self._workers_n = resolve_workers(len(states))
         self._segments: dict[int, shared_memory.SharedMemory] = {}
         self._views: dict[int, np.ndarray] = {}
         self._free_slots: dict[int, Any] = {}

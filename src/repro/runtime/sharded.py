@@ -11,16 +11,11 @@ queries like a single instance that saw the whole stream, while the
 merged tracker reports the distributed run's aggregate audit (the
 elementwise sum of the shard reports).
 
-Two partitioners are provided:
-
-* ``"hash"`` — items are routed by a pairwise-independent hash of
-  their identity, so every occurrence of an item lands on one shard.
-  This is the partitioning that preserves per-item error bounds for
-  the summary-based families (a Misra-Gries shard sees *all* of its
-  items' occurrences) and is the production choice.
-* ``"round-robin"`` — updates are dealt cyclically, which balances
-  load perfectly but splits an item's occurrences across shards; fine
-  for linear sketches, where merge is exact addition.
+Routing is by item identity: a pairwise-independent hash of each item
+picks its shard, so every occurrence of an item lands on one shard.
+That preserves the per-item error bounds of the summary-based families
+(a Misra-Gries shard sees *all* of its items' occurrences) and costs
+the linear sketches nothing, where merge is exact addition.
 
 Per-shard write budgets: the paper's state-change accounting extends
 naturally to shards — each shard's tracker measures its own
@@ -38,7 +33,7 @@ argument picks the accounting backend for unbudgeted runs
 per-cell wear histograms).
 
 Ingestion is always columnar: every input is routed chunk-wise — one
-vectorized partition hash per chunk, boolean-mask splits, shard-side
+vectorized routing hash per chunk, boolean-mask splits, shard-side
 :meth:`~repro.state.algorithm.Sketch.process_chunk` — with shard
 assignment and results bit-identical to the per-item route
 (:meth:`ShardedRunner.shard_of`) and the scalar
@@ -54,12 +49,14 @@ runs:
 * ``"serial"`` — shards are ingested in-process as the stream is
   routed.
 * ``"process"`` — the zero-copy pipelined pool
-  (:class:`~repro.runtime.parallel.PipelinedShardPool`): persistent
-  workers are rebuilt once from each shard's empty snapshot, the
-  router writes partitioned ``int64`` chunks straight into per-shard
+  (:class:`~repro.runtime.parallel.PipelinedShardPool`): each
+  :meth:`~ShardedRunner.ingest` call starts it at its first routed
+  part, with workers rebuilt from each shard's current snapshot; the
+  router writes routed ``int64`` chunks straight into per-shard
   shared-memory ring buffers *while* workers ingest earlier chunks,
-  and at end-of-stream the ingested states stream back incrementally
-  for restoration.
+  and before ``ingest`` returns the ingested states stream back and
+  restore the shards.  A process runner therefore ingests, snapshots
+  and reports exactly like a serial one, in any order.
 
 The results — merged payload, answers, and the full audit — are
 bit-identical across the two; only the wall-clock changes.
@@ -67,8 +64,8 @@ bit-identical across the two; only the wall-clock changes.
 A worker failure aborts the run with its shard context
 (:class:`~repro.runtime.parallel.ShardIngestError`; ``policy="raise"``
 budget aborts keep their ``WriteBudgetExceededError`` type with the
-context chained), and the runner then refuses to merge or observe the
-partial results.
+context chained), and the runner then refuses to merge, observe or
+extend the partial results.
 """
 
 from __future__ import annotations
@@ -82,7 +79,7 @@ import numpy as np
 
 from repro import registry
 from repro.hashing.prime_field import KWiseHash
-from repro.runtime.parallel import PipelinedShardPool, resolve_start_method
+from repro.runtime.parallel import PipelinedShardPool
 from repro.state.algorithm import NotMergeableError, Sketch
 from repro.state.budget import BudgetReport, WriteBudget
 from repro.state.report import StateChangeReport
@@ -97,9 +94,8 @@ from repro.streams.chunked import (
 #: merge-compatible (same type, same hash seeds, separate trackers).
 ShardFactory = Callable[[int], Sketch]
 
-#: Partitioners and executors a runner (and the ``Engine`` and CLI
-#: built on it) accepts; see the module docs.
-PARTITIONS = ("hash", "round-robin")
+#: Executors a runner (and the ``Engine`` and CLI built on it) accepts;
+#: see the module docs.
 EXECUTORS = ("serial", "process")
 
 #: One leaf of a snapshot cut: the shard's ingest-epoch key plus an
@@ -110,12 +106,8 @@ SnapshotCut = list[tuple[tuple, Sketch]]
 _Node = TypeVar("_Node")
 
 
-def check_partition_and_executor(partition: str, executor: str) -> None:
-    """Reject a partitioner or executor outside the declared choices."""
-    if partition not in PARTITIONS:
-        raise ValueError(
-            f"unknown partition {partition!r}; choose from {PARTITIONS}"
-        )
+def check_executor(executor: str) -> None:
+    """Reject an executor outside the declared choices."""
     if executor not in EXECUTORS:
         raise ValueError(
             f"unknown executor {executor!r}; choose from {EXECUTORS}"
@@ -178,7 +170,6 @@ class ShardedRunResult:
     """
 
     num_shards: int
-    partition: str
     merged: Sketch
     merged_report: StateChangeReport
     shard_reports: tuple[StateChangeReport, ...]
@@ -199,8 +190,7 @@ class ShardedRunResult:
     def summary(self) -> str:
         """One-line human-readable run summary."""
         return (
-            f"shards={self.num_shards} ({self.partition}) "
-            f"skew={self.skew:.2f} "
+            f"shards={self.num_shards} skew={self.skew:.2f} "
             f"state_changes={self.merged_report.state_changes} "
             f"peak_words={self.merged_report.peak_words}"
         )
@@ -218,53 +208,35 @@ class ShardedRunner:
         case.
     num_shards:
         Number of shards ``K >= 1``.
-    partition:
-        ``"hash"`` (default) or ``"round-robin"``; see module docs.
     seed:
-        Seeds the partitioning hash (independent of the sketch seeds).
+        Seeds the routing hash (independent of the sketch seeds).
     executor:
         ``"serial"`` (default) ingests in-process; ``"process"``
         runs the pipelined shared-memory pool, whose workers ingest
         concurrently with routing.  The process executor requires a
         serializable sketch and is bit-identical to serial mode.
-    max_workers:
-        Pool size cap (``None``: one worker per shard, capped by the
-        CPUs the process may run on).
     chunk_size:
         Items per routed chunk (``None``: a chunked stream's own
         chunking, :data:`~repro.streams.chunked.DEFAULT_CHUNK_SIZE`
         for plain iterables).
-    start_method:
-        Explicit ``multiprocessing`` start-method override
-        (``"fork"``/``"forkserver"``/``"spawn"``); ``None`` applies
-        the thread-safety policy of
-        :func:`~repro.runtime.parallel.resolve_start_method`.
     """
 
     def __init__(
         self,
         factory: ShardFactory,
         num_shards: int,
-        partition: str = "hash",
         seed: int = 0,
         executor: str = "serial",
-        max_workers: int | None = None,
         chunk_size: int | None = None,
-        start_method: str | None = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"need at least one shard: {num_shards}")
-        check_partition_and_executor(partition, executor)
+        check_executor(executor)
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
-        if start_method is not None:
-            resolve_start_method(start_method)  # validate eagerly
         self.num_shards = num_shards
-        self.partition = partition
         self.executor = executor
-        self.max_workers = max_workers
         self.chunk_size = chunk_size
-        self.start_method = start_method
         self._shards: list[Sketch] = [factory(i) for i in range(num_shards)]
         trackers = {id(shard.tracker) for shard in self._shards}
         if len(trackers) != num_shards:
@@ -279,13 +251,10 @@ class ShardedRunner:
             )
         # Route by item identity so all occurrences co-locate.
         self._route = KWiseHash(2, seed=seed + 0x5A5A)
-        self._cursor = 0  # round-robin position
         self._shard_items = [0] * num_shards
         self._merged: Sketch | None = None
         self._premerge_reports: tuple[StateChangeReport, ...] = ()
         self._premerge_budgets: tuple[BudgetReport | None, ...] = ()
-        self._dispatched = False  # the process executor ran its work
-        self._pipeline: PipelinedShardPool | None = None
         self._failed: BaseException | None = None
         # Incremental snapshot plane: per-leaf clones and memoized
         # merge-tree nodes, both keyed by the shards' ingest epochs.
@@ -315,14 +284,11 @@ class ShardedRunner:
         m: int = 65536,
         epsilon: float = 0.5,
         seed: int = 0,
-        partition: str = "hash",
         executor: str = "serial",
-        max_workers: int | None = None,
         tracking: str = "aggregate",
         budget: WriteBudget | int | None = None,
         budget_split: str = "even",
         chunk_size: int | None = None,
-        start_method: str | None = None,
     ) -> "ShardedRunner":
         """Runner whose shards come from :mod:`repro.registry`.
 
@@ -352,35 +318,27 @@ class ShardedRunner:
                 tracker=make_tracker(tracking, budget=budgets[index]),
             ),
             num_shards=num_shards,
-            partition=partition,
             seed=seed,
             executor=executor,
-            max_workers=max_workers,
             chunk_size=chunk_size,
-            start_method=start_method,
         )
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def shard_of(self, item: int) -> int:
-        """Shard index the next occurrence of ``item`` is routed to.
+        """Shard index every occurrence of ``item`` is routed to.
 
         The per-item routing reference: :meth:`ingest` routes whole
         chunks through the vectorized hash, and every routed item lands
-        exactly where this says.  Pure query: under round-robin it
-        peeks at the current cursor without advancing it, so inspecting
-        routing never perturbs where :meth:`ingest` actually places
-        items.
+        exactly where this says.
         """
-        if self.partition == "hash":
-            return self._route.bucket(item, self.num_shards)
-        return self._cursor
+        return self._route.bucket(item, self.num_shards)
 
     def ingest(self, stream: Iterable[int]) -> int:
         """Route ``stream`` to the shards; returns items consumed.
 
-        Every input takes the columnar path: one vectorized partition
+        Every input takes the columnar path: one vectorized routing
         hash over each chunk, a boolean-mask split per shard, and
         shard-side ingest through
         :meth:`~repro.state.algorithm.Sketch.process_chunk`
@@ -394,31 +352,26 @@ class ShardedRunner:
         Where the routed work goes depends on the executor: serial
         ingests as it routes; the process executor writes each routed
         part into the shard's shared-memory ring (workers ingest
-        concurrently — the overlap is the point).
+        concurrently — the overlap is the point) and has restored the
+        shards from the workers' states by the time it returns.
         """
-        self._check_ingestable()
-        chunks = getattr(stream, "chunks", None)
-        if chunks is not None:
-            return self._ingest_chunks(chunks(self.chunk_size))
-        if isinstance(stream, np.ndarray):
-            return self._ingest_chunks(
-                ChunkedStream(stream).chunks(self.chunk_size)
-            )
-        return self._ingest_chunks(
-            _iter_chunks(stream, self.chunk_size or DEFAULT_CHUNK_SIZE)
-        )
-
-    def _check_ingestable(self) -> None:
         self._check_not_failed()
         if self._merged is not None:
             raise RuntimeError(
                 "runner is already merged; create a new ShardedRunner"
             )
-        if self.executor != "serial" and self._dispatched:
-            raise RuntimeError(
-                f"{self.executor}-executor runner has already executed; "
-                f"create a new ShardedRunner"
+        chunks = getattr(stream, "chunks", None)
+        if chunks is not None:
+            source = chunks(self.chunk_size)
+        elif isinstance(stream, np.ndarray):
+            source = ChunkedStream(stream).chunks(self.chunk_size)
+        else:
+            source = _iter_chunks(
+                stream, self.chunk_size or DEFAULT_CHUNK_SIZE
             )
+        if self.executor == "serial":
+            return self._ingest_chunks(source, self._ingest_part)
+        return self._ingest_on_pool(source)
 
     def _check_not_failed(self) -> None:
         if self._failed is not None:
@@ -429,20 +382,20 @@ class ShardedRunner:
             ) from self._failed
 
     def _fail(self, error: BaseException) -> None:
-        """Latch a worker failure: the run's partial results are dead."""
+        """Latch a failure: the run's partial results are dead."""
         self._failed = error
-        self._dispatched = True
         # The memoized snapshot plane describes a run that no longer
         # exists; a latched runner must not serve (or hold) stale roots.
         self._clear_snapshot_caches()
-        if self._pipeline is not None:
-            self._pipeline.close()
-            self._pipeline = None
 
-    def _ingest_chunks(self, chunks: Iterator[np.ndarray]) -> int:
+    def _ingest_chunks(
+        self,
+        chunks: Iterator[np.ndarray],
+        deliver: Callable[[int, np.ndarray], None],
+    ) -> int:
         """Columnar routing: split each chunk across the shards with
-        one vectorized hash (or a cursor arithmetic for round-robin)
-        and deliver per-shard sub-chunks in stream order."""
+        one vectorized hash and ``deliver`` per-shard sub-chunks in
+        stream order."""
         num_shards = self.num_shards
         count = 0
         for chunk in chunks:
@@ -451,85 +404,56 @@ class ShardedRunner:
                 continue
             count += len(chunk)
             if num_shards == 1:
-                self._deliver_chunk(0, chunk)
+                deliver(0, chunk)
                 continue
-            if self.partition == "hash":
-                routed = self._route.bucket_many(chunk, num_shards)
-            else:
-                routed = (
-                    self._cursor + np.arange(len(chunk), dtype=np.int64)
-                ) % num_shards
-                self._cursor = int(
-                    (self._cursor + len(chunk)) % num_shards
-                )
+            routed = self._route.bucket_many(chunk, num_shards)
             for shard in range(num_shards):
                 part = chunk[routed == shard]
                 if len(part):
-                    self._deliver_chunk(shard, part)
+                    deliver(shard, part)
         return count
 
-    def _deliver_chunk(self, shard: int, part: np.ndarray) -> None:
-        if self.executor == "serial":
-            self._shard_items[shard] += self._shards[shard].process_chunk(
-                part
-            )
-            return
-        self._shard_items[shard] += len(part)
-        self._pool_submit(shard, part)
+    def _ingest_part(self, shard: int, part: np.ndarray) -> None:
+        self._shard_items[shard] += self._shards[shard].process_chunk(part)
 
-    def _pool_submit(self, shard: int, part: np.ndarray) -> None:
-        """Hand one routed part to the pipelined pool (started lazily).
+    def _ingest_on_pool(self, chunks: Iterator[np.ndarray]) -> int:
+        """Route ``chunks`` through a pipelined pool, then restore.
 
-        The pool launches at the first routed part — workers rebuild
-        from each shard's *empty* snapshot and then ingest everything
-        concurrently with routing.  Any failure (a worker fault
-        surfacing through back-pressure, a non-serializable shard at
-        pool start) latches the runner as failed before propagating.
+        The pool launches at the first routed part, its workers rebuilt
+        from each shard's current state.  At end-of-stream the states
+        of the shards that received parts are restored as workers
+        report (a fast worker's ``from_state`` restoration overlaps a
+        slow worker's tail); the other shards keep their local
+        instances, matching serial bit for bit.  Any failure (a worker
+        fault, a non-serializable shard at pool start) latches the
+        runner as failed before propagating: partial results are never
+        merged.
         """
-        try:
-            if self._pipeline is None:
-                self._pipeline = PipelinedShardPool(
+        pool: PipelinedShardPool | None = None
+
+        def submit(shard: int, part: np.ndarray) -> None:
+            nonlocal pool
+            if pool is None:
+                pool = PipelinedShardPool(
                     [(i, s.to_state()) for i, s in enumerate(self._shards)],
                     slot_items=self.chunk_size or DEFAULT_CHUNK_SIZE,
-                    max_workers=self.max_workers,
-                    start_method=self.start_method,
                 )
-            self._pipeline.submit(shard, part)
+            pool.submit(shard, part)
+            self._shard_items[shard] += len(part)
+
+        try:
+            count = self._ingest_chunks(chunks, submit)
+            if pool is not None:
+                for index, state in pool.finish():
+                    sketch_cls = registry.sketch_class(state["algorithm"])
+                    self._shards[index] = sketch_cls.from_state(state)
+            return count
         except BaseException as error:
             self._fail(error)
             raise
-
-    def _execute(self) -> None:
-        """Finish the pipelined pool's work (at most once).
-
-        Signal end-of-stream and restore the ingested states
-        incrementally as workers report (a fast worker's
-        ``from_state`` restoration overlaps a slow worker's tail).
-        Shards that received no items keep their local (empty)
-        instances, matching serial bit for bit.  Any failure latches
-        the runner: partial results are never merged.
-        """
-        if self.executor == "serial" or self._dispatched:
-            return
-        self._dispatched = True
-        try:
-            self._drain_pipeline()
-        except BaseException as error:
-            self._fail(error)
-            raise
-
-    def _drain_pipeline(self) -> None:
-        """Finish the pipelined pool, restoring states as they arrive."""
-        pool = self._pipeline
-        if pool is None:  # nothing was ever routed
-            return
-        self._pipeline = None
-        try:
-            for index, state in pool.finish():
-                sketch_cls = registry.sketch_class(state["algorithm"])
-                self._shards[index] = sketch_cls.from_state(state)
         finally:
-            pool.close()
+            if pool is not None:
+                pool.close()
 
     # ------------------------------------------------------------------
     # Reduce
@@ -572,10 +496,6 @@ class ShardedRunner:
         (every entry is an immutable-by-convention private copy), so
         :meth:`merged_from_cut` can reduce it later without touching
         live shard state.
-
-        Under the process executor the first cut finishes the
-        pipelined pool, after which that one-shot runner cannot ingest
-        again — same semantics as :meth:`merged_snapshot`.
         """
         self._check_not_failed()
         if self._merged is not None:
@@ -585,7 +505,6 @@ class ShardedRunner:
                 "runner is already merged; snapshots must be taken "
                 "before merge()"
             )
-        self._execute()
         stats = self._snap_stats
         stats["cuts_taken"] += 1
         cut: SnapshotCut = []
@@ -665,11 +584,6 @@ class ShardedRunner:
 
         This is the primitive the live serving engine
         (:class:`repro.serve.LiveEngine`) answers queries through.
-
-        Under the process executor the first snapshot finishes the
-        pipelined pool, after which the runner cannot ingest again (the
-        process executor is one-shot); snapshot-while-ingesting is a
-        serial-executor workflow.
         """
         return self.merged_from_cut(self.snapshot_cut())
 
@@ -683,7 +597,6 @@ class ShardedRunner:
         """
         self._check_not_failed()
         if self._merged is None:
-            self._execute()
             # The destructive reduce ends the snapshot plane's life:
             # drop the memoized clones so a merged runner cannot serve
             # (or pin the memory of) a stale root.
@@ -708,9 +621,8 @@ class ShardedRunner:
     # ------------------------------------------------------------------
     @property
     def shards(self) -> tuple[Sketch, ...]:
-        """The live shards (pre-merge); triggers any pending pool work."""
+        """The live shards (pre-merge)."""
         self._check_not_failed()
-        self._execute()
         return tuple(self._shards)
 
     @property
@@ -728,7 +640,6 @@ class ShardedRunner:
         self._check_not_failed()
         if self._merged is not None:
             return self._premerge_reports
-        self._execute()
         return tuple(shard.report() for shard in self._shards)
 
     @staticmethod
@@ -747,7 +658,6 @@ class ShardedRunner:
         self._check_not_failed()
         if self._merged is not None:
             return self._premerge_budgets
-        self._execute()
         return tuple(self._shard_budget(shard) for shard in self._shards)
 
     def skew(self) -> float:
@@ -762,7 +672,6 @@ class ShardedRunner:
         merged = self.merge()
         return ShardedRunResult(
             num_shards=self.num_shards,
-            partition=self.partition,
             merged=merged,
             merged_report=merged.report(),
             shard_reports=shard_reports,

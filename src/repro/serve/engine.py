@@ -72,7 +72,7 @@ from repro.serve.collectors import Collector, QueryCollector
 from repro.state.algorithm import Sketch
 from repro.state.budget import WriteBudget
 from repro.state.report import StateChangeReport
-from repro.state.tracker import TRACKING_MODES
+from repro.state.tracker import resolve_tracking
 from repro.streams.chunked import as_chunk
 
 #: Default snapshot cadence, aligned with the columnar chunk default.
@@ -204,7 +204,7 @@ class LiveEngine:
     queries over a sharded sketch.
 
     Parameters mirror :class:`~repro.api.Engine` where they overlap —
-    one ``seed`` drives the shard factories and the partitioner, so a
+    one ``seed`` drives the shard factories and the routing hash, so a
     live run is exactly as reproducible as a batch one.
 
     Parameters
@@ -214,11 +214,12 @@ class LiveEngine:
     n, m, epsilon, seed:
         Sizing hints and the randomness seed, forwarded to every
         shard's factory.
-    shards, partition:
+    shards:
         Ingestion sharding; ``K > 1`` requires a mergeable family
         (snapshots merge shard copies).  The executor is always
-        serial — a live engine ingests in-process; the process
-        executor's one-shot pool cannot interleave with queries.
+        serial — a live engine ingests in-process, where the process
+        executor would start and finish a worker pool on every
+        append.
     snapshot_every:
         The snapshot cadence in updates.  Appends are split at exact
         multiples, each boundary produces a fresh snapshot and one
@@ -246,7 +247,6 @@ class LiveEngine:
         epsilon: float = 0.5,
         seed: int = 0,
         shards: int = 1,
-        partition: str = "hash",
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
         tracking: str = "aggregate",
         budget: WriteBudget | int | None = None,
@@ -264,25 +264,12 @@ class LiveEngine:
                 f"{sketch!r} is not mergeable and cannot be sharded; "
                 f"mergeable sketches: {registry.mergeable_names()}"
             )
-        if tracking not in TRACKING_MODES:
-            raise ValueError(
-                f"unknown tracking mode {tracking!r}; "
-                f"choose from {TRACKING_MODES}"
-            )
-        if budget is not None:
-            if tracking == "trace":
-                raise ValueError(
-                    "a write budget runs on the 'budget' backend; "
-                    "drop tracking= or pass tracking='budget'"
-                )
-            tracking = "budget"
         self.sketch_name = sketch
         self.n = n
         self.seed = seed
         self.shards = shards
-        self.partition = partition
         self.snapshot_every = snapshot_every
-        self.tracking = tracking
+        self.tracking = resolve_tracking(tracking, budget)
         self._runner = ShardedRunner.from_registry(
             sketch,
             shards,
@@ -290,9 +277,8 @@ class LiveEngine:
             m=m,
             epsilon=epsilon,
             seed=seed,
-            partition=partition,
             executor="serial",
-            tracking=tracking,
+            tracking=self.tracking,
             budget=budget,
             budget_split=budget_split,
             chunk_size=chunk_size,
@@ -305,7 +291,6 @@ class LiveEngine:
         self._ingested = 0
         self._snapshot: LiveSnapshot | None = None
         self._collectors: list[Collector] = []
-        self._snapshots_taken = 0
         self._answer_cache = (
             _AnswerCache(answer_cache) if answer_cache else None
         )
@@ -339,7 +324,7 @@ class LiveEngine:
     @property
     def snapshots_taken(self) -> int:
         """Merged snapshots built so far (cadence + forced)."""
-        return self._snapshots_taken
+        return self._refresh_count
 
     @property
     def collectors(self) -> tuple[Collector, ...]:
@@ -444,7 +429,6 @@ class LiveEngine:
         self._refresh_last_s = elapsed
         self._refresh_total_s += elapsed
         self._refresh_max_s = max(self._refresh_max_s, elapsed)
-        self._snapshots_taken += 1
         self._snapshot = snapshot
         if self._answer_cache is not None:
             self._answer_cache.clear()
@@ -653,7 +637,8 @@ class LiveEngine:
 
         Engine-side: refresh timings (``refresh_last_ms`` /
         ``refresh_mean_ms`` / ``refresh_max_ms`` over
-        ``refresh_count`` cut-and-merge refreshes) and append-path lock
+        ``refresh_count`` cut-and-merge refreshes; ``snapshots_taken``
+        is the same count) and append-path lock
         accounting (``append_lock_wait_ms`` is total time appends spent
         waiting to *enter* the ingest lock; ``append_lock_held_ms`` is
         total time spent inside it, cadence refreshes included).
@@ -670,7 +655,7 @@ class LiveEngine:
             data = {
                 "head": self._ingested,
                 "snapshot_index": self.snapshot_index,
-                "snapshots_taken": self._snapshots_taken,
+                "snapshots_taken": refresh_count,
                 "refresh_count": refresh_count,
                 "refresh_last_ms": self._refresh_last_s * 1000.0,
                 "refresh_mean_ms": mean_ms,
@@ -690,6 +675,6 @@ class LiveEngine:
             f"snapshot@{self.snapshot_index} "
             f"(behind={self.updates_behind}, "
             f"cadence={self.snapshot_every}) "
-            f"shards={self.shards} ({self.partition}) "
+            f"shards={self.shards} "
             f"collectors={len(self._collectors)}"
         )

@@ -60,7 +60,8 @@ class LoadReport:
     ``refresh_*`` / ``append_lock_*`` / ``snapshot_*`` fields mirror
     :meth:`~repro.serve.engine.LiveEngine.stats` at the end of the
     run: snapshot-merge timings, time appends spent stalled on the
-    ingest lock, and the memoized merge-tree's reuse counters.
+    ingest lock, and the memoized merge-tree's reuse counters.  The
+    refresh count itself is ``snapshots``.
     """
 
     items: int
@@ -72,7 +73,6 @@ class LoadReport:
     max_staleness: int
     query_mix: tuple[tuple[str, float], ...]
     batch_size: int = 1
-    refresh_count: int = 0
     refresh_mean_ms: float = 0.0
     refresh_max_ms: float = 0.0
     append_lock_wait_ms: float = 0.0
@@ -237,7 +237,6 @@ def generate_load(
         max_staleness=staleness_max,
         query_mix=tuple((name, float(mix[name])) for name in names),
         batch_size=batch_size,
-        refresh_count=stats["refresh_count"],
         refresh_mean_ms=stats["refresh_mean_ms"],
         refresh_max_ms=stats["refresh_max_ms"],
         append_lock_wait_ms=stats["append_lock_wait_ms"],

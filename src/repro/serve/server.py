@@ -325,7 +325,6 @@ class LiveSession:
                 "updates_behind": engine.updates_behind,
                 "snapshot_every": engine.snapshot_every,
                 "shards": engine.shards,
-                "partition": engine.partition,
                 "tracking": engine.tracking,
                 "collectors": len(engine.collectors),
                 "supports": sorted(str(k) for k in engine.supports),

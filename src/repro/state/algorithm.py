@@ -247,10 +247,7 @@ class Sketch(abc.ABC):
         update is skipped wholesale (no partially-applied mutations)
         while its tick still advances the stream clock with ``X_t = 0``.
         """
-        admit = getattr(self.tracker, "admit_update", None)
-        if admit is None or admit():
-            self._update(item)
-        self.tracker.tick()
+        self._scalar_step(item)
         self._items_processed += 1
 
     def process_many(self, items: Iterable[int]) -> int:
@@ -378,9 +375,9 @@ class Sketch(abc.ABC):
         raise NotImplementedError
 
     def _scalar_step(self, item: int) -> None:
-        """One scalar update inside a chunk kernel: identical write
-        path and clock discipline to :meth:`process`, but without the
-        items-processed bump (the kernel's caller accounts it)."""
+        """One scalar update — the admission gate, :meth:`_update` and
+        the clock tick — without the items-processed bump
+        (:meth:`process`, or a chunk kernel's caller, accounts it)."""
         admit = getattr(self.tracker, "admit_update", None)
         if admit is None or admit():
             self._update(item)

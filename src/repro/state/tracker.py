@@ -754,35 +754,46 @@ class BudgetBackend(TrackerBackend):
 # ----------------------------------------------------------------------
 # Backend construction
 # ----------------------------------------------------------------------
+def resolve_tracking(
+    tracking: str = "aggregate",
+    budget: WriteBudget | int | float | None = None,
+) -> str:
+    """The tracking mode a run with ``budget`` ends up on.
+
+    Passing a ``budget`` selects the budget backend regardless of the
+    default ``tracking`` value (a budget *is* a tracking mode);
+    combining a budget with ``tracking="trace"`` is rejected, because
+    the budget backend keeps no per-cell state.
+    """
+    if tracking not in TRACKING_MODES:
+        raise ValueError(
+            f"unknown tracking mode {tracking!r}; "
+            f"choose from {TRACKING_MODES}"
+        )
+    if budget is None:
+        return tracking
+    if tracking == "trace":
+        raise ValueError(
+            "a write budget runs on the 'budget' backend, which keeps "
+            "no per-cell trace; drop tracking= or pass tracking='budget'"
+        )
+    return "budget"
+
+
 def make_tracker(
     tracking: str = "aggregate",
     *,
     budget: WriteBudget | int | float | None = None,
     record_cells: bool = True,
 ) -> TrackerBackend:
-    """Build a tracker backend from a mode name.
-
-    Passing a ``budget`` selects the budget backend regardless of the
-    default ``tracking`` value (a budget *is* a tracking mode);
-    combining a budget with an explicit ``tracking="trace"`` is
-    rejected, because the budget backend keeps no per-cell state.
-    """
-    if budget is not None:
-        if tracking not in ("aggregate", "budget"):
-            raise ValueError(
-                f"a write budget runs on the 'budget' backend, not "
-                f"{tracking!r}; drop tracking= or pass tracking='budget'"
-            )
-        return BudgetBackend(budget)
-    if tracking == "aggregate":
+    """Build a tracker backend from a mode name and an optional
+    ``budget``, resolved by :func:`resolve_tracking`."""
+    mode = resolve_tracking(tracking, budget)
+    if mode == "aggregate":
         return AggregateBackend()
-    if tracking == "trace":
+    if mode == "trace":
         return TraceBackend(record_cells=record_cells)
-    if tracking == "budget":
-        return BudgetBackend()
-    raise ValueError(
-        f"unknown tracking mode {tracking!r}; choose from {TRACKING_MODES}"
-    )
+    return BudgetBackend(budget)
 
 
 def tracker_from_state(state: dict) -> TrackerBackend:

@@ -98,7 +98,7 @@ class TestEngine:
         def report(executor):
             return Engine(
                 "count-min", n=N, m=M, epsilon=0.2, seed=5, shards=4,
-                executor=executor, max_workers=2,
+                executor=executor,
             ).run(stream)
 
         serial = report("serial")

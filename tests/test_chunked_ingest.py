@@ -603,26 +603,21 @@ def max_lead(monkeypatch, source: PullCounter, run) -> int:
 class TestChunkedSharding:
     """Columnar routing matches per-item routing bit for bit."""
 
-    @pytest.mark.parametrize("partition", ["hash", "round-robin"])
     @pytest.mark.parametrize("name", ["count-min", "misra-gries", "kmv"])
-    def test_serial_chunked_equals_serial_scalar(self, name, partition):
-        """The runner's chunk routing against the per-item reference:
-        ``shard_of`` (hash) or ``position % K`` (round-robin), each
-        shard fed by the scalar ``process_many`` loop."""
+    def test_serial_chunked_equals_serial_scalar(self, name):
+        """The runner's chunk routing against the per-item reference
+        ``shard_of``, each shard fed by the scalar ``process_many``
+        loop."""
         stream = zipf_stream(256, 4096, skew=1.2, seed=3)
 
         def runner():
             return ShardedRunner.from_registry(
                 name, 4, n=256, m=4096, epsilon=0.3, seed=1,
-                partition=partition,
             )
 
         items = stream.materialize()
         reference = runner()
-        routes = [
-            reference.shard_of(item) if partition == "hash" else i % 4
-            for i, item in enumerate(items)
-        ]
+        routes = [reference.shard_of(item) for item in items]
         shards = reference.shards
         for index, shard in enumerate(shards):
             shard.process_many(
@@ -650,7 +645,7 @@ class TestChunkedSharding:
         def run(source, on=executor):
             result = ShardedRunner.from_registry(
                 "misra-gries", 4, n=256, m=4096, epsilon=0.3, seed=1,
-                executor=on, max_workers=2, chunk_size=1000,
+                executor=on, chunk_size=1000,
             ).run(source)
             return (
                 json.dumps(result.merged.to_state(), sort_keys=True),
@@ -674,7 +669,7 @@ class TestChunkedSharding:
         def run(executor):
             runner = ShardedRunner.from_registry(
                 "count-min", 2, n=256, m=4096, epsilon=0.3, seed=1,
-                executor=executor, max_workers=2,
+                executor=executor,
             )
             result = runner.run(stream)
             return (

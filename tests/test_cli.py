@@ -87,7 +87,7 @@ class TestRun:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "(hash/process)" in out
+        assert "(process)" in out
         assert "skew=" in out
 
     def test_run_unknown_workload_names_choices(self, capsys):
@@ -137,15 +137,6 @@ class TestShard:
         assert code == 0
         assert "Sharded ingestion scaling" in out
         assert "count-min" in out
-
-    def test_round_robin_partition(self, capsys):
-        code = main([
-            "shard", "--sketch", "misra-gries", "--shards", "1,4",
-            "--partition", "round-robin",
-            "--n", "128", "--m", "1024",
-        ])
-        assert code == 0
-        assert "round-robin" in capsys.readouterr().out
 
     def test_aggregate_estimator_sketch(self, capsys):
         # kmv has no per-item estimate(); scored on its F0 scalar.
@@ -222,6 +213,10 @@ class TestParser:
             ("run", "--pipeline-depth"),
             ("shard", "--pipeline-depth"),
             ("serve", "--snapshot-mode"),
+            ("run", "--partition"),
+            ("run", "--start-method"),
+            ("shard", "--partition"),
+            ("serve", "--partition"),
         ],
     )
     def test_removed_flags_are_rejected(self, command, flag, capsys):

@@ -18,8 +18,9 @@ import pytest
 from repro import registry
 from repro.api import Engine
 from repro.cli import build_parser, main
+from repro.runtime import parallel
 from repro.runtime.parallel import PipelinedShardPool, resolve_workers
-from repro.runtime.sharded import EXECUTORS, PARTITIONS, ShardedRunner
+from repro.runtime.sharded import EXECUTORS, ShardedRunner
 from repro.state.algorithm import NotSerializableError, Sketch
 from repro.streams import zipf_stream
 
@@ -41,7 +42,7 @@ class TestGoldenEquivalence:
         def run(executor):
             return ShardedRunner.from_registry(
                 name, 4, n=N, m=M, epsilon=1.0, seed=7,
-                executor=executor, max_workers=2,
+                executor=executor,
             ).run(stream)
 
         serial = run("serial")
@@ -57,7 +58,7 @@ class TestGoldenEquivalence:
         def report(executor):
             return Engine(
                 name, n=N, m=M, epsilon=0.2, seed=9, shards=4,
-                executor=executor, max_workers=2,
+                executor=executor,
             ).run(stream)
 
         serial = report("serial")
@@ -69,22 +70,11 @@ class TestGoldenEquivalence:
         assert process.shard_reports == serial.shard_reports
         assert process.executor == "process"
 
-    def test_round_robin_partition_matches_too(self, stream):
-        def run(executor):
-            return ShardedRunner.from_registry(
-                "count-min", 3, n=N, m=M, epsilon=0.3, seed=11,
-                partition="round-robin", executor=executor, max_workers=2,
-            ).run(stream)
-
-        assert canonical(run("process").merged) == canonical(
-            run("serial").merged
-        )
-
 
 class TestProcessExecutorBehaviour:
     def test_empty_stream(self):
         result = ShardedRunner.from_registry(
-            "count-min", 4, seed=1, executor="process", max_workers=2
+            "count-min", 4, seed=1, executor="process"
         ).run([])
         assert result.skew == 1.0
         assert result.merged.items_processed == 0
@@ -126,14 +116,6 @@ class TestProcessExecutorBehaviour:
                 main([command, "--executor", "thread"])
             assert excinfo.value.code == 2  # argparse's usage error
 
-    def test_unknown_partition_rejected_at_construction(self):
-        # Engine rejects it at construction, not first inside run().
-        with pytest.raises(ValueError, match="unknown partition"):
-            Engine("count-min", shards=2, partition="bogus")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--partition", "bogus"])
-        assert excinfo.value.code == 2
-
     def test_engine_rejects_non_serializable_process_at_construction(self):
         with pytest.raises(ValueError, match="serialization"):
             Engine("heavy-hitters", executor="process")
@@ -144,9 +126,7 @@ class TestProcessExecutorBehaviour:
         # One shard through a real pool worker: it must return a state
         # equal to what local scalar ingestion produces.
         shard = registry.create("count-min", n=64, m=256, seed=5)
-        pool = PipelinedShardPool(
-            [(3, shard.to_state())], slot_items=64, max_workers=1
-        )
+        pool = PipelinedShardPool([(3, shard.to_state())], slot_items=64)
         pool.submit(3, np.asarray([1, 2, 2, 7], dtype=np.int64))
         [(index, state)] = list(pool.finish())
         local = registry.create("count-min", n=64, m=256, seed=5)
@@ -154,12 +134,12 @@ class TestProcessExecutorBehaviour:
         assert index == 3
         assert state == local.to_state()
 
-    def test_resolve_workers(self):
-        assert resolve_workers(4, max_workers=2) == 2
-        assert resolve_workers(1, max_workers=8) == 1
-        assert resolve_workers(4) >= 1
-        with pytest.raises(ValueError):
-            resolve_workers(4, max_workers=0)
+    def test_resolve_workers(self, monkeypatch):
+        # One worker per shard, capped by the usable CPUs.
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        assert resolve_workers(4) == 2
+        assert resolve_workers(1) == 1
+        assert resolve_workers(0) == 1
 
 
 def serializable(name: str) -> bool:
@@ -173,30 +153,22 @@ SERIAL_ONLY = [name for name in registry.names() if not serializable(name)]
 
 
 class TestExecutorDeclaration:
-    """``runtime.sharded`` declares the executors and partitions once;
-    the runner, ``Engine`` and the CLI all read that declaration.
+    """``runtime.sharded`` declares the executors once; the runner,
+    ``Engine`` and the CLI all read that declaration.
 
     No family needs an executor beyond serial and the process pool: a
     family without state hooks is not mergeable either, so it runs on
     one serial shard.
     """
 
-    def test_two_executors_and_two_partitions(self):
+    def test_two_executors(self):
         assert EXECUTORS == ("serial", "process")
-        assert PARTITIONS == ("hash", "round-robin")
 
     @pytest.mark.parametrize(
         ("command", "option", "declared"),
         [
             pytest.param("run", "--executor", EXECUTORS, id="run-executor"),
-            pytest.param("run", "--partition", PARTITIONS, id="run-partition"),
             pytest.param("shard", "--executor", EXECUTORS, id="shard-executor"),
-            pytest.param(
-                "shard", "--partition", PARTITIONS, id="shard-partition"
-            ),
-            pytest.param(
-                "serve", "--partition", PARTITIONS, id="serve-partition"
-            ),
         ],
     )
     def test_cli_choices_are_the_runtime_declaration(
@@ -211,17 +183,10 @@ class TestExecutorDeclaration:
             parser.parse_args([command, option, "thread"])
         assert excinfo.value.code == 2  # argparse's usage error
 
-    def test_runner_rejects_unknown_partition_at_construction(self):
-        with pytest.raises(ValueError, match="unknown partition"):
-            ShardedRunner.from_registry("count-min", 2, partition="bogus")
-
     def test_rejections_list_the_declared_choices(self):
         with pytest.raises(ValueError) as excinfo:
             Engine("count-min", executor="thread")
         assert str(EXECUTORS) in str(excinfo.value)
-        with pytest.raises(ValueError) as excinfo:
-            Engine("count-min", shards=2, partition="bogus")
-        assert str(PARTITIONS) in str(excinfo.value)
 
     def test_no_error_message_offers_threads(self, stream):
         with pytest.raises(ValueError) as excinfo:
@@ -252,14 +217,14 @@ class TestSkewRegression:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_empty_stream_skew_is_one(self, executor):
         result = ShardedRunner.from_registry(
-            "count-min", 4, seed=0, executor=executor, max_workers=2
+            "count-min", 4, seed=0, executor=executor
         ).run([])
         assert result.skew == 1.0  # not a ZeroDivisionError
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_single_item_stream_skew_is_num_shards(self, executor):
         result = ShardedRunner.from_registry(
-            "count-min", 4, seed=0, executor=executor, max_workers=2
+            "count-min", 4, seed=0, executor=executor
         ).run([5])
         assert result.skew == pytest.approx(4.0)
         assert sum(result.shard_items) == 1

@@ -22,6 +22,7 @@ import pytest
 
 from repro import registry
 from repro.api import Engine
+from repro.runtime import parallel
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.parallel import (
     PipelinedShardPool,
@@ -50,7 +51,7 @@ def arr():
 def make_runner(name, executor, *, seed=7, shards=4, **kw):
     return ShardedRunner.from_registry(
         name, shards, n=N, m=M, epsilon=1.0, seed=seed,
-        executor=executor, max_workers=2, **kw,
+        executor=executor, **kw,
     )
 
 
@@ -114,7 +115,7 @@ class TestChunkedGoldenEquivalence:
         routes = np.asarray([empty.shard_of(int(item)) for item in arr])
         pool = PipelinedShardPool(
             [(i, shard.to_state()) for i, shard in enumerate(empty.shards)],
-            slot_items=64, depth=1, max_workers=2,
+            slot_items=64, depth=1,
         )
         for low in range(0, len(arr), 256):
             chunk, shard_of = arr[low:low + 256], routes[low:low + 256]
@@ -127,9 +128,11 @@ class TestChunkedGoldenEquivalence:
             restored = type(shard).from_state(states[index])
             assert canonical(restored) == canonical(shard)
 
-    def test_multiple_ingest_calls_share_one_pipeline(self, arr):
+    def test_each_ingest_call_finishes_its_own_pool(self, arr):
         runner = make_runner("count-min", "process")
         runner.ingest(arr[:2500])
+        # The call's pool is finished and its workers are gone.
+        assert not multiprocessing.active_children()
         runner.ingest(arr[2500:])
         merged = runner.merge()
         serial = make_runner("count-min", "serial")
@@ -142,7 +145,7 @@ class TestChunkedGoldenEquivalence:
         def run(executor):
             runner = ShardedRunner.from_registry(
                 "misra-gries", 3, n=N, m=M, epsilon=0.5, seed=2,
-                executor=executor, max_workers=2, chunk_size=100,
+                executor=executor, chunk_size=100,
             )
             runner.ingest(int(x) for x in arr[:2000])
             return runner.merge()
@@ -155,7 +158,7 @@ class TestChunkedGoldenEquivalence:
         def report(executor):
             return Engine(
                 "count-min", n=N, m=M, epsilon=0.2, seed=9, shards=4,
-                executor=executor, max_workers=2,
+                executor=executor,
             ).run(arr)
 
         serial = report("serial")
@@ -184,7 +187,7 @@ class TestBudgetCutover:
         def run(mode_executor):
             return ShardedRunner.from_registry(
                 "count-min", 3, n=N, m=M, epsilon=0.5, seed=4,
-                executor=mode_executor, max_workers=2,
+                executor=mode_executor,
                 budget=WriteBudget(701, policy), chunk_size=1024,
             ).run(ChunkedStream(arr))
 
@@ -200,7 +203,7 @@ class TestBudgetCutover:
     ):
         runner = ShardedRunner.from_registry(
             "count-min", 3, n=N, m=M, epsilon=0.5, seed=4,
-            executor=executor, max_workers=2,
+            executor=executor,
             budget=WriteBudget(90, "raise"),
         )
         with pytest.raises(WriteBudgetExceededError) as excinfo:
@@ -236,7 +239,8 @@ class TestFaultPaths:
         before = shm_segments()
         cls = registry.spec("count-min").cls
         monkeypatch.setattr(cls, "process_chunk", self._boom)
-        runner = make_runner("count-min", "process", start_method="fork")
+        monkeypatch.setattr(parallel, "resolve_start_method", lambda: "fork")
+        runner = make_runner("count-min", "process")
         with pytest.raises(ShardIngestError) as excinfo:
             runner.ingest(arr)
             runner.merge()
@@ -270,8 +274,7 @@ class TestFaultPaths:
     def test_pool_close_is_idempotent(self):
         shard = registry.create("count-min", n=64, m=256, seed=1)
         pool = PipelinedShardPool(
-            [(0, shard.to_state())], slot_items=64, depth=2,
-            max_workers=1,
+            [(0, shard.to_state())], slot_items=64, depth=2
         )
         pool.submit(0, np.asarray([1, 2, 3], dtype=np.int64))
         results = list(pool.finish())
@@ -326,30 +329,34 @@ class TestWorkerSizing:
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert available_cpus() == 6
 
-    def test_explicit_max_workers_overrides_the_cap(self, monkeypatch):
-        monkeypatch.setattr(
-            os, "process_cpu_count", lambda: 1, raising=False
+    def test_one_worker_owns_several_shards(self, monkeypatch, arr):
+        # Two usable CPUs for four shards, whatever the machine: each
+        # worker owns two shards' rings, and the bits do not change.
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        shards = [
+            registry.create("count-min", n=N, m=M, seed=3)
+            for _ in range(4)
+        ]
+        pool = PipelinedShardPool(
+            [(index, shard.to_state()) for index, shard in enumerate(shards)],
+            slot_items=256,
         )
-        assert resolve_workers(8, max_workers=4) == 4
+        assert pool.workers == 2
+        for index, shard in enumerate(shards):
+            part = arr[index::4]
+            pool.submit(index, part)
+            shard.process_chunk(part)
+        states = dict(pool.finish())
+        assert sorted(states) == [0, 1, 2, 3]
+        for index, shard in enumerate(shards):
+            assert states[index] == shard.to_state()
+        process = make_runner("misra-gries", "process").run(arr)
+        serial = make_runner("misra-gries", "serial").run(arr)
+        assert canonical(process.merged) == canonical(serial.merged)
+        assert process.shard_reports == serial.shard_reports
 
 
 class TestStartMethodPolicy:
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError, match="unknown start method"):
-            resolve_start_method("threads")
-        with pytest.raises(ValueError):
-            ShardedRunner.from_registry(
-                "count-min", 2, executor="process",
-                start_method="threads",
-            )
-        with pytest.raises(ValueError):
-            Engine("count-min", executor="process", start_method="nope")
-
-    def test_explicit_override_wins(self):
-        for method in multiprocessing.get_all_start_methods():
-            if method in ("fork", "forkserver", "spawn"):
-                assert resolve_start_method(method) == method
-
     def test_fork_refused_with_background_threads(self):
         # The LiveServer scenario: a handler thread is alive when the
         # pool launches; forking would copy its locks sans owner.
@@ -363,12 +370,15 @@ class TestStartMethodPolicy:
             worker.join(timeout=5.0)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_bit_identity_across_start_methods(self, method, arr):
+    def test_bit_identity_across_start_methods(
+        self, method, arr, monkeypatch
+    ):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{method} unavailable")
+        monkeypatch.setattr(parallel, "resolve_start_method", lambda: method)
         result = ShardedRunner.from_registry(
             "count-min", 2, n=N, m=M, epsilon=0.5, seed=6,
-            executor="process", max_workers=2, start_method=method,
+            executor="process",
         ).run(ChunkedStream(arr[:2000]))
         serial = ShardedRunner.from_registry(
             "count-min", 2, n=N, m=M, epsilon=0.5, seed=6,

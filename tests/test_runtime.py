@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import registry
@@ -34,15 +36,6 @@ class TestShardedRunner:
         runner = ShardedRunner.from_registry("count-min", 4, seed=3)
         for item in range(100):
             assert runner.shard_of(item) == runner.shard_of(item)
-
-    def test_round_robin_balances_perfectly(self):
-        stream = zipf_stream(N, 4096, skew=1.5, seed=4)
-        runner = ShardedRunner.from_registry(
-            "count-min", 4, n=N, m=4096, seed=4, partition="round-robin"
-        )
-        result = runner.run(stream)
-        assert result.skew == 1.0
-        assert max(result.shard_items) - min(result.shard_items) <= 1
 
     def test_skew_reported_for_hash_partition(self):
         # A single-item stream must land on one shard: maximal skew.
@@ -95,8 +88,6 @@ class TestShardedRunner:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             ShardedRunner.from_registry("count-min", 0)
-        with pytest.raises(ValueError):
-            ShardedRunner.from_registry("count-min", 2, partition="range")
         tracker_shared = registry.create("count-min", seed=0)
         with pytest.raises(ValueError):
             ShardedRunner(lambda i: tracker_shared, num_shards=2)
@@ -188,17 +179,60 @@ class TestMergedSnapshot:
         assert list(snapshot.sample) == held
         assert snapshot.items_processed == 1024
 
-    def test_process_executor_snapshot_then_ingest_rejected(self):
-        stream = zipf_stream(N, 2048, seed=18)
+    @pytest.mark.parametrize("name", registry.mergeable_names())
+    def test_process_executor_ingests_again_after_snapshots(self, name):
+        # Each process ingest finishes its own pool, so a process
+        # runner interleaves ingests with snapshots and reports exactly
+        # like a serial one.
+        stream = zipf_stream(N, 3072, seed=18).to_array()
+
+        def run(executor):
+            runner = ShardedRunner.from_registry(
+                name, 2, n=N, m=3072, epsilon=1.0, seed=18,
+                executor=executor,
+            )
+            runner.ingest(stream[:1024])
+            snapshot = runner.merged_snapshot()
+            runner.ingest(stream[1024:2048])
+            reports = runner.shard_reports()
+            runner.ingest(stream[2048:])
+            merged = runner.merge()
+            return (
+                snapshot.items_processed,
+                json.dumps(snapshot.to_state(), sort_keys=True),
+                reports,
+                runner.shard_items,
+                json.dumps(merged.to_state(), sort_keys=True),
+                merged.report(),
+            )
+
+        process = run("process")
+        assert process[0] == 1024
+        assert process == run("serial")
+
+    def test_process_ingest_restores_only_the_shards_it_fed(self):
         runner = ShardedRunner.from_registry(
-            "count-min", 2, n=N, seed=18, executor="process",
-            max_workers=2,
+            "count-min", 4, n=N, seed=19, executor="process"
         )
-        runner.ingest(stream)
-        snapshot = runner.merged_snapshot()  # triggers the one-shot pool
-        assert snapshot.items_processed == 2048
-        with pytest.raises(RuntimeError, match="already executed"):
-            runner.ingest(stream)
+        runner.ingest(zipf_stream(N, 2048, seed=19))
+        runner.merged_snapshot()
+        before = runner.shards
+        target = runner.shard_of(7)
+        runner.ingest([7] * 10)
+        after = runner.shards
+        for index in range(4):
+            assert (after[index] is before[index]) == (index != target)
+        assert after[target].items_processed == (
+            before[target].items_processed + 10
+        )
+        stats = runner.snapshot_stats()
+        runner.merged_snapshot()
+        # Only the fed shard's leaf is cloned again.
+        delta = {
+            key: runner.snapshot_stats()[key] - stats[key]
+            for key in ("leaves_cloned", "leaves_reused")
+        }
+        assert delta == {"leaves_cloned": 1, "leaves_reused": 3}
 
 
 class TestCheckpoint:
@@ -241,12 +275,3 @@ class TestPostMergeObservation:
         assert sum(r.state_changes for r in pre) == (
             merged.report().state_changes
         )
-
-    def test_shard_of_is_pure_under_round_robin(self):
-        # Regression: peeking at routing must not advance the cursor.
-        runner = ShardedRunner.from_registry(
-            "count-min", 2, partition="round-robin", seed=14
-        )
-        assert [runner.shard_of(9) for _ in range(3)] == [0, 0, 0]
-        runner.ingest([5])
-        assert runner.shard_items == (1, 0)

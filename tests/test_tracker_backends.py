@@ -40,6 +40,7 @@ from repro.state import (
     make_tracker,
     tracker_from_state,
 )
+from repro.state.tracker import resolve_tracking
 
 #: Aggregate audit fields every backend must agree on exactly.
 AUDIT_FIELDS = (
@@ -130,6 +131,17 @@ class TestBackendBasics:
             make_tracker("nope")
         with pytest.raises(ValueError):
             make_tracker("trace", budget=WriteBudget(5))
+
+    def test_resolve_tracking_is_the_one_rule(self):
+        # The rule Engine.run, LiveEngine and make_tracker all apply.
+        for mode in ("aggregate", "trace", "budget"):
+            assert resolve_tracking(mode) == mode
+        assert resolve_tracking("aggregate", WriteBudget(5)) == "budget"
+        assert resolve_tracking("budget", 5) == "budget"
+        with pytest.raises(ValueError, match="unknown tracking mode"):
+            resolve_tracking("nope")
+        with pytest.raises(ValueError, match="budget"):
+            resolve_tracking("trace", WriteBudget(5))
 
 
 class TestWriteBudget:
@@ -333,11 +345,11 @@ class TestReviewRegressions:
         assert str(clone) == str(error)
 
     def test_budget_raise_propagates_from_real_pool(self):
-        """Force an actual multiprocessing pool (two tasks, two
-        workers) and check the abort surfaces as the typed error."""
+        """Run an actual multiprocessing pool (two shards) and check
+        the abort surfaces as the typed error."""
         runner = ShardedRunner.from_registry(
             "exact", 2, n=64, m=2_000, seed=2,
-            executor="process", max_workers=2,
+            executor="process",
             budget=WriteBudget(50, "raise"),
         )
         from repro.streams import zipf_stream
